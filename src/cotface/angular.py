@@ -3,8 +3,9 @@
 Features and class-center weights are compared on the unit hypersphere: both
 are L2-normalized, so the logit between sample i and class j is a pure
 function of the angle theta_ji = arccos(<x_i, w_j>).  This module provides the
-normalization, the feature-to-angle map, two numerically guarded cotangent
-kernels, and the Gaussian margin sampler used by the elastic losses.
+normalization, the feature-to-angle map, the cotangent (floored for
+competitor classes, pole-checked for margin-shifted angles) with the paper's
+two kernels, and the Gaussian margin sampler used by the elastic losses.
 """
 
 from __future__ import annotations
@@ -115,11 +116,16 @@ def l2_normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
 
 def l2_normalize_rows(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Row-wise l2_normalize for a 2-D array."""
+    return _unit_rows(m, eps)[0]
+
+
+def _unit_rows(m, eps: float):
+    """(m with unit rows, the (N, 1) row norms); ZeroVectorError below eps."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
     if (norms < eps).any():
         raise ZeroVectorError("matrix has a row with norm below eps")
-    return m / norms[:, None]
+    return m / norms, norms
 
 
 def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -139,31 +145,40 @@ def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndar
     return np.arccos(cos)
 
 
-def _check_cot_singularity(angle, eps: float):
-    """Raise if any angle sits within eps of a pole of cot (multiples of pi)."""
-    angle = np.asarray(angle)
-    rem = np.abs(np.remainder(angle, np.pi))
+def floored_cot(theta, eps: float = DEFAULT_EPS):
+    """cot(theta) and its slope, with |tan| floored at eps (sign kept).
+
+    The floor makes cot saturate at +-1/eps near the poles instead of
+    overflowing; where it engages the kernel is flat, so the slope is 0 there
+    and -(1 + cot^2) elsewhere.
+    """
+    t = np.tan(theta)
+    abs_t = np.abs(t)
+    # copysign handles tan = +-0.0: the floor keeps the pole's sign
+    cot = 1.0 / np.copysign(np.maximum(abs_t, eps), t)
+    return cot, np.where(abs_t < eps, 0.0, -(1.0 + cot * cot))
+
+
+def margin_cot(angle, eps: float = DEFAULT_EPS):
+    """cot(angle) and its slope for margin-shifted angles, pole-checked.
+
+    Raises SingularityError when any angle falls within eps of a multiple of
+    pi; past that check floored_cot's floor does not engage.
+    """
+    rem = np.remainder(angle, np.pi)  # in [0, pi)
     if (np.minimum(rem, np.pi - rem) < eps).any():
         raise SingularityError("cot undefined: angle within eps of a multiple of pi")
+    return floored_cot(angle, eps)
 
 
 def cot_via_theta(theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     """Cotangent kernel working directly in angle space.
 
-    Returns (cot_theta, cot_theta_m) for cot(theta) and cot(theta + m).
-    cot(theta) divides by tan(theta) floored in magnitude at eps (sign kept),
-    so it saturates at +-1/eps near the poles instead of overflowing;
-    cot(theta + m) is the plain reciprocal and raises SingularityError when
-    theta + m falls within eps of a multiple of pi.
+    Returns (cot_theta, cot_theta_m): the floored cot(theta) and the
+    pole-checked cot(theta + m), which raises SingularityError.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    t = np.tan(theta)
-    # copysign handles tan = +-0.0: the floor keeps the pole's sign
-    cot_theta = 1.0 / np.copysign(np.maximum(np.abs(t), eps), t)
-    shifted = theta + m
-    _check_cot_singularity(shifted, eps)
-    cot_theta_m = 1.0 / np.tan(shifted)
-    return cot_theta, cot_theta_m
+    return floored_cot(theta, eps)[0], margin_cot(theta + m, eps)[0]
 
 
 def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):

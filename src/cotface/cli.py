@@ -2,20 +2,22 @@
 
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
 Exit codes: 0 success (auth: Accepted), 1 failed check or non-accepted
-outcome, 2 usage error (argparse), 3 unreadable or malformed input/output
-files.  Every subcommand is deterministic for a fixed --seed: reruns produce
-byte-identical primary output files.
+outcome, 2 usage error (argparse, or a train argument that cannot work:
+ConfigError), 3 unreadable or malformed input/output files.  Every
+subcommand is deterministic for a fixed --seed: reruns produce byte-identical
+primary output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .angular import LossConfig, l2_normalize_rows
+from .angular import LossConfig
 from .metrics import (
     RankedQuery,
     RankedRetrieval,
@@ -45,9 +47,10 @@ from .pipeline import (
 from .reference import DEFAULT_TOLERANCE, run_reference_checks
 from .train import (
     GRADCHECK_LOSSES,
+    ConfigError,
     SynthSpec,
     TASKS,
-    _forward_layers,
+    forward,
     forward_scores,
     gradcheck,
     init_embedding_model,
@@ -66,27 +69,18 @@ _TOY_SIDE = 16  # toy models consume 16x16 crops flattened to 256 features
 
 
 def _add_loss_config_flags(parser):
+    """One flag per LossConfig field, defaulting to the field's default."""
     group = parser.add_argument_group("loss configuration")
-    group.add_argument("--s", type=float, default=64.0, help="logit scale")
-    group.add_argument("--m", type=float, default=0.5, help="single margin")
-    group.add_argument("--m1", type=float, default=1.0)
-    group.add_argument("--m2", type=float, default=0.0)
-    group.add_argument("--m3", type=float, default=0.0)
-    group.add_argument("--sigma1", type=float, default=0.0)
-    group.add_argument("--sigma2", type=float, default=0.0)
-    group.add_argument("--sigma3", type=float, default=0.0)
-    group.add_argument("--alpha", type=float, default=1.0)
-    group.add_argument("--beta", type=float, default=1.0)
-    group.add_argument("--eps", type=float, default=1e-7)
-    group.add_argument("--log-base", choices=("natural", "ten"), default="natural")
+    for f in fields(LossConfig):
+        if f.name == "log_base":
+            group.add_argument("--log-base", choices=("natural", "ten"), default=f.default)
+        else:
+            group.add_argument(f"--{f.name}", type=float, default=f.default,
+                               help={"s": "logit scale", "m": "single margin"}.get(f.name))
 
 
 def _loss_config(args) -> LossConfig:
-    return LossConfig(
-        s=args.s, m=args.m, m1=args.m1, m2=args.m2, m3=args.m3,
-        sigma1=args.sigma1, sigma2=args.sigma2, sigma3=args.sigma3,
-        alpha=args.alpha, beta=args.beta, eps=args.eps, log_base=args.log_base,
-    )
+    return LossConfig(**{f.name: getattr(args, f.name) for f in fields(LossConfig)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,8 +169,7 @@ def _toy_embedder(seed: int, model=None):
             f"embedder expects {_TOY_SIDE * _TOY_SIDE} inputs, model has {in_dim}")
 
     def embed(crop):
-        a_list, _ = _forward_layers(model, _image_features(crop))
-        return l2_normalize_rows(a_list[-1])[0]
+        return forward(model, _image_features(crop))[0][0]
 
     return embed
 
@@ -186,7 +179,7 @@ def _toy_spoof(seed: int):
     model = init_score_model(_TOY_SIDE * _TOY_SIDE, hidden=(16,), seed=seed + 1)
 
     def score(frame):
-        raw = forward_scores(model, _image_features(frame))[0]
+        raw = forward_scores(model, _image_features(frame))[0][0]
         return 1.0 / (1.0 + np.exp(-raw))
 
     return score
@@ -330,9 +323,9 @@ def _cmd_eval(args) -> int:
 
 
 def _read_ranked_file(path):
-    """Parse query,rank,correct,confidence lines (file order preserved)."""
+    """Parse query,rank,correct,confidence lines (query order preserved);
+    GAP's flat confidence view holds each query's rank-1 row only."""
     per_query: dict = {}
-    flat_conf, flat_correct = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -344,21 +337,20 @@ def _read_ranked_file(path):
             query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
             if correct not in (0, 1):
                 raise ValueError(f"{path}:{lineno}: correct must be 0 or 1")
-            per_query.setdefault(query, []).append((rank, correct))
-            flat_conf.append(conf)
-            flat_correct.append(correct)
+            per_query.setdefault(query, []).append((rank, correct, conf))
     if not per_query:
         raise ValueError(f"{path}: no predictions")
-    queries = []
+    queries, top = [], []
     for query, entries in per_query.items():
         entries.sort(key=lambda e: e[0])
-        rel = np.array([c for _, c in entries])
+        rel = np.array([c for _, c, _ in entries])
         # the file carries no relevant-item counts; use the correct count
         queries.append(RankedQuery(rel=rel, num_relevant=int(rel.sum())))
+        top.append(entries[0])
     return per_query, RankedRetrieval(
         queries=queries,
-        confidences=np.array(flat_conf),
-        correct=np.array(flat_correct),
+        confidences=np.array([conf for _, _, conf in top]),
+        correct=np.array([c for _, c, _ in top]),
     )
 
 
@@ -441,7 +433,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, GalleryFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,20 +1,20 @@
 """Margin losses over sample-to-class angles.
 
-Every angular loss below is a softmax cross-entropy whose logits are a
-transform of the angles: the true class gets f(theta), every other class gets
-g(theta), and the per-sample loss is
+Every angular loss is one softmax cross-entropy: the labeled class gets the
+logit f = s*(k(e1*theta + e2) - e3), every other class g = s*k(theta), with
+k in {cos, cot} (ArcFace's combined margin with ElasticFace's per-sample
+margins), and the per-sample loss is
 
     -log_b( e^{f(theta_y)} / (e^{f(theta_y)} + sum_{j != y} e^{g(theta_j)}) )
 
 computed as logit minus log-sum-exp with a max shift so large logits cannot
 overflow.  The batch value is the mean of the per-sample losses; grad_theta
 carries d(value)/d(theta_ji) with the same shape as the angle matrix.
-
+PRESETS gives each named loss its kernel, margins and true-class branches.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
-combined margins) uses f in {s*cos(m1*theta + m2) - m3}; the cotangent family
-replaces cos with cot, which diverges as the angle approaches 0 and so
-punishes badly misclassified samples much harder while driving well-classified
-ones to essentially zero loss.
+combined margins) uses cos; the cotangent family uses cot, which diverges as
+the angle approaches 0 and so punishes badly misclassified samples much harder
+while driving well-classified ones to essentially zero loss.
 
 Score-level losses for the binary heads live here too: a margin-shifted
 sigmoid cross-entropy and a score-separation loss over a (low, high) pair of
@@ -30,9 +30,9 @@ import numpy as np
 from .angular import (
     AngularBatch,
     LossConfig,
-    SingularityError,
-    _check_cot_singularity,
     elastic_sample,
+    floored_cot,
+    margin_cot,
 )
 
 
@@ -72,66 +72,21 @@ class ScorePair:
                 raise ValueError(f"{name} scores must lie in [0, 1]")
 
 
-def _ce_output(batch: AngularBatch, cfg: LossConfig, f_true, g_other, df_true, dg_other):
-    """Assemble the shared cross-entropy from true/other logits and slopes.
+def _cross_entropy(z, labels, ln_b: float):
+    """Softmax cross-entropy of each row of the logit matrix z at its label.
 
-    f_true, df_true: (N,) logit and d(logit)/d(theta) for the labeled class.
-    g_other, dg_other: (N, n) matrices for every class; the labeled slot is
-    overwritten, so its content there is ignored.
+    Logit minus log-sum-exp with a max shift, so large logits cannot
+    overflow.  Returns (per_sample, d(mean per_sample)/dz).
     """
-    rows = np.arange(batch.n_samples)
-    z = np.array(g_other, dtype=np.float64, copy=True)
-    z[rows, batch.labels] = f_true
+    rows = np.arange(z.shape[0])
     zmax = z.max(axis=1, keepdims=True)
     shifted = np.exp(z - zmax)
     denom = shifted.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(denom[:, 0])
-    ln_b = cfg.log_divisor
-    per_sample = (lse - z[rows, batch.labels]) / ln_b
-
-    probs = shifted / denom
-    grad_z = probs
-    grad_z[rows, batch.labels] -= 1.0
-    grad_z /= batch.n_samples * ln_b
-    dz = np.array(dg_other, dtype=np.float64, copy=True)
-    dz[rows, batch.labels] = df_true
-    return LossOutput(
-        value=float(per_sample.mean()),
-        per_sample=per_sample,
-        grad_theta=grad_z * dz,
-    )
-
-
-def _true_angles(batch: AngularBatch) -> np.ndarray:
-    return batch.theta[np.arange(batch.n_samples), batch.labels]
-
-
-def _cos_logits(batch: AngularBatch, cfg: LossConfig):
-    """g = s*cos(theta) matrix and its slope, shared by the cosine family."""
-    g = cfg.s * np.cos(batch.theta)
-    dg = -cfg.s * np.sin(batch.theta)
-    return g, dg
-
-
-def _cot_logits(batch: AngularBatch, cfg: LossConfig):
-    """g = s*cot(theta) matrix with the magnitude-floored tangent.
-
-    Where the floor engages (|tan| < eps) the implemented kernel is flat, so
-    the slope is zero there; elsewhere d(cot)/d(theta) = -(1 + cot^2).
-    """
-    t = np.tan(batch.theta)
-    floored = np.abs(t) < cfg.eps
-    cot = 1.0 / np.copysign(np.maximum(np.abs(t), cfg.eps), t)
-    g = cfg.s * cot
-    dg = np.where(floored, 0.0, -cfg.s * (1.0 + cot * cot))
-    return g, dg
-
-
-def _shifted_cot(angle, eps: float):
-    """cot(angle) and its slope for the margin-shifted true class (no floor)."""
-    _check_cot_singularity(angle, eps)
-    cot = 1.0 / np.tan(angle)
-    return cot, -(1.0 + cot * cot)
+    per_sample = (zmax[:, 0] + np.log(denom[:, 0]) - z[rows, labels]) / ln_b
+    grad = shifted / denom
+    grad[rows, labels] -= 1.0
+    grad /= z.shape[0] * ln_b
+    return per_sample, grad
 
 
 def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
@@ -140,193 +95,154 @@ def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
     grad_theta holds the gradient w.r.t. the logits themselves.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    rows = np.arange(logits.shape[0])
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = np.exp(logits - zmax)
-    denom = shifted.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(denom[:, 0])
-    ln_b = cfg.log_divisor
-    per_sample = (lse - logits[rows, labels]) / ln_b
-    grad = shifted / denom
-    grad[rows, labels] -= 1.0
-    grad /= logits.shape[0] * ln_b
+    per_sample, grad = _cross_entropy(logits, np.asarray(labels), cfg.log_divisor)
     return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
 
 
-def norm_softmax_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """No margin: f = g = s*cos(theta)."""
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    f = cfg.s * np.cos(ty)
-    df = -cfg.s * np.sin(ty)
-    return _ce_output(batch, cfg, f, g, df, dg)
+def _cos(angle, eps):
+    return np.cos(angle), -np.sin(angle)
 
 
-def sphereface_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Multiplicative angular margin: f = s*cos(m*theta)."""
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    f = cfg.s * np.cos(cfg.m * ty)
-    df = -cfg.s * cfg.m * np.sin(cfg.m * ty)
-    return _ce_output(batch, cfg, f, g, df, dg)
+# kernel name -> (competitor form, true-class form), each angle -> (k, dk/dangle)
+_KERNELS = {"cos": (_cos, _cos), "cot": (floored_cot, margin_cot)}
 
 
-def cosface_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Subtractive cosine margin: f = s*(cos(theta) - m)."""
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    f = cfg.s * (np.cos(ty) - cfg.m)
-    df = -cfg.s * np.sin(ty)
-    return _ce_output(batch, cfg, f, g, df, dg)
+# name: (kernel k, e1, e2, e3, true-class branches).  k ("cos" or "cot") gives
+# the competitor logit g = s*k(theta).  A margin slot is None (no margin), a
+# LossConfig field, or a (mean, sigma) field pair drawn per sample with
+# elastic_sample in slot order.  Branches are (kernel, weight field) pairs,
+# summed; none means one unweighted branch with the competitor kernel.
+PRESETS = {
+    "norm-softmax": ("cos", None, None, None, ()),
+    "sphereface": ("cos", "m", None, None, ()),
+    "cosface": ("cos", None, None, "m", ()),
+    "arcface": ("cos", None, "m", None, ()),
+    "elastic-arc": ("cos", None, ("m", "sigma2"), None, ()),
+    "elastic-cos": ("cos", None, None, ("m", "sigma3"), ()),
+    "lmcot": ("cot", None, "m", None, ()),
+    "combined-cos": ("cos", "m1", "m2", "m3", ()),
+    "combined-cot": ("cot", "m1", "m2", "m3", ()),
+    "elastic-cot": ("cot", None, ("m", "sigma2"), None, ()),
+    "generalized-lmcot": ("cot", ("m1", "sigma1"), ("m2", "sigma2"), ("m3", "sigma3"), ()),
+    "dual": ("cot", ("m1", "sigma1"), ("m2", "sigma2"), ("m3", "sigma3"),
+             (("cot", "alpha"), ("cos", "beta"))),
+}
+
+ELASTIC_LOSSES = frozenset(
+    name for name, row in PRESETS.items() if any(isinstance(e, tuple) for e in row[1:4]))
 
 
-def arcface_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Additive angular margin: f = s*cos(theta + m)."""
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    f = cfg.s * np.cos(ty + cfg.m)
-    df = -cfg.s * np.sin(ty + cfg.m)
-    return _ce_output(batch, cfg, f, g, df, dg)
+def _margin(slot, cfg: LossConfig, rng, n: int):
+    """A margin slot's value: None, a config field, or n elastic draws."""
+    if slot is None:
+        return None
+    if isinstance(slot, str):
+        return getattr(cfg, slot)
+    mean, sigma = slot
+    return elastic_sample(getattr(cfg, mean), getattr(cfg, sigma), rng, size=n)
 
 
-def elasticface_arc_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """ArcFace with a per-sample margin drawn from N(m, sigma2^2)."""
-    if rng is None:
-        raise ValueError("elastic losses need an rng")
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    m = elastic_sample(cfg.m, cfg.sigma2, rng, size=batch.n_samples)
-    f = cfg.s * np.cos(ty + m)
-    df = -cfg.s * np.sin(ty + m)
-    return _ce_output(batch, cfg, f, g, df, dg)
+def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOutput:
+    """The loss of preset `name`: cross-entropy over its margin logits.
 
-
-def elasticface_cos_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """CosFace with a per-sample margin drawn from N(m, sigma3^2)."""
-    if rng is None:
-        raise ValueError("elastic losses need an rng")
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    m = elastic_sample(cfg.m, cfg.sigma3, rng, size=batch.n_samples)
-    f = cfg.s * (np.cos(ty) - m)
-    df = -cfg.s * np.sin(ty)
-    return _ce_output(batch, cfg, f, g, df, dg)
-
-
-def lmcot_loss(batch: AngularBatch, cfg: LossConfig, rng=None, kernel: str = "theta") -> LossOutput:
-    """Cotangent margin: f = s*cot(theta + m), g = s*cot(theta).
-
-    kernel selects how the true-class cotangent is evaluated: "theta" divides
-    by tan(theta + m) directly, "identity" recovers it from cos(theta) via the
-    angle-addition identities.  Both agree away from the poles.
+    Every class gets the competitor logit g = s*k(theta); the labeled class
+    gets f = s*(k(e1*theta + e2) - e3) per branch.  Margins the preset leaves
+    out are skipped, not applied as 1 or 0, so each loss evaluates the same
+    arithmetic as its closed form.  Weighted branches sum.
     """
-    if kernel not in ("theta", "identity"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    g, dg = _cot_logits(batch, cfg)
-    ty = _true_angles(batch)
-    if kernel == "theta":
-        cot_m, dcot_m = _shifted_cot(ty + cfg.m, cfg.eps)
-    else:
-        cos_t = np.cos(ty)
-        sin_t = np.maximum(np.sqrt(1.0 - cos_t * cos_t), cfg.eps)
-        cos_tm = cos_t * np.cos(cfg.m) - sin_t * np.sin(cfg.m)
-        sin_tm = sin_t * np.cos(cfg.m) + cos_t * np.sin(cfg.m)
-        if (np.abs(sin_tm) < cfg.eps).any():
-            raise SingularityError("cot undefined: |sin(theta + m)| < eps")
-        cot_m = cos_tm / sin_tm
-        dcot_m = -(1.0 + cot_m * cot_m)
-    f = cfg.s * cot_m
-    df = cfg.s * dcot_m
-    return _ce_output(batch, cfg, f, g, df, dg)
+    kernel, e1, e2, e3, branches = PRESETS[name]
+    if rng is None and name in ELASTIC_LOSSES:
+        raise ValueError("elastic losses need an rng")
+    weights = [w for _, w in branches]
+    if weights and not sum(getattr(cfg, w) for w in weights) > 0.0:
+        raise ValueError(f"{' + '.join(weights)} must be positive")
+    k, dk = _KERNELS[kernel][0](batch.theta, cfg.eps)
+    g, dg = cfg.s * k, cfg.s * dk
+    n, labels = batch.n_samples, batch.labels
+    rows = np.arange(n)
+    u = batch.theta[rows, labels]
+    e1, e2, e3 = [_margin(e, cfg, rng, n) for e in (e1, e2, e3)]  # draws in slot order
+    if e1 is not None:
+        u = e1 * u
+    if e2 is not None:
+        u = u + e2
+    slope = cfg.s if e1 is None else cfg.s * e1
+    per_sample = grad = None
+    for true_kernel, weight in branches or ((kernel, None),):
+        k, dk = _KERNELS[true_kernel][1](u, cfg.eps)
+        g[rows, labels] = cfg.s * (k if e3 is None else k - e3)  # g becomes the logits
+        ps, gz = _cross_entropy(g, labels, cfg.log_divisor)
+        gz_true = gz[rows, labels] * (slope * dk)
+        gz *= dg  # chain rule: d(logit)/d(theta) is dg off the label, the f slope on it
+        gz[rows, labels] = gz_true
+        if weight is not None:
+            ps = getattr(cfg, weight) * ps
+            gz *= getattr(cfg, weight)
+        per_sample = ps if per_sample is None else per_sample + ps
+        grad = gz if grad is None else grad + gz
+    return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
 
 
-def combined_margin_cos_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
+ANGULAR_LOSSES = {}  # preset name -> its loss(batch, cfg, rng=None), filled below
+
+
+def _preset_loss(qualname: str, name: str, doc: str):
+    """The loss function `qualname` of preset `name`, registered in ANGULAR_LOSSES."""
+
+    def loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
+        return _margin_loss(name, batch, cfg, rng)
+
+    loss.__name__ = loss.__qualname__ = qualname
+    loss.__doc__ = doc
+    ANGULAR_LOSSES[name] = loss
+    return loss
+
+
+norm_softmax_loss = _preset_loss(
+    "norm_softmax_loss", "norm-softmax", "No margin: f = g = s*cos(theta).")
+sphereface_loss = _preset_loss(
+    "sphereface_loss", "sphereface", "Multiplicative angular margin: f = s*cos(m*theta).")
+cosface_loss = _preset_loss(
+    "cosface_loss", "cosface", "Subtractive cosine margin: f = s*(cos(theta) - m).")
+arcface_loss = _preset_loss(
+    "arcface_loss", "arcface", "Additive angular margin: f = s*cos(theta + m).")
+elasticface_arc_loss = _preset_loss(
+    "elasticface_arc_loss", "elastic-arc",
+    "ArcFace with a per-sample margin drawn from N(m, sigma2^2).")
+elasticface_cos_loss = _preset_loss(
+    "elasticface_cos_loss", "elastic-cos",
+    "CosFace with a per-sample margin drawn from N(m, sigma3^2).")
+lmcot_loss = _preset_loss(
+    "lmcot_loss", "lmcot", "Cotangent margin: f = s*cot(theta + m), g = s*cot(theta).")
+combined_margin_cos_loss = _preset_loss(
+    "combined_margin_cos_loss", "combined-cos",
     """All three cosine margins at once: f = s*(cos(m1*theta + m2) - m3).
 
     (m1, m2, m3) = (m, 0, 0), (1, m, 0) and (1, 0, m) reduce to SphereFace,
     ArcFace and CosFace.
-    """
-    g, dg = _cos_logits(batch, cfg)
-    ty = _true_angles(batch)
-    u = cfg.m1 * ty + cfg.m2
-    f = cfg.s * (np.cos(u) - cfg.m3)
-    df = -cfg.s * cfg.m1 * np.sin(u)
-    return _ce_output(batch, cfg, f, g, df, dg)
+    """)
+combined_margin_cot_loss = _preset_loss(
+    "combined_margin_cot_loss", "combined-cot",
+    "Cotangent form of the combined margin: f = s*(cot(m1*theta + m2) - m3).")
+elastic_cot_loss = _preset_loss(
+    "elastic_cot_loss", "elastic-cot",
+    "Cotangent margin with the additive margin drawn from N(m, sigma2^2).")
+generalized_lmcot_loss = _preset_loss(
+    "generalized_lmcot_loss", "generalized-lmcot",
+    """Combined cotangent margin with every margin drawn per sample.
 
-
-def combined_margin_cot_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Cotangent form of the combined margin: f = s*(cot(m1*theta + m2) - m3)."""
-    g, dg = _cot_logits(batch, cfg)
-    ty = _true_angles(batch)
-    u = cfg.m1 * ty + cfg.m2
-    cot_u, dcot_u = _shifted_cot(u, cfg.eps)
-    f = cfg.s * (cot_u - cfg.m3)
-    df = cfg.s * cfg.m1 * dcot_u
-    return _ce_output(batch, cfg, f, g, df, dg)
-
-
-def elastic_cot_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Cotangent margin with the additive margin drawn from N(m, sigma2^2)."""
-    if rng is None:
-        raise ValueError("elastic losses need an rng")
-    g, dg = _cot_logits(batch, cfg)
-    ty = _true_angles(batch)
-    m = elastic_sample(cfg.m, cfg.sigma2, rng, size=batch.n_samples)
-    cot_m, dcot_m = _shifted_cot(ty + m, cfg.eps)
-    f = cfg.s * cot_m
-    df = cfg.s * dcot_m
-    return _ce_output(batch, cfg, f, g, df, dg)
-
-
-def _generalized_cot_true(batch, cfg, rng):
-    """Sampled-margin true-class cotangent logit shared by the dual loss.
-
-    Draws E(m1, sigma1), E(m2, sigma2), E(m3, sigma3) per sample and returns
-    (f, df, margins) with f = s*(cot(e1*theta + e2) - e3).
-    """
-    ty = _true_angles(batch)
-    e1 = elastic_sample(cfg.m1, cfg.sigma1, rng, size=batch.n_samples)
-    e2 = elastic_sample(cfg.m2, cfg.sigma2, rng, size=batch.n_samples)
-    e3 = elastic_sample(cfg.m3, cfg.sigma3, rng, size=batch.n_samples)
-    u = e1 * ty + e2
-    cot_u, dcot_u = _shifted_cot(u, cfg.eps)
-    f = cfg.s * (cot_u - e3)
-    df = cfg.s * e1 * dcot_u
-    return f, df, (e1, e2, e3), ty
-
-
-def generalized_lmcot_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-    """Combined cotangent margin with every margin drawn per sample."""
-    if rng is None:
-        raise ValueError("elastic losses need an rng")
-    g, dg = _cot_logits(batch, cfg)
-    f, df, _, _ = _generalized_cot_true(batch, cfg, rng)
-    return _ce_output(batch, cfg, f, g, df, dg)
-
-
-def dual_cot_cos_loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
+    e1 ~ N(m1, sigma1^2), e2 ~ N(m2, sigma2^2), e3 ~ N(m3, sigma3^2), drawn in
+    that order; f = s*(cot(e1*theta + e2) - e3).
+    """)
+dual_cot_cos_loss = _preset_loss(
+    "dual_cot_cos_loss", "dual",
     """Weighted sum of a cot branch and a cos branch over one margin draw.
 
     Both branches share the sampled margins (e1, e2, e3) and the same
     cot-based competitor term sum_{j != y} e^{s*cot(theta_j)}; only the
     true-class logit differs: s*(cot(e1*theta + e2) - e3) versus
     s*(cos(e1*theta + e2) - e3).  value = alpha*cot_branch + beta*cos_branch.
-    """
-    if rng is None:
-        raise ValueError("elastic losses need an rng")
-    if not cfg.alpha + cfg.beta > 0.0:
-        raise ValueError("alpha + beta must be positive")
-    g, dg = _cot_logits(batch, cfg)
-    f_cot, df_cot, (e1, e2, e3), ty = _generalized_cot_true(batch, cfg, rng)
-    u = e1 * ty + e2
-    f_cos = cfg.s * (np.cos(u) - e3)
-    df_cos = -cfg.s * e1 * np.sin(u)
-    out_cot = _ce_output(batch, cfg, f_cot, g, df_cot, dg)
-    out_cos = _ce_output(batch, cfg, f_cos, g, df_cos, dg)
-    per_sample = cfg.alpha * out_cot.per_sample + cfg.beta * out_cos.per_sample
-    grad = cfg.alpha * out_cot.grad_theta + cfg.beta * out_cos.grad_theta
-    return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
+    """)
 
 
 def double_loss(pair: ScorePair) -> LossOutput:
@@ -368,22 +284,3 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
     grad = (sig - labels) / scores.size
     return LossOutput(float(per_sample.mean()), per_sample, grad_scores=grad)
 
-
-ANGULAR_LOSSES = {
-    "norm-softmax": norm_softmax_loss,
-    "sphereface": sphereface_loss,
-    "cosface": cosface_loss,
-    "arcface": arcface_loss,
-    "elastic-arc": elasticface_arc_loss,
-    "elastic-cos": elasticface_cos_loss,
-    "lmcot": lmcot_loss,
-    "combined-cos": combined_margin_cos_loss,
-    "combined-cot": combined_margin_cot_loss,
-    "elastic-cot": elastic_cot_loss,
-    "generalized-lmcot": generalized_lmcot_loss,
-    "dual": dual_cot_cos_loss,
-}
-
-ELASTIC_LOSSES = frozenset(
-    ("elastic-arc", "elastic-cos", "elastic-cot", "generalized-lmcot", "dual")
-)

@@ -54,8 +54,8 @@ class AuthOutcome:
 
 
 def spoof_gate(score: float, threshold: float = DEFAULT_SPOOF_THRESHOLD) -> bool:
-    """True when the frame counts as live; scores >= threshold are fakes."""
-    return not score >= threshold
+    """True when the frame counts as live; scores >= threshold and NaN are fakes."""
+    return score < threshold
 
 
 @dataclass

@@ -81,8 +81,8 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     """Best cosine match over every stored embedding.
 
     Returns (identity, best_similarity); identity is None (stranger) when the
-    best similarity falls below sim_threshold.  Ties keep the earliest
-    enrolled identity.  An empty gallery reports (None, -1.0).
+    best similarity is non-finite or falls below sim_threshold.  Ties keep the
+    earliest enrolled identity.  An empty gallery reports (None, -1.0).
     """
     probe = l2_normalize(probe)
     best_name, best_sim = None, -1.0
@@ -92,7 +92,7 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
             sim = float(np.dot(probe, emb))
             if not found or sim > best_sim:
                 best_name, best_sim, found = name, sim, True
-    if not found or best_sim < sim_threshold:
+    if not found or not np.isfinite(best_sim) or best_sim < sim_threshold:
         return None, best_sim
     return best_name, best_sim
 

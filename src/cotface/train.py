@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularBatch, LossConfig, l2_normalize_rows
+from .angular import DEFAULT_EPS, AngularBatch, LossConfig, _unit_rows, l2_normalize_rows
 from .losses import (
     ANGULAR_LOSSES,
     ScorePair,
@@ -35,7 +35,9 @@ from .metrics import ScoredPairs, auc, eer
 TASKS = ("embedding", "binary-live-spoof", "binary-eye-state")
 BINARY_TASKS = ("binary-live-spoof", "binary-eye-state")
 
-ARCCOS_CLAMP = 1e-7
+
+class ConfigError(ValueError):
+    """A training argument that cannot work: a usage error, not bad input."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,13 +92,13 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
+            raise ConfigError(f"task must be one of {TASKS}")
         if self.task in BINARY_TASKS:
             self.n_classes = 2
         if self.n_classes < 2 or self.per_class < 2 or self.dim < 2:
-            raise ValueError("need n_classes >= 2, per_class >= 2, dim >= 2")
+            raise ConfigError("need n_classes >= 2, per_class >= 2, dim >= 2")
         if self.intra_spread < 0.0:
-            raise ValueError("intra_spread must be >= 0")
+            raise ConfigError("intra_spread must be >= 0")
 
 
 @dataclass
@@ -174,28 +176,30 @@ def _forward_layers(model: MlpModel, x):
 
 
 def forward(model: MlpModel, x):
-    """Unit embeddings and the angle matrix against the head rows."""
+    """Unit embeddings, the angle matrix against the head rows, and a cache.
+
+    The cache holds the intermediates backward consumes: the layer
+    activations, both normalizations and the clamped cosines.
+    """
     if model.head_W is None:
         raise ValueError("model has no angular head")
-    a_list, _ = _forward_layers(model, x)
-    emb = l2_normalize_rows(a_list[-1])
-    head = l2_normalize_rows(model.head_W)
-    cos = np.clip(emb @ head.T, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
-    return emb, np.arccos(cos)
+    a_list, z_list = _forward_layers(model, x)
+    emb, emb_norms = _unit_rows(a_list[-1], DEFAULT_EPS)
+    head, head_norms = _unit_rows(model.head_W, DEFAULT_EPS)
+    cos = np.clip(emb @ head.T, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS)
+    return emb, np.arccos(cos), (a_list, z_list, emb, emb_norms, head, head_norms, cos)
 
 
 def forward_scores(model: MlpModel, x):
-    """Raw scalar scores from a score-head model."""
+    """Raw scores of a score-head model, and the cache backward_scores consumes."""
     if model.head_W is not None:
         raise ValueError("model has an angular head, not a score head")
-    a_list, _ = _forward_layers(model, x)
-    return a_list[-1][:, 0]
+    a_list, z_list = _forward_layers(model, x)
+    return a_list[-1][:, 0], (a_list, z_list)
 
 
-def _normalization_vjp(raw, grad_unit):
+def _normalization_vjp(unit, norms, grad_unit):
     """Backprop g through u = raw/||raw|| row-wise: (g - u<g,u>)/||raw||."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    unit = raw / norms
     return (grad_unit - unit * (grad_unit * unit).sum(axis=1, keepdims=True)) / norms
 
 
@@ -210,29 +214,25 @@ def _backward_layers(model, a_list, z_list, grad_out) -> list:
     return grads
 
 
-def backward(model: MlpModel, x, grad_theta) -> Grads:
-    """Gradients of a scalar loss given d(loss)/d(theta).
+def backward(model: MlpModel, cache, grad_theta) -> Grads:
+    """Gradients of a scalar loss given forward's cache and d(loss)/d(theta).
 
-    Recomputes the forward pass, then chains through arccos (slope evaluated
-    at the clamped cosine), both L2 normalizations, and the affine stack.
+    Chains through arccos (slope evaluated at the clamped cosine), both L2
+    normalizations, and the affine stack.
     """
-    a_list, z_list = _forward_layers(model, x)
-    emb_raw = a_list[-1]
-    emb = l2_normalize_rows(emb_raw)
-    head = l2_normalize_rows(model.head_W)
-    cos = np.clip(emb @ head.T, -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP)
+    a_list, z_list, emb, emb_norms, head, head_norms, cos = cache
     dcos = np.asarray(grad_theta) * (-1.0 / np.sqrt(1.0 - cos * cos))
     grad_emb_unit = dcos @ head
     grad_head_unit = dcos.T @ emb
-    head_grad = _normalization_vjp(model.head_W, grad_head_unit)
-    grad_emb_raw = _normalization_vjp(emb_raw, grad_emb_unit)
+    head_grad = _normalization_vjp(head, head_norms, grad_head_unit)
+    grad_emb_raw = _normalization_vjp(emb, emb_norms, grad_emb_unit)
     return Grads(layers=_backward_layers(model, a_list, z_list, grad_emb_raw),
                  head_W=head_grad)
 
 
-def backward_scores(model: MlpModel, x, grad_scores) -> Grads:
-    """Gradients of a scalar loss given d(loss)/d(raw score)."""
-    a_list, z_list = _forward_layers(model, x)
+def backward_scores(model: MlpModel, cache, grad_scores) -> Grads:
+    """Gradients of a scalar loss given forward_scores's cache and d(loss)/d(score)."""
+    a_list, z_list = cache
     grad_out = np.zeros_like(a_list[-1])
     grad_out[:, 0] = grad_scores
     return Grads(layers=_backward_layers(model, a_list, z_list, grad_out), head_W=None)
@@ -269,8 +269,7 @@ def _verification_pairs(embeddings, labels) -> ScoredPairs:
 
 
 def _embedding_eer(model, x, labels) -> float:
-    emb, _ = forward(model, x)
-    return eer(_verification_pairs(emb, labels))[0]
+    return eer(_verification_pairs(forward(model, x)[0], labels))[0]
 
 
 def _sigmoid(z):
@@ -310,7 +309,11 @@ def train_loop(
 
     if spec.task == "embedding":
         if loss_name not in ANGULAR_LOSSES:
-            raise ValueError(f"unknown angular loss {loss_name!r}")
+            raise ConfigError(f"unknown angular loss {loss_name!r}")
+        if len(eval_idx) < 2 * spec.n_classes:
+            raise ConfigError(
+                f"--per-class {spec.per_class} holds out one sample per class; the "
+                "held-out verification EER needs two (per_class * eval_fraction >= 1.5)")
         loss_fn = ANGULAR_LOSSES[loss_name]
         model = init_embedding_model(spec.dim, spec.n_classes,
                                      hidden=hidden, embed_dim=embed_dim, seed=seed)
@@ -318,11 +321,11 @@ def train_loop(
         metrics_out = {"eer_initial": _embedding_eer(model, x[eval_idx], labels[eval_idx])}
         for step in range(steps):
             t0 = time.perf_counter()
-            _, theta = forward(model, xt)
+            _, theta, cache = forward(model, xt)
             out = loss_fn(AngularBatch(theta, yt), cfg, rng=rng)
             if not np.isfinite(out.value):
                 raise TrainingDivergedError(f"non-finite loss {out.value!r} at step {step}")
-            grads = backward(model, xt, out.grad_theta)
+            grads = backward(model, cache, out.grad_theta)
             sgd_step(model, grads, lr)
             curve.append(out.value)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
@@ -334,8 +337,8 @@ def train_loop(
 
         def eval_pairs() -> ScoredPairs:
             return ScoredPairs(
-                genuine=forward_scores(model, x[eval_idx][labels[eval_idx] == 1]),
-                impostor=forward_scores(model, x[eval_idx][labels[eval_idx] == 0]),
+                genuine=forward_scores(model, x[eval_idx][labels[eval_idx] == 1])[0],
+                impostor=forward_scores(model, x[eval_idx][labels[eval_idx] == 0])[0],
             )
 
         metrics_out = {"auc_initial": auc(eval_pairs())}
@@ -344,17 +347,18 @@ def train_loop(
             mixed = rng.choice(train_idx, size=batch_size, replace=True)
             pure0 = rng.choice(pools[0], size=pure_batch_size, replace=True)
             pure1 = rng.choice(pools[1], size=pure_batch_size, replace=True)
-            ce = margin_sigmoid_ce(forward_scores(model, x[mixed]), labels[mixed], cfg.m)
+            raw, cache = forward_scores(model, x[mixed])
+            ce = margin_sigmoid_ce(raw, labels[mixed], cfg.m)
             total = ce.value
-            grads = backward_scores(model, x[mixed], ce.grad_scores)
+            grads = backward_scores(model, cache, ce.grad_scores)
             if use_double:
-                raw0 = forward_scores(model, x[pure0])
-                raw1 = forward_scores(model, x[pure1])
-                dl = double_loss(ScorePair(low=_sigmoid(raw0), high=_sigmoid(raw1)))
-                total += dl.value
+                raw0, cache0 = forward_scores(model, x[pure0])
+                raw1, cache1 = forward_scores(model, x[pure1])
                 sig0, sig1 = _sigmoid(raw0), _sigmoid(raw1)
-                g0 = backward_scores(model, x[pure0], dl.grad_low * sig0 * (1 - sig0))
-                g1 = backward_scores(model, x[pure1], dl.grad_high * sig1 * (1 - sig1))
+                dl = double_loss(ScorePair(low=sig0, high=sig1))
+                total += dl.value
+                g0 = backward_scores(model, cache0, dl.grad_low * sig0 * (1 - sig0))
+                g1 = backward_scores(model, cache1, dl.grad_high * sig1 * (1 - sig1))
                 _accumulate(grads, g0)
                 _accumulate(grads, g1)
             if not np.isfinite(total):
@@ -389,7 +393,7 @@ def _parse_binary_loss(loss_name: str) -> bool:
         return False
     if parts == {"margin-ce", "double"}:
         return True
-    raise ValueError(
+    raise ConfigError(
         f"binary tasks take 'margin-ce' or 'margin-ce+double', got {loss_name!r}")
 
 
@@ -415,10 +419,10 @@ class GradcheckReport:
 def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     """Random non-singular configuration for one trial.
 
-    Returns (params, value_fn, grad_fn) where value_fn(params) is the scalar
-    loss and grad_fn(params) its analytic gradient w.r.t. params.  Elastic
-    margins are re-drawn from the same trial seed on every call, so the loss
-    is a deterministic function of params.
+    Returns (params, loss_fn, grad_of) where loss_fn(params) is the LossOutput
+    and grad_of(output) its analytic gradient w.r.t. params.  Elastic margins
+    are re-drawn from the same trial seed on every call, so the loss is a
+    deterministic function of params.
     """
     if loss_name in ANGULAR_LOSSES:
         n_samples = int(cfg_rng.integers(2, 5))
@@ -439,14 +443,10 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
         theta = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
         labels = data_rng.integers(0, n_classes, size=n_samples)
         fn = ANGULAR_LOSSES[loss_name]
-
-        def evaluate(params):
-            batch = AngularBatch(params.reshape(theta.shape), labels)
-            return fn(batch, cfg, rng=np.random.default_rng(trial_seed))
-
         return theta.ravel(), \
-            lambda p: evaluate(p).value, \
-            lambda p: evaluate(p).grad_theta.ravel()
+            lambda p: fn(AngularBatch(p.reshape(theta.shape), labels), cfg,
+                         rng=np.random.default_rng(trial_seed)), \
+            lambda out: out.grad_theta.ravel()
 
     if loss_name == "softmax":
         n_samples = int(cfg_rng.integers(2, 5))
@@ -455,8 +455,8 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
         logits = data_rng.normal(0.0, 2.0, size=(n_samples, n_classes))
         labels = data_rng.integers(0, n_classes, size=n_samples)
         return logits.ravel(), \
-            lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg).value, \
-            lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg).grad_theta.ravel()
+            lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg), \
+            lambda out: out.grad_theta.ravel()
 
     if loss_name == "margin-ce":
         n = int(cfg_rng.integers(2, 9))
@@ -464,20 +464,15 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
         scores = data_rng.normal(0.0, 2.0, size=n)
         labels = data_rng.integers(0, 2, size=n)
         return scores, \
-            lambda p: margin_sigmoid_ce(p, labels, m).value, \
-            lambda p: margin_sigmoid_ce(p, labels, m).grad_scores
+            lambda p: margin_sigmoid_ce(p, labels, m), \
+            lambda out: out.grad_scores
 
     if loss_name == "double":
         n_low = int(cfg_rng.integers(2, 6))
         n_high = int(cfg_rng.integers(2, 6))
-        params = data_rng.uniform(0.1, 0.9, size=n_low + n_high)
-
-        def out(p):
-            return double_loss(ScorePair(low=p[:n_low], high=p[n_low:]))
-
-        return params, \
-            lambda p: out(p).value, \
-            lambda p: np.concatenate([out(p).grad_low, out(p).grad_high])
+        return data_rng.uniform(0.1, 0.9, size=n_low + n_high), \
+            lambda p: double_loss(ScorePair(low=p[:n_low], high=p[n_low:])), \
+            lambda out: np.concatenate([out.grad_low, out.grad_high])
 
     raise ValueError(f"unknown loss {loss_name!r}")
 
@@ -494,14 +489,14 @@ def gradcheck(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0)
     data_rng = np.random.default_rng(seed + 1)
     max_err, worst = 0.0, {}
     for trial in range(trials):
-        params, value_fn, grad_fn = _fd_setup(loss_name, cfg_rng, data_rng, trial)
-        analytic = grad_fn(params)
+        params, loss_fn, grad_of = _fd_setup(loss_name, cfg_rng, data_rng, trial)
+        analytic = grad_of(loss_fn(params))
         for i in range(params.size):
             bumped = params.copy()
             bumped[i] = params[i] + h
-            up = value_fn(bumped)
+            up = loss_fn(bumped).value
             bumped[i] = params[i] - h
-            down = value_fn(bumped)
+            down = loss_fn(bumped).value
             fd = (up - down) / (2.0 * h)
             err = abs(analytic[i] - fd) / (abs(analytic[i]) + abs(fd) + 1e-4)
             if err > max_err:

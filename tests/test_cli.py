@@ -129,8 +129,30 @@ class TestTrain:
     def test_unknown_loss_is_reported_as_bad_input(self, tmp_path, capsys):
         args = ["train", "--task", "embedding", "--loss", "nonesuch",
                 "--steps", "1", "--out", str(tmp_path / "x")]
-        assert main(args) == 3
+        assert main(args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_binary_loss_is_a_usage_error(self, tmp_path, capsys):
+        args = ["train", "--task", "binary-eye-state", "--loss", "nonesuch",
+                "--steps", "1", "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        assert "margin-ce" in capsys.readouterr().err
+
+    def test_per_class_without_two_held_out_is_a_usage_error(self, tmp_path, capsys):
+        args = [a if a != "6" else "5" for a in _TRAIN_ARGS]
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert "--per-class 5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--per-class", "1"), ("--classes", "1"),
+                                            ("--spread", "-0.1")])
+    def test_impossible_dataset_is_a_usage_error(self, tmp_path, flag, value):
+        args = [*_TRAIN_ARGS, flag, value, "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+
+    def test_per_class_six_holds_out_two(self, tmp_path):
+        assert "6" in _TRAIN_ARGS
+        assert main(_TRAIN_ARGS + ["--out", str(tmp_path / "x")]) == 0
 
     def test_save_model_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -213,6 +235,17 @@ class TestRetrievalEval:
 
     def test_gap_quarter_fixture(self, tmp_path):
         _, gap_value = self._run(tmp_path, ["a,1,0,0.9", "b,1,1,0.8"])
+        assert gap_value == 0.25
+
+    def test_gap_counts_each_query_once(self, tmp_path):
+        _, gap_value = self._run(
+            tmp_path, ["a,1,1,0.9", "a,2,1,0.8", "b,1,1,0.7", "b,2,1,0.6"])
+        assert gap_value == 1.0
+
+    def test_gap_judges_each_query_by_its_rank_1_row(self, tmp_path):
+        # a's rank-1 row is wrong and its rank-2 row right: a counts as wrong
+        _, gap_value = self._run(
+            tmp_path, ["a,2,1,0.95", "a,1,0,0.9", "b,1,1,0.8", "b,2,0,0.7"])
         assert gap_value == 0.25
 
     def test_gallery_queries_override(self, tmp_path):

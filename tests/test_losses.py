@@ -171,6 +171,54 @@ class TestAgainstScalarOracle:
                                               rel=1e-12)
 
 
+    @pytest.mark.parametrize("name", sorted(ELASTIC_LOSSES))
+    def test_sampled_margins_match_oracle(self, name):
+        """Margins re-drawn from the loss's seed, one slot at a time in the
+        order e1, e2, e3, give the loss value sample by sample."""
+        def cot(t):
+            return 1.0 / np.tan(t)
+
+        all_three = [("m1", "sigma1"), ("m2", "sigma2"), ("m3", "sigma3")]
+        # drawn (mean, sigma) fields, [(weight field, f(t, margins))], competitor g
+        draws, branches, g = {
+            "elastic-arc": ([("m", "sigma2")], [(None, lambda t, e: np.cos(t + e[0]))], np.cos),
+            "elastic-cos": ([("m", "sigma3")], [(None, lambda t, e: np.cos(t) - e[0])], np.cos),
+            "elastic-cot": ([("m", "sigma2")], [(None, lambda t, e: cot(t + e[0]))], cot),
+            "generalized-lmcot": (
+                all_three, [(None, lambda t, e: cot(e[0] * t + e[1]) - e[2])], cot),
+            "dual": (all_three, [("alpha", lambda t, e: cot(e[0] * t + e[1]) - e[2]),
+                                 ("beta", lambda t, e: np.cos(e[0] * t + e[1]) - e[2])], cot),
+        }[name]
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            b = _random_batch(rng)
+            cfg = _cfg(
+                m=float(rng.uniform(0.01, 0.3)),
+                m1=float(rng.uniform(0.9, 1.05)),
+                m2=float(rng.uniform(0.0, 0.2)),
+                m3=float(rng.uniform(0.0, 0.2)),
+                sigma1=0.03, sigma2=0.04, sigma3=0.05,
+                alpha=float(rng.uniform(0.2, 1.0)),
+                beta=float(rng.uniform(0.2, 1.0)),
+            )
+            stream = np.random.default_rng(100 + trial)
+            n = b.n_samples
+            margins = [getattr(cfg, mean) + getattr(cfg, sigma) * stream.standard_normal(n)
+                       for mean, sigma in draws]
+            per_sample = np.zeros(b.n_samples)
+            for weight, f in branches:
+                w = 1.0 if weight is None else getattr(cfg, weight)
+                for i in range(b.n_samples):
+                    e = [m[i] for m in margins]
+                    _, per = oracles.ce_value(
+                        b.theta[i : i + 1], b.labels[i : i + 1],
+                        lambda t: f(t, e), g, s=cfg.s, ln_b=np.log(10.0))
+                    per_sample[i] += w * per[0]
+            out = ANGULAR_LOSSES[name](b, cfg, rng=np.random.default_rng(100 + trial))
+            assert out.value == pytest.approx(per_sample.mean(), rel=1e-12), (name, trial)
+            np.testing.assert_allclose(out.per_sample, per_sample, rtol=1e-12)
+
+
 class TestTrivialIdentities:
     def test_norm_softmax_zero_scale(self):
         b = _random_batch(np.random.default_rng(3))
@@ -206,15 +254,6 @@ class TestTrivialIdentities:
         theta = np.full((3, 6), np.pi / 2.0)
         out = lmcot_loss(AngularBatch(theta, np.array([0, 2, 5])), LossConfig(s=2.0, m=0.0))
         assert out.value == pytest.approx(np.log(6.0), rel=1e-12)
-
-    def test_lmcot_kernel_paths_agree(self):
-        b = _random_batch(np.random.default_rng(8))
-        cfg = _cfg(m=0.05)
-        a = lmcot_loss(b, cfg, kernel="theta")
-        c = lmcot_loss(b, cfg, kernel="identity")
-        assert abs(a.value - c.value) < 1e-6
-        with pytest.raises(ValueError):
-            lmcot_loss(b, cfg, kernel="bogus")
 
     def test_lmcot_singularity_propagates(self):
         # true angle + m lands on the pole at pi

@@ -107,6 +107,15 @@ class TestMatch:
         name, _ = match(g, v)
         assert name == "first"
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
+    @pytest.mark.parametrize("probe", [[np.nan, 0.0, 0.0], [1.0, np.inf, 0.0]])
+    def test_non_finite_probe_is_stranger(self, probe):
+        g = Gallery()
+        enroll(g, "alice", np.array([1.0, 0.0, 0.0]))
+        enroll(g, "bob", np.array([0.0, 1.0, 0.0]))
+        name, sim = match(g, np.array(probe))
+        assert name is None and np.isnan(sim)
+
     def test_best_across_multiple_embeddings(self):
         g = Gallery()
         enroll(g, "alice", np.array([1.0, 0.0]))
@@ -189,6 +198,10 @@ class TestSpoofGate:
 
     def test_zero_is_live(self):
         assert spoof_gate(0.0)
+
+    def test_nan_is_fake(self):
+        assert not spoof_gate(float("nan"))
+        assert not spoof_gate(float("nan"), threshold=1.0)
 
     def test_custom_threshold(self):
         assert spoof_gate(0.7, threshold=0.8)
@@ -344,6 +357,21 @@ class TestAuthenticate:
         assert out.kind == "stranger"
         assert out.identity is None
         assert out.similarity == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
+    @pytest.mark.parametrize("embedding", [
+        [np.nan, np.nan, np.nan], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
+    def test_non_finite_embedding_is_never_accepted(self, embedding):
+        rec, scorers, gallery, config = _setup(embedding=np.array(embedding))
+        enroll(gallery, "bob", np.array([0.0, 1.0, 0.0]))
+        out = authenticate(_face_frame(), gallery, scorers, config)
+        assert out.kind == "stranger" and out.identity is None
+
+    def test_nan_spoof_score_is_invalid_face(self):
+        rec, scorers, gallery, config = _setup(spoof_score=float("nan"))
+        out = authenticate(_face_frame(), gallery, scorers, config)
+        assert out.kind == "invalid_face"
+        assert "embed" not in rec.calls
 
     def test_stranger_against_empty_gallery(self):
         rec, scorers, _, config = _setup()
