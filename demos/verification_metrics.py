@@ -59,7 +59,7 @@ print(f"mAP@100 {map_at_100(retrieval):.4f}")
 print(f"GAP     {gap(retrieval):.4f}")
 print()
 
-# 2-D projection of clustered embeddings via power iteration
+# 2-D projection of clustered embeddings via eigendecomposition
 centers = rng.normal(size=(3, 8)) * 3.0
 points = np.concatenate([c + rng.normal(size=(30, 8)) * 0.4 for c in centers])
 proj, variances, axes = pca2(points)

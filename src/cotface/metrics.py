@@ -106,78 +106,28 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins, range=(lo, hi))
 
 
-def cosine_similarity(a, b) -> float:
-    """Dot product of two unit vectors."""
-    return float(np.dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
-
-
-def cosine_distance(a, b) -> float:
-    """1 - cosine_similarity; 0 for identical unit vectors, 2 for opposite."""
-    return 1.0 - cosine_similarity(a, b)
-
-
-def _power_iterate(mat, prior, rng, tol: float = 1e-9, max_iter: int = 10_000):
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration.
-
-    Iterates are re-orthogonalized against `prior` eigenvectors (deflation
-    support).  A zero (or fully deflated) matrix yields eigenvalue 0 and a
-    deterministic unit vector orthogonal to `prior`.
-    """
-    d = mat.shape[0]
-    v = rng.standard_normal(d)
-    for basis in prior:
-        v -= basis * (basis @ v)
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        w = mat @ v
-        for basis in prior:
-            w -= basis * (basis @ w)
-        norm = np.linalg.norm(w)
-        if norm < 1e-306:
-            # matrix annihilates v: eigenvalue 0, keep the current direction
-            break
-        w /= norm
-        if w @ v < 0.0:
-            w = -w
-        done = np.linalg.norm(w - v) < tol
-        v = w
-        if done:
-            break
-    eigval = float(v @ (mat @ v))
-    return eigval, v
-
-
-def pca2(points, rng: np.random.Generator | None = None):
+def pca2(points):
     """Project points onto their two leading principal axes.
 
-    points: (N, d) with d >= 2.  The covariance (1/(N-1) scaling) is reduced
-    by power iteration with deflation; each axis has its largest-magnitude
-    coordinate made positive so the output is sign-deterministic.  Returns
-    (projected (N, 2), eigenvalues (2,), axes (2, d)).
+    points: (N, d) with d >= 2.  The axes are the top two eigenvectors of the
+    covariance (1/(N-1) scaling) by eigendecomposition, in descending
+    eigenvalue order; each axis has its largest-magnitude coordinate made
+    positive so the output is sign-deterministic.  Returns (projected (N, 2),
+    eigenvalues (2,), axes (2, d)).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("points must be (N, d) with d >= 2")
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
-    if rng is None:
-        rng = np.random.default_rng(0)
     centered = pts - pts.mean(axis=0)
     cov = (centered.T @ centered) / (pts.shape[0] - 1)
-
-    axes, eigvals = [], []
-    deflated = cov
-    for _ in range(2):
-        val, vec = _power_iterate(deflated, axes, rng)
-        pivot = np.argmax(np.abs(vec))
-        if vec[pivot] < 0.0:
-            vec = -vec
-        axes.append(vec)
-        eigvals.append(val)
-        deflated = deflated - val * np.outer(vec, vec)
-
-    axes = np.array(axes)
-    return centered @ axes.T, np.array(eigvals), axes
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    top = [-1, -2]
+    axes = eigvecs[:, top].T
+    pivots = np.abs(axes).argmax(axis=1)
+    axes *= np.sign(axes[[0, 1], pivots])[:, None]
+    return centered @ axes.T, eigvals[top], axes
 
 
 @dataclass

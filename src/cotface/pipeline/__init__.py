@@ -12,7 +12,6 @@ from .detect import (
     DetectionBox,
     align,
     detect,
-    detections_to_csv,
     iou,
     min_face_filter,
     nms,
@@ -35,7 +34,6 @@ from .image import (
     eye_crops,
     image_pyramid,
     laplacian,
-    random_resized_crop,
     read_pgm,
     rotate_region,
     sharpness_gate,
@@ -44,12 +42,12 @@ from .image import (
 
 __all__ = [
     "AuthConfig", "AuthOutcome", "AuthScorers", "authenticate", "spoof_gate",
-    "DetectConfig", "DetectionBox", "align", "detect", "detections_to_csv",
-    "iou", "min_face_filter", "nms",
+    "DetectConfig", "DetectionBox", "align", "detect", "iou",
+    "min_face_filter", "nms",
     "EnrollResult", "Gallery", "GalleryFormatError",
     "MAX_EMBEDDINGS_PER_IDENTITY", "enroll",
     "gallery_to_text", "load_gallery", "match", "save_gallery",
     "GrayImage", "bilinear_resize", "crop_region", "eye_crops",
-    "image_pyramid", "laplacian", "random_resized_crop", "read_pgm",
+    "image_pyramid", "laplacian", "read_pgm",
     "rotate_region", "sharpness_gate", "write_pgm",
 ]

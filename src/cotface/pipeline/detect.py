@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image import GrayImage, bilinear_resize, crop_region, image_pyramid, rotate_region
+from .image import (GrayImage, bilinear_resize, crop_bounds, crop_region, image_pyramid,
+                    rotate_region)
 
 
 @dataclass
@@ -178,13 +179,9 @@ def align(img: GrayImage, box: DetectionBox):
     Returns (crop, landmarks in crop coordinates); without landmarks the
     plain crop and None.
     """
-    ix1 = int(np.clip(np.floor(box.x1), 0, img.width - 1))
-    iy1 = int(np.clip(np.floor(box.y1), 0, img.height - 1))
-    ix2 = int(np.clip(np.ceil(box.x2), ix1 + 1, img.width))
-    iy2 = int(np.clip(np.ceil(box.y2), iy1 + 1, img.height))
     if box.landmarks is None:
-        return GrayImage(img.pixels[iy1:iy2, ix1:ix2].copy()), None
-
+        return crop_region(img, box.x1, box.y1, box.x2, box.y2), None
+    ix1, iy1, ix2, iy2 = crop_bounds(img, box.x1, box.y1, box.x2, box.y2)
     left, right = box.landmarks[0], box.landmarks[1]
     angle = float(np.arctan2(right[1] - left[1], right[0] - left[0]))
     mid = (left + right) / 2.0
@@ -194,21 +191,3 @@ def align(img: GrayImage, box: DetectionBox):
     rot = np.array([[ca, -sa], [sa, ca]])
     transformed = (box.landmarks - mid) @ rot.T + mid - np.array([ix1, iy1])
     return crop, transformed
-
-
-def detections_to_csv(boxes) -> str:
-    """Render boxes as CSV rows: coordinates, confidence, landmark columns."""
-    n_lm = max((b.landmarks.shape[0] for b in boxes if b.landmarks is not None), default=0)
-    header = ["x1", "y1", "x2", "y2", "confidence"]
-    for i in range(n_lm):
-        header += [f"lm{i}_x", f"lm{i}_y"]
-    lines = [",".join(header)]
-    for b in boxes:
-        row = [f"{v:.17g}" for v in (b.x1, b.y1, b.x2, b.y2, b.confidence)]
-        for i in range(n_lm):
-            if b.landmarks is not None and i < b.landmarks.shape[0]:
-                row += [f"{b.landmarks[i, 0]:.17g}", f"{b.landmarks[i, 1]:.17g}"]
-            else:
-                row += ["", ""]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
 17-significant-digit decimals, which round-trip float64 exactly.  Insertion
 order encodes enrollment order both in memory and on disk; match ties are
-broken in favor of the earliest-enrolled identity.
+broken in favor of the earliest-enrolled identity.  enroll and load_gallery
+admit only finite unit embeddings of one dim, so match can trust every row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ..angular import l2_normalize
 MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
+UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
 
 
 class GalleryFormatError(ValueError):
@@ -26,15 +28,9 @@ class GalleryFormatError(ValueError):
 
 @dataclass
 class Gallery:
-    """identities: name -> list of unit embeddings (enrollment order).
-
-    enrolled_at mirrors the structure with monotonically increasing sequence
-    numbers (re-derived from file order on load).
-    """
+    """identities: name -> list of unit embeddings (enrollment order)."""
 
     identities: dict = field(default_factory=dict)
-    enrolled_at: dict = field(default_factory=dict)
-    next_seq: int = 0
 
     @property
     def dim(self) -> int | None:
@@ -59,7 +55,9 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
 
     Rejected with reason "blurry" when the sharpness gate failed upstream and
     "capacity" when the identity already holds the maximum; the gallery is
-    unchanged on rejection.
+    unchanged on rejection.  A non-finite embedding, one whose norm overflows,
+    or one whose dim differs from the gallery's raises ValueError, also leaving
+    the gallery unchanged.
     """
     if not name or "\n" in name:
         raise ValueError("identity name must be non-empty and single-line")
@@ -68,12 +66,15 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
         return EnrollResult(False, "blurry", len(current))
     if len(current) >= MAX_EMBEDDINGS_PER_IDENTITY:
         return EnrollResult(False, "capacity", len(current))
+    embedding = np.asarray(embedding, dtype=np.float64)
+    if not np.isfinite(embedding).all():
+        raise ValueError("embedding contains non-finite values")
     unit = l2_normalize(embedding)
+    if not abs(np.linalg.norm(unit) - 1.0) <= UNIT_NORM_TOLERANCE:  # ||embedding|| overflowed
+        raise ValueError("embedding norm overflows float64")
     if gallery.dim is not None and unit.size != gallery.dim:
         raise ValueError(f"embedding dim {unit.size} != gallery dim {gallery.dim}")
     gallery.identities.setdefault(name, []).append(unit)
-    gallery.enrolled_at.setdefault(name, []).append(gallery.next_seq)
-    gallery.next_seq += 1
     return EnrollResult(True, None, len(gallery.identities[name]))
 
 
@@ -114,7 +115,12 @@ def save_gallery(gallery: Gallery, path):
 
 
 def load_gallery(path) -> Gallery:
-    """Parse a gallery file; embeddings round-trip bit-exactly."""
+    """Parse a gallery file; embeddings round-trip bit-exactly.
+
+    Raises GalleryFormatError for any malformed content, including a
+    non-finite embedding, one whose norm differs from 1 by more than
+    UNIT_NORM_TOLERANCE, and a dim that differs from the first identity's.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
@@ -126,12 +132,14 @@ def load_gallery(path) -> Gallery:
     header = take(0).split()
     if len(header) != 2 or header[0] != MAGIC:
         raise GalleryFormatError(f"{path}: bad magic line {take(0)!r}")
-    if int(header[1]) != VERSION:
-        raise GalleryFormatError(f"{path}: unsupported version {header[1]}")
+    if header[1] != str(VERSION):
+        raise GalleryFormatError(f"{path}: unsupported version {header[1]!r}")
     try:
         n_identities = int(take(1))
     except ValueError as exc:
         raise GalleryFormatError(f"{path}: bad identity count") from exc
+    if n_identities < 0:
+        raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
 
     gallery = Gallery()
     pos = 2
@@ -144,19 +152,26 @@ def load_gallery(path) -> Gallery:
             dim, count = int(dim_s), int(count_s)
         except ValueError as exc:
             raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
-        if count > MAX_EMBEDDINGS_PER_IDENTITY:
-            raise GalleryFormatError(f"{path}: {name!r} exceeds the embedding cap")
+        if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
+            raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
+        if count and gallery.dim not in (None, dim):
+            raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
         pos += 2
         embeddings = []
         for _ in range(count):
-            values = np.array([float(v) for v in take(pos).split()])
+            line = take(pos)
+            try:
+                values = np.array([float(v) for v in line.split()])
+            except ValueError as exc:
+                raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
             if values.size != dim:
                 raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
+            norm = float(np.linalg.norm(values))
+            if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:  # `not <=` also rejects NaN
+                raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
             embeddings.append(values)
             pos += 1
         if name in gallery.identities:
             raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
         gallery.identities[name] = embeddings
-        gallery.enrolled_at[name] = list(range(gallery.next_seq, gallery.next_seq + count))
-        gallery.next_seq += count
     return gallery

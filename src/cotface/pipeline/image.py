@@ -2,8 +2,7 @@
 
 Images are row-major float arrays of levels in [0, 255].  Everything here is
 plain numpy: bilinear resampling, the 4-neighbor Laplacian, the sharpness
-gate built on it, the detection pyramid, eye-region cropping, and the random
-crop-and-resize augmentation.
+gate built on it, the detection pyramid, and box and eye-region cropping.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-LAPLACIAN_KERNEL = np.array([[0, 1, 0], [1, -4, 1], [0, 1, 0]], dtype=np.float64)
 
 DEFAULT_PIXEL_THRESHOLD = 30.0
 SHARPNESS_COUNT_FRACTION = 0.005
@@ -159,12 +156,20 @@ def image_pyramid(img: GrayImage, min_face: float, scale_factor: float = 0.709,
     return levels
 
 
-def crop_region(img: GrayImage, x1: float, y1: float, x2: float, y2: float) -> GrayImage:
-    """Integer crop of a float box, clamped to the image bounds."""
+def crop_bounds(img: GrayImage, x1: float, y1: float, x2: float,
+                y2: float) -> tuple[int, int, int, int]:
+    """Integer bounds (ix1, iy1, ix2, iy2) of a float box: floored/ceiled
+    outward, clamped to the image, and at least one pixel wide and tall."""
     ix1 = int(np.clip(np.floor(x1), 0, img.width - 1))
     iy1 = int(np.clip(np.floor(y1), 0, img.height - 1))
     ix2 = int(np.clip(np.ceil(x2), ix1 + 1, img.width))
     iy2 = int(np.clip(np.ceil(y2), iy1 + 1, img.height))
+    return ix1, iy1, ix2, iy2
+
+
+def crop_region(img: GrayImage, x1: float, y1: float, x2: float, y2: float) -> GrayImage:
+    """Integer crop of a float box, clamped to the image bounds."""
+    ix1, iy1, ix2, iy2 = crop_bounds(img, x1, y1, x2, y2)
     return GrayImage(img.pixels[iy1:iy2, ix1:ix2].copy())
 
 
@@ -211,25 +216,3 @@ def eye_crops(face: GrayImage, left_center, right_center) -> tuple[GrayImage, Gr
         return GrayImage(face.pixels[y0 : y0 + ch, x0 : x0 + cw].copy())
 
     return crop_at(left_center), crop_at(right_center)
-
-
-def random_resized_crop(img: GrayImage, out_width: int, out_height: int,
-                        rng: np.random.Generator) -> GrayImage:
-    """Crop a random region at least as large as the output, then resize.
-
-    Crop width/height are drawn uniformly from [out, full]; the position is
-    uniform over valid offsets.  With out size equal to the image size the
-    only possible crop is the whole image and the result is the identity.
-    """
-    if out_width > img.width or out_height > img.height:
-        raise ValueError("output size exceeds image size")
-    if out_width < 1 or out_height < 1:
-        raise ValueError("output size must be positive")
-    cw = int(rng.integers(out_width, img.width + 1))
-    ch = int(rng.integers(out_height, img.height + 1))
-    x0 = int(rng.integers(0, img.width - cw + 1))
-    y0 = int(rng.integers(0, img.height - ch + 1))
-    crop = GrayImage(img.pixels[y0 : y0 + ch, x0 : x0 + cw].copy())
-    if (cw, ch) == (out_width, out_height):
-        return crop
-    return bilinear_resize(crop, out_width, out_height)

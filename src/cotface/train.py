@@ -63,10 +63,6 @@ class MlpModel:
     head_W: np.ndarray | None
     seed: int
 
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[-1].W.shape[0]
-
 
 @dataclass
 class Grads:

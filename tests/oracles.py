@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
-exhaustive enumeration, dense eigensolvers) and shares no code with the
+exhaustive enumeration, a dense SVD) and shares no code with the
 library: when a test compares the two, agreement means two distinct
 derivations reached the same numbers.
 """
@@ -91,13 +91,16 @@ def auc_pairwise(genuine, impostor):
 
 
 def pca_dense(points):
-    """Top-2 principal axes and eigenvalues via a dense eigensolver."""
+    """Top-2 principal axes and eigenvalues from an SVD of the centered points.
+
+    The right singular vectors of the centered data are the covariance
+    eigenvectors and sing**2 / (N - 1) its eigenvalues, so no covariance
+    matrix or symmetric eigensolver is involved.
+    """
     pts = np.asarray(points, dtype=np.float64)
     centered = pts - pts.mean(axis=0)
-    cov = (centered.T @ centered) / (pts.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:2]
-    return eigvals[order], eigvecs[:, order].T
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    return sing[:2] ** 2 / (pts.shape[0] - 1), vt[:2]
 
 
 def nms_exhaustive(boxes, iou_threshold, iou_fn):

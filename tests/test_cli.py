@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,5 +356,14 @@ class TestConsoleScript:
         exe = shutil.which("cotface")
         assert exe is not None
         proc = subprocess.run([exe, "refcheck"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "all reference checks passed" in proc.stdout
+
+    def test_module_entry_point_runs(self):
+        # `python -m cotface` from the source tree, with no install needed
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "cotface", "refcheck"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "all reference checks passed" in proc.stdout

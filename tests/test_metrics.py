@@ -9,8 +9,6 @@ from cotface.metrics import (
     RankedRetrieval,
     ScoredPairs,
     auc,
-    cosine_distance,
-    cosine_similarity,
     eer,
     far_frr_sweep,
     gap,
@@ -160,26 +158,6 @@ class TestHistogram:
             histogram([0.5], bins=2, value_range=(1.0, 1.0))
 
 
-class TestCosine:
-    def test_identical(self):
-        assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
-
-    def test_opposite(self):
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
-
-    def test_orthogonal(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_similarity_distance_relation(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.normal(size=4)
-            b = rng.normal(size=4)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert cosine_distance(a, b) == 1.0 - cosine_similarity(a, b)
-
-
 class TestPca2:
     def test_diagonal_two_dimensional(self):
         # centered 2-D data with diagonal covariance projects onto itself
@@ -222,6 +200,12 @@ class TestPca2:
         _, _, axes = pca2(rng.normal(size=(30, 6)))
         for axis in axes:
             assert axis[np.argmax(np.abs(axis))] > 0.0
+
+    def test_identical_points(self):
+        projected, eigvals, axes = pca2(np.tile([1.5, -2.0, 0.25], (6, 1)))
+        np.testing.assert_array_equal(eigvals, [0.0, 0.0])
+        np.testing.assert_allclose(axes @ axes.T, np.eye(2), atol=1e-12)
+        np.testing.assert_array_equal(projected, np.zeros((6, 2)))
 
     def test_narrow_input_rejected(self):
         with pytest.raises(ValueError):

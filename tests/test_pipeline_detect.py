@@ -9,7 +9,6 @@ from cotface.pipeline import (
     GrayImage,
     align,
     detect,
-    detections_to_csv,
     iou,
     min_face_filter,
     nms,
@@ -259,21 +258,3 @@ class TestAlign:
         _, out2 = align(crop, second)
         angle = np.arctan2(out2[1, 1] - out2[0, 1], out2[1, 0] - out2[0, 0])
         assert abs(angle) <= 1e-9
-
-
-class TestDetectionsCsv:
-    def test_mixed_landmark_rows(self):
-        boxes = [
-            _box(0.0, 0.0, 10.0, 10.0, 0.5, landmarks=[[2.0, 3.0], [7.0, 3.0]]),
-            _box(1.0, 1.0, 4.0, 4.0, 0.25),
-        ]
-        text = detections_to_csv(boxes)
-        lines = text.splitlines()
-        assert lines[0] == "x1,y1,x2,y2,confidence,lm0_x,lm0_y,lm1_x,lm1_y"
-        assert lines[1] == "0,0,10,10,0.5,2,3,7,3"
-        assert lines[2] == "1,1,4,4,0.25,,,,"
-        assert text.endswith("\n")
-
-    def test_no_landmarks_header(self):
-        text = detections_to_csv([_box(0.0, 0.0, 1.0, 1.0, 1.0)])
-        assert text.splitlines()[0] == "x1,y1,x2,y2,confidence"

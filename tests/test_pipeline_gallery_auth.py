@@ -1,7 +1,13 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
 from cotface.pipeline import (
@@ -62,18 +68,18 @@ class TestEnroll:
         with pytest.raises(ValueError, match="dim"):
             enroll(g, "bob", _unit(1, dim=9))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_rejected(self):
+        g = Gallery()
+        with pytest.raises(ValueError, match="overflow"):
+            enroll(g, "big", np.array([1e200, 1e200]))
+        assert g.identities == {}
+
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
             enroll(Gallery(), "", _unit(0))
         with pytest.raises(ValueError):
             enroll(Gallery(), "a\nb", _unit(0))
-
-    def test_sequence_numbers_record_global_order(self):
-        g = Gallery()
-        enroll(g, "alice", _unit(0))
-        enroll(g, "bob", _unit(1))
-        enroll(g, "alice", _unit(2))
-        assert g.enrolled_at == {"alice": [0, 2], "bob": [1]}
 
 
 class TestMatch:
@@ -156,13 +162,12 @@ class TestGalleryFile:
             assert len(loaded.identities[name]) == len(g.identities[name])
             for a, b in zip(loaded.identities[name], g.identities[name]):
                 assert np.array_equal(a, b)
-        assert loaded.next_seq == g.total_embeddings()
 
     def test_load_does_not_renormalize(self, tmp_path):
         path = tmp_path / "g.txt"
-        path.write_text("facegallery 1\n1\nalice\n2 1\n0.5 0.5\n")
+        path.write_text("facegallery 1\n1\nalice\n2 1\n0.28 0.96\n")
         loaded = load_gallery(path)
-        np.testing.assert_array_equal(loaded.identities["alice"][0], [0.5, 0.5])
+        np.testing.assert_array_equal(loaded.identities["alice"][0], [0.28, 0.96])
 
     @pytest.mark.parametrize("text,fragment", [
         ("faceroster 1\n0\n", "magic"),
@@ -174,6 +179,14 @@ class TestGalleryFile:
         ("facegallery 1\n1\nalice\nnot numbers\n1 0\n", "dim count"),
         ("facegallery 1\n1\nalice\n3 1\n1 0\n", "length"),
         ("facegallery 1\n1\n\n2 1\n1 0\n", "empty identity"),
+        ("facegallery x\n0\n", "version"),
+        ("facegallery 1\n-1\n", "bad identity count"),
+        ("facegallery 1\n1\nalice\n2 -1\n", "cap"),
+        ("facegallery 1\n1\nalice\n2 1\n1 zero\n", "non-numeric"),
+        ("facegallery 1\n1\nalice\n2 1\nnan 0\n", "norm nan"),
+        ("facegallery 1\n1\nalice\n2 1\ninf 0\n", "norm inf"),
+        ("facegallery 1\n1\nbob\n3 1\n3 0 0\n", "norm 3.0"),
+        ("facegallery 1\n2\nalice\n2 1\n1 0\nbob\n3 1\n1 0 0\n", "gallery dim 2"),
     ])
     def test_malformed_files_rejected(self, tmp_path, text, fragment):
         path = tmp_path / "bad.txt"
@@ -187,6 +200,74 @@ class TestGalleryFile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_gallery(tmp_path / "absent.txt")
+
+
+# A factor within UNIT_NORM_TOLERANCE of 1 leaves a row that the format
+# accepts as unit, so the scale mutation draws factors outside that band.
+_MUTATIONS = st.tuples(st.sampled_from(["truncate", "swap", "nan", "scale"]),
+                       st.integers(0, 10**6), st.integers(0, 10**6),
+                       st.floats(0.0, 10.0).filter(lambda f: abs(f - 1.0) > 1e-4))
+
+
+def _mutate(text, kind, a, b, factor):
+    """One edit of a saved gallery's text: truncate it at a, swap tokens a and
+    b, put a NaN at value b of embedding row a, or scale row a by factor."""
+    if kind == "truncate":
+        return text[: a % len(text)]
+    if kind == "swap":
+        tokens = re.split(r"(\s+)", text)
+        words = [k for k, t in enumerate(tokens) if t and not t.isspace()]
+        i, j = words[a % len(words)], words[b % len(words)]
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+        return "".join(tokens)
+    lines = text.split("\n")
+    rows = [k for k, line in enumerate(lines) if line.count(" ") >= 2]  # embeddings
+    row = rows[a % len(rows)]
+    values = lines[row].split()
+    if kind == "nan":
+        values[b % len(values)] = "nan"
+    else:
+        values = [f"{float(v) * factor:.17g}" for v in values]
+    lines[row] = " ".join(values)
+    return "\n".join(lines)
+
+
+class TestGalleryProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           index=st.integers(0, 2), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           name=st.sampled_from(["alice", "mallory"]), sharp=st.booleans())
+    def test_non_finite_never_enrolled(self, values, index, bad, name, sharp):
+        g = Gallery()
+        enroll(g, "alice", np.array([1.0, 0.0, 0.0]))
+        before = gallery_to_text(g)
+        values[index] = bad
+        if sharp:
+            with pytest.raises(ValueError, match="non-finite"):
+                enroll(g, name, values)
+        else:
+            assert enroll(g, name, values, sharpness_ok=False).reason == "blurry"
+        assert gallery_to_text(g) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutation=_MUTATIONS)
+    def test_mutated_file_rejected_or_bounded(self, mutation):
+        g = Gallery()
+        rng = np.random.default_rng(11)
+        for name, count in (("alice", 2), ("bob", 1), ("carol", 3)):
+            for _ in range(count):
+                enroll(g, name, rng.normal(size=4))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_text(_mutate(gallery_to_text(g), *mutation))
+            try:
+                loaded = load_gallery(path)
+            except GalleryFormatError:
+                return
+        probes = [e for embeddings in loaded.identities.values() for e in embeddings]
+        for probe in probes + [rng.normal(size=4)]:
+            if probe.size == loaded.dim:
+                assert match(loaded, probe)[1] <= 1.0 + 1e-9
 
 
 class TestSpoofGate:

@@ -10,7 +10,6 @@ from cotface.pipeline import (
     eye_crops,
     image_pyramid,
     laplacian,
-    random_resized_crop,
     read_pgm,
     sharpness_gate,
     write_pgm,
@@ -184,31 +183,6 @@ class TestEyeCrops:
     def test_minimum_size_one(self):
         left, _ = eye_crops(_blank(5, 5), (2, 2), (3, 2))
         assert left.width == 1 and left.height == 1
-
-
-class TestRandomResizedCrop:
-    def test_full_size_is_identity(self):
-        rng = np.random.default_rng(2)
-        img = GrayImage(rng.uniform(0, 255, (8, 8)))
-        out = random_resized_crop(img, 8, 8, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.pixels, img.pixels)
-
-    def test_deterministic_under_seed(self):
-        img = GrayImage(np.random.default_rng(3).uniform(0, 255, (56, 56)))
-        a = random_resized_crop(img, 24, 24, np.random.default_rng(7))
-        b = random_resized_crop(img, 24, 24, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.pixels, b.pixels)
-
-    def test_bounds_hold_over_many_draws(self):
-        img = _blank(56, 56)
-        rng = np.random.default_rng(4)
-        for _ in range(10_000):
-            out = random_resized_crop(img, 24, 24, rng)
-            assert (out.height, out.width) == (24, 24)
-
-    def test_oversize_rejected(self):
-        with pytest.raises(ValueError):
-            random_resized_crop(_blank(10, 10), 11, 5, np.random.default_rng(0))
 
 
 class TestPgm:
