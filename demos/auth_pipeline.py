@@ -1,7 +1,7 @@
 """Drive the whole authentication pipeline on synthetic frames.
 
-A "face" here is just a bright square on a dark background so that a mean
-brightness cascade scorer can find it.  The point is the plumbing: sharpness
+A "face" here is just a bright square on a dark background so that a batch
+cascade scorer that rates each crop by its mean brightness can find it.  The point is the plumbing: sharpness
 gate, pyramid scan, NMS, alignment, gallery, spoof gate, eye check.
 """
 
@@ -24,14 +24,17 @@ from cotface.pipeline import (
 
 
 class BrightnessCascade:
-    def stage1(self, crop, box):
-        return float(crop.pixels.mean()) / 255.0
+    """Batch scorer: each crop's confidence is its mean brightness / 255."""
+
+    def stage1(self, crops, boxes):
+        return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
 
     stage2 = stage1
 
-    def stage3(self, crop, box):
-        # eyes level at 35% height, nose and mouth below
-        return self.stage1(crop, box), np.array([[0.3, 0.35], [0.7, 0.35]])
+    def stage3(self, crops, boxes):
+        # eyes level at 35% height, the same two landmarks for every crop
+        eyes = np.array([[0.3, 0.35], [0.7, 0.35]])
+        return self.stage1(crops, boxes), np.broadcast_to(eyes, (len(crops), 2, 2))
 
 
 def make_frame(face_at=(20, 20), size=(60, 60)):

@@ -197,14 +197,14 @@ class _BrightnessScorer:
         [0.35, 0.75], [0.65, 0.75],  # mouth corners
     ])
 
-    def stage1(self, crop, box):
-        return float(crop.pixels.mean() / 255.0)
+    def stage1(self, crops, boxes):
+        return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
 
-    def stage2(self, crop, box):
-        return float(crop.pixels.mean() / 255.0)
+    stage2 = stage1
 
-    def stage3(self, crop, box):
-        return float(crop.pixels.mean() / 255.0), self._LANDMARKS.copy()
+    def stage3(self, crops, boxes):
+        return self.stage1(crops, boxes), np.broadcast_to(
+            self._LANDMARKS, (len(crops),) + self._LANDMARKS.shape)
 
 
 def _default_scorers(seed: int, model_path=None) -> AuthScorers:

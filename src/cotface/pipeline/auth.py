@@ -2,13 +2,16 @@
 
 Fixed stage order: detect (keep the largest face), minimum-size filter,
 alignment, anti-spoof gate on the FULL frame, gallery match, and finally the
-closed-eye check (rejecting only when both eyes are closed).  Each stage
+closed-eye check (rejecting when both eyes are closed).  Every gate fails
+closed: a non-finite score from any scorer never gives "accepted".  Each stage
 short-circuits, so e.g. the embedder never runs on a spoofed frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .detect import DetectConfig, align, detect, min_face_filter
 from .gallery import Gallery, match
@@ -54,8 +57,9 @@ class AuthOutcome:
 
 
 def spoof_gate(score: float, threshold: float = DEFAULT_SPOOF_THRESHOLD) -> bool:
-    """True when the frame counts as live; scores >= threshold and NaN are fakes."""
-    return score < threshold
+    """True when the frame counts as live; scores >= threshold and non-finite
+    scores are fakes."""
+    return bool(np.isfinite(score)) and score < threshold
 
 
 @dataclass
@@ -111,9 +115,9 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
 
     if landmarks is not None and landmarks.shape[0] >= 2:
         left, right = eye_crops(crop, landmarks[0], landmarks[1])
-        left_closed = float(scorers.eye_closed(left)) >= config.eye_closed_threshold
-        right_closed = float(scorers.eye_closed(right)) >= config.eye_closed_threshold
-        if left_closed and right_closed:
+        scores = (float(scorers.eye_closed(left)), float(scorers.eye_closed(right)))
+        # a non-finite score on either eye rejects, like both eyes closed
+        if not np.isfinite(scores).all() or min(scores) >= config.eye_closed_threshold:
             return AuthOutcome.eyes_closed(identity)
 
     return AuthOutcome.accepted(identity, best_sim)

@@ -1,20 +1,38 @@
 """Sliding-window face detection: pyramid scan, NMS, cascade, alignment.
 
-The detector is a three-stage rescoring cascade over pluggable scorers: a
-12 px window scans every pyramid level, survivors are re-scored on 24 px and
-then 48 px crops (the last stage also predicts landmarks), with greedy NMS
-after each stage.  Scorers receive the crop and the candidate box in original
-image coordinates, so they can be learned models or synthetic test probes.
+The detector is a three-stage rescoring cascade over a pluggable batch
+scorer: the 12 px windows of each pyramid level are scored in batches,
+survivors are re-scored on 24 px and then 48 px crops (the last stage also
+predicts landmarks), with greedy NMS after each stage.  Candidates stay
+arrays from the scan to the last NMS, as rows x1, y1, x2, y2, confidence in
+original image coordinates; only the boxes detect returns become
+DetectionBox objects.
+
+For K candidates the scorer provides
+
+    stage1(crops (K, 12, 12), boxes (K, 4)) -> confidences (K,)
+    stage2(crops (K, 24, 24), boxes (K, 4)) -> confidences (K,)
+    stage3(crops (K, 48, 48), boxes (K, 4)) -> (confidences (K,),
+                                                landmarks (K, L, 2) or None)
+
+where crops are float64 levels in [0, 255], boxes are rows x1, y1, x2, y2 in
+original image coordinates, and landmarks are (x, y) relative to their box,
+clipped to [0, 1].  Scorers can be learned models or synthetic test
+probes.  Stage 1 gets whole rows of windows, up to _SCAN_BATCH per call;
+stages 2 and 3 get at most _CHUNK boxes per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .image import (GrayImage, bilinear_resize, crop_bounds, crop_region, image_pyramid,
-                    rotate_region)
+# bilinear_resize is not called here; perfbench/layers.py counts its calls at
+# this module's name, so the name stays importable from it.
+from .image import (GrayImage, bilinear_resize, crop_bounds, crop_region,  # noqa: F401
+                    crop_resize, image_pyramid, rotate_region)
 
 
 @dataclass
@@ -65,19 +83,36 @@ def iou(a: DetectionBox, b: DetectionBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def nms(boxes, iou_threshold: float) -> list:
-    """Greedy non-maximum suppression.
+def nms_rows(rows, iou_threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression over rows x1, y1, x2, y2, confidence.
 
-    Candidates are visited by descending confidence (ties by lower input
-    index); each is kept unless it overlaps an already-kept box with
-    IoU >= iou_threshold.  Kept boxes are returned in visiting order.
+    Rows are visited by descending confidence (ties by lower row index); each
+    is kept unless it overlaps an already-kept row with IoU >= iou_threshold.
+    Returns the kept row indices in visiting order.  The IoU is computed in
+    iou's operation order, so decisions at the threshold are iou's.
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].confidence, i))
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    x1, y1, x2, y2, conf = rows.T
+    area = (x2 - x1) * (y2 - y1)
+    order = np.lexsort((np.arange(len(rows)), -conf))
     kept = []
-    for i in order:
-        if all(iou(boxes[i], k) < iou_threshold for k in kept):
-            kept.append(boxes[i])
-    return kept
+    while order.size:
+        i, rest = order[0], order[1:]
+        kept.append(i)
+        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
+        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+        inter = ix * iy
+        overlap = np.zeros_like(inter)
+        np.divide(inter, area[rest] + area[i] - inter, out=overlap, where=inter != 0.0)
+        order = rest[overlap < iou_threshold]
+    return np.array(kept, dtype=np.intp)
+
+
+def nms(boxes, iou_threshold: float) -> list:
+    """Greedy non-maximum suppression of DetectionBox objects (see nms_rows);
+    the kept boxes are returned in visiting order."""
+    rows = [(b.x1, b.y1, b.x2, b.y2, b.confidence) for b in boxes]
+    return [boxes[i] for i in nms_rows(rows, iou_threshold)]
 
 
 @dataclass
@@ -98,69 +133,110 @@ class DetectConfig:
 
 
 _WINDOW = 12
+# scorer batch sizes; they bound the memory of a batch's crops and resampling
+_SCAN_BATCH = 2048  # stage-1 windows per call (whole rows of windows, at least one row)
+_CHUNK = 8  # stage-2/3 boxes per call
 
 
-def _scan_stage(img, scorer, config):
-    """Stage 1: score every 12 px window of every pyramid level."""
-    candidates = []
+def _survivors(out, boxes, threshold):
+    """Rows x1, y1, x2, y2, confidence of the boxes whose stage output reaches
+    threshold, and the pass mask.  Fails closed as DetectionBox does: an
+    output not shaped (K,) or a passing confidence outside [0, 1] raises
+    ValueError, and NaN never passes."""
+    conf = np.asarray(out, dtype=np.float64)
+    if conf.shape != (len(boxes),):
+        raise ValueError(f"stage scorer returned shape {conf.shape} for {len(boxes)} boxes")
+    keep = conf >= threshold
+    if ((conf[keep] < 0.0) | (conf[keep] > 1.0)).any():
+        raise ValueError("confidence must lie in [0, 1]")
+    return np.column_stack([boxes[keep], conf[keep]]), keep
+
+
+def _frame_landmarks(rel, boxes, keep):
+    """(K', L, 2) frame coordinates of the kept boxes' landmarks from (K, L, 2)
+    box-relative ones, clipped to [0, 1].  Raises ValueError on another shape
+    or on a non-finite landmark of a kept box."""
+    rel = np.asarray(rel, dtype=np.float64)
+    if rel.ndim != 3 or rel.shape[0] != len(boxes) or rel.shape[2] != 2:
+        raise ValueError(f"landmarks must have shape ({len(boxes)}, L, 2), got {rel.shape}")
+    rel = rel[keep]
+    if not np.isfinite(rel).all():
+        raise ValueError("landmarks must be finite")
+    rel = np.clip(rel, 0.0, 1.0)
+    x1, y1, x2, y2 = (c[:, None] for c in boxes[keep].T)
+    # x1 + 1.0 * (x2 - x1) can round one ulp past x2; the minimum keeps it inside
+    return np.stack([np.minimum(x1 + rel[:, :, 0] * (x2 - x1), x2),
+                     np.minimum(y1 + rel[:, :, 1] * (y2 - y1), y2)], axis=-1)
+
+
+def _scan_stage(img, stage1, config):
+    """Stage 1: score every 12 px window of every pyramid level, windows in
+    row-major order, whole rows of windows per call up to _SCAN_BATCH."""
+    found = [np.empty((0, 5))]
     for level, scale in image_pyramid(img, config.min_face, config.scale_factor, _WINDOW):
         if level.width < _WINDOW or level.height < _WINDOW:
             continue
-        for y0 in range(0, level.height - _WINDOW + 1, config.stride):
-            for x0 in range(0, level.width - _WINDOW + 1, config.stride):
-                crop = GrayImage(level.pixels[y0 : y0 + _WINDOW, x0 : x0 + _WINDOW].copy())
-                box = DetectionBox(
-                    x1=min(x0 / scale, img.width - 1.0),
-                    y1=min(y0 / scale, img.height - 1.0),
-                    x2=min((x0 + _WINDOW) / scale, float(img.width)),
-                    y2=min((y0 + _WINDOW) / scale, float(img.height)),
-                    confidence=0.0,
-                )
-                conf = float(scorer.stage1(crop, box))
-                if conf >= config.stage_confidences[0]:
-                    candidates.append(replace(box, confidence=conf))
-    return candidates
+        windows = sliding_window_view(level.pixels, (_WINDOW, _WINDOW))
+        windows = windows[:: config.stride, :: config.stride]
+        nx = windows.shape[1]
+        band = max(1, _SCAN_BATCH // nx)  # window rows per call
+        for r in range(0, windows.shape[0], band):
+            rows = windows[r : r + band]
+            crops = np.ascontiguousarray(rows).reshape(-1, _WINDOW, _WINDOW)
+            x0 = np.tile(np.arange(nx) * config.stride, len(rows))
+            y0 = np.repeat(np.arange(r, r + len(rows)) * config.stride, nx)
+            boxes = np.column_stack([
+                np.minimum(x0 / scale, img.width - 1.0),
+                np.minimum(y0 / scale, img.height - 1.0),
+                np.minimum((x0 + _WINDOW) / scale, float(img.width)),
+                np.minimum((y0 + _WINDOW) / scale, float(img.height)),
+            ])
+            found.append(_survivors(stage1(crops, boxes), boxes, config.stage_confidences[0])[0])
+    return np.concatenate(found)
 
 
-def _rescore_stage(img, boxes, scorer, stage: int, size: int, threshold: float):
-    """Stages 2/3: re-score fixed-size crops; stage 3 adds landmarks."""
-    survivors = []
-    for box in boxes:
-        crop = bilinear_resize(crop_region(img, box.x1, box.y1, box.x2, box.y2), size, size)
-        if stage == 2:
-            conf = float(scorer.stage2(crop, box))
-            landmarks = None
-        else:
-            conf, rel = scorer.stage3(crop, box)
-            conf = float(conf)
-            landmarks = None
-            if rel is not None:
-                rel = np.clip(np.asarray(rel, dtype=np.float64), 0.0, 1.0)
-                landmarks = np.column_stack([
-                    box.x1 + rel[:, 0] * box.width,
-                    box.y1 + rel[:, 1] * box.height,
-                ])
-        if conf >= threshold:
-            survivors.append(replace(box, confidence=conf, landmarks=landmarks))
-    return survivors
+def _rescore_stage(img, rows, stage, size: int, threshold: float):
+    """Stages 2/3: re-score size px crops of the rows, _CHUNK boxes per call.
+
+    stage(crops, boxes) returns (confidences, landmarks or None).  Returns the
+    surviving rows and their (K, L, 2) frame landmarks, or None when the
+    stage gave none.
+    """
+    kept, marks = [np.empty((0, 5))], []
+    for start in range(0, len(rows), _CHUNK):
+        boxes = rows[start : start + _CHUNK, :4]
+        out, rel = stage(crop_resize(img, boxes, size, size), boxes)
+        survivors, keep = _survivors(out, boxes, threshold)
+        kept.append(survivors)
+        marks.append(None if rel is None else _frame_landmarks(rel, boxes, keep))
+    if all(m is None for m in marks):
+        return np.concatenate(kept), None
+    return np.concatenate(kept), np.concatenate(marks)  # ValueError if the chunks disagree
 
 
 def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
-    """Run the full three-stage cascade; returns the surviving boxes.
+    """Run the full three-stage cascade; returns the surviving DetectionBoxes.
 
-    scorer must provide stage1(crop, box) -> confidence,
-    stage2(crop, box) -> confidence, and stage3(crop, box) ->
-    (confidence, landmarks) with landmarks either None or (k, 2) coordinates
-    relative to the box in [0, 1].
+    scorer is a batch scorer (see the module docstring): for K candidates,
+    stage1(crops (K, 12, 12), boxes (K, 4)) -> (K,) confidences,
+    stage2(crops (K, 24, 24), boxes (K, 4)) -> (K,) confidences, and
+    stage3(crops (K, 48, 48), boxes (K, 4)) -> ((K,) confidences, landmarks),
+    with landmarks either None or (K, L, 2) coordinates relative to each box
+    in [0, 1], the same L in every call.  A stage with no candidates is not
+    called, nor is any later one.  A malformed output, a passing confidence
+    outside [0, 1] or a non-finite landmark of a passing box raises
+    ValueError; a NaN confidence never passes.
     """
     if config is None:
         config = DetectConfig()
-    boxes = _scan_stage(img, scorer, config)
-    boxes = nms(boxes, config.stage_iou[0])
-    boxes = _rescore_stage(img, boxes, scorer, 2, 24, config.stage_confidences[1])
-    boxes = nms(boxes, config.stage_iou[1])
-    boxes = _rescore_stage(img, boxes, scorer, 3, 48, config.stage_confidences[2])
-    return nms(boxes, config.stage_iou[2])
+    rows = _scan_stage(img, scorer.stage1, config)
+    rows = rows[nms_rows(rows, config.stage_iou[0])]
+    rows, _ = _rescore_stage(img, rows, lambda crops, boxes: (scorer.stage2(crops, boxes), None),
+                             24, config.stage_confidences[1])
+    rows = rows[nms_rows(rows, config.stage_iou[1])]
+    rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
+    return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
+            for i in nms_rows(rows, config.stage_iou[2])]
 
 
 def min_face_filter(boxes, frame_width: float, ratio: float = 5.0) -> list:

@@ -1,8 +1,9 @@
 """Grayscale image container and the pixel-level operations.
 
 Images are row-major float arrays of levels in [0, 255].  Everything here is
-plain numpy: bilinear resampling, the 4-neighbor Laplacian, the sharpness
-gate built on it, the detection pyramid, and box and eye-region cropping.
+plain numpy: bilinear resampling (one core, for a whole image or a batch of
+box crops), the 4-neighbor Laplacian, the sharpness gate built on it, the
+detection pyramid, and box and eye-region cropping.
 """
 
 from __future__ import annotations
@@ -87,23 +88,40 @@ def write_pgm(img: GrayImage, path):
 
 def bilinear_resize(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
     """Resample with bilinear interpolation (half-pixel centers, edge clamp)."""
-    if new_width < 1 or new_height < 1:
+    whole = [[0.0, 0.0, img.width, img.height]]
+    return GrayImage(crop_resize(img, whole, new_width, new_height)[0])
+
+
+def crop_resize(img: GrayImage, boxes, width: int, height: int) -> np.ndarray:
+    """Bilinear resamples, shape (K, height, width), of the integer crops
+    (crop_bounds) of K float boxes given as rows x1, y1, x2, y2.
+
+    Each crop is resampled on its own: half-pixel centers, clamped to the
+    crop's edge, levels clipped to [0, 255].  The one-box case is
+    bilinear_resize.
+    """
+    if width < 1 or height < 1:
         raise ValueError("target size must be positive")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    ix1, iy1, ix2, iy2 = crop_bounds(img, *boxes.T)
+    c0, c1, fx = _taps(ix1, ix2 - ix1, width)
+    r0, r1, fy = _taps(iy1, iy2 - iy1, height)
+    c0, c1, fx = c0[:, None, :], c1[:, None, :], fx[:, None, :]
+    r0, r1, fy = r0[:, :, None], r1[:, :, None], fy[:, :, None]
     p = img.pixels
-    sx = np.clip((np.arange(new_width) + 0.5) * (img.width / new_width) - 0.5,
-                 0.0, img.width - 1.0)
-    sy = np.clip((np.arange(new_height) + 0.5) * (img.height / new_height) - 0.5,
-                 0.0, img.height - 1.0)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-    fx = sx - x0
-    fy = (sy - y0)[:, None]
-    top = p[np.ix_(y0, x0)] * (1.0 - fx) + p[np.ix_(y0, x1)] * fx
-    bottom = p[np.ix_(y1, x0)] * (1.0 - fx) + p[np.ix_(y1, x1)] * fx
-    out = top * (1.0 - fy) + bottom * fy
-    return GrayImage(np.clip(out, 0.0, 255.0))
+    top = p[r0, c0] * (1.0 - fx) + p[r0, c1] * fx
+    bottom = p[r1, c0] * (1.0 - fx) + p[r1, c1] * fx
+    return np.clip(top * (1.0 - fy) + bottom * fy, 0.0, 255.0)
+
+
+def _taps(start, size, n: int):
+    """Per crop (start, size along one axis): the two image indices each of
+    n output samples reads and the weight of the second, each shape (K, n)."""
+    s = np.clip((np.arange(n) + 0.5) * (size / n)[:, None] - 0.5,
+                0.0, (size - 1.0)[:, None])
+    i0 = np.floor(s).astype(np.intp)
+    i1 = np.minimum(i0 + 1, size[:, None] - 1)
+    return start[:, None] + i0, start[:, None] + i1, s - i0
 
 
 def laplacian(img: GrayImage) -> np.ndarray:
@@ -156,14 +174,18 @@ def image_pyramid(img: GrayImage, min_face: float, scale_factor: float = 0.709,
     return levels
 
 
-def crop_bounds(img: GrayImage, x1: float, y1: float, x2: float,
-                y2: float) -> tuple[int, int, int, int]:
-    """Integer bounds (ix1, iy1, ix2, iy2) of a float box: floored/ceiled
-    outward, clamped to the image, and at least one pixel wide and tall."""
-    ix1 = int(np.clip(np.floor(x1), 0, img.width - 1))
-    iy1 = int(np.clip(np.floor(y1), 0, img.height - 1))
-    ix2 = int(np.clip(np.ceil(x2), ix1 + 1, img.width))
-    iy2 = int(np.clip(np.ceil(y2), iy1 + 1, img.height))
+def crop_bounds(img: GrayImage, x1, y1, x2, y2):
+    """Integer bounds (ix1, iy1, ix2, iy2) of float boxes: floored/ceiled
+    outward, clamped to the image, and at least one pixel wide and tall.
+
+    Coordinates are scalars or equal-shape arrays; the bounds have their shape.
+    """
+    if not np.isfinite([x1, y1, x2, y2]).all():
+        raise ValueError("box coordinates must be finite")
+    ix1 = np.clip(np.floor(x1), 0, img.width - 1).astype(np.intp)
+    iy1 = np.clip(np.floor(y1), 0, img.height - 1).astype(np.intp)
+    ix2 = np.clip(np.ceil(x2), ix1 + 1, img.width).astype(np.intp)
+    iy2 = np.clip(np.ceil(y2), iy1 + 1, img.height).astype(np.intp)
     return ix1, iy1, ix2, iy2
 
 

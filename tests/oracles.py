@@ -3,7 +3,11 @@
 Everything here is deliberately written the slow, obvious way (scalar loops,
 exhaustive enumeration, a dense SVD) and shares no code with the
 library: when a test compares the two, agreement means two distinct
-derivations reached the same numbers.
+derivations reached the same numbers.  The one exception is
+detect_per_window, the detection cascade one window and one box at a time:
+it is built from the library's per-box pieces (pyramid, crop_region,
+bilinear_resize, DetectionBox, iou) and judges the array cascade's batching,
+indexing, gating and NMS.
 """
 
 from __future__ import annotations
@@ -134,6 +138,68 @@ def nms_exhaustive(boxes, iou_threshold, iou_fn):
             if best is None or key < best[0]:
                 best = (key, chosen)
     return best[1]
+
+
+def _greedy_nms(boxes, iou_threshold, iou_fn):
+    """Greedy NMS over a list: visit by (-confidence, index), keep a box
+    unless it overlaps an already-kept one with IoU >= iou_threshold."""
+    kept = []
+    for i in sorted(range(len(boxes)), key=lambda i: (-boxes[i].confidence, i)):
+        if all(iou_fn(boxes[i], k) < iou_threshold for k in kept):
+            kept.append(boxes[i])
+    return kept
+
+
+def detect_per_window(img, scorer, config):
+    """The three-stage cascade one candidate at a time.
+
+    Stage 1 loops over every window of every pyramid level and builds one
+    DetectionBox per survivor; stages 2 and 3 cut and resample each box with
+    crop_region plus bilinear_resize; each stage ends in _greedy_nms.  The
+    batch scorer is called with K = 1 batches.
+    """
+    from dataclasses import replace
+
+    from cotface.pipeline import DetectionBox, bilinear_resize, crop_region, image_pyramid, iou
+
+    window = 12
+    boxes = []
+    for level, scale in image_pyramid(img, config.min_face, config.scale_factor, window):
+        if level.width < window or level.height < window:
+            continue
+        for y0 in range(0, level.height - window + 1, config.stride):
+            for x0 in range(0, level.width - window + 1, config.stride):
+                crop = level.pixels[y0 : y0 + window, x0 : x0 + window].copy()
+                coords = (min(x0 / scale, img.width - 1.0),
+                          min(y0 / scale, img.height - 1.0),
+                          min((x0 + window) / scale, float(img.width)),
+                          min((y0 + window) / scale, float(img.height)))
+                conf = float(scorer.stage1(crop[None], np.array([coords]))[0])
+                if conf >= config.stage_confidences[0]:
+                    boxes.append(DetectionBox(*coords, conf))
+    boxes = _greedy_nms(boxes, config.stage_iou[0], iou)
+
+    for stage, size in ((2, 24), (3, 48)):
+        survivors = []
+        for box in boxes:
+            coords = np.array([[box.x1, box.y1, box.x2, box.y2]])
+            crop = bilinear_resize(crop_region(img, box.x1, box.y1, box.x2, box.y2),
+                                   size, size).pixels[None]
+            landmarks = None
+            if stage == 2:
+                conf = float(scorer.stage2(crop, coords)[0])
+            else:
+                conf, rel = scorer.stage3(crop, coords)
+                conf = float(conf[0])
+                if rel is not None:
+                    rel = np.clip(np.asarray(rel[0], dtype=np.float64), 0.0, 1.0)
+                    landmarks = np.column_stack([
+                        np.minimum(box.x1 + rel[:, 0] * box.width, box.x2),
+                        np.minimum(box.y1 + rel[:, 1] * box.height, box.y2)])
+            if conf >= config.stage_confidences[stage - 1]:
+                survivors.append(replace(box, confidence=conf, landmarks=landmarks))
+        boxes = _greedy_nms(survivors, config.stage_iou[stage - 1], iou)
+    return boxes
 
 
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):

@@ -299,15 +299,16 @@ class _StageRecorder:
         rec = self
 
         class Detector:
-            def stage1(self, crop, box):
+            def stage1(self, crops, boxes):
                 rec.calls.append("detect")
-                return float(crop.pixels.mean()) / 255.0
+                return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
 
             stage2 = stage1
 
-            def stage3(self, crop, box):
+            def stage3(self, crops, boxes):
                 rec.calls.append("detect")
-                return float(crop.pixels.mean()) / 255.0, np.array([[0.3, 0.4], [0.7, 0.4]])
+                rel = np.broadcast_to([[0.3, 0.4], [0.7, 0.4]], (len(crops), 2, 2))
+                return crops.reshape(len(crops), -1).mean(axis=1) / 255.0, rel
 
         def spoof(img):
             rec.calls.append("spoof")

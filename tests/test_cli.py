@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cotface import cli
 from cotface.cli import main
 from cotface.pipeline import GrayImage, load_gallery, write_pgm
 
@@ -345,6 +346,15 @@ class TestEnrollAuth:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n9 9\n255\n123")
         assert main(["auth", "--gallery", gallery, str(bad)]) == 3
+
+    def test_malformed_detector_output_exits_3(self, tmp_path, capsys, monkeypatch):
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = str(tmp_path / "g.txt")
+        main(["enroll", "--gallery", gallery, "--name", "alice", face])
+        capsys.readouterr()
+        monkeypatch.setattr(cli._BrightnessScorer, "stage1", lambda self, crops, boxes: 0.9)
+        assert main(["auth", "--gallery", gallery, face]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_enroll_unreadable_image_exits_3(self, tmp_path):
         assert main(["enroll", "--gallery", str(tmp_path / "g.txt"),

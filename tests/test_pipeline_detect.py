@@ -1,7 +1,11 @@
 """Detection cascade: IoU, greedy NMS, scanning, size gate, alignment."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotface.pipeline import (
     DetectConfig,
@@ -13,8 +17,12 @@ from cotface.pipeline import (
     min_face_filter,
     nms,
 )
+from cotface.pipeline.detect import nms_rows
 
-from oracles import nms_exhaustive
+from oracles import detect_per_window, nms_exhaustive
+
+# the module itself: `cotface.pipeline.detect` as an attribute is the function
+detect_module = importlib.import_module("cotface.pipeline.detect")
 
 
 def _box(x1, y1, x2, y2, conf=1.0, landmarks=None):
@@ -116,28 +124,36 @@ class TestNms:
                 assert all(iou(a, b) < 0.4 for b in kept[:i])
 
 
+def _brightness(crops):
+    return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
+
+
+def _relative_landmarks(crops, rel):
+    return np.broadcast_to(np.asarray(rel, dtype=np.float64), (len(crops), len(rel), 2))
+
+
 class _BrightScorer:
-    """Confidence = mean brightness of the crop, normalized to [0, 1]."""
+    """Confidence = mean brightness of each crop, normalized to [0, 1]."""
 
-    def stage1(self, crop, box):
-        return float(crop.pixels.mean()) / 255.0
+    def stage1(self, crops, boxes):
+        return _brightness(crops)
 
-    def stage2(self, crop, box):
-        return self.stage1(crop, box)
+    def stage2(self, crops, boxes):
+        return self.stage1(crops, boxes)
 
-    def stage3(self, crop, box):
-        return self.stage1(crop, box), np.array([[0.3, 0.4], [0.7, 0.4]])
+    def stage3(self, crops, boxes):
+        return self.stage1(crops, boxes), _relative_landmarks(crops, [[0.3, 0.4], [0.7, 0.4]])
 
 
 class _ZeroScorer:
-    def stage1(self, crop, box):
-        return 0.0
+    def stage1(self, crops, boxes):
+        return np.zeros(len(crops))
 
-    def stage2(self, crop, box):
-        return 0.0
+    def stage2(self, crops, boxes):
+        return np.zeros(len(crops))
 
-    def stage3(self, crop, box):
-        return 0.0, None
+    def stage3(self, crops, boxes):
+        return np.zeros(len(crops)), None
 
 
 def _plant(img, x1, y1, x2, y2):
@@ -188,6 +204,185 @@ class TestDetect:
         for b in detect(img, _BrightScorer(), DetectConfig(min_face=15.0)):
             assert 0.0 <= b.x1 < b.x2 <= 30.0
             assert 0.0 <= b.y1 < b.y2 <= 30.0
+
+
+def _fields(box):
+    return (box.x1, box.y1, box.x2, box.y2, box.confidence)
+
+
+class TestNmsRows:
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6),
+                                    st.integers(1, 6), st.sampled_from([0.2, 0.5, 0.9, 1.0])),
+                          max_size=8),
+           threshold=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0]))
+    def test_agrees_with_exhaustive_oracle_on_tied_confidences(self, specs, threshold):
+        # integer boxes and quantized confidences: ties in confidence and
+        # IoUs that land exactly on the threshold
+        boxes = [_box(x, y, x + w, y + h, conf) for x, y, w, h, conf in specs]
+        kept = list(nms_rows([_fields(b) for b in boxes], threshold))
+        visiting = sorted(range(len(boxes)), key=lambda i: (-boxes[i].confidence, i))
+        assert kept == [i for i in visiting if i in kept]
+        assert set(kept) == nms_exhaustive(boxes, threshold, iou)
+
+
+class _ClippedLandmarks(_BrightScorer):
+    """_BrightScorer whose stage-3 landmarks leave the box and get clipped."""
+
+    def stage3(self, crops, boxes):
+        rel = [[-0.2, 0.4], [0.7, 1.3], [1.2, -0.1], [0.5, 0.55]]
+        return self.stage1(crops, boxes), _relative_landmarks(crops, rel)
+
+
+def _random_frame(seed, height, width, integer, faces):
+    """Dark noise with up to `faces` bright squares; integer or fractional levels."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.uniform(0.0, 90.0, (height, width))
+    for _ in range(faces):
+        side = int(rng.integers(6, min(height, width) + 1))
+        y, x = rng.integers(0, height - side + 1), rng.integers(0, width - side + 1)
+        pixels[y : y + side, x : x + side] = rng.uniform(190.0, 255.0, (side, side))
+    return np.rint(pixels) if integer else pixels
+
+
+def _assert_detect_matches_oracle(pixels, config):
+    img, scorer = GrayImage(pixels), _ClippedLandmarks()
+    got = detect(img, scorer, config)
+    want = detect_per_window(img, scorer, config)
+    assert [_fields(b) for b in got] == [_fields(b) for b in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.landmarks, b.landmarks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
+       integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
+       faces=st.integers(0, 2))
+def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces):
+    _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
+                                  DetectConfig(min_face=min_face, stride=stride))
+
+
+@pytest.mark.parametrize("scan_batch, chunk", [(1, 1), (7, 3), (64, 8)])
+def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
+    # a scan batch below one row of windows still scores whole rows
+    monkeypatch.setattr(detect_module, "_SCAN_BATCH", scan_batch)
+    monkeypatch.setattr(detect_module, "_CHUNK", chunk)
+    pixels, config = _random_frame(7, 40, 44, False, 2), DetectConfig(min_face=14.0, stride=1)
+    assert len(detect(GrayImage(pixels), _ClippedLandmarks(), config)) > 1
+    _assert_detect_matches_oracle(pixels, config)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_landmarks_on_the_box_edge_stay_inside(transpose):
+    # in this frame, y1 + 1.0 * (y2 - y1) rounds one ulp past y2 for a box
+    # (x1 + 1.0 * (x2 - x1) past x2 once transposed)
+    pixels = _random_frame(1, 23, 22, False, 1)
+    _assert_detect_matches_oracle(pixels.T if transpose else pixels,
+                                  DetectConfig(min_face=19.219684455725247, stride=1))
+
+
+class _Scripted:
+    """Brightness batch scorer with chosen stage outputs replaced; make(k)
+    gives the replacement for a batch of k.  Logs the stage of every call."""
+
+    def __init__(self, **outputs):
+        self.outputs = outputs
+        self.calls = []
+
+    def _out(self, stage, crops, default):
+        self.calls.append(stage)
+        make = self.outputs.get(stage)
+        return default if make is None else make(len(crops))
+
+    def stage1(self, crops, boxes):
+        return self._out("stage1", crops, _brightness(crops))
+
+    def stage2(self, crops, boxes):
+        return self._out("stage2", crops, _brightness(crops))
+
+    def stage3(self, crops, boxes):
+        rel = _relative_landmarks(crops, [[0.3, 0.4], [0.7, 0.4]])
+        return self._out("stage3", crops, (_brightness(crops), rel))
+
+
+def _face_60():
+    img = GrayImage(np.zeros((60, 60)))
+    _plant(img, 20, 20, 40, 40)
+    return img
+
+
+_NAN = float("nan")
+
+
+class TestScorerContract:
+    def test_unchanged_script_finds_the_face(self):
+        assert len(detect(_face_60(), _Scripted(), DetectConfig(min_face=20.0))) == 1
+
+    @pytest.mark.parametrize("stage, make", [
+        ("stage1", lambda k: np.full(k + 1, 0.9)),
+        ("stage1", lambda k: 0.9),
+        ("stage1", lambda k: np.full((k, 1), 0.9)),
+        ("stage2", lambda k: np.full(k - 1, 0.9)),
+        ("stage3", lambda k: (np.full((1, k), 0.9), None)),
+    ])
+    def test_wrongly_shaped_confidences_raise(self, stage, make):
+        with pytest.raises(ValueError, match="shape"):
+            detect(_face_60(), _Scripted(**{stage: make}), DetectConfig(min_face=20.0))
+
+    @pytest.mark.parametrize("stage, make", [
+        ("stage1", lambda k: np.full(k, 1.5)),
+        ("stage2", lambda k: np.full(k, 1.0 + 1e-12)),
+        ("stage3", lambda k: (np.full(k, np.inf), None)),
+    ])
+    def test_passing_confidence_above_one_raises(self, stage, make):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            detect(_face_60(), _Scripted(**{stage: make}), DetectConfig(min_face=20.0))
+
+    def test_passing_negative_confidence_raises(self):
+        config = DetectConfig(min_face=20.0, stage_confidences=(-1.0, 0.7, 0.7))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            detect(_face_60(), _Scripted(stage1=lambda k: np.full(k, -0.5)), config)
+
+    @pytest.mark.parametrize("stage, make", [
+        ("stage1", lambda k: np.full(k, _NAN)),
+        ("stage2", lambda k: np.full(k, _NAN)),
+        ("stage3", lambda k: (np.full(k, _NAN), np.full((k, 2, 2), _NAN))),
+        ("stage1", lambda k: np.full(k, -np.inf)),
+    ])
+    def test_nan_and_minus_inf_never_pass(self, stage, make):
+        config = DetectConfig(min_face=20.0, stage_confidences=(0.0, 0.0, 0.0))
+        assert detect(_face_60(), _Scripted(**{stage: make}), config) == []
+
+    def test_nan_candidates_drop_out_alone(self):
+        def half_nan(k):
+            conf = np.full(k, 0.95)
+            conf[::2] = _NAN
+            return conf
+
+        found = detect(_face_60(), _Scripted(stage1=half_nan), DetectConfig(min_face=20.0))
+        assert found and all(0.0 <= b.confidence <= 1.0 for b in found)
+
+    @pytest.mark.parametrize("make", [
+        lambda k: (np.full(k, 0.9), np.array([[0.3, 0.4], [0.7, 0.4]])),  # one box's (L, 2)
+        lambda k: (np.full(k, 0.9), np.full((k, 2, 3), 0.5)),
+        lambda k: (np.full(k, 0.9), np.full((k + 1, 2, 2), 0.5)),
+    ])
+    def test_wrongly_shaped_landmarks_raise(self, make):
+        with pytest.raises(ValueError, match="shape"):
+            detect(_face_60(), _Scripted(stage3=make), DetectConfig(min_face=20.0))
+
+    @pytest.mark.parametrize("value", [_NAN, np.inf, -np.inf])
+    def test_non_finite_landmarks_of_a_passing_box_raise(self, value):
+        make = lambda k: (np.full(k, 0.9), np.full((k, 2, 2), value))  # noqa: E731
+        with pytest.raises(ValueError, match="finite"):
+            detect(_face_60(), _Scripted(stage3=make), DetectConfig(min_face=20.0))
+
+    @pytest.mark.parametrize("stage, later", [("stage1", "stage2"), ("stage2", "stage3")])
+    def test_empty_stage_never_calls_the_next_scorer(self, stage, later):
+        scorer = _Scripted(**{stage: lambda k: np.zeros(k)})
+        assert detect(_face_60(), scorer, DetectConfig(min_face=20.0)) == []
+        assert stage in scorer.calls and later not in scorer.calls
 
 
 class TestMinFaceFilter:

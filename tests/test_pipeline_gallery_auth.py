@@ -304,16 +304,18 @@ class _FaceScorer:
         self.recorder = recorder
         self.landmarks = landmarks
 
-    def stage1(self, crop, box):
+    def stage1(self, crops, boxes):
         self.recorder.calls.append("detect")
-        return float(crop.pixels.mean()) / 255.0
+        return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
 
-    def stage2(self, crop, box):
-        return float(crop.pixels.mean()) / 255.0
+    def stage2(self, crops, boxes):
+        return crops.reshape(len(crops), -1).mean(axis=1) / 255.0
 
-    def stage3(self, crop, box):
-        rel = np.array([[0.3, 0.4], [0.7, 0.4]]) if self.landmarks else None
-        return float(crop.pixels.mean()) / 255.0, rel
+    def stage3(self, crops, boxes):
+        rel = None
+        if self.landmarks:
+            rel = np.broadcast_to([[0.3, 0.4], [0.7, 0.4]], (len(crops), 2, 2))
+        return crops.reshape(len(crops), -1).mean(axis=1) / 255.0, rel
 
 
 class _Spoof:
@@ -479,3 +481,59 @@ class TestAuthenticate:
         out = authenticate(_face_frame(), gallery, scorers, config)
         assert out.kind == "accepted"
         assert "eyes" not in rec.calls
+
+
+_NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _poisoned_scorers(slot, value, part):
+    """The accepted set-up of _setup with one scorer output made non-finite:
+    a whole detector stage output, one spoof score, one embedding coordinate
+    (part 0-2; 3 = all), or one eye score (part 0 left, 1 right, 2-3 both)."""
+    rec, scorers, gallery, config = _setup()
+    det = scorers.detector
+    stage3 = det.stage3
+    if slot in ("stage1", "stage2"):
+        setattr(det, slot, lambda crops, boxes: np.full(len(crops), value))
+    elif slot == "stage3":
+        det.stage3 = lambda crops, boxes: (np.full(len(crops), value), stage3(crops, boxes)[1])
+    elif slot == "landmarks":
+        det.stage3 = lambda crops, boxes: (stage3(crops, boxes)[0],
+                                           np.full((len(crops), 2, 2), value))
+    elif slot == "spoof":
+        scorers.spoof = lambda frame: value
+    elif slot == "embed":
+        embedding = E_ALICE.copy()
+        embedding[slice(None) if part == 3 else part] = value
+        scorers.embedder = lambda crop: embedding
+    else:
+        eyes = [0.0, 0.0]
+        for i in ((0, 1) if part >= 2 else (part,)):
+            eyes[i] = value
+        scorers.eye_closed = lambda crop, eyes=iter(eyes): next(eyes)
+    return scorers, gallery, config
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
+@settings(max_examples=80, deadline=None)
+@given(slot=st.sampled_from(["stage1", "stage2", "stage3", "landmarks", "spoof", "embed", "eyes"]),
+       value=st.sampled_from(_NON_FINITE), part=st.integers(0, 3))
+def test_non_finite_scorer_output_is_never_accepted(slot, value, part):
+    scorers, gallery, config = _poisoned_scorers(slot, value, part)
+    try:
+        out = authenticate(_face_frame(), gallery, scorers, config)
+    except ValueError:
+        return
+    assert out.kind != "accepted"
+
+
+@pytest.mark.parametrize("eye_scores", [(float("nan"), 0.0), (0.0, float("-inf"))])
+def test_one_non_finite_eye_score_rejects(eye_scores):
+    rec, scorers, gallery, config = _setup(eye_scores=eye_scores)
+    assert authenticate(_face_frame(), gallery, scorers, config).kind == "eyes_closed"
+
+
+def test_minus_inf_spoof_score_is_invalid_face():
+    assert not spoof_gate(float("-inf"))
+    rec, scorers, gallery, config = _setup(spoof_score=float("-inf"))
+    assert authenticate(_face_frame(), gallery, scorers, config).kind == "invalid_face"

@@ -14,6 +14,7 @@ from cotface.pipeline import (
     sharpness_gate,
     write_pgm,
 )
+from cotface.pipeline.image import crop_bounds, crop_resize
 
 
 def _blank(h, w, level=0.0):
@@ -159,6 +160,45 @@ class TestCropRegion:
     def test_clamped_to_bounds(self):
         out = crop_region(_blank(6, 6), -3.0, -3.0, 99.0, 99.0)
         assert (out.width, out.height) == (6, 6)
+
+
+class TestCropResize:
+    def test_rows_equal_per_box_crop_then_resize(self):
+        # the batch is bit-identical to cutting each crop and resizing it alone
+        rng = np.random.default_rng(2)
+        img = GrayImage(rng.uniform(0, 255, (31, 27)))
+        x1, y1 = rng.uniform(-5.0, 30.0, (2, 40))
+        boxes = np.column_stack([x1, y1, x1 + rng.uniform(0.1, 25.0, 40),
+                                 y1 + rng.uniform(0.1, 25.0, 40)])
+        for width, height in ((24, 24), (5, 9), (1, 1)):
+            out = crop_resize(img, boxes, width, height)
+            assert out.shape == (40, height, width)
+            for box, got in zip(boxes, out):
+                want = bilinear_resize(crop_region(img, *box), width, height).pixels
+                np.testing.assert_array_equal(got, want)
+
+    def test_no_boxes(self):
+        assert crop_resize(_blank(5, 5), np.empty((0, 4)), 3, 3).shape == (0, 3, 3)
+
+    def test_bad_size_rejected(self):
+        with pytest.raises(ValueError):
+            crop_resize(_blank(4, 4), [[0.0, 0.0, 2.0, 2.0]], 3, 0)
+
+
+class TestCropBounds:
+    def test_arrays_match_scalars(self):
+        img = _blank(10, 12)
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(-4.0, 16.0, (4, 25))
+        coords[2:] += 5.0
+        bounds = crop_bounds(img, *coords)
+        for k in range(25):
+            assert tuple(int(b[k]) for b in bounds) == crop_bounds(img, *coords[:, k])
+
+    @pytest.mark.parametrize("box", [(np.nan, 0.0, 3.0, 3.0), (0.0, 0.0, np.inf, 3.0)])
+    def test_non_finite_rejected(self, box):
+        with pytest.raises(ValueError):
+            crop_region(_blank(6, 6), *box)
 
 
 class TestEyeCrops:
