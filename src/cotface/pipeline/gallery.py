@@ -1,16 +1,26 @@
 """Enrollment gallery: named identities holding up to five unit embeddings.
 
+A gallery is one float64 (capacity, d) matrix whose first E rows are the
+embeddings in enrollment order, an owner array giving each row's identity
+rank (identities ranked by first enrollment), and each identity's row list.
+enroll writes one row, growing the capacity by half when full, so E enrolls
+copy the matrix O(log E) times.  match scores all rows with one einsum and,
+among the rows equal to the best similarity, takes the smallest owner rank:
+ties go to the identity enrolled first, then to its earliest embedding.  Not
+BLAS gemv (`rows @ probe`): it sums blocks of rows in different orders, so
+identical rows at different positions can score different bits and break
+that rule; einsum sums every row alike.
+
 The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
-17-significant-digit decimals, which round-trip float64 exactly.  Insertion
-order encodes enrollment order both in memory and on disk; match ties are
-broken in favor of the earliest-enrolled identity.  enroll and load_gallery
-admit only finite unit embeddings of one dim, so match can trust every row.
+17-significant-digit decimals, which round-trip float64 exactly.  enroll and
+load_gallery admit only finite unit embeddings of one dim, so match can trust
+every row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +36,43 @@ class GalleryFormatError(ValueError):
     """Raised when a gallery file cannot be parsed."""
 
 
-@dataclass
 class Gallery:
-    """identities: name -> list of unit embeddings (enrollment order)."""
+    """Unit embeddings as the rows of one matrix; see the module docstring."""
 
-    identities: dict = field(default_factory=dict)
+    def __init__(self):
+        self._rows, self._owner, self._size = np.empty((0, 0)), np.empty(0, np.intp), 0
+        self._names: list[str] = []                       # rank -> name
+        self._ids: dict[str, tuple[int, list[int]]] = {}  # name -> (rank, its rows)
+
+    @property
+    def identities(self) -> dict:
+        """name -> read-only views of its embeddings, both in enrollment order."""
+        rows = self._rows[: self._size]
+        rows.flags.writeable = False
+        return {name: [rows[i] for i in ids] for name, (_, ids) in self._ids.items()}
 
     @property
     def dim(self) -> int | None:
-        for embeddings in self.identities.values():
-            if embeddings:
-                return embeddings[0].size
-        return None
+        return self._rows.shape[1] if self._size else None
 
     def total_embeddings(self) -> int:
-        return sum(len(v) for v in self.identities.values())
+        return self._size
+
+    def _append(self, name: str, unit: np.ndarray):
+        n = self._size
+        if n == len(self._rows):
+            capacity = max(8, n + n // 2)
+            rows, owner = np.empty((capacity, unit.size)), np.empty(capacity, np.intp)
+            if n:
+                rows[:n], owner[:n] = self._rows, self._owner
+            self._rows, self._owner = rows, owner
+        if name not in self._ids:
+            self._ids[name] = (len(self._names), [])
+            self._names.append(name)
+        rank, ids = self._ids[name]
+        self._rows[n], self._owner[n] = unit, rank
+        ids.append(n)
+        self._size = n + 1
 
 
 @dataclass(frozen=True)
@@ -61,11 +93,11 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     """
     if not name or "\n" in name:
         raise ValueError("identity name must be non-empty and single-line")
-    current = gallery.identities.get(name, [])
+    count = len(gallery._ids[name][1]) if name in gallery._ids else 0
     if not sharpness_ok:
-        return EnrollResult(False, "blurry", len(current))
-    if len(current) >= MAX_EMBEDDINGS_PER_IDENTITY:
-        return EnrollResult(False, "capacity", len(current))
+        return EnrollResult(False, "blurry", count)
+    if count >= MAX_EMBEDDINGS_PER_IDENTITY:
+        return EnrollResult(False, "capacity", count)
     embedding = np.asarray(embedding, dtype=np.float64)
     if not np.isfinite(embedding).all():
         raise ValueError("embedding contains non-finite values")
@@ -74,8 +106,8 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
         raise ValueError("embedding norm overflows float64")
     if gallery.dim is not None and unit.size != gallery.dim:
         raise ValueError(f"embedding dim {unit.size} != gallery dim {gallery.dim}")
-    gallery.identities.setdefault(name, []).append(unit)
-    return EnrollResult(True, None, len(gallery.identities[name]))
+    gallery._append(name, unit)
+    return EnrollResult(True, None, count + 1)
 
 
 def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
@@ -86,32 +118,33 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     earliest enrolled identity.  An empty gallery reports (None, -1.0).
     """
     probe = l2_normalize(probe)
-    best_name, best_sim = None, -1.0
-    found = False
-    for name, embeddings in gallery.identities.items():
-        for emb in embeddings:
-            sim = float(np.dot(probe, emb))
-            if not found or sim > best_sim:
-                best_name, best_sim, found = name, sim, True
-    if not found or not np.isfinite(best_sim) or best_sim < sim_threshold:
+    n = gallery._size
+    if not n:
+        return None, -1.0
+    sims = np.einsum("ij,j->i", gallery._rows[:n], probe)  # row-consistent bits; see module doc
+    best_sim = float(sims.max())  # NaN when the probe is non-finite
+    if not np.isfinite(best_sim) or best_sim < sim_threshold:
         return None, best_sim
-    return best_name, best_sim
+    return gallery._names[gallery._owner[:n][sims == best_sim].min()], best_sim
+
+
+def _text_lines(gallery: Gallery):
+    """The gallery file, one "\\n"-terminated line at a time."""
+    yield f"{MAGIC} {VERSION}\n{len(gallery._names)}\n"
+    row_format = " ".join(["%.17g"] * (gallery.dim or 0)) + "\n"
+    for name, (_, ids) in gallery._ids.items():
+        yield f"{name}\n{gallery.dim if ids else 0} {len(ids)}\n"
+        for i in ids:
+            yield row_format % tuple(gallery._rows[i].tolist())
 
 
 def gallery_to_text(gallery: Gallery) -> str:
-    lines = [f"{MAGIC} {VERSION}", str(len(gallery.identities))]
-    for name, embeddings in gallery.identities.items():
-        dim = embeddings[0].size if embeddings else 0
-        lines.append(name)
-        lines.append(f"{dim} {len(embeddings)}")
-        for emb in embeddings:
-            lines.append(" ".join(f"{v:.17g}" for v in emb))
-    return "\n".join(lines) + "\n"
+    return "".join(_text_lines(gallery))
 
 
 def save_gallery(gallery: Gallery, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(gallery_to_text(gallery))
+        fh.writelines(_text_lines(gallery))
 
 
 def load_gallery(path) -> Gallery:
@@ -142,36 +175,49 @@ def load_gallery(path) -> Gallery:
         raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
 
     gallery = Gallery()
-    pos = 2
-    for _ in range(n_identities):
+    dim, n, pos = None, 0, 2
+    for rank in range(n_identities):  # the headers first, so that the matrix is allocated once
         name = take(pos)
         if not name:
             raise GalleryFormatError(f"{path}: empty identity name")
         try:
             dim_s, count_s = take(pos + 1).split()
-            dim, count = int(dim_s), int(count_s)
+            name_dim, count = int(dim_s), int(count_s)
         except ValueError as exc:
             raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
         if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
             raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
-        if count and gallery.dim not in (None, dim):
-            raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
-        pos += 2
-        embeddings = []
-        for _ in range(count):
-            line = take(pos)
+        if count and dim not in (None, name_dim):
+            raise GalleryFormatError(f"{path}: {name!r} has dim {name_dim}, gallery dim {dim}")
+        if name in gallery._ids:
+            raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
+        dim = name_dim if count else dim
+        gallery._names.append(name)
+        gallery._ids[name] = (rank, list(range(n, n + count)))
+        n += count
+        pos += 2 + count
+    if pos > len(lines):
+        raise GalleryFormatError(f"{path}: truncated gallery file")
+
+    # Row i, of the identity of rank r, is line 4 + 2r + i.  The matrix is
+    # allocated after the first row's length checks out, so that a huge
+    # declared dim allocates nothing.
+    rows, owner = np.empty((0, 0)), np.empty(n, np.intp)
+    for name, (rank, ids) in gallery._ids.items():
+        for i in ids:
             try:
-                values = np.array([float(v) for v in line.split()])
+                values = list(map(float, lines[4 + 2 * rank + i].split()))
             except ValueError as exc:
                 raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
-            if values.size != dim:
+            if len(values) != dim:
                 raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
-            norm = float(np.linalg.norm(values))
-            if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:  # `not <=` also rejects NaN
-                raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
-            embeddings.append(values)
-            pos += 1
-        if name in gallery.identities:
-            raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
-        gallery.identities[name] = embeddings
+            if not i:
+                rows = np.empty((n, dim))
+            rows[i], owner[i] = values, rank
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN and inf fail too
+    if bad.size:
+        name, norm = gallery._names[owner[bad[0]]], float(norms[bad[0]])
+        raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
+    gallery._rows, gallery._owner, gallery._size = rows, owner, n
     return gallery

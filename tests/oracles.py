@@ -202,6 +202,29 @@ def detect_per_window(img, scorer, config):
     return boxes
 
 
+def match_loop(identities, probe, sim_threshold: float = 0.5):
+    """1:N match one stored embedding at a time, in enrollment order.
+
+    identities: name -> unit embeddings, both in enrollment order.  Each
+    similarity is a correctly rounded sum (math.fsum) of products, so equal
+    embeddings always score equal, and a later embedding wins only when its
+    similarity is strictly greater: ties go to the first-enrolled identity.
+    Returns (identity, best similarity); None when the best is non-finite or
+    below sim_threshold, (None, -1.0) when nothing is stored.
+    """
+    probe = np.asarray(probe, dtype=np.float64)
+    probe = (probe / math.sqrt(float(np.sum(probe * probe)))).tolist()
+    best_name, best_sim, found = None, -1.0, False
+    for name, embeddings in identities.items():
+        for emb in embeddings:
+            sim = math.fsum(p * e for p, e in zip(probe, emb.tolist()))
+            if not found or sim > best_sim:
+                best_name, best_sim, found = name, sim, True
+    if not found or not math.isfinite(best_sim) or best_sim < sim_threshold:
+        return None, best_sim
+    return best_name, best_sim
+
+
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):
     """E[f(X)] for X ~ N(mean, sigma^2) by Gauss-Hermite quadrature."""
     x, w = np.polynomial.hermite.hermgauss(nodes)

@@ -1,17 +1,37 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cotface import cli
 from cotface.cli import main
-from cotface.pipeline import GrayImage, load_gallery, write_pgm
+from cotface.pipeline import (
+    Gallery,
+    GrayImage,
+    enroll,
+    gallery_to_text,
+    load_gallery,
+    read_pgm,
+    write_pgm,
+)
+from mutations import (
+    GALLERY_EDITS,
+    PGM_EDITS,
+    SCORE_EDITS,
+    mutate_gallery,
+    mutate_pgm,
+    mutate_scores,
+)
 
 
 def _write_frame(path, kind):
@@ -359,6 +379,90 @@ class TestEnrollAuth:
     def test_enroll_unreadable_image_exits_3(self, tmp_path):
         assert main(["enroll", "--gallery", str(tmp_path / "g.txt"),
                      "--name", "alice", str(tmp_path / "missing.pgm")]) == 3
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of one in-process run; an exception that escapes
+    main (a traceback for a user) fails the calling test."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_fails_cleanly(result, malformed):
+    """A malformed input gives exit 3 and one 'error:' line; exit 3 always
+    comes with that line, and any other exit is a verdict (0 or 1) with an
+    empty stderr."""
+    code, err = result
+    if malformed:
+        assert code == 3
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
+
+
+def _well_formed(reader, path):
+    try:
+        reader(path)
+    except ValueError:  # GalleryFormatError and UnicodeDecodeError are ValueErrors
+        return False
+    return True
+
+
+class TestMalformedInput:
+    """Edited gallery files, PGM frames and score files: the CLI exits 3 with
+    an 'error:' line for every one its reader rejects, and never with a
+    traceback."""
+
+    @staticmethod
+    def _files(tmp):
+        blank = _write_frame(Path(tmp) / "blank.pgm", "blank")
+        g = Gallery()
+        rng = np.random.default_rng(7)
+        for name, count in (("alice", 2), ("bob", 1), ("carol", 3)):
+            for _ in range(count):
+                enroll(g, name, rng.normal(size=32))  # the toy embedder's dim
+        return blank, gallery_to_text(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=GALLERY_EDITS)
+    def test_gallery_files(self, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            blank, text = self._files(tmp)
+            gallery = Path(tmp) / "g.txt"
+            mutated = mutate_gallery(text, *edit)
+            gallery.write_text(mutated)
+            malformed = not _well_formed(load_gallery, gallery)
+            _assert_fails_cleanly(_run_cli(["auth", "--gallery", str(gallery), blank]), malformed)
+            _assert_fails_cleanly(
+                _run_cli(["enroll", "--gallery", str(gallery), "--name", "dave", blank]), malformed)
+            assert gallery.read_text() == mutated or not malformed
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=PGM_EDITS)
+    def test_pgm_frames(self, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            blank, text = self._files(tmp)
+            gallery = Path(tmp) / "g.txt"
+            gallery.write_text(text)
+            frame = Path(tmp) / "frame.pgm"
+            frame.write_bytes(mutate_pgm(Path(blank).read_bytes(), *edit))
+            malformed = not _well_formed(read_pgm, frame)
+            _assert_fails_cleanly(_run_cli(["auth", "--gallery", str(gallery), str(frame)]), malformed)
+            _assert_fails_cleanly(
+                _run_cli(["enroll", "--gallery", str(gallery), "--name", "dave", str(frame)]), malformed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=SCORE_EDITS)
+    def test_score_files(self, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            scores = Path(tmp) / "scores.txt"
+            scores.write_bytes(mutate_scores(b"1,0.9\n1,0.7\n0,0.2\n0,0.6\n", *edit))
+            malformed = not _well_formed(cli._read_scores_file, scores)
+            _assert_fails_cleanly(
+                _run_cli(["eval", "--scores", str(scores), "--out", str(Path(tmp) / "o")]), malformed)
 
 
 class TestConsoleScript:

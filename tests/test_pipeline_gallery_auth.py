@@ -1,6 +1,6 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
-import re
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,6 +26,9 @@ from cotface.pipeline import (
     save_gallery,
     spoof_gate,
 )
+
+from mutations import GALLERY_EDITS, mutate_gallery
+from oracles import match_loop
 
 
 def _unit(seed, dim=8):
@@ -113,6 +116,14 @@ class TestMatch:
         name, _ = match(g, v)
         assert name == "first"
 
+    def test_tie_goes_to_first_enrolled_identity_not_earliest_row(self):
+        g = Gallery()
+        v = np.array([0.6, 0.8])
+        enroll(g, "alice", np.array([1.0, 0.0]))
+        enroll(g, "bob", v)
+        enroll(g, "alice", v)
+        assert match(g, v) == ("alice", 1.0)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
     @pytest.mark.parametrize("probe", [[np.nan, 0.0, 0.0], [1.0, np.inf, 0.0]])
     def test_non_finite_probe_is_stranger(self, probe):
@@ -129,6 +140,56 @@ class TestMatch:
         probe = np.array([0.2, 1.0])
         name, sim = match(g, probe)
         assert name == "bob" and sim == pytest.approx(1.0 / np.hypot(0.2, 1.0) * 1.0)
+
+
+class TestGalleryMatrix:
+    # Interleaved enrolls plant exact duplicates of one embedding at any rows
+    # (over the examples, at every row offset mod 16), inside one identity
+    # and across identities.  A kernel that gives equal rows unequal bits at
+    # some offsets (BLAS gemv does), or a tie rule of "earliest row", picks
+    # the wrong identity.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 200),
+           schedule=st.lists(st.tuples(st.integers(0, 11), st.booleans()),
+                             min_size=1, max_size=64),
+           probe_kind=st.sampled_from(["planted", "near", "random", "nan", "inf"]),
+           threshold=st.sampled_from([-1.0, 0.5, 0.99]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_match_agrees_with_scalar_loop(self, dim, schedule, probe_kind, threshold, seed):
+        rng = np.random.default_rng(seed)
+        planted = rng.normal(size=dim)
+        g = Gallery()
+        for who, duplicate in schedule:
+            enroll(g, f"id{who}", planted if duplicate else rng.normal(size=dim))
+        probe = {"planted": planted, "near": planted + 1e-3 * rng.normal(size=dim),
+                 "random": rng.normal(size=dim)}.get(probe_kind, rng.normal(size=dim))
+        if probe_kind in ("nan", "inf"):
+            probe[rng.integers(dim)] = np.nan if probe_kind == "nan" else np.inf
+        name, sim = match(g, probe, threshold)
+        want_name, want_sim = match_loop(g.identities, probe, threshold)
+        assert name == want_name
+        assert (math.isnan(sim) and math.isnan(want_sim)) or abs(sim - want_sim) <= 1e-12
+
+    def test_enroll_grows_the_matrix_geometrically(self):
+        g = Gallery()
+        rng = np.random.default_rng(2)
+        vectors = rng.normal(size=(3000, 4))
+        reallocations = 0
+        for k, v in enumerate(vectors):
+            before = g._rows
+            assert enroll(g, f"id{k // 5}", v).accepted
+            reallocations += g._rows is not before
+        assert reallocations <= 2 * math.log2(len(vectors))
+        stored = np.concatenate([np.array(rows) for rows in g.identities.values()])
+        np.testing.assert_array_equal(stored, [v / np.linalg.norm(v) for v in vectors])
+
+    def test_identities_are_read_only(self):
+        g = Gallery()
+        enroll(g, "alice", np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            g.identities["alice"][0][0] = 0.0
+        assert match(g, np.array([1.0, 0.0])) == ("alice", 1.0)
 
 
 class TestGalleryFile:
@@ -202,36 +263,6 @@ class TestGalleryFile:
             load_gallery(tmp_path / "absent.txt")
 
 
-# A factor within UNIT_NORM_TOLERANCE of 1 leaves a row that the format
-# accepts as unit, so the scale mutation draws factors outside that band.
-_MUTATIONS = st.tuples(st.sampled_from(["truncate", "swap", "nan", "scale"]),
-                       st.integers(0, 10**6), st.integers(0, 10**6),
-                       st.floats(0.0, 10.0).filter(lambda f: abs(f - 1.0) > 1e-4))
-
-
-def _mutate(text, kind, a, b, factor):
-    """One edit of a saved gallery's text: truncate it at a, swap tokens a and
-    b, put a NaN at value b of embedding row a, or scale row a by factor."""
-    if kind == "truncate":
-        return text[: a % len(text)]
-    if kind == "swap":
-        tokens = re.split(r"(\s+)", text)
-        words = [k for k, t in enumerate(tokens) if t and not t.isspace()]
-        i, j = words[a % len(words)], words[b % len(words)]
-        tokens[i], tokens[j] = tokens[j], tokens[i]
-        return "".join(tokens)
-    lines = text.split("\n")
-    rows = [k for k, line in enumerate(lines) if line.count(" ") >= 2]  # embeddings
-    row = rows[a % len(rows)]
-    values = lines[row].split()
-    if kind == "nan":
-        values[b % len(values)] = "nan"
-    else:
-        values = [f"{float(v) * factor:.17g}" for v in values]
-    lines[row] = " ".join(values)
-    return "\n".join(lines)
-
-
 class TestGalleryProperties:
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
@@ -250,7 +281,7 @@ class TestGalleryProperties:
         assert gallery_to_text(g) == before
 
     @settings(max_examples=200, deadline=None)
-    @given(mutation=_MUTATIONS)
+    @given(mutation=GALLERY_EDITS)
     def test_mutated_file_rejected_or_bounded(self, mutation):
         g = Gallery()
         rng = np.random.default_rng(11)
@@ -259,7 +290,7 @@ class TestGalleryProperties:
                 enroll(g, name, rng.normal(size=4))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.txt"
-            path.write_text(_mutate(gallery_to_text(g), *mutation))
+            path.write_text(mutate_gallery(gallery_to_text(g), *mutation))
             try:
                 loaded = load_gallery(path)
             except GalleryFormatError:
