@@ -152,11 +152,17 @@ def floored_cot(theta, eps: float = DEFAULT_EPS):
     overflowing; where it engages the kernel is flat, so the slope is 0 there
     and -(1 + cot^2) elsewhere.
     """
-    t = np.tan(theta)
-    abs_t = np.abs(t)
+    t = np.tan(theta, out=np.empty(np.shape(theta)))  # buffers, also for a scalar theta
+    abs_t = np.abs(t, out=np.empty_like(t))
+    cot = np.maximum(abs_t, eps, out=np.empty_like(t))
     # copysign handles tan = +-0.0: the floor keeps the pole's sign
-    cot = 1.0 / np.copysign(np.maximum(abs_t, eps), t)
-    return cot, np.where(abs_t < eps, 0.0, -(1.0 + cot * cot))
+    np.copysign(cot, t, out=cot)
+    np.divide(1.0, cot, out=cot)
+    slope = np.multiply(cot, cot, out=t)
+    slope += 1.0
+    np.negative(slope, out=slope)
+    slope[abs_t < eps] = 0.0
+    return cot[()], slope[()]  # [()] turns 0-d buffers back into scalars
 
 
 def margin_cot(angle, eps: float = DEFAULT_EPS):

@@ -80,10 +80,11 @@ def _cross_entropy(z, labels, ln_b: float):
     """
     rows = np.arange(z.shape[0])
     zmax = z.max(axis=1, keepdims=True)
-    shifted = np.exp(z - zmax)
+    shifted = np.subtract(z, zmax)
+    np.exp(shifted, out=shifted)
     denom = shifted.sum(axis=1, keepdims=True)
     per_sample = (zmax[:, 0] + np.log(denom[:, 0]) - z[rows, labels]) / ln_b
-    grad = shifted / denom
+    grad = np.divide(shifted, denom, out=shifted)
     grad[rows, labels] -= 1.0
     grad /= z.shape[0] * ln_b
     return per_sample, grad
@@ -156,8 +157,9 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     weights = [w for _, w in branches]
     if weights and not sum(getattr(cfg, w) for w in weights) > 0.0:
         raise ValueError(f"{' + '.join(weights)} must be positive")
-    k, dk = _KERNELS[kernel][0](batch.theta, cfg.eps)
-    g, dg = cfg.s * k, cfg.s * dk
+    g, dg = _KERNELS[kernel][0](batch.theta, cfg.eps)  # fresh arrays, scaled in place
+    g *= cfg.s
+    dg *= cfg.s
     n, labels = batch.n_samples, batch.labels
     rows = np.arange(n)
     u = batch.theta[rows, labels]

@@ -63,18 +63,19 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
     sweep = far_frr_sweep(pairs, grid)
     far, frr = sweep[:, 1], sweep[:, 2]
     diff = far - frr
-    for k in range(len(grid) - 1):
-        if diff[k] == 0.0:
-            return float(far[k]), float(grid[k])
-        if diff[k] > 0.0 and diff[k + 1] <= 0.0:
-            if diff[k + 1] == 0.0:
-                return float(far[k + 1]), float(grid[k + 1])
-            lam = diff[k] / (diff[k] - diff[k + 1])
-            value = far[k] + lam * (far[k + 1] - far[k])
-            threshold = grid[k] + lam * (grid[k + 1] - grid[k])
-            return float(value), float(threshold)
-    # diff starts at +1 and ends at -1, so a bracket always exists
-    raise AssertionError("no FAR/FRR crossing found")
+    # the first k with an exact tie, or with a sign change from k to k + 1
+    hits = (diff[:-1] == 0.0) | ((diff[:-1] > 0.0) & (diff[1:] <= 0.0))
+    k = int(hits.argmax())
+    if not hits[k]:  # diff starts at +1 and ends at -1, so a bracket always exists
+        raise AssertionError("no FAR/FRR crossing found")
+    if diff[k] == 0.0:
+        return float(far[k]), float(grid[k])
+    if diff[k + 1] == 0.0:
+        return float(far[k + 1]), float(grid[k + 1])
+    lam = diff[k] / (diff[k] - diff[k + 1])
+    value = far[k] + lam * (far[k + 1] - far[k])
+    threshold = grid[k] + lam * (grid[k + 1] - grid[k])
+    return float(value), float(threshold)
 
 
 def auc(pairs: ScoredPairs) -> float:
@@ -201,12 +202,16 @@ def gap(retrieval: RankedRetrieval) -> float:
     return float((precision * rel).sum()) / retrieval.num_in_gallery
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def sweep_to_csv(sweep: np.ndarray) -> str:
     """Render far_frr_sweep rows as a threshold,far,frr table."""
-    lines = ["threshold,far,frr"]
-    for t, far, frr in sweep:
-        lines.append(f"{t:.17g},{far:.17g},{frr:.17g}")
-    return "\n".join(lines) + "\n"
+    parts = ["threshold,far,frr\n"]
+    for start in range(0, len(sweep), _CSV_BLOCK_ROWS):  # bounds the Python floats alive at once
+        parts += ["%.17g,%.17g,%.17g\n" % (t, far, frr)
+                  for t, far, frr in sweep[start:start + _CSV_BLOCK_ROWS].tolist()]
+    return "".join(parts)
 
 
 def histogram_to_csv(counts_by_name: dict, edges: np.ndarray) -> str:

@@ -89,10 +89,13 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     "capacity" when the identity already holds the maximum; the gallery is
     unchanged on rejection.  A non-finite embedding, one whose norm overflows,
     or one whose dim differs from the gallery's raises ValueError, also leaving
-    the gallery unchanged.
+    the gallery unchanged; so does a name the file cannot hold as one UTF-8
+    line: an empty one, one with a lone surrogate, or one with any line break
+    str.splitlines knows (\r, \v, \f, \x1c-\x1e, U+0085, U+2028, ... as well
+    as \n), since load_gallery splits the file with it.
     """
-    if not name or "\n" in name:
-        raise ValueError("identity name must be non-empty and single-line")
+    if name.splitlines() != [name] or name.encode("utf-8", "replace").decode("utf-8") != name:
+        raise ValueError("identity name must be non-empty, single-line and UTF-8 encodable")
     count = len(gallery._ids[name][1]) if name in gallery._ids else 0
     if not sharpness_ok:
         return EnrollResult(False, "blurry", count)

@@ -217,7 +217,11 @@ def backward(model: MlpModel, cache, grad_theta) -> Grads:
     normalizations, and the affine stack.
     """
     a_list, z_list, emb, emb_norms, head, head_norms, cos = cache
-    dcos = np.asarray(grad_theta) * (-1.0 / np.sqrt(1.0 - cos * cos))
+    dcos = np.multiply(cos, cos)  # dcos = grad_theta * (-1 / sqrt(1 - cos^2)), in one buffer
+    np.subtract(1.0, dcos, out=dcos)
+    np.sqrt(dcos, out=dcos)
+    np.divide(-1.0, dcos, out=dcos)
+    dcos *= grad_theta
     grad_emb_unit = dcos @ head
     grad_head_unit = dcos.T @ emb
     head_grad = _normalization_vjp(head, head_norms, grad_head_unit)
@@ -412,13 +416,50 @@ class GradcheckReport:
         return self.max_rel_err <= tol
 
 
+class _TiledNormal:
+    """Generator stand-in for a loss called on `copies` stacked inputs of n samples.
+
+    Each standard_normal call draws one input's n values from the trial's
+    generator and repeats them for every copy, so each copy sees the margins
+    a call on it alone would draw from default_rng(seed).
+    """
+
+    def __init__(self, seed, n, copies):
+        self._rng = np.random.default_rng(seed)
+        self._n, self._copies = n, copies
+
+    def standard_normal(self, size):
+        if size != self._n * self._copies:
+            raise ValueError(f"expected {self._n * self._copies} draws, got {size!r}")
+        return np.tile(self._rng.standard_normal(self._n), self._copies)
+
+
+def _stacked_values(loss, x, labels, seed):
+    """values(stack) for loss(x, labels, rng), whose per_sample has one entry per row of x.
+
+    The K rows of a (K, x.size) stack become one batch of K copies of x, with
+    the labels tiled K times, scored in one call; each copy's value is the
+    mean of its n per-sample losses, as in a call on that copy alone.
+    """
+    n = len(x)
+
+    def values(stack):
+        k = len(stack)
+        out = loss(stack.reshape(k * n, *x.shape[1:]), np.tile(labels, k), _TiledNormal(seed, n, k))
+        return out.per_sample.reshape(k, n).mean(axis=1)
+
+    return values
+
+
 def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     """Random non-singular configuration for one trial.
 
-    Returns (params, loss_fn, grad_of) where loss_fn(params) is the LossOutput
-    and grad_of(output) its analytic gradient w.r.t. params.  Elastic margins
-    are re-drawn from the same trial seed on every call, so the loss is a
-    deterministic function of params.
+    Returns (params, analytic, values): the flat parameter vector, the
+    analytic gradient there, and values(stack), which maps a (K, P) stack of
+    parameter vectors to their K loss values in one loss call (double_loss
+    counts its pair as one sample, so it takes one call per row).  Elastic
+    margins are drawn from the trial seed for every row, so each value is a
+    deterministic function of its row.
     """
     if loss_name in ANGULAR_LOSSES:
         n_samples = int(cfg_rng.integers(2, 5))
@@ -438,11 +479,13 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
         )
         theta = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
         labels = data_rng.integers(0, n_classes, size=n_samples)
-        fn = ANGULAR_LOSSES[loss_name]
+
+        def loss(x, y, rng):  # the registry is read per call: the traced benchmark wraps it
+            return ANGULAR_LOSSES[loss_name](AngularBatch(x, y), cfg, rng=rng)
+
         return theta.ravel(), \
-            lambda p: fn(AngularBatch(p.reshape(theta.shape), labels), cfg,
-                         rng=np.random.default_rng(trial_seed)), \
-            lambda out: out.grad_theta.ravel()
+            loss(theta, labels, np.random.default_rng(trial_seed)).grad_theta.ravel(), \
+            _stacked_values(loss, theta, labels, trial_seed)
 
     if loss_name == "softmax":
         n_samples = int(cfg_rng.integers(2, 5))
@@ -450,25 +493,26 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
         cfg = LossConfig(log_base="ten" if cfg_rng.integers(2) else "natural")
         logits = data_rng.normal(0.0, 2.0, size=(n_samples, n_classes))
         labels = data_rng.integers(0, n_classes, size=n_samples)
-        return logits.ravel(), \
-            lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg), \
-            lambda out: out.grad_theta.ravel()
+        return logits.ravel(), softmax_loss(logits, labels, cfg).grad_theta.ravel(), \
+            _stacked_values(lambda x, y, rng: softmax_loss(x, y, cfg), logits, labels, trial_seed)
 
     if loss_name == "margin-ce":
         n = int(cfg_rng.integers(2, 9))
         m = float(cfg_rng.uniform(-1.0, 1.0))
         scores = data_rng.normal(0.0, 2.0, size=n)
         labels = data_rng.integers(0, 2, size=n)
-        return scores, \
-            lambda p: margin_sigmoid_ce(p, labels, m), \
-            lambda out: out.grad_scores
+        return scores, margin_sigmoid_ce(scores, labels, m).grad_scores, \
+            _stacked_values(lambda x, y, rng: margin_sigmoid_ce(x, y, m), scores, labels,
+                            trial_seed)
 
     if loss_name == "double":
         n_low = int(cfg_rng.integers(2, 6))
         n_high = int(cfg_rng.integers(2, 6))
-        return data_rng.uniform(0.1, 0.9, size=n_low + n_high), \
-            lambda p: double_loss(ScorePair(low=p[:n_low], high=p[n_low:])), \
-            lambda out: np.concatenate([out.grad_low, out.grad_high])
+        scores = data_rng.uniform(0.1, 0.9, size=n_low + n_high)
+        out = double_loss(ScorePair(low=scores[:n_low], high=scores[n_low:]))
+        return scores, np.concatenate([out.grad_low, out.grad_high]), \
+            lambda stack: np.array([double_loss(ScorePair(low=p[:n_low], high=p[n_low:])).value
+                                    for p in stack])
 
     raise ValueError(f"unknown loss {loss_name!r}")
 
@@ -476,29 +520,33 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
 def gradcheck(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0) -> GradcheckReport:
     """Central-difference check of a loss's analytic gradient.
 
-    Each trial samples a fresh non-singular configuration, perturbs every
-    input coordinate by +-h, and compares (f(+h) - f(-h)) / 2h against the
-    analytic gradient.  Relative error uses |a| + |fd| + 1e-4 in the
-    denominator so near-zero gradients are judged absolutely.
+    Each trial samples a fresh non-singular configuration of P parameters
+    and stacks 2P copies of them, copy i with coordinate i moved by +h and
+    copy P + i by -h, so one loss call scores every copy; (f(+h) - f(-h)) / 2h
+    is compared against the analytic gradient.  Relative error uses
+    |a| + |fd| + 1e-4 in the denominator so near-zero gradients are judged
+    absolutely.  The worst case is the first coordinate, in trial then
+    coordinate order, whose error exceeds every earlier one.
     """
     cfg_rng = np.random.default_rng(seed)
     data_rng = np.random.default_rng(seed + 1)
     max_err, worst = 0.0, {}
     for trial in range(trials):
-        params, loss_fn, grad_of = _fd_setup(loss_name, cfg_rng, data_rng, trial)
-        analytic = grad_of(loss_fn(params))
-        for i in range(params.size):
-            bumped = params.copy()
-            bumped[i] = params[i] + h
-            up = loss_fn(bumped).value
-            bumped[i] = params[i] - h
-            down = loss_fn(bumped).value
-            fd = (up - down) / (2.0 * h)
-            err = abs(analytic[i] - fd) / (abs(analytic[i]) + abs(fd) + 1e-4)
-            if err > max_err:
-                max_err = err
-                worst = {"trial": trial, "coordinate": i,
-                         "analytic": float(analytic[i]), "fd": float(fd)}
+        params, analytic, values = _fd_setup(loss_name, cfg_rng, data_rng, trial)
+        p = params.size
+        coords = np.arange(p)
+        stack = np.tile(params, (2 * p, 1))
+        stack[coords, coords] = params + h
+        stack[coords + p, coords] = params - h
+        f = values(stack)
+        fd = (f[:p] - f[p:]) / (2.0 * h)
+        err = np.abs(analytic - fd) / (np.abs(analytic) + np.abs(fd) + 1e-4)
+        above = np.flatnonzero(err > max_err)
+        if above.size:
+            i = int(above[err[above].argmax()])
+            max_err = float(err[i])
+            worst = {"trial": trial, "coordinate": i,
+                     "analytic": float(analytic[i]), "fd": float(fd[i])}
     return GradcheckReport(loss_name=loss_name, trials=trials,
                            max_rel_err=float(max_err), worst=worst)
 

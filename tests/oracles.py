@@ -3,11 +3,12 @@
 Everything here is deliberately written the slow, obvious way (scalar loops,
 exhaustive enumeration, a dense SVD) and shares no code with the
 library: when a test compares the two, agreement means two distinct
-derivations reached the same numbers.  The one exception is
-detect_per_window, the detection cascade one window and one box at a time:
-it is built from the library's per-box pieces (pyramid, crop_region,
-bilinear_resize, DetectionBox, iou) and judges the array cascade's batching,
-indexing, gating and NMS.
+derivations reached the same numbers.  Two exceptions judge a batched path
+by its one-at-a-time form: detect_per_window, the detection cascade one
+window and one box at a time, is built from the library's per-box pieces
+(pyramid, crop_region, bilinear_resize, DetectionBox, iou) and judges the
+array cascade's batching, indexing, gating and NMS; gradcheck_loop calls the
+library's losses once per bumped coordinate and judges gradcheck's stacking.
 """
 
 from __future__ import annotations
@@ -223,6 +224,90 @@ def match_loop(identities, probe, sim_threshold: float = 0.5):
     if not found or not math.isfinite(best_sim) or best_sim < sim_threshold:
         return None, best_sim
     return best_name, best_sim
+
+
+def _gradcheck_trial(loss_name, cfg_rng, data_rng, trial_seed):
+    """One trial's (params, loss_fn, grad_of), drawn as gradcheck draws it."""
+    from cotface.angular import AngularBatch, LossConfig
+    from cotface.losses import (ANGULAR_LOSSES, ScorePair, double_loss, margin_sigmoid_ce,
+                                softmax_loss)
+
+    if loss_name in ANGULAR_LOSSES:
+        n_samples = int(cfg_rng.integers(2, 5))
+        n_classes = int(cfg_rng.integers(2, 6))
+        cfg = LossConfig(
+            s=float(cfg_rng.uniform(0.5, 4.0)),
+            m=float(cfg_rng.uniform(0.01, 0.3)),
+            m1=float(cfg_rng.uniform(0.9, 1.1)),
+            m2=float(cfg_rng.uniform(0.01, 0.2)),
+            m3=float(cfg_rng.uniform(0.0, 0.2)),
+            sigma1=float(cfg_rng.uniform(0.0, 0.05)),
+            sigma2=float(cfg_rng.uniform(0.0, 0.05)),
+            sigma3=float(cfg_rng.uniform(0.0, 0.05)),
+            alpha=float(cfg_rng.uniform(0.2, 1.0)),
+            beta=float(cfg_rng.uniform(0.2, 1.0)),
+            log_base="ten" if cfg_rng.integers(2) else "natural",
+        )
+        theta = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
+        labels = data_rng.integers(0, n_classes, size=n_samples)
+        return theta.ravel(), \
+            lambda p: ANGULAR_LOSSES[loss_name](
+                AngularBatch(p.reshape(theta.shape), labels), cfg,
+                rng=np.random.default_rng(trial_seed)), \
+            lambda out: out.grad_theta.ravel()
+    if loss_name == "softmax":
+        n_samples = int(cfg_rng.integers(2, 5))
+        n_classes = int(cfg_rng.integers(2, 6))
+        cfg = LossConfig(log_base="ten" if cfg_rng.integers(2) else "natural")
+        logits = data_rng.normal(0.0, 2.0, size=(n_samples, n_classes))
+        labels = data_rng.integers(0, n_classes, size=n_samples)
+        return logits.ravel(), \
+            lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg), \
+            lambda out: out.grad_theta.ravel()
+    if loss_name == "margin-ce":
+        n = int(cfg_rng.integers(2, 9))
+        m = float(cfg_rng.uniform(-1.0, 1.0))
+        scores = data_rng.normal(0.0, 2.0, size=n)
+        labels = data_rng.integers(0, 2, size=n)
+        return scores, lambda p: margin_sigmoid_ce(p, labels, m), lambda out: out.grad_scores
+    if loss_name == "double":
+        n_low = int(cfg_rng.integers(2, 6))
+        n_high = int(cfg_rng.integers(2, 6))
+        return data_rng.uniform(0.1, 0.9, size=n_low + n_high), \
+            lambda p: double_loss(ScorePair(low=p[:n_low], high=p[n_low:])), \
+            lambda out: np.concatenate([out.grad_low, out.grad_high])
+    raise ValueError(f"unknown loss {loss_name!r}")
+
+
+def gradcheck_loop(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0):
+    """gradcheck with one loss call per bumped copy: 2P + 1 calls per trial.
+
+    Draws each trial's configuration in gradcheck's order, moves one
+    coordinate at a time by +-h, and keeps the first coordinate whose
+    relative error strictly exceeds every earlier one.
+    """
+    from cotface.train import GradcheckReport
+
+    cfg_rng = np.random.default_rng(seed)
+    data_rng = np.random.default_rng(seed + 1)
+    max_err, worst = 0.0, {}
+    for trial in range(trials):
+        params, loss_fn, grad_of = _gradcheck_trial(loss_name, cfg_rng, data_rng, trial)
+        analytic = grad_of(loss_fn(params))
+        for i in range(params.size):
+            bumped = params.copy()
+            bumped[i] = params[i] + h
+            up = loss_fn(bumped).value
+            bumped[i] = params[i] - h
+            down = loss_fn(bumped).value
+            fd = (up - down) / (2.0 * h)
+            err = abs(analytic[i] - fd) / (abs(analytic[i]) + abs(fd) + 1e-4)
+            if err > max_err:
+                max_err = err
+                worst = {"trial": trial, "coordinate": i,
+                         "analytic": float(analytic[i]), "fd": float(fd)}
+    return GradcheckReport(loss_name=loss_name, trials=trials,
+                           max_rel_err=float(max_err), worst=worst)
 
 
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):

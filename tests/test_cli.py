@@ -376,6 +376,20 @@ class TestEnrollAuth:
         assert main(["auth", "--gallery", gallery, face]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\u2028b", "a\x85b", "a\rb", "a\udcffb"])
+    def test_enroll_unstorable_name_exits_3(self, tmp_path, capsys, name):
+        """A name the gallery file cannot hold as one line is refused before the
+        file is rewritten, so the gallery still loads."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = tmp_path / "g.txt"
+        assert main(["enroll", "--gallery", str(gallery), "--name", "alice", face]) == 0
+        before = gallery.read_bytes()
+        capsys.readouterr()
+        assert main(["enroll", "--gallery", str(gallery), "--name", name, face]) == 3
+        assert capsys.readouterr().err.startswith("error: identity name")
+        assert gallery.read_bytes() == before
+        assert list(load_gallery(gallery).identities) == ["alice"]
+
     def test_enroll_unreadable_image_exits_3(self, tmp_path):
         assert main(["enroll", "--gallery", str(tmp_path / "g.txt"),
                      "--name", "alice", str(tmp_path / "missing.pgm")]) == 3

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cotface.losses import ScorePair, double_loss
-from cotface.train import GRADCHECK_LOSSES, gradcheck
+from cotface.losses import ANGULAR_LOSSES, ScorePair, double_loss
+from cotface.train import GRADCHECK_LOSSES, _TiledNormal, gradcheck
+from oracles import gradcheck_loop
 
 TOLERANCE = 1e-4
 
@@ -19,6 +20,39 @@ def test_gradcheck_passes(loss_name):
     report = gradcheck(loss_name, trials=25, h=1e-5, seed=0)
     assert report.passed(TOLERANCE), report.worst
     assert report.trials == 25
+
+
+@pytest.mark.parametrize("loss_name", GRADCHECK_LOSSES)
+def test_gradcheck_matches_per_coordinate_loop(loss_name):
+    """Scoring the 2P bumped copies in one call gives the loop's report exactly."""
+    for seed in (0, 1, 7):
+        for h in (1e-5, 1e-3):
+            assert repr(gradcheck(loss_name, 12, h, seed)) == \
+                repr(gradcheck_loop(loss_name, 12, h, seed)), (seed, h)
+
+
+def test_scaled_gradient_fails_both(monkeypatch):
+    """A gradient 0.1% off fails the batched check and the loop alike."""
+    lmcot = ANGULAR_LOSSES["lmcot"]
+
+    def scaled(batch, cfg, rng=None):
+        out = lmcot(batch, cfg, rng=rng)
+        out.grad_theta = out.grad_theta * 1.001
+        return out
+
+    monkeypatch.setitem(ANGULAR_LOSSES, "scaled-lmcot", scaled)
+    batched, loop = gradcheck("scaled-lmcot", trials=10), gradcheck_loop("scaled-lmcot", trials=10)
+    assert not batched.passed(TOLERANCE) and not loop.passed(TOLERANCE)
+    assert repr(batched) == repr(loop)
+
+
+def test_tiled_normal_repeats_one_draw_per_copy():
+    draws = _TiledNormal(4, 3, 2)
+    rng = np.random.default_rng(4)
+    for _ in range(2):  # each call continues the trial's stream, like successive draws
+        np.testing.assert_array_equal(draws.standard_normal(6), np.tile(rng.standard_normal(3), 2))
+    with pytest.raises(ValueError):
+        draws.standard_normal(3)
 
 
 def test_gradcheck_deterministic():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cotface.metrics import (
@@ -93,6 +95,20 @@ class TestEer:
             assert value == expected_value, trial
             assert threshold == expected_threshold, trial
             assert 0.0 <= value <= 1.0
+
+    _GRID_SCORES = st.integers(0, 6).map(lambda k: k / 4.0)
+    _SCORES = st.one_of(_GRID_SCORES, st.floats(-2.0, 3.0, allow_nan=False))
+
+    @given(gen=st.lists(_SCORES, min_size=1, max_size=25),
+           imp=st.lists(_SCORES, min_size=1, max_size=25),
+           shared=st.lists(_GRID_SCORES, max_size=6))
+    @example(gen=[0.25, 0.75], imp=[0.25, 0.75], shared=[])  # FAR == FRR on a grid point
+    @example(gen=[0.5], imp=[0.5], shared=[0.25, 0.75])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exhaustive_oracle_on_ties(self, gen, imp, shared):
+        """Tied and duplicated scores, with scores shared by both sides."""
+        value, threshold = eer(ScoredPairs(genuine=gen + shared, impostor=imp + shared))
+        assert (value, threshold) == oracles.eer_exhaustive(gen + shared, imp + shared)
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
@@ -309,6 +325,16 @@ class TestCsvRendering:
         assert lines[0] == "threshold,far,frr"
         assert len(lines) == 4
         assert lines[2] == "0.5,0,0"
+
+    def test_sweep_table_matches_per_row_format(self):
+        """Several render blocks, signed zeros and extreme values."""
+        rng = np.random.default_rng(5)
+        sweep = rng.normal(0.0, 1.0, (10_000, 3)) * 10.0 ** rng.integers(-300, 300, (10_000, 3))
+        sweep[:4, 0] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+        expected = "\n".join(["threshold,far,frr"] + [f"{t:.17g},{far:.17g},{frr:.17g}"
+                                                        for t, far, frr in sweep]) + "\n"
+        assert sweep_to_csv(sweep) == expected
+        assert sweep_to_csv(np.empty((0, 3))) == "threshold,far,frr\n"
 
     def test_histogram_table(self):
         counts, edges = histogram([0.2, 0.8], bins=2, value_range=(0.0, 1.0))

@@ -31,6 +31,10 @@ from mutations import GALLERY_EDITS, mutate_gallery
 from oracles import match_loop
 
 
+# every line break str.splitlines knows besides "\n"
+_LINE_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def _unit(seed, dim=8):
     return l2_normalize(np.random.default_rng(seed).normal(size=dim))
 
@@ -79,10 +83,33 @@ class TestEnroll:
         assert g.identities == {}
 
     def test_bad_name_rejected(self):
-        with pytest.raises(ValueError):
-            enroll(Gallery(), "", _unit(0))
-        with pytest.raises(ValueError):
-            enroll(Gallery(), "a\nb", _unit(0))
+        g = Gallery()
+        enroll(g, "alice", _unit(0))
+        for name in ["", "a\nb", "\r\n", "a\udcffb"] + [f"a{c}b" for c in _LINE_BREAKS]:
+            with pytest.raises(ValueError, match="identity name"):
+                enroll(g, name, _unit(1))
+        assert list(g.identities) == ["alice"] and g.total_embeddings() == 1
+
+    @given(names=st.lists(
+        st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_LINE_BREAKS)),
+                max_size=6),
+        min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_names_round_trip(self, names):
+        """Every name enroll accepts comes back from save_gallery/load_gallery."""
+        g = Gallery()
+        for k, name in enumerate(names):
+            try:
+                enroll(g, name, _unit(k, dim=3))
+            except ValueError:
+                pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            save_gallery(g, path)
+            loaded = load_gallery(path)
+        assert list(loaded.identities) == list(g.identities)
+        for name, rows in g.identities.items():
+            np.testing.assert_array_equal(np.array(loaded.identities[name]), np.array(rows))
 
 
 class TestMatch:
