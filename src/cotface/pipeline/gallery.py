@@ -20,7 +20,10 @@ every row.
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -146,8 +149,23 @@ def gallery_to_text(gallery: Gallery) -> str:
 
 
 def save_gallery(gallery: Gallery, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_text_lines(gallery))
+    """Write the gallery file atomically.
+
+    The text goes to a temporary file beside path, which then replaces path
+    (taking its permission bits), so a failed write leaves any previous
+    gallery file as it was and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_text_lines(gallery))
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_gallery(path) -> Gallery:

@@ -526,7 +526,8 @@ def gradcheck(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0)
     is compared against the analytic gradient.  Relative error uses
     |a| + |fd| + 1e-4 in the denominator so near-zero gradients are judged
     absolutely.  The worst case is the first coordinate, in trial then
-    coordinate order, whose error exceeds every earlier one.
+    coordinate order, whose error exceeds every earlier one; a non-finite
+    error counts as infinite, so a NaN gradient fails the check.
     """
     cfg_rng = np.random.default_rng(seed)
     data_rng = np.random.default_rng(seed + 1)
@@ -541,6 +542,7 @@ def gradcheck(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0)
         f = values(stack)
         fd = (f[:p] - f[p:]) / (2.0 * h)
         err = np.abs(analytic - fd) / (np.abs(analytic) + np.abs(fd) + 1e-4)
+        err[np.isnan(err)] = np.inf
         above = np.flatnonzero(err > max_err)
         if above.size:
             i = int(above[err[above].argmax()])

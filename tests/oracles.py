@@ -284,7 +284,8 @@ def gradcheck_loop(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int
 
     Draws each trial's configuration in gradcheck's order, moves one
     coordinate at a time by +-h, and keeps the first coordinate whose
-    relative error strictly exceeds every earlier one.
+    relative error strictly exceeds every earlier one, a NaN error counting
+    as infinite.
     """
     from cotface.train import GradcheckReport
 
@@ -302,12 +303,48 @@ def gradcheck_loop(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int
             down = loss_fn(bumped).value
             fd = (up - down) / (2.0 * h)
             err = abs(analytic[i] - fd) / (abs(analytic[i]) + abs(fd) + 1e-4)
+            if math.isnan(err):
+                err = math.inf
             if err > max_err:
                 max_err = err
                 worst = {"trial": trial, "coordinate": i,
                          "analytic": float(analytic[i]), "fd": float(fd)}
     return GradcheckReport(loss_name=loss_name, trials=trials,
                            max_rel_err=float(max_err), worst=worst)
+
+
+def read_scores_loop(path):
+    """The eval scores file read one text-mode line at a time.
+
+    Returns (genuine, impostor) float64 arrays in file order; a ValueError
+    names the first rejected line as path:lineno.
+    """
+    genuine, impostor = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'label,score'")
+            label = parts[0].strip().lower()
+            try:
+                score = float(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if label in ("1", "genuine"):
+                kept = genuine
+            elif label in ("0", "impostor"):
+                kept = impostor
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: non-finite score {parts[1]!r}")
+            kept.append(score)
+    if not genuine or not impostor:
+        raise ValueError(f"{path}: need at least one genuine and one impostor score")
+    return np.array(genuine), np.array(impostor)
 
 
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):

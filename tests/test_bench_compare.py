@@ -45,6 +45,47 @@ def test_medians_quartiles_and_pair_wins(tmp_path):
     assert op["better"] == "lower" and op["bound"] == 0.25
     assert auth["metrics"]["wall_op_ms_median"]["change"]["median"] == 140.0
     assert auth["metrics"]["peak_rss_mb"]["pairs_change_worse"] == 5
+    assert (op["gain_met"], op["within_bound"]) == (False, True)  # 3/5 wins
+    assert "within_bound" not in auth["metrics"]["wall_op_ms_median"]  # no bound
+
+
+def _verdicts(tmp_path, parent_ops, change_ops, rss=(40.0, 40.0)):
+    parent = [_record(tmp_path / f"p{i}.json", "eval", i, v, rss[0], "p")
+              for i, v in enumerate(parent_ops)]
+    change = [_record(tmp_path / f"c{i}.json", "eval", i, v, rss[1], "c")
+              for i, v in enumerate(change_ops)]
+    out = tmp_path / "bench.json"
+    assert bench_compare.main(["--label", "t", "--parent", *parent,
+                               "--change", *change, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["eval"]["metrics"]
+    return {name: (m["gain_met"], m.get("within_bound")) for name, m in metrics.items()}
+
+
+@pytest.mark.parametrize("parent_ops,change_ops,op_verdict", [
+    # 9/10 wins and a median gap (50) wider than the parent's quartile distance
+    ([100, 110, 120, 130, 140, 100, 110, 120, 130, 140],
+     [60, 60, 60, 60, 60, 60, 60, 60, 60, 150], (True, True)),
+    # 8/10 wins: not a gain
+    ([100, 110, 120, 130, 140, 100, 110, 120, 130, 140],
+     [60, 60, 60, 60, 60, 60, 60, 60, 150, 150], (False, True)),
+    # 10/10 wins but a gap (5) inside the parent's quartile distance (20)
+    ([100, 110, 120, 130, 140, 100, 110, 120, 130, 140],
+     [95, 105, 115, 125, 135, 95, 105, 115, 125, 135], (False, True)),
+    # worse by 25% of the parent median: at the bound; by 26%: past it
+    ([100] * 3, [125] * 3, (False, True)),
+    ([100] * 3, [126] * 3, (False, False)),
+])
+def test_gain_and_bound_verdicts(tmp_path, parent_ops, change_ops, op_verdict):
+    verdicts = _verdicts(tmp_path, parent_ops, change_ops)
+    assert verdicts["op_ms"] == op_verdict
+    assert verdicts["wall_op_ms_median"][0] == op_verdict[0]
+
+
+def test_bound_is_relative_to_the_parent_median(tmp_path):
+    verdicts = _verdicts(tmp_path, [100] * 3, [100] * 3, rss=(50.0, 55.5))
+    assert verdicts["peak_rss_mb"] == (False, False)  # +11% against a 10% bound
+    assert _verdicts(tmp_path, [100] * 3, [100] * 3, rss=(50.0, 54.5))["peak_rss_mb"] == \
+        (False, True)
 
 
 @pytest.mark.parametrize("problem", ["one_sided", "mixed_commits", "other_machine"])

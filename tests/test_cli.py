@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotface import cli
 from cotface.cli import main
@@ -32,6 +33,7 @@ from mutations import (
     mutate_pgm,
     mutate_scores,
 )
+from oracles import read_scores_loop
 
 
 def _write_frame(path, kind):
@@ -230,6 +232,76 @@ class TestEval:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["eval", "--scores", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+    @pytest.mark.parametrize("line,message", [
+        ("1,abc", "could not convert string to float: 'abc'"),
+        ("0, nan", "non-finite score ' nan'"),
+        ("genuine,-inf", "non-finite score '-inf'"),
+        ("1,0.5,0.7", "expected 'label,score'"),
+    ])
+    def test_bad_score_line_names_its_line(self, tmp_path, capsys, line, message):
+        scores = self._scores(tmp_path, ["# header", "1,0.9", "0,0.1", line, "0,0.2"])
+        assert main(["eval", "--scores", scores, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {scores}:4: {message}\n"
+
+
+_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"])
+_LABELS = st.sampled_from(["1", "0", "genuine", "impostor", "GENUINE", "Impostor", "gEnUiNe",
+                           "maybe", "2", "", "#1", "1 0"])
+_SCORES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["0.5", "1e400", "-0.0", "1_0", "abc", "", "0x1", "nan", "-inf", "0.5\x1c"]))
+_LINES = st.one_of(
+    st.tuples(_PADS, _LABELS, _PADS, _PADS, _SCORES, _PADS).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]},{t[3]}{t[4]}{t[5]}"),
+    st.tuples(_PADS, st.sampled_from(["#", "# a,b", "#1,0.5,x"])).map("".join),  # comments
+    _PADS,  # blank lines
+    st.sampled_from(["1,0.5,0", "1", "0.25", "0;0.5"]),  # lines the grammar rejects
+)
+
+
+class TestScoresParser:
+    """cli._read_scores_file, block by block, against the line loop of
+    oracles.read_scores_loop: equal arrays bit for bit, or the same ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
+                          min_size=1, max_size=12),
+           last_ending=st.booleans(),
+           block_chars=st.integers(1, 40))
+    def test_matches_line_loop(self, lines, last_ending, block_chars):
+        text = "".join(line + ending for line, ending in lines)
+        if not last_ending:
+            text = text[:-len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = read_scores_loop(path)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    cli._read_scores_file(path, block_chars)
+                assert str(got.value) == str(exc)
+                return
+            pairs = cli._read_scores_file(path, block_chars)
+        for got, want in zip((pairs.genuine, pairs.impostor), expected):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_well_formed_blocks(self, tmp_path):
+        """A long well-formed file with CRLF endings, read whole and in blocks
+        that cut lines (and CRLF pairs) at every offset."""
+        rng = np.random.default_rng(3)
+        labels = rng.choice(["1", "0", "genuine", "Impostor"], 2000)
+        text = "".join(f"{lab},{v!r}\r\n" for lab, v in zip(labels, rng.normal(size=2000).tolist()))
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_scores_loop(path)
+        for block_chars in (7, 64, 1000, 1 << 17):
+            pairs = cli._read_scores_file(path, block_chars)
+            for got, want in zip((pairs.genuine, pairs.impostor), expected):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestRetrievalEval:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cotface.cli import main
 from cotface.losses import ANGULAR_LOSSES, ScorePair, double_loss
 from cotface.train import GRADCHECK_LOSSES, _TiledNormal, gradcheck
 from oracles import gradcheck_loop
@@ -44,6 +45,24 @@ def test_scaled_gradient_fails_both(monkeypatch):
     batched, loop = gradcheck("scaled-lmcot", trials=10), gradcheck_loop("scaled-lmcot", trials=10)
     assert not batched.passed(TOLERANCE) and not loop.passed(TOLERANCE)
     assert repr(batched) == repr(loop)
+
+
+def test_nan_gradient_fails_closed(monkeypatch, capsys):
+    """A NaN analytic gradient fails the batched check, the loop and the CLI."""
+    lmcot = ANGULAR_LOSSES["lmcot"]
+
+    def nan_grad(batch, cfg, rng=None):
+        out = lmcot(batch, cfg, rng=rng)
+        out.grad_theta = out.grad_theta * np.nan
+        return out
+
+    monkeypatch.setitem(ANGULAR_LOSSES, "lmcot", nan_grad)
+    batched, loop = gradcheck("lmcot", trials=3), gradcheck_loop("lmcot", trials=3)
+    assert batched.max_rel_err == np.inf and not batched.passed(TOLERANCE)
+    assert (batched.worst["trial"], batched.worst["coordinate"]) == (0, 0)
+    assert repr(batched) == repr(loop)
+    assert main(["gradcheck", "--loss", "lmcot", "--trials", "3"]) == 1
+    assert "lmcot" in capsys.readouterr().out.split("FAIL")[0]
 
 
 def test_tiled_normal_repeats_one_draw_per_copy():

@@ -1,5 +1,6 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
+from cotface.pipeline import gallery as gallery_module
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
@@ -250,6 +252,26 @@ class TestGalleryFile:
             assert len(loaded.identities[name]) == len(g.identities[name])
             for a, b in zip(loaded.identities[name], g.identities[name]):
                 assert np.array_equal(a, b)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A write that fails midway leaves the old file and no temporary file."""
+        g = Gallery()
+        enroll(g, "alice", _unit(1))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        before = path.read_bytes()
+        enroll(g, "bob", _unit(2))
+        text_lines = gallery_module._text_lines
+
+        def failing_lines(gallery):
+            yield from itertools.islice(text_lines(gallery), 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gallery_module, "_text_lines", failing_lines)
+        with pytest.raises(OSError, match="disk full"):
+            save_gallery(g, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
     def test_load_does_not_renormalize(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -12,8 +12,12 @@ Per workload and metric (every entry of a record's `metrics`, plus the raw
 `wall_op_ms_median`), the output gives each side's run values, median,
 quartiles and quartile distance, the change/parent ratio of the medians, and
 how many pairs the change wins (ties count for neither side).  The better
-direction and the regression bound come from BENCHMARK.json.  It also records
-the runs' machine block, both commits and the failed-op counts.  Stdlib only.
+direction and the regression bound come from BENCHMARK.json.  Two verdicts:
+`gain_met`, the change wins at least 9 of every 10 pairs and its median is
+better than the parent's by more than the parent's quartile distance; and,
+for metrics with a bound, `within_bound`, the change's median is worse than
+the parent's by at most bound x |parent median|.  It also records the runs'
+machine block, both commits and the failed-op counts.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ def compare(parent, change, specs):
                 entry["pairs"] = min(len(p), len(c))
                 entry["pairs_change_better"] = sum(sign * (a - b) > 0 for a, b in zip(p, c))
                 entry["pairs_change_worse"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+                gap = sign * (pm - entry["change"]["median"])
+                entry["gain_met"] = (10 * entry["pairs_change_better"] >= 9 * entry["pairs"]
+                                     and gap > entry["parent"]["iqr"])
+                if "bound" in entry:
+                    entry["within_bound"] = -gap <= entry["bound"] * abs(pm)
             metrics[name] = entry
         out[workload] = {
             "runs": {side: len(recs) for side, recs in sides.items()},
