@@ -48,12 +48,9 @@ class LossConfig:
     sigma3: float = 0.0
     alpha: float = 1.0
     beta: float = 1.0
-    eps: float = DEFAULT_EPS
     log_base: str = "natural"
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.s < 0.0:
             raise ValueError(f"scale s must be >= 0, got {self.s}")
         for name in ("sigma1", "sigma2", "sigma3"):

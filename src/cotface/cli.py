@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
-Exit codes: 0 success (auth: Accepted), 1 failed check or non-accepted
+Exit codes: 0 success (auth: Accepted), 1 failed check (train: an
+embedding run whose last loss is above its first) or non-accepted
 outcome, 2 usage error (argparse, or a train argument that cannot work:
 ConfigError), 3 unreadable or malformed input/output files.  Every
 subcommand is deterministic for a fixed --seed: reruns produce byte-identical
@@ -272,8 +273,12 @@ def _cmd_train(args) -> int:
         save_model(model, args.save_model)
     for k, v in sorted(report.metrics.items()):
         print(f"{k} {v:.6f}")
-    print(f"loss {report.loss_curve[0]:.6f} -> {report.loss_curve[-1]:.6f} "
-          f"({args.steps} steps, {report.wall_time_s:.2f}s)")
+    first, last = report.loss_curve[0], report.loss_curve[-1]
+    print(f"loss {first:.6f} -> {last:.6f} ({args.steps} steps, {report.wall_time_s:.2f}s)")
+    # a binary task's per-step loss is a random minibatch's, so only embedding runs are judged
+    if args.task == "embedding" and last > first:
+        print(f"diverged: loss rose from {first:.6f} to {last:.6f}", file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -378,8 +383,14 @@ def _cmd_eval(args) -> int:
 
 
 def _read_ranked_file(path):
-    """Parse query,rank,correct,confidence lines (query order preserved);
-    GAP's flat confidence view holds each query's rank-1 row only."""
+    """Parse query,rank,correct,confidence lines (query order preserved).
+
+    Blank and "#" lines are skipped.  Every other line has four fields: a
+    query, an integer rank >= 1 that is unique within its query, correct 0 or
+    1, and a finite confidence; a ValueError names the first line that breaks
+    this as path:lineno.  GAP's flat confidence view holds each query's
+    rank-1 row only.
+    """
     per_query: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -387,25 +398,36 @@ def _read_ranked_file(path):
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
+            where = f"{path}:{lineno}"
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'query,rank,correct,confidence'")
-            query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+                raise ValueError(f"{where}: expected 'query,rank,correct,confidence'")
+            try:
+                query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            entries = per_query.setdefault(query, {})
+            if rank < 1:
+                raise ValueError(f"{where}: rank must be >= 1, got {rank}")
+            if rank in entries:
+                raise ValueError(f"{where}: rank {rank} repeats within query {query!r}")
             if correct not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: correct must be 0 or 1")
-            per_query.setdefault(query, []).append((rank, correct, conf))
+                raise ValueError(f"{where}: correct must be 0 or 1")
+            if not math.isfinite(conf):
+                raise ValueError(f"{where}: non-finite confidence {parts[3]!r}")
+            entries[rank] = (correct, conf)
     if not per_query:
         raise ValueError(f"{path}: no predictions")
     queries, top = [], []
     for query, entries in per_query.items():
-        entries.sort(key=lambda e: e[0])
-        rel = np.array([c for _, c, _ in entries])
+        ranked = [entries[rank] for rank in sorted(entries)]
+        rel = np.array([c for c, _ in ranked])
         # the file carries no relevant-item counts; use the correct count
         queries.append(RankedQuery(rel=rel, num_relevant=int(rel.sum())))
-        top.append(entries[0])
+        top.append(ranked[0])
     return per_query, RankedRetrieval(
         queries=queries,
-        confidences=np.array([conf for _, _, conf in top]),
-        correct=np.array([c for _, c, _ in top]),
+        confidences=np.array([conf for _, conf in top]),
+        correct=np.array([c for c, _ in top]),
     )
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (
+    DEFAULT_EPS,
     AngularBatch,
     LossConfig,
     elastic_sample,
@@ -157,7 +158,7 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     weights = [w for _, w in branches]
     if weights and not sum(getattr(cfg, w) for w in weights) > 0.0:
         raise ValueError(f"{' + '.join(weights)} must be positive")
-    g, dg = _KERNELS[kernel][0](batch.theta, cfg.eps)  # fresh arrays, scaled in place
+    g, dg = _KERNELS[kernel][0](batch.theta, DEFAULT_EPS)  # fresh arrays, scaled in place
     g *= cfg.s
     dg *= cfg.s
     n, labels = batch.n_samples, batch.labels
@@ -171,7 +172,7 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     slope = cfg.s if e1 is None else cfg.s * e1
     per_sample = grad = None
     for true_kernel, weight in branches or ((kernel, None),):
-        k, dk = _KERNELS[true_kernel][1](u, cfg.eps)
+        k, dk = _KERNELS[true_kernel][1](u, DEFAULT_EPS)
         g[rows, labels] = cfg.s * (k if e3 is None else k - e3)  # g becomes the logits
         ps, gz = _cross_entropy(g, labels, cfg.log_divisor)
         gz_true = gz[rows, labels] * (slope * dk)

@@ -35,26 +35,6 @@ class AuthOutcome:
     similarity: float | None = None
     spoof_score: float | None = None
 
-    @classmethod
-    def no_face(cls):
-        return cls(kind="no_face")
-
-    @classmethod
-    def invalid_face(cls, spoof_score: float):
-        return cls(kind="invalid_face", spoof_score=spoof_score)
-
-    @classmethod
-    def stranger(cls, similarity: float):
-        return cls(kind="stranger", similarity=similarity)
-
-    @classmethod
-    def eyes_closed(cls, identity: str):
-        return cls(kind="eyes_closed", identity=identity)
-
-    @classmethod
-    def accepted(cls, identity: str, similarity: float):
-        return cls(kind="accepted", identity=identity, similarity=similarity)
-
 
 def spoof_gate(score: float, threshold: float = DEFAULT_SPOOF_THRESHOLD) -> bool:
     """True when the frame counts as live; scores >= threshold and non-finite
@@ -97,27 +77,27 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
 
     boxes = detect(frame, scorers.detector, det_cfg)
     if not boxes:
-        return AuthOutcome.no_face()
+        return AuthOutcome("no_face")
     face = max(boxes, key=lambda b: b.area)
     if not min_face_filter([face], frame.width, config.min_face_ratio):
-        return AuthOutcome.no_face()
+        return AuthOutcome("no_face")
 
     crop, landmarks = align(frame, face)
 
     spoof_score = float(scorers.spoof(frame))
     if not spoof_gate(spoof_score, config.spoof_threshold):
-        return AuthOutcome.invalid_face(spoof_score)
+        return AuthOutcome("invalid_face", spoof_score=spoof_score)
 
     embedding = scorers.embedder(crop)
     identity, best_sim = match(gallery, embedding, config.sim_threshold)
     if identity is None:
-        return AuthOutcome.stranger(best_sim)
+        return AuthOutcome("stranger", similarity=best_sim)
 
     if landmarks is not None and landmarks.shape[0] >= 2:
         left, right = eye_crops(crop, landmarks[0], landmarks[1])
         scores = (float(scorers.eye_closed(left)), float(scorers.eye_closed(right)))
         # a non-finite score on either eye rejects, like both eyes closed
         if not np.isfinite(scores).all() or min(scores) >= config.eye_closed_threshold:
-            return AuthOutcome.eyes_closed(identity)
+            return AuthOutcome("eyes_closed", identity=identity)
 
-    return AuthOutcome.accepted(identity, best_sim)
+    return AuthOutcome("accepted", identity=identity, similarity=best_sim)

@@ -8,12 +8,16 @@ detection pyramid, and box and eye-region cropping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_PIXEL_THRESHOLD = 30.0
 SHARPNESS_COUNT_FRACTION = 0.005
+# one PGM header token: skip whitespace and "#" comments (to the end of their
+# line), then take a run of non-whitespace that does not start a comment
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
 @dataclass
@@ -49,20 +53,11 @@ def read_pgm(path) -> GrayImage:
 
     def next_token():
         nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PGM_TOKEN.match(data, pos)
+        if match is None:
             raise ValueError(f"{path}: truncated PGM header")
-        return data[start:pos]
+        pos = match.end()
+        return match[1]
 
     magic = next_token()
     if magic != b"P5":

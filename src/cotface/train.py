@@ -34,6 +34,8 @@ from .metrics import ScoredPairs, auc, eer
 
 TASKS = ("embedding", "binary-live-spoof", "binary-eye-state")
 BINARY_TASKS = ("binary-live-spoof", "binary-eye-state")
+EVAL_FRACTION = 0.25  # trailing share of each class held out for the metrics
+PURE_BATCH_SIZE = 16  # binary tasks: samples in each single-label batch
 
 
 class ConfigError(ValueError):
@@ -104,7 +106,6 @@ class TrainReport:
     loss_curve: list
     wall_ms: list
     metrics: dict
-    config: dict
     wall_time_s: float = 0.0
 
     def to_records(self) -> str:
@@ -250,12 +251,12 @@ def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
     return model
 
 
-def _split_indices(labels, eval_fraction, n_classes):
+def _split_indices(labels, n_classes):
     """Per-class deterministic split: the trailing fraction is held out."""
     train_idx, eval_idx = [], []
     for c in range(n_classes):
         idx = np.flatnonzero(labels == c)
-        k = max(1, int(round(len(idx) * eval_fraction)))
+        k = max(1, int(round(len(idx) * EVAL_FRACTION)))
         train_idx.extend(idx[:-k])
         eval_idx.extend(idx[-k:])
     return np.array(train_idx), np.array(eval_idx)
@@ -285,9 +286,7 @@ def train_loop(
     seed: int = 0,
     hidden=(32, 32),
     embed_dim: int = 32,
-    eval_fraction: float = 0.25,
     batch_size: int = 32,
-    pure_batch_size: int = 16,
 ) -> tuple[MlpModel, TrainReport]:
     """Train a model on a synthetic spec and report curve plus metrics.
 
@@ -301,8 +300,10 @@ def train_loop(
 
     A non-finite loss aborts with TrainingDivergedError.
     """
+    if steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {steps}")
     x, labels = synth_dataset(spec)
-    train_idx, eval_idx = _split_indices(labels, eval_fraction, spec.n_classes)
+    train_idx, eval_idx = _split_indices(labels, spec.n_classes)
     rng = np.random.default_rng(seed)
     t_start = time.perf_counter()
     curve, wall_ms = [], []
@@ -313,7 +314,7 @@ def train_loop(
         if len(eval_idx) < 2 * spec.n_classes:
             raise ConfigError(
                 f"--per-class {spec.per_class} holds out one sample per class; the "
-                "held-out verification EER needs two (per_class * eval_fraction >= 1.5)")
+                "held-out verification EER needs two (per_class * EVAL_FRACTION >= 1.5)")
         loss_fn = ANGULAR_LOSSES[loss_name]
         model = init_embedding_model(spec.dim, spec.n_classes,
                                      hidden=hidden, embed_dim=embed_dim, seed=seed)
@@ -345,8 +346,8 @@ def train_loop(
         for step in range(steps):
             t0 = time.perf_counter()
             mixed = rng.choice(train_idx, size=batch_size, replace=True)
-            pure0 = rng.choice(pools[0], size=pure_batch_size, replace=True)
-            pure1 = rng.choice(pools[1], size=pure_batch_size, replace=True)
+            pure0 = rng.choice(pools[0], size=PURE_BATCH_SIZE, replace=True)
+            pure1 = rng.choice(pools[1], size=PURE_BATCH_SIZE, replace=True)
             raw, cache = forward_scores(model, x[mixed])
             ce = margin_sigmoid_ce(raw, labels[mixed], cfg.m)
             total = ce.value
@@ -372,15 +373,6 @@ def train_loop(
         loss_curve=curve,
         wall_ms=wall_ms,
         metrics=metrics_out,
-        config={
-            "task": spec.task, "loss": loss_name, "steps": steps, "lr": lr,
-            "seed": seed, "n_classes": spec.n_classes, "dim": spec.dim,
-            "per_class": spec.per_class, "intra_spread": spec.intra_spread,
-            "data_seed": spec.seed, "s": cfg.s, "m": cfg.m,
-            "m1": cfg.m1, "m2": cfg.m2, "m3": cfg.m3,
-            "sigma1": cfg.sigma1, "sigma2": cfg.sigma2, "sigma3": cfg.sigma3,
-            "alpha": cfg.alpha, "beta": cfg.beta, "log_base": cfg.log_base,
-        },
         wall_time_s=time.perf_counter() - t_start,
     )
     return model, report

@@ -8,7 +8,9 @@ by its one-at-a-time form: detect_per_window, the detection cascade one
 window and one box at a time, is built from the library's per-box pieces
 (pyramid, crop_region, bilinear_resize, DetectionBox, iou) and judges the
 array cascade's batching, indexing, gating and NMS; gradcheck_loop calls the
-library's losses once per bumped coordinate and judges gradcheck's stacking.
+library's losses once per bumped coordinate and judges gradcheck's stacking;
+read_pgm_scan, a byte-at-a-time PGM header scanner, builds the library's
+GrayImage so that its checks raise the same errors.
 """
 
 from __future__ import annotations
@@ -352,3 +354,47 @@ def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int =
     x, w = np.polynomial.hermite.hermgauss(nodes)
     values = [per_margin_value(mean + sigma * math.sqrt(2.0) * xi) for xi in x]
     return float(np.dot(w, values) / math.sqrt(math.pi))
+
+
+def read_pgm_scan(path):
+    """Binary (P5) PGM read by scanning the header one byte at a time.
+
+    Whitespace and "#" comments (up to, not including, the next newline)
+    separate tokens; a token runs to the next whitespace byte.
+    """
+    from cotface.pipeline import GrayImage
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
+                pos += 1
+            elif data[pos : pos + 1] == b"#":
+                while pos < len(data) and data[pos : pos + 1] != b"\n":
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
+        return data[start:pos]
+
+    magic = next_token()
+    if magic != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
+    width, height, maxval = (int(next_token()) for _ in range(3))
+    if not 0 < maxval <= 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    pos += 1  # single whitespace byte after maxval
+    raster = data[pos : pos + width * height]
+    if len(raster) != width * height:
+        raise ValueError(f"{path}: raster truncated")
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    return GrayImage(pixels.astype(np.float64))

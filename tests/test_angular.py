@@ -27,7 +27,7 @@ class TestLossConfig:
         assert LossConfig(log_base="ten").log_divisor == pytest.approx(np.log(10.0))
 
     @pytest.mark.parametrize("kwargs", [
-        {"eps": 0.0}, {"eps": -1e-9}, {"s": -1.0},
+        {"s": -1.0},
         {"sigma1": -0.1}, {"sigma2": -0.1}, {"sigma3": -0.1},
         {"log_base": "two"},
     ])

@@ -180,6 +180,32 @@ class TestTrain:
         assert "6" in _TRAIN_ARGS
         assert main(_TRAIN_ARGS + ["--out", str(tmp_path / "x")]) == 0
 
+    def test_diverged_embedding_run_writes_outputs_and_exits_1(self, tmp_path, capsys):
+        """lmcot at its defaults (s=64, m=0.5, lr=0.1) ends with a higher loss than
+        it started with: the outputs are written, then the run fails."""
+        out = tmp_path / "run"
+        assert main(["train", "--loss", "lmcot", "--out", str(out)]) == 1
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[1]) > float(rows[0].split(",")[1])
+        assert (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: loss rose from ") and err.count("\n") == 1
+
+    def test_binary_run_with_rising_minibatch_loss_exits_0(self, tmp_path):
+        """A binary task's per-step loss is a random minibatch's; at lr 0 and this
+        seed the last one is above the first, which is not a failure."""
+        out = tmp_path / "bin"
+        args = ["train", "--task", "binary-live-spoof", "--loss", "margin-ce",
+                "--steps", "5", "--lr", "0.0", "--seed", "0", "--dim", "8",
+                "--per-class", "30", "--hidden", "8", "--out", str(out)]
+        assert main(args) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[1]) > float(rows[0].split(",")[1])
+
+    def test_zero_steps_is_a_usage_error(self, tmp_path, capsys):
+        assert main(_TRAIN_ARGS + ["--steps", "0", "--out", str(tmp_path / "x")]) == 2
+        assert "--steps" in capsys.readouterr().err
+
     def test_save_model_round_trip(self, tmp_path):
         out = tmp_path / "run"
         model_path = tmp_path / "model.npz"
@@ -549,6 +575,26 @@ class TestMalformedInput:
             malformed = not _well_formed(cli._read_scores_file, scores)
             _assert_fails_cleanly(
                 _run_cli(["eval", "--scores", str(scores), "--out", str(Path(tmp) / "o")]), malformed)
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("q1,1,1,nan\n", 1),
+        ("q1,x,1,0.5\n", 1),
+        ("q1,1,1,0.9\nq1,1,0,0.8\nq2,-3,1,inf\n", 2),
+        ("q1,1,1,0.9\nq2,-3,1,0.5\n", 2),
+        ("q1,1,1,inf\n", 1),
+        ("q1,1,2,0.5\n", 1),
+        ("q1,1,1\n", 1),
+    ])
+    def test_ranked_files(self, tmp_path, text, lineno):
+        """A non-finite confidence, a field that is not a number, a rank below 1,
+        a rank repeated within a query, a correct flag other than 0 or 1 and a
+        short line each name their line."""
+        ranked = tmp_path / "ranked.txt"
+        ranked.write_text(text)
+        code, err = _run_cli(["retrieval-eval", "--ranked", str(ranked),
+                              "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert err.startswith(f"error: {ranked}:{lineno}: ") and err.count("\n") == 1
 
 
 class TestConsoleScript:

@@ -1,7 +1,12 @@
 """Pixel-level operations: Laplacian, sharpness gate, pyramid, crops, PGM."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotface.pipeline import (
     GrayImage,
@@ -15,6 +20,7 @@ from cotface.pipeline import (
     write_pgm,
 )
 from cotface.pipeline.image import crop_bounds, crop_resize
+from oracles import read_pgm_scan
 
 
 def _blank(h, w, level=0.0):
@@ -261,3 +267,57 @@ class TestPgm:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_pgm(tmp_path / "absent.pgm")
+
+
+# a P5 header (magic, width, height, maxval) joined by separators: a
+# whitespace byte, then whitespace and newline-terminated comments
+_PGM_SPACES = st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\r\n"])
+_PGM_COMMENTS = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+_PGM_SEPARATORS = st.tuples(_PGM_SPACES, st.lists(st.one_of(_PGM_SPACES, _PGM_COMMENTS),
+                                                  max_size=3)).map(lambda t: t[0] + b"".join(t[1]))
+_PGM_HEADERS = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 255),
+    st.lists(_PGM_SEPARATORS, min_size=3, max_size=3), _PGM_SPACES)
+# one edit or none: a header token swapped for an odd one, junk bytes spliced
+# in (an unterminated comment, a byte that is not whitespace, ...), or the
+# file cut short by some bytes
+_PGM_EDITS = st.one_of(
+    st.none(),
+    st.tuples(st.just("swap"), st.integers(0, 3),
+              st.sampled_from([b"P2", b"P5x", b"P", b"0", b"256", b"-1", b"+2", b"1_0",
+                               b"02", b"x", b"1e3", b"2#c", b"\xff", b""])),
+    st.tuples(st.just("junk"), st.integers(0, 40),
+              st.one_of(st.sampled_from([b"#", b"#c", b"\x1c", b"\x00", b"\x85", b" "]),
+                        st.binary(max_size=3))),
+    st.tuples(st.just("cut"), st.integers(1, 40), st.none()))
+
+
+def _pgm_result(reader, path):
+    """Pixels, or the exception's type and message."""
+    try:
+        return reader(path).pixels.tolist()
+    except ValueError as exc:  # its subclass is part of the comparison
+        return type(exc), str(exc)
+
+
+class TestPgmScannerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(header=_PGM_HEADERS, raster=st.binary(min_size=16, max_size=20), edit=_PGM_EDITS)
+    def test_matches_byte_scanner(self, header, raster, edit):
+        """read_pgm gives the byte scanner's pixels, or its exception type and
+        message, on random headers, edits and truncations."""
+        width, height, maxval, separators, last = header
+        tokens = [b"P5", str(width).encode(), str(height).encode(), str(maxval).encode()]
+        kind, at, piece = edit or (None, 0, None)
+        if kind == "swap":
+            tokens[at] = piece
+        data = b"".join(t + sep for t, sep in zip(tokens, separators + [last])) + raster
+        if kind == "junk":
+            at %= len(data) + 1
+            data = data[:at] + piece + data[at:]
+        if kind == "cut":
+            data = data[:max(len(data) - at, 0)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "img.pgm"
+            path.write_bytes(data)
+            assert _pgm_result(read_pgm, path) == _pgm_result(read_pgm_scan, path)
