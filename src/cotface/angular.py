@@ -3,9 +3,10 @@
 Features and class-center weights are compared on the unit hypersphere: both
 are L2-normalized, so the logit between sample i and class j is a pure
 function of the angle theta_ji = arccos(<x_i, w_j>).  This module provides the
-normalization, the feature-to-angle map, the cotangent (floored for
-competitor classes, pole-checked for margin-shifted angles) with the paper's
-two kernels, and the Gaussian margin sampler used by the elastic losses.
+normalization, the feature-to-angle map, the cotangent (from cosines and
+floored for competitor classes, pole-checked for margin-shifted angles) with
+the paper's two kernels, and the Gaussian margin sampler used by the elastic
+losses.
 """
 
 from __future__ import annotations
@@ -67,39 +68,48 @@ class LossConfig:
 
 @dataclass
 class AngularBatch:
-    """A batch of sample-to-class angles with integer labels.
+    """A batch of sample-to-class angles, or of their cosines, with integer labels.
 
     theta has shape (N, n_classes), radians in [0, pi); labels has shape (N,)
-    with values in [0, n_classes).
+    with values in [0, n_classes).  A cosine batch passes theta=None and cos
+    instead, with values in [-1, 1] and the labeled ones strictly inside, so
+    that their angles have a finite gradient.  An angle batch gets cos(theta).
     """
 
-    theta: np.ndarray
+    theta: np.ndarray | None
     labels: np.ndarray
+    cos: np.ndarray | None = None
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        if (self.theta is None) == (self.cos is None):
+            raise ValueError("give either theta or cos")
+        name = "theta" if self.cos is None else "cos"
+        values = np.asarray(getattr(self, name), dtype=np.float64)
         self.labels = np.asarray(self.labels)
-        if self.theta.ndim != 2:
-            raise ValueError("theta must be 2-D (N, n_classes)")
-        if self.labels.shape != (self.theta.shape[0],):
+        if values.ndim != 2:
+            raise ValueError(f"{name} must be 2-D (N, n_classes)")
+        if self.labels.shape != (values.shape[0],):
             raise ValueError("labels must have shape (N,)")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ValueError("labels must be integers")
-        if not np.isfinite(self.theta).all():
-            raise ValueError("theta contains non-finite values")
-        if (self.theta < 0.0).any() or (self.theta >= np.pi).any():
-            raise ValueError("angles must lie in [0, pi)")
-        n = self.theta.shape[1]
-        if (self.labels < 0).any() or (self.labels >= n).any():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} contains non-finite values")
+        if (self.labels < 0).any() or (self.labels >= values.shape[1]).any():
             raise ValueError("labels out of range")
+        if self.cos is None and ((values < 0.0).any() or (values >= np.pi).any()):
+            raise ValueError("angles must lie in [0, pi)")
+        labeled = np.abs(values[np.arange(values.shape[0]), self.labels])
+        if self.theta is None and ((np.abs(values) > 1.0).any() or (labeled == 1.0).any()):
+            raise ValueError("cosines must lie in [-1, 1], the labeled ones in (-1, 1)")
+        self.theta, self.cos = (values, np.cos(values)) if self.cos is None else (None, values)
 
     @property
     def n_samples(self) -> int:
-        return self.theta.shape[0]
+        return self.cos.shape[0]
 
     @property
     def n_classes(self) -> int:
-        return self.theta.shape[1]
+        return self.cos.shape[1]
 
 
 def l2_normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -138,57 +148,51 @@ def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndar
         raise ValueError("non-finite input")
     fn = l2_normalize_rows(features, eps)
     wn = l2_normalize_rows(weights, eps)
-    cos = np.clip(fn @ wn.T, -1.0 + eps, 1.0 - eps)
-    return np.arccos(cos)
+    return np.arccos(np.clip(fn @ wn.T, -1.0 + eps, 1.0 - eps))
 
 
-def floored_cot(theta, eps: float = DEFAULT_EPS):
-    """cot(theta) and its slope, with |tan| floored at eps (sign kept).
+def cot_from_cos(cos, eps: float = DEFAULT_EPS):
+    """(cot, d cot/d cos, sin) of theta from cos(theta), with sin floored at eps.
 
-    The floor makes cot saturate at +-1/eps near the poles instead of
-    overflowing; where it engages the kernel is flat, so the slope is 0 there
-    and -(1 + cot^2) elsewhere.
+    sin = max(sqrt((1 - cos)(1 + cos)), eps), factored to keep its digits as
+    |cos| nears 1, holds cot at +-cos/eps near the poles; the slope is
+    (1 + cot^2)/sin = 1/sin^3, and 1/eps where the floor engages.
     """
-    t = np.tan(theta, out=np.empty(np.shape(theta)))  # buffers, also for a scalar theta
-    abs_t = np.abs(t, out=np.empty_like(t))
-    cot = np.maximum(abs_t, eps, out=np.empty_like(t))
-    # copysign handles tan = +-0.0: the floor keeps the pole's sign
-    np.copysign(cot, t, out=cot)
-    np.divide(1.0, cot, out=cot)
-    slope = np.multiply(cot, cot, out=t)
-    slope += 1.0
-    np.negative(slope, out=slope)
-    slope[abs_t < eps] = 0.0
-    return cot[()], slope[()]  # [()] turns 0-d buffers back into scalars
+    sin = np.sqrt((1.0 - cos) * (1.0 + cos))
+    floored = sin < eps
+    sin = np.maximum(sin, eps)
+    cot = cos / sin
+    return cot, np.where(floored, 1.0 / eps, (1.0 + cot * cot) / sin), sin
 
 
 def margin_cot(angle, eps: float = DEFAULT_EPS):
-    """cot(angle) and its slope for margin-shifted angles, pole-checked.
+    """cot(angle) and its slope -(1 + cot^2) for margin-shifted angles.
 
     Raises SingularityError when any angle falls within eps of a multiple of
-    pi; past that check floored_cot's floor does not engage.
+    pi, so the cotangent stays finite.
     """
     rem = np.remainder(angle, np.pi)  # in [0, pi)
     if (np.minimum(rem, np.pi - rem) < eps).any():
         raise SingularityError("cot undefined: angle within eps of a multiple of pi")
-    return floored_cot(angle, eps)
+    cot = 1.0 / np.tan(angle)
+    return cot, -(1.0 + cot * cot)
 
 
 def cot_via_theta(theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     """Cotangent kernel working directly in angle space.
 
-    Returns (cot_theta, cot_theta_m): the floored cot(theta) and the
-    pole-checked cot(theta + m), which raises SingularityError.
+    Returns (cot_theta, cot_theta_m): cot(theta) with |tan| floored at eps and
+    the pole-checked cot(theta + m), which raises SingularityError.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    return floored_cot(theta, eps)[0], margin_cot(theta + m, eps)[0]
+    t = np.tan(theta)
+    return 1.0 / np.copysign(np.maximum(np.abs(t), eps), t), margin_cot(theta + m, eps)[0]
 
 
 def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     """Cotangent kernel working from cosines via angle-addition identities.
 
-    sin(theta) is recovered as max(sqrt(1 - cos^2), eps) (theta in [0, pi] so
-    the root is non-negative), then
+    cot(theta) and the floored sin(theta) come from cot_from_cos, then
         cos(theta + m) = cos*cos(m) - sin*sin(m)
         sin(theta + m) = sin*cos(m) + cos*sin(m)
     Returns (cot_theta, cot_theta_m).  Raises SingularityError when
@@ -197,8 +201,7 @@ def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     cos_t = np.asarray(cos_theta, dtype=np.float64)
     if (np.abs(cos_t) > 1.0).any():
         raise ValueError("cosines must lie in [-1, 1]")
-    sin_t = np.maximum(np.sqrt(1.0 - cos_t * cos_t), eps)
-    cot_theta = cos_t / sin_t
+    cot_theta, _, sin_t = cot_from_cos(cos_t, eps)
     cos_m, sin_m = np.cos(m), np.sin(m)
     cos_tm = cos_t * cos_m - sin_t * sin_m
     sin_tm = sin_t * cos_m + cos_t * sin_m

@@ -3,7 +3,7 @@
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
 Exit codes: 0 success (auth: Accepted), 1 failed check (train: an
 embedding run whose last loss is above its first) or non-accepted
-outcome, 2 usage error (argparse, or a train argument that cannot work:
+outcome, 2 usage error (argparse, or an argument that cannot work:
 ConfigError), 3 unreadable or malformed input/output files.  Every
 subcommand is deterministic for a fixed --seed: reruns produce byte-identical
 primary output files.
@@ -387,9 +387,9 @@ def _read_ranked_file(path):
 
     Blank and "#" lines are skipped.  Every other line has four fields: a
     query, an integer rank >= 1 that is unique within its query, correct 0 or
-    1, and a finite confidence; a ValueError names the first line that breaks
-    this as path:lineno.  GAP's flat confidence view holds each query's
-    rank-1 row only.
+    1, and a finite confidence, and a query's ranks must be exactly 1..k; a
+    ValueError names the first line that breaks this as path:lineno (for a
+    gap, the rank after it).  GAP's flat view holds each query's rank-1 row.
     """
     per_query: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -414,29 +414,31 @@ def _read_ranked_file(path):
                 raise ValueError(f"{where}: correct must be 0 or 1")
             if not math.isfinite(conf):
                 raise ValueError(f"{where}: non-finite confidence {parts[3]!r}")
-            entries[rank] = (correct, conf)
+            entries[rank] = (correct, conf, lineno)
     if not per_query:
         raise ValueError(f"{path}: no predictions")
     queries, top = [], []
     for query, entries in per_query.items():
+        for k, rank in enumerate(sorted(entries), 1):
+            if rank != k:
+                raise ValueError(f"{path}:{entries[rank][2]}: query {query!r} skips rank {k}")
         ranked = [entries[rank] for rank in sorted(entries)]
-        rel = np.array([c for c, _ in ranked])
+        rel = np.array([c for c, _, _ in ranked])
         # the file carries no relevant-item counts; use the correct count
         queries.append(RankedQuery(rel=rel, num_relevant=int(rel.sum())))
         top.append(ranked[0])
-    return per_query, RankedRetrieval(
+    return RankedRetrieval(
         queries=queries,
-        confidences=np.array([conf for _, conf in top]),
-        correct=np.array([c for c, _ in top]),
+        confidences=np.array([conf for _, conf, _ in top]),
+        correct=np.array([c for c, _, _ in top]),
     )
 
 
 def _cmd_retrieval_eval(args) -> int:
-    per_query, retrieval = _read_ranked_file(args.ranked)
-    retrieval.num_in_gallery = (
-        args.gallery_queries if args.gallery_queries is not None else len(per_query))
-    if retrieval.num_in_gallery < 1:
-        raise ValueError("--gallery-queries must be >= 1")
+    if args.gallery_queries is not None and args.gallery_queries < 1:
+        raise ConfigError(f"--gallery-queries must be >= 1, got {args.gallery_queries}")
+    retrieval = _read_ranked_file(args.ranked)
+    retrieval.num_in_gallery = args.gallery_queries or len(retrieval.queries)
     map_value = map_at_100(retrieval)
     gap_value = gap(retrieval)
     out = Path(args.out)

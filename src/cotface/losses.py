@@ -9,7 +9,7 @@ margins), and the per-sample loss is
 
 computed as logit minus log-sum-exp with a max shift so large logits cannot
 overflow.  The batch value is the mean of the per-sample losses; grad_theta
-carries d(value)/d(theta_ji) with the same shape as the angle matrix.
+(grad_cos for a cosine batch) carries its gradient in the batch's shape.
 PRESETS gives each named loss its kernel, margins and true-class branches.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
 combined margins) uses cos; the cotangent family uses cot, which diverges as
@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (
-    DEFAULT_EPS,
     AngularBatch,
     LossConfig,
+    cot_from_cos,
     elastic_sample,
-    floored_cot,
     margin_cot,
 )
 
@@ -41,14 +40,15 @@ from .angular import (
 class LossOutput:
     """Loss value plus the gradients a trainer needs.
 
-    value = mean(per_sample).  grad_theta is set by the angular losses (for
-    plain softmax it is the gradient w.r.t. the raw logits); grad_scores by
-    margin_sigmoid_ce; grad_low/grad_high by double_loss.
+    value = mean(per_sample).  The angular losses set grad_theta, or grad_cos
+    for a cosine batch (softmax_loss sets grad_theta to d/d(logits));
+    grad_scores by margin_sigmoid_ce; grad_low/grad_high by double_loss.
     """
 
     value: float
     per_sample: np.ndarray
     grad_theta: np.ndarray | None = None
+    grad_cos: np.ndarray | None = None
     grad_scores: np.ndarray | None = None
     grad_low: np.ndarray | None = None
     grad_high: np.ndarray | None = None
@@ -101,12 +101,9 @@ def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
     return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
 
 
-def _cos(angle, eps):
-    return np.cos(angle), -np.sin(angle)
-
-
-# kernel name -> (competitor form, true-class form), each angle -> (k, dk/dangle)
-_KERNELS = {"cos": (_cos, _cos), "cot": (floored_cot, margin_cot)}
+# kernel name -> (competitor form cos -> (fresh k, dk/dcos), true-class form angle -> (k, dk/du))
+_KERNELS = {"cos": (lambda c: (c.copy(), 1.0), lambda u: (np.cos(u), -np.sin(u))),
+            "cot": (lambda c: cot_from_cos(c)[:2], margin_cot)}
 
 
 # name: (kernel k, e1, e2, e3, true-class branches).  k ("cos" or "cot") gives
@@ -147,10 +144,10 @@ def _margin(slot, cfg: LossConfig, rng, n: int):
 def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOutput:
     """The loss of preset `name`: cross-entropy over its margin logits.
 
-    Every class gets the competitor logit g = s*k(theta); the labeled class
-    gets f = s*(k(e1*theta + e2) - e3) per branch.  Margins the preset leaves
-    out are skipped, not applied as 1 or 0, so each loss evaluates the same
-    arithmetic as its closed form.  Weighted branches sum.
+    Every class gets the competitor logit g = s*k(theta) from its cosine, the
+    labeled class f = s*(k(e1*theta + e2) - e3) per branch from its angle.
+    Margins the preset leaves out are skipped, not applied as 1 or 0, so each
+    loss evaluates its closed form's arithmetic.  Weighted branches sum.
     """
     kernel, e1, e2, e3, branches = PRESETS[name]
     if rng is None and name in ELASTIC_LOSSES:
@@ -158,32 +155,37 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     weights = [w for _, w in branches]
     if weights and not sum(getattr(cfg, w) for w in weights) > 0.0:
         raise ValueError(f"{' + '.join(weights)} must be positive")
-    g, dg = _KERNELS[kernel][0](batch.theta, DEFAULT_EPS)  # fresh arrays, scaled in place
+    g, dg = _KERNELS[kernel][0](batch.cos)  # g is fresh, scaled in place
     g *= cfg.s
     dg *= cfg.s
     n, labels = batch.n_samples, batch.labels
     rows = np.arange(n)
-    u = batch.theta[rows, labels]
+    if batch.theta is None:  # cosine batch: d(angle)/d(cos) = -1/sin(angle) on the label
+        u = np.arccos(batch.cos[rows, labels])
+        slope = cfg.s / -np.sin(u)
+    else:  # angle batch: d(cos)/d(angle) = -sin(angle) off the label
+        u, slope, dg = batch.theta[rows, labels], cfg.s, dg * -np.sin(batch.theta)
     e1, e2, e3 = [_margin(e, cfg, rng, n) for e in (e1, e2, e3)]  # draws in slot order
     if e1 is not None:
         u = e1 * u
+        slope = slope * e1
     if e2 is not None:
         u = u + e2
-    slope = cfg.s if e1 is None else cfg.s * e1
     per_sample = grad = None
     for true_kernel, weight in branches or ((kernel, None),):
-        k, dk = _KERNELS[true_kernel][1](u, DEFAULT_EPS)
+        k, dk = _KERNELS[true_kernel][1](u)
         g[rows, labels] = cfg.s * (k if e3 is None else k - e3)  # g becomes the logits
         ps, gz = _cross_entropy(g, labels, cfg.log_divisor)
         gz_true = gz[rows, labels] * (slope * dk)
-        gz *= dg  # chain rule: d(logit)/d(theta) is dg off the label, the f slope on it
+        gz *= dg  # chain rule: d(logit)/d(input) is dg off the label, the f slope on it
         gz[rows, labels] = gz_true
         if weight is not None:
             ps = getattr(cfg, weight) * ps
             gz *= getattr(cfg, weight)
         per_sample = ps if per_sample is None else per_sample + ps
         grad = gz if grad is None else grad + gz
-    return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
+    grads = {"grad_cos" if batch.theta is None else "grad_theta": grad}
+    return LossOutput(float(per_sample.mean()), per_sample, **grads)
 
 
 ANGULAR_LOSSES = {}  # preset name -> its loss(batch, cfg, rng=None), filled below

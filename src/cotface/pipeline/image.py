@@ -99,24 +99,32 @@ def crop_resize(img: GrayImage, boxes, width: int, height: int) -> np.ndarray:
         raise ValueError("target size must be positive")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     ix1, iy1, ix2, iy2 = crop_bounds(img, *boxes.T)
-    c0, c1, fx = _taps(ix1, ix2 - ix1, width)
-    r0, r1, fy = _taps(iy1, iy2 - iy1, height)
-    c0, c1, fx = c0[:, None, :], c1[:, None, :], fx[:, None, :]
-    r0, r1, fy = r0[:, :, None], r1[:, :, None], fy[:, :, None]
-    p = img.pixels
-    top = p[r0, c0] * (1.0 - fx) + p[r0, c1] * fx
-    bottom = p[r1, c0] * (1.0 - fx) + p[r1, c1] * fx
-    return np.clip(top * (1.0 - fy) + bottom * fy, 0.0, 255.0)
+    c0, c1, fx = _crop_taps(ix1, ix2 - ix1, width)
+    r0, r1, fy = _crop_taps(iy1, iy2 - iy1, height)
+    return _blend(img.pixels, r0[:, :, None], r1[:, :, None], fy[:, :, None],
+                  c0[:, None, :], c1[:, None, :], fx[:, None, :])
 
 
-def _taps(start, size, n: int):
+def _crop_taps(start, size, n: int):
     """Per crop (start, size along one axis): the two image indices each of
     n output samples reads and the weight of the second, each shape (K, n)."""
     s = np.clip((np.arange(n) + 0.5) * (size / n)[:, None] - 0.5,
                 0.0, (size - 1.0)[:, None])
+    return _taps(s, size[:, None], start[:, None])
+
+
+def _taps(s, size, start=0):
+    """The two indices, offset by start, that source coordinates s in
+    [0, size - 1] read, and the weight of the second."""
     i0 = np.floor(s).astype(np.intp)
-    i1 = np.minimum(i0 + 1, size[:, None] - 1)
-    return start[:, None] + i0, start[:, None] + i1, s - i0
+    return start + i0, start + np.minimum(i0 + 1, size - 1), s - i0
+
+
+def _blend(p, r0, r1, fy, c0, c1, fx):
+    """Bilinear blend of the four taps p[r, c], levels clipped to [0, 255]."""
+    top = p[r0, c0] * (1.0 - fx) + p[r0, c1] * fx
+    bottom = p[r1, c0] * (1.0 - fx) + p[r1, c1] * fx
+    return np.clip(top * (1.0 - fy) + bottom * fy, 0.0, 255.0)
 
 
 def laplacian(img: GrayImage) -> np.ndarray:
@@ -205,16 +213,7 @@ def rotate_region(img: GrayImage, center, angle: float,
     ca, sa = np.cos(angle), np.sin(angle)
     src_x = np.clip(ca * gx - sa * gy + cx, 0.0, img.width - 1.0)
     src_y = np.clip(sa * gx + ca * gy + cy, 0.0, img.height - 1.0)
-    x0 = np.floor(src_x).astype(int)
-    y0 = np.floor(src_y).astype(int)
-    x1i = np.minimum(x0 + 1, img.width - 1)
-    y1i = np.minimum(y0 + 1, img.height - 1)
-    fx = src_x - x0
-    fy = src_y - y0
-    p = img.pixels
-    out = ((1 - fy) * ((1 - fx) * p[y0, x0] + fx * p[y0, x1i])
-           + fy * ((1 - fx) * p[y1i, x0] + fx * p[y1i, x1i]))
-    return GrayImage(np.clip(out, 0.0, 255.0))
+    return GrayImage(_blend(img.pixels, *_taps(src_y, img.height), *_taps(src_x, img.width)))
 
 
 def eye_crops(face: GrayImage, left_center, right_center) -> tuple[GrayImage, GrayImage]:

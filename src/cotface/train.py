@@ -2,17 +2,16 @@
 
 Two head styles share the same stack of affine+ReLU layers:
 
-  * angular head: the final layer output is L2-normalized into an embedding,
-    compared against L2-normalized class rows of head_W (no bias), and turned
-    into angles; any loss from the angular registry trains it.
+  * angular head: the final layer output is L2-normalized into an embedding
+    whose clamped cosines against the L2-normalized class rows of head_W (no
+    bias) feed any loss from the angular registry as a cosine batch.
   * score head: the final layer has a single unit whose raw output is a
     binary score, trained with margin_sigmoid_ce and optionally the
     double_loss separation term over pure-label batches.
 
 Gradients flow through the normalizations explicitly: for u = z/||z|| the
-Jacobian-vector product is (g - u<g, u>)/||z||, and d(arccos c)/dc =
--1/sqrt(1 - c^2) evaluated at the clamped cosine (clamped values keep their
-gradient rather than dropping it).
+Jacobian-vector product is (g - u<g, u>)/||z||.  A clamped cosine keeps the
+gradient the loss gives it rather than dropping it.
 """
 
 from __future__ import annotations
@@ -173,10 +172,10 @@ def _forward_layers(model: MlpModel, x):
 
 
 def forward(model: MlpModel, x):
-    """Unit embeddings, the angle matrix against the head rows, and a cache.
+    """Unit embeddings, their cosines against the head rows, and a cache.
 
-    The cache holds the intermediates backward consumes: the layer
-    activations, both normalizations and the clamped cosines.
+    The cosines are clamped to [-1 + eps, 1 - eps]; the cache holds the layer
+    activations and both normalizations, which backward consumes.
     """
     if model.head_W is None:
         raise ValueError("model has no angular head")
@@ -184,7 +183,7 @@ def forward(model: MlpModel, x):
     emb, emb_norms = _unit_rows(a_list[-1], DEFAULT_EPS)
     head, head_norms = _unit_rows(model.head_W, DEFAULT_EPS)
     cos = np.clip(emb @ head.T, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS)
-    return emb, np.arccos(cos), (a_list, z_list, emb, emb_norms, head, head_norms, cos)
+    return emb, cos, (a_list, z_list, emb, emb_norms, head, head_norms)
 
 
 def forward_scores(model: MlpModel, x):
@@ -211,18 +210,12 @@ def _backward_layers(model, a_list, z_list, grad_out) -> list:
     return grads
 
 
-def backward(model: MlpModel, cache, grad_theta) -> Grads:
-    """Gradients of a scalar loss given forward's cache and d(loss)/d(theta).
+def backward(model: MlpModel, cache, dcos) -> Grads:
+    """Gradients of a scalar loss given forward's cache and d(loss)/d(cos).
 
-    Chains through arccos (slope evaluated at the clamped cosine), both L2
-    normalizations, and the affine stack.
+    Chains through both L2 normalizations and the affine stack.
     """
-    a_list, z_list, emb, emb_norms, head, head_norms, cos = cache
-    dcos = np.multiply(cos, cos)  # dcos = grad_theta * (-1 / sqrt(1 - cos^2)), in one buffer
-    np.subtract(1.0, dcos, out=dcos)
-    np.sqrt(dcos, out=dcos)
-    np.divide(-1.0, dcos, out=dcos)
-    dcos *= grad_theta
+    a_list, z_list, emb, emb_norms, head, head_norms = cache
     grad_emb_unit = dcos @ head
     grad_head_unit = dcos.T @ emb
     head_grad = _normalization_vjp(head, head_norms, grad_head_unit)
@@ -322,11 +315,11 @@ def train_loop(
         metrics_out = {"eer_initial": _embedding_eer(model, x[eval_idx], labels[eval_idx])}
         for step in range(steps):
             t0 = time.perf_counter()
-            _, theta, cache = forward(model, xt)
-            out = loss_fn(AngularBatch(theta, yt), cfg, rng=rng)
+            _, cos, cache = forward(model, xt)
+            out = loss_fn(AngularBatch(None, yt, cos=cos), cfg, rng=rng)
             if not np.isfinite(out.value):
                 raise TrainingDivergedError(f"non-finite loss {out.value!r} at step {step}")
-            grads = backward(model, cache, out.grad_theta)
+            grads = backward(model, cache, out.grad_cos)
             sgd_step(model, grads, lr)
             curve.append(out.value)
             wall_ms.append((time.perf_counter() - t0) * 1e3)

@@ -10,7 +10,8 @@ window and one box at a time, is built from the library's per-box pieces
 array cascade's batching, indexing, gating and NMS; gradcheck_loop calls the
 library's losses once per bumped coordinate and judges gradcheck's stacking;
 read_pgm_scan, a byte-at-a-time PGM header scanner, builds the library's
-GrayImage so that its checks raise the same errors.
+GrayImage so that its checks raise the same errors; rotate_region_taps, the
+rotated crop with its bilinear arithmetic written out, reads a GrayImage.
 """
 
 from __future__ import annotations
@@ -398,3 +399,25 @@ def read_pgm_scan(path):
         raise ValueError(f"{path}: raster truncated")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels.astype(np.float64))
+
+
+def rotate_region_taps(img, center, angle: float, x1: int, y1: int, x2: int, y2: int):
+    """Pixels of the rectangle [x1,x2) x [y1,y2) of img rotated by -angle about
+    center, with its own floor, edge clamp and four-tap blend written out."""
+    cx, cy = float(center[0]), float(center[1])
+    xs = np.arange(x1, x2, dtype=np.float64)
+    ys = np.arange(y1, y2, dtype=np.float64)
+    gx, gy = np.meshgrid(xs - cx, ys - cy)
+    ca, sa = np.cos(angle), np.sin(angle)
+    src_x = np.clip(ca * gx - sa * gy + cx, 0.0, img.width - 1.0)
+    src_y = np.clip(sa * gx + ca * gy + cy, 0.0, img.height - 1.0)
+    x0 = np.floor(src_x).astype(int)
+    y0 = np.floor(src_y).astype(int)
+    x1i = np.minimum(x0 + 1, img.width - 1)
+    y1i = np.minimum(y0 + 1, img.height - 1)
+    fx = src_x - x0
+    fy = src_y - y0
+    p = img.pixels
+    out = ((1 - fy) * ((1 - fx) * p[y0, x0] + fx * p[y0, x1i])
+           + fy * ((1 - fx) * p[y1i, x0] + fx * p[y1i, x1i]))
+    return np.clip(out, 0.0, 255.0)

@@ -9,6 +9,7 @@ from cotface.angular import (
     SingularityError,
     ZeroVectorError,
     angles_from_features,
+    cot_from_cos,
     cot_via_identity,
     cot_via_theta,
     elastic_sample,
@@ -178,6 +179,29 @@ class TestCotViaIdentity:
     def test_singularity_raises(self):
         with pytest.raises(SingularityError):
             cot_via_identity(np.cos(np.pi - 0.05), m=0.05)
+
+
+class TestCotFromCos:
+    def test_slope_matches_central_differences(self):
+        cos = np.linspace(-0.999, 0.999, 2_001)
+        h = 1e-6
+        _, slope, _ = cot_from_cos(cos)
+        fd = (cot_from_cos(cos + h)[0] - cot_from_cos(cos - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6)
+
+    def test_values_against_the_angle(self):
+        theta = np.linspace(0.01, np.pi - 0.01, 1_000)
+        cot, slope, sin = cot_from_cos(np.cos(theta))
+        np.testing.assert_allclose(cot, 1.0 / np.tan(theta), rtol=1e-12)
+        np.testing.assert_allclose(sin, np.sin(theta), rtol=1e-12)
+        np.testing.assert_allclose(slope, 1.0 / np.sin(theta) ** 3, rtol=1e-12)
+
+    def test_floor_at_the_poles(self):
+        # |cos| = 1: sin floors at eps, cot = cos/eps, and the slope of cos/eps is 1/eps
+        cot, slope, sin = cot_from_cos(np.array([1.0, -1.0]), eps=1e-7)
+        np.testing.assert_array_equal(sin, [1e-7, 1e-7])
+        np.testing.assert_array_equal(cot, [1e7, -1e7])
+        np.testing.assert_array_equal(slope, [1e7, 1e7])
 
 
 class TestKernelAgreement:

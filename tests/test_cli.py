@@ -375,10 +375,13 @@ class TestRetrievalEval:
                                  extra=("--gallery-queries", "4"))
         assert gap_value == 0.25
 
-    def test_zero_gallery_queries_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_gallery_queries_is_a_usage_error(self, tmp_path, capsys, count):
         ranked = self._ranked(tmp_path, ["a,1,1,0.9"])
         assert main(["retrieval-eval", "--ranked", ranked,
-                     "--out", str(tmp_path / "o"), "--gallery-queries", "0"]) == 3
+                     "--out", str(tmp_path / "o"), "--gallery-queries", count]) == 2
+        assert "--gallery-queries must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_line_exits_3(self, tmp_path, capsys):
         ranked = self._ranked(tmp_path, ["a,1,1"])
@@ -584,11 +587,14 @@ class TestMalformedInput:
         ("q1,1,1,inf\n", 1),
         ("q1,1,2,0.5\n", 1),
         ("q1,1,1\n", 1),
+        ("q1,1,0,0.9\nq1,3,1,0.5\n", 2),
+        ("q1,4,0,0.9\nq2,1,1,0.8\nq1,1,1,0.5\nq1,2,0,0.4\n", 1),
     ])
     def test_ranked_files(self, tmp_path, text, lineno):
         """A non-finite confidence, a field that is not a number, a rank below 1,
         a rank repeated within a query, a correct flag other than 0 or 1 and a
-        short line each name their line."""
+        short line each name their line; a gap in a query's ranks names the
+        line of the rank after it."""
         ranked = tmp_path / "ranked.txt"
         ranked.write_text(text)
         code, err = _run_cli(["retrieval-eval", "--ranked", str(ranked),

@@ -5,11 +5,15 @@ scalar expectation here was first reproduced with the scalar-loop oracles in
 tests/oracles.py and then pinned.
 """
 
+import decimal
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from cotface.angular import AngularBatch, LossConfig
+from cotface.angular import AngularBatch, LossConfig, SingularityError
 from cotface.losses import (
     ANGULAR_LOSSES,
     ELASTIC_LOSSES,
@@ -517,3 +521,150 @@ class TestRegistry:
             out = fn(b, _cfg(m=0.1), rng=rng)
             assert isinstance(out, LossOutput), name
             assert out.per_sample.shape == (b.n_samples,)
+
+
+def _cot(t):
+    return 1.0 / np.tan(t)
+
+
+def _cot_of_cos(c):
+    """cos/sqrt(1 - cos^2) in 50-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        c = decimal.Decimal(float(c))
+        return float(c / (1 - c * c).sqrt())
+
+
+# name -> ([(weight field or None, labeled-class logit f(angle, cfg))],
+# competitor logit g(cosine)), the closed forms with every sigma 0, so that each
+# elastic draw equals its mean
+_CLOSED_FORMS = {
+    "norm-softmax": ([(None, lambda t, c: np.cos(t))], float),
+    "sphereface": ([(None, lambda t, c: np.cos(c.m * t))], float),
+    "cosface": ([(None, lambda t, c: np.cos(t) - c.m)], float),
+    "arcface": ([(None, lambda t, c: np.cos(t + c.m))], float),
+    "elastic-arc": ([(None, lambda t, c: np.cos(t + c.m))], float),
+    "elastic-cos": ([(None, lambda t, c: np.cos(t) - c.m)], float),
+    "lmcot": ([(None, lambda t, c: _cot(t + c.m))], _cot_of_cos),
+    "combined-cos": ([(None, lambda t, c: np.cos(c.m1 * t + c.m2) - c.m3)], float),
+    "combined-cot": ([(None, lambda t, c: _cot(c.m1 * t + c.m2) - c.m3)], _cot_of_cos),
+    "elastic-cot": ([(None, lambda t, c: _cot(t + c.m))], _cot_of_cos),
+    "generalized-lmcot": ([(None, lambda t, c: _cot(c.m1 * t + c.m2) - c.m3)], _cot_of_cos),
+    "dual": ([("alpha", lambda t, c: _cot(c.m1 * t + c.m2) - c.m3),
+              ("beta", lambda t, c: np.cos(c.m1 * t + c.m2) - c.m3)], _cot_of_cos),
+}
+
+_EDGE = 1.0 - 1e-7  # the trainer's cosine clamp
+_COSINES = st.one_of(
+    st.sampled_from([_EDGE, -_EDGE, 0.0]),
+    st.floats(-_EDGE, _EDGE),
+    st.floats(1e-6, 0.5).map(lambda d: float(np.cos(np.pi - d))),  # angles near pi
+)
+
+
+@st.composite
+def _cosine_batches(draw):
+    n, c = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cos = np.array(draw(st.lists(_COSINES, min_size=n * c, max_size=n * c))).reshape(n, c)
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    cfg = LossConfig(
+        s=draw(st.floats(0.05, 8.0)), m=draw(st.floats(0.0, 0.5)),
+        m1=draw(st.floats(0.9, 1.1)), m2=draw(st.floats(0.0, 0.3)), m3=draw(st.floats(0.0, 0.3)),
+        alpha=draw(st.floats(0.2, 1.0)), beta=draw(st.floats(0.2, 1.0)),
+        log_base=draw(st.sampled_from(["natural", "ten"])))
+    return cos, labels, cfg
+
+
+def _oracle_value(name, cos, labels, cfg):
+    """The closed form's mean loss by oracles.ce_value over the cosines, one
+    sample at a time: the labeled class's logit is taken at arccos of its
+    cosine, and each sample's logits are shifted by their largest so no exp
+    overflows.  None where the labeled logit lies so far below the largest
+    that its exp underflows."""
+    branches, g = _CLOSED_FORMS[name]
+    per_sample = np.zeros(len(labels))
+    for weight, f in branches:
+        for i, y in enumerate(labels):
+            f_y = f(np.arccos(cos[i, y]), cfg)
+            shift = max(f_y, *(g(c) for j, c in enumerate(cos[i]) if j != y))
+            if cfg.s * (shift - f_y) > 700.0:
+                return None
+            _, per = oracles.ce_value(
+                cos[i : i + 1], labels[i : i + 1], lambda c: f(np.arccos(c), cfg) - shift,
+                lambda c: g(c) - shift, s=cfg.s, ln_b=cfg.log_divisor)
+            per_sample[i] += (1.0 if weight is None else getattr(cfg, weight)) * per[0]
+    return per_sample.mean()
+
+
+class TestCosineBatch:
+    """A batch of cosines, as the trainer passes it, against the closed forms
+    and against the same batch given as angles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cosine_batches())
+    def test_every_loss_matches_the_oracle(self, example):
+        cos, labels, cfg = example
+        batch = AngularBatch(None, labels, cos=cos)
+        for name in ANGULAR_LOSSES:
+            try:
+                out = ANGULAR_LOSSES[name](batch, cfg, rng=np.random.default_rng(0))
+            except SingularityError:
+                # only a labeled angle that the margins carry onto a pole of cot
+                f = _CLOSED_FORMS[name][0][0][1]
+                assert max(abs(f(np.arccos(cos[i, y]), cfg))
+                           for i, y in enumerate(labels)) > 1e6, name
+                continue
+            assert out.grad_theta is None and out.grad_cos.shape == cos.shape, name
+            assert np.isfinite(out.grad_cos).all() and np.isfinite(out.per_sample).all(), name
+            want = _oracle_value(name, cos, labels, cfg)
+            event(f"compared with the oracle: {want is not None}")
+            if want is not None:
+                assert out.value == pytest.approx(want, rel=1e-9), name
+
+    def test_angles_and_their_cosines_agree(self):
+        rng = np.random.default_rng(41)
+        cfg = _cfg(m=0.1, m2=0.05, m3=0.03, sigma1=0.01, sigma2=0.02, sigma3=0.02)
+        for _ in range(20):
+            by_angle = _random_batch(rng)
+            by_cos = AngularBatch(None, by_angle.labels, cos=np.cos(by_angle.theta))
+            for name, fn in ANGULAR_LOSSES.items():
+                a = fn(by_angle, cfg, rng=np.random.default_rng(6))
+                c = fn(by_cos, cfg, rng=np.random.default_rng(6))
+                assert c.value == pytest.approx(a.value, rel=1e-12), name
+                np.testing.assert_allclose(c.per_sample, a.per_sample, rtol=1e-12)
+                # chain rule: d/dtheta = d/dcos * -sin(theta), on and off the label
+                np.testing.assert_allclose(c.grad_cos * -np.sin(by_angle.theta),
+                                           a.grad_theta, rtol=1e-9, atol=1e-15)
+
+    def test_grad_theta_finite_at_a_zero_labeled_angle(self):
+        theta = np.array([[0.0, 1.2, 2.0], [0.7, 0.0, 1.5]])
+        batch = AngularBatch(theta, np.array([0, 1]))
+        for name, fn in ANGULAR_LOSSES.items():
+            out = fn(batch, _cfg(m=0.1, m2=0.1), rng=np.random.default_rng(7))
+            assert np.isfinite(out.value) and np.isfinite(out.grad_theta).all(), name
+
+    def test_competitor_cosines_at_plus_minus_one_stay_finite(self):
+        cos = np.array([[0.3, 1.0, -1.0], [-1.0, -0.2, 1.0]])
+        batch = AngularBatch(None, np.array([0, 1]), cos=cos)
+        for name, fn in ANGULAR_LOSSES.items():
+            out = fn(batch, _cfg(m=0.1, m2=0.1), rng=np.random.default_rng(8))
+            assert np.isfinite(out.value) and np.isfinite(out.grad_cos).all(), name
+
+    @pytest.mark.parametrize("cos,labels", [
+        ([[0.3, np.nan]], [0]),       # non-finite
+        ([[np.inf, 0.2]], [1]),       # non-finite
+        ([[0.3, 1.0 + 1e-12]], [0]),  # |cos| > 1
+        ([[-1.5, 0.2]], [1]),         # |cos| > 1
+        ([[1.0, 0.2]], [0]),          # labeled angle 0: d(angle)/d(cos) is infinite
+        ([[0.3, -1.0]], [1]),         # labeled angle pi: likewise
+    ])
+    def test_bad_cosines_are_rejected(self, cos, labels):
+        for fn in ANGULAR_LOSSES.values():
+            with pytest.raises(ValueError):
+                fn(AngularBatch(None, labels, cos=cos), _cfg(m=0.1), rng=np.random.default_rng(9))
+
+    def test_exactly_one_of_theta_and_cos(self):
+        with pytest.raises(ValueError):
+            AngularBatch([[0.1, 1.0]], [0], cos=[[0.9, 0.5]])
+        with pytest.raises(ValueError):
+            AngularBatch(None, [0])

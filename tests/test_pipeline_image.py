@@ -16,11 +16,12 @@ from cotface.pipeline import (
     image_pyramid,
     laplacian,
     read_pgm,
+    rotate_region,
     sharpness_gate,
     write_pgm,
 )
 from cotface.pipeline.image import crop_bounds, crop_resize
-from oracles import read_pgm_scan
+from oracles import read_pgm_scan, rotate_region_taps
 
 
 def _blank(h, w, level=0.0):
@@ -321,3 +322,18 @@ class TestPgmScannerOracle:
             path = Path(tmp) / "img.pgm"
             path.write_bytes(data)
             assert _pgm_result(read_pgm, path) == _pgm_result(read_pgm_scan, path)
+
+
+class TestRotateRegionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           cx=st.floats(-4.0, 16.0), cy=st.floats(-4.0, 16.0),
+           angle=st.floats(-np.pi, np.pi), x1=st.integers(-4, 12), y1=st.integers(-4, 12),
+           bw=st.integers(1, 10), bh=st.integers(1, 10))
+    def test_same_bytes_as_the_written_out_blend(self, h, w, seed, cx, cy, angle, x1, y1, bw, bh):
+        """rotate_region's shared tap and blend helpers give the bytes of the
+        rotated crop with its own floor, clamp and four-tap blend."""
+        img = GrayImage(np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w)))
+        got = rotate_region(img, (cx, cy), angle, x1, y1, x1 + bw, y1 + bh).pixels
+        want = rotate_region_taps(img, (cx, cy), angle, x1, y1, x1 + bw, y1 + bh)
+        assert got.tobytes() == want.tobytes()

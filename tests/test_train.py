@@ -80,8 +80,8 @@ class TestForward:
         x = rng.normal(size=(6, 4))
         head = rng.normal(size=(3, 4))
         model = _identity_model(4, head)
-        _, theta, _ = forward(model, x)
-        np.testing.assert_allclose(theta, angles_from_features(x, head), atol=1e-12)
+        _, cos, _ = forward(model, x)
+        np.testing.assert_allclose(np.arccos(cos), angles_from_features(x, head), atol=1e-12)
 
     def test_embeddings_unit_norm(self):
         model = init_embedding_model(8, n_classes=4, seed=1)
@@ -95,9 +95,9 @@ class TestForward:
         layer = Layer(W=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([1.0, 0.0]),
                       activation="identity")
         model = MlpModel(layers=[layer], head_W=np.eye(2), seed=0)
-        emb, theta, _ = forward(model, np.array([[1.0, 1.0]]))
+        emb, cos, _ = forward(model, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(emb[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
-        np.testing.assert_allclose(theta[0], [np.pi / 4, np.pi / 4], atol=1e-6)
+        np.testing.assert_allclose(np.arccos(cos[0]), [np.pi / 4, np.pi / 4], atol=1e-6)
 
     def test_hand_computed_relu_net(self):
         # relu clips the negative preactivation: z = [1, -3] -> a = [1, 0]
@@ -111,9 +111,9 @@ class TestForward:
         model = init_embedding_model(5, n_classes=3, seed=2)
         x = np.random.default_rng(2).normal(size=(7, 5))
         perm = np.random.default_rng(3).permutation(7)
-        _, theta, _ = forward(model, x)
-        _, theta_p, _ = forward(model, x[perm])
-        np.testing.assert_array_equal(theta_p, theta[perm])
+        _, cos, _ = forward(model, x)
+        _, cos_p, _ = forward(model, x[perm])
+        np.testing.assert_array_equal(np.arccos(cos_p), np.arccos(cos)[perm])
 
     def test_score_head_and_angular_head_guards(self):
         scored = init_score_model(4, seed=0)
@@ -126,8 +126,8 @@ class TestForward:
 
 
 def _model_loss(model, x, labels, cfg):
-    _, theta, _ = forward(model, x)
-    return arcface_loss(AngularBatch(theta, labels), cfg)
+    _, cos, _ = forward(model, x)
+    return arcface_loss(AngularBatch(None, labels, cos=cos), cfg)
 
 
 def _flatten_params(model):
@@ -174,7 +174,7 @@ class TestBackward:
         cfg = LossConfig(s=2.0, m=0.1)
 
         out = _model_loss(model, x, labels, cfg)
-        grads = backward(model, forward(model, x)[2], out.grad_theta)
+        grads = backward(model, forward(model, x)[2], out.grad_cos)
         analytic = _flatten_grads(grads)
 
         flat = _flatten_params(model)
@@ -205,7 +205,7 @@ class TestBackward:
         x = np.array([[1.5, 0.0]])
         labels = np.array([0])
         out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-        grads = backward(model, forward(model, x)[2], out.grad_theta)
+        grads = backward(model, forward(model, x)[2], out.grad_cos)
         dW = grads.layers[0][0]
         assert dW[0, 1] == 0.0 and dW[1, 1] == 0.0
         # scaling the first weight leaves the unit embedding unchanged
@@ -244,7 +244,7 @@ class TestSgdStep:
         labels = np.random.default_rng(7).integers(0, 3, size=5)
         before = _flatten_params(model)
         out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-        sgd_step(model, backward(model, forward(model, x)[2], out.grad_theta), lr=0.0)
+        sgd_step(model, backward(model, forward(model, x)[2], out.grad_cos), lr=0.0)
         # layers are untouched exactly; the head renormalization may move
         # already-unit rows by one ulp
         np.testing.assert_allclose(_flatten_params(model), before, rtol=0, atol=1e-15)
@@ -255,7 +255,7 @@ class TestSgdStep:
         labels = np.random.default_rng(9).integers(0, 3, size=5)
         for _ in range(5):
             out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-            sgd_step(model, backward(model, forward(model, x)[2], out.grad_theta), lr=0.5)
+            sgd_step(model, backward(model, forward(model, x)[2], out.grad_cos), lr=0.5)
             np.testing.assert_allclose(np.linalg.norm(model.head_W, axis=1), 1.0,
                                        atol=1e-10)
 
@@ -265,7 +265,7 @@ class TestSgdStep:
         labels = np.repeat(np.arange(3), 3)
         cfg = LossConfig(s=8.0, m=0.05)
         before = _model_loss(model, x, labels, cfg)
-        sgd_step(model, backward(model, forward(model, x)[2], before.grad_theta), lr=0.05)
+        sgd_step(model, backward(model, forward(model, x)[2], before.grad_cos), lr=0.05)
         after = _model_loss(model, x, labels, cfg)
         assert after.value < before.value
 
@@ -344,9 +344,9 @@ class TestModelSerialization:
         save_model(model, path)
         loaded = load_model(path)
         x = np.random.default_rng(11).normal(size=(3, 6))
-        _, theta_a, _ = forward(model, x)
-        _, theta_b, _ = forward(loaded, x)
-        np.testing.assert_array_equal(theta_a, theta_b)
+        _, cos_a, _ = forward(model, x)
+        _, cos_b, _ = forward(loaded, x)
+        np.testing.assert_array_equal(np.arccos(cos_a), np.arccos(cos_b))
 
     def test_round_trip_score_model(self, tmp_path):
         model = init_score_model(6, seed=12)
