@@ -472,6 +472,8 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_auth(args) -> int:
+    if not np.isfinite([args.sim_threshold, args.spoof_threshold, args.eye_threshold]).all():
+        raise ConfigError("--sim-threshold, --spoof-threshold and --eye-threshold must be finite")
     gallery = load_gallery(args.gallery)
     frame = read_pgm(args.frame)
     scorers = _default_scorers(args.seed, args.model)

@@ -96,8 +96,8 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
     if landmarks is not None and landmarks.shape[0] >= 2:
         left, right = eye_crops(crop, landmarks[0], landmarks[1])
         scores = (float(scorers.eye_closed(left)), float(scorers.eye_closed(right)))
-        # a non-finite score on either eye rejects, like both eyes closed
-        if not np.isfinite(scores).all() or min(scores) >= config.eye_closed_threshold:
+        # open eyes pass; a non-finite score or threshold rejects, like both eyes closed
+        if not (np.isfinite(scores).all() and min(scores) < config.eye_closed_threshold):
             return AuthOutcome("eyes_closed", identity=identity)
 
     return AuthOutcome("accepted", identity=identity, similarity=best_sim)

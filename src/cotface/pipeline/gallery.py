@@ -3,23 +3,24 @@
 A gallery is one float64 (capacity, d) matrix whose first E rows are the
 embeddings in enrollment order, an owner array giving each row's identity
 rank (identities ranked by first enrollment), and each identity's row list.
-enroll writes one row, growing the capacity by half when full, so E enrolls
-copy the matrix O(log E) times.  match scores all rows with one einsum and,
-among the rows equal to the best similarity, takes the smallest owner rank:
-ties go to the identity enrolled first, then to its earliest embedding.  Not
-BLAS gemv (`rows @ probe`): it sums blocks of rows in different orders, so
+enroll and load_gallery fill it only through _register, which ranks a name,
+and _append, which writes a row and grows the capacity by half when full, so
+E rows copy the matrix O(log E) times.  match scores all rows with one einsum
+and, among the rows equal to the best similarity, takes the smallest owner
+rank: ties go to the identity enrolled first, then to its earliest embedding.
+Not BLAS gemv (`rows @ probe`): it sums blocks of rows in different orders, so
 identical rows at different positions can score different bits and break
 that rule; einsum sums every row alike.
 
 The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
-17-significant-digit decimals, which round-trip float64 exactly.  enroll and
-load_gallery admit only finite unit embeddings of one dim, so match can trust
-every row.
+17-significant-digit decimals, which round-trip float64 exactly.  Both fillers
+admit only finite unit embeddings of one dim, so match can trust every row.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 from dataclasses import dataclass
@@ -61,18 +62,22 @@ class Gallery:
     def total_embeddings(self) -> int:
         return self._size
 
-    def _append(self, name: str, unit: np.ndarray):
-        n = self._size
-        if n == len(self._rows):
-            capacity = max(8, n + n // 2)
-            rows, owner = np.empty((capacity, unit.size)), np.empty(capacity, np.intp)
-            if n:
-                rows[:n], owner[:n] = self._rows, self._owner
-            self._rows, self._owner = rows, owner
+    def _register(self, name: str) -> tuple[int, list[int]]:
+        """name's (rank, rows), ranking a new name after every known one."""
         if name not in self._ids:
             self._ids[name] = (len(self._names), [])
             self._names.append(name)
-        rank, ids = self._ids[name]
+        return self._ids[name]
+
+    def _append(self, name: str, unit: np.ndarray | list[float]):
+        n = self._size
+        if n == len(self._rows):
+            capacity = max(8, n + n // 2)
+            rows, owner = np.empty((capacity, np.size(unit))), np.empty(capacity, np.intp)
+            if n:
+                rows[:n], owner[:n] = self._rows, self._owner
+            self._rows, self._owner = rows, owner
+        rank, ids = self._register(name)
         self._rows[n], self._owner[n] = unit, rank
         ids.append(n)
         self._size = n + 1
@@ -119,8 +124,8 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
 def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     """Best cosine match over every stored embedding.
 
-    Returns (identity, best_similarity); identity is None (stranger) when the
-    best similarity is non-finite or falls below sim_threshold.  Ties keep the
+    Returns (identity, best_similarity); identity is None (stranger) unless the
+    best similarity is at least sim_threshold, which NaN never is.  Ties keep the
     earliest enrolled identity.  An empty gallery reports (None, -1.0).
     """
     probe = l2_normalize(probe)
@@ -129,7 +134,7 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
         return None, -1.0
     sims = np.einsum("ij,j->i", gallery._rows[:n], probe)  # row-consistent bits; see module doc
     best_sim = float(sims.max())  # NaN when the probe is non-finite
-    if not np.isfinite(best_sim) or best_sim < sim_threshold:
+    if not best_sim >= sim_threshold:  # a NaN similarity or threshold fails closed
         return None, best_sim
     return gallery._names[gallery._owner[:n][sims == best_sim].min()], best_sim
 
@@ -169,76 +174,68 @@ def save_gallery(gallery: Gallery, path):
 
 
 def load_gallery(path) -> Gallery:
-    """Parse a gallery file; embeddings round-trip bit-exactly.
+    """Parse a gallery file in one pass; embeddings round-trip bit-exactly.
 
-    Raises GalleryFormatError for any malformed content, including a
-    non-finite embedding, one whose norm differs from 1 by more than
-    UNIT_NORM_TOLERANCE, and a dim that differs from the first identity's.
+    The lines (as str.splitlines cuts them; see enroll) go in through enroll's
+    builder, so a huge declared dim allocates nothing.  GalleryFormatError
+    reports the first fault in file order, such as a trailing line or a dim
+    other than the first identity's, then any non-finite embedding or one
+    whose norm differs from 1 by more than UNIT_NORM_TOLERANCE.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    def take(i):
-        if i >= len(lines):
-            raise GalleryFormatError(f"{path}: truncated gallery file")
-        return lines[i]
-
-    header = take(0).split()
-    if len(header) != 2 or header[0] != MAGIC:
-        raise GalleryFormatError(f"{path}: bad magic line {take(0)!r}")
-    if header[1] != str(VERSION):
-        raise GalleryFormatError(f"{path}: unsupported version {header[1]!r}")
-    try:
-        n_identities = int(take(1))
-    except ValueError as exc:
-        raise GalleryFormatError(f"{path}: bad identity count") from exc
-    if n_identities < 0:
-        raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
-
     gallery = Gallery()
-    dim, n, pos = None, 0, 2
-    for rank in range(n_identities):  # the headers first, so that the matrix is allocated once
-        name = take(pos)
-        if not name:
-            raise GalleryFormatError(f"{path}: empty identity name")
-        try:
-            dim_s, count_s = take(pos + 1).split()
-            name_dim, count = int(dim_s), int(count_s)
-        except ValueError as exc:
-            raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
-        if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
-            raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
-        if count and dim not in (None, name_dim):
-            raise GalleryFormatError(f"{path}: {name!r} has dim {name_dim}, gallery dim {dim}")
-        if name in gallery._ids:
-            raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
-        dim = name_dim if count else dim
-        gallery._names.append(name)
-        gallery._ids[name] = (rank, list(range(n, n + count)))
-        n += count
-        pos += 2 + count
-    if pos > len(lines):
-        raise GalleryFormatError(f"{path}: truncated gallery file")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
 
-    # Row i, of the identity of rank r, is line 4 + 2r + i.  The matrix is
-    # allocated after the first row's length checks out, so that a huge
-    # declared dim allocates nothing.
-    rows, owner = np.empty((0, 0)), np.empty(n, np.intp)
-    for name, (rank, ids) in gallery._ids.items():
-        for i in ids:
+        # Reads stay outside `except ValueError`: truncated or undecodable input raises one.
+        def take(at_end=None):
+            line = next(lines, at_end)
+            if line is None:
+                raise GalleryFormatError(f"{path}: truncated gallery file")
+            return line
+
+        magic, count_line = take(), take("")  # a missing count line is a bad one
+        header = magic.split()
+        if len(header) != 2 or header[0] != MAGIC:
+            raise GalleryFormatError(f"{path}: bad magic line {magic!r}")
+        if header[1] != str(VERSION):
+            raise GalleryFormatError(f"{path}: unsupported version {header[1]!r}")
+        try:
+            n_identities = int(count_line)
+        except ValueError as exc:
+            raise GalleryFormatError(f"{path}: bad identity count") from exc
+        if n_identities < 0:
+            raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
+        for _ in range(n_identities):
+            name, dim_count = take(), take("")
+            if not name:
+                raise GalleryFormatError(f"{path}: empty identity name")
             try:
-                values = list(map(float, lines[4 + 2 * rank + i].split()))
+                dim, count = map(int, dim_count.split())
             except ValueError as exc:
-                raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
-            if len(values) != dim:
-                raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
-            if not i:
-                rows = np.empty((n, dim))
-            rows[i], owner[i] = values, rank
+                raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
+            if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
+                raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
+            if count and gallery.dim not in (None, dim):
+                raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
+            if name in gallery._ids:
+                raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
+            gallery._register(name)
+            for _ in range(count):
+                row = take()
+                try:
+                    values = list(map(float, row.split()))
+                except ValueError as exc:
+                    raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
+                if len(values) != dim:
+                    raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
+                gallery._append(name, values)
+        if next(lines, None) is not None:
+            raise GalleryFormatError(f"{path}: trailing lines after the last declared identity")
+
+    rows = gallery._rows[: gallery._size]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN and inf fail too
     if bad.size:
-        name, norm = gallery._names[owner[bad[0]]], float(norms[bad[0]])
+        name, norm = gallery._names[gallery._owner[bad[0]]], float(norms[bad[0]])
         raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
-    gallery._rows, gallery._owner, gallery._size = rows, owner, n
     return gallery

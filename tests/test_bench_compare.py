@@ -11,13 +11,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_compare  # noqa: E402
 
 
-def _record(path, workload, seed, op_ms, rss, commit="abc", failed=0):
+def _record(path, workload, seed, op_ms, rss, commit="abc", failed=0,
+            setup_s=2.0, wall_setup_s=(1.0, 1.5, 1.25)):
     record = {
         "workload": workload, "seed": seed, "seconds": 18.0, "trace": 0,
         "machine": {"nproc": 2, "numpy": "x", "git_commit": commit},
         "wall_op_ms_median": 2.0 * op_ms, "correct": failed == 0,
+        "wall_import_s": 0.5, "wall_setup_s": list(wall_setup_s),
         "attempted": 10, "failed": failed,
         "metrics": {"op_ms": {"value": op_ms, "unit": "ms"},
+                    "setup_s": {"value": setup_s, "unit": "s"},
                     "peak_rss_mb": {"value": rss, "unit": "MB"}},
     }
     path.write_text(json.dumps(record))
@@ -47,6 +50,24 @@ def test_medians_quartiles_and_pair_wins(tmp_path):
     assert auth["metrics"]["peak_rss_mb"]["pairs_change_worse"] == 5
     assert (op["gain_met"], op["within_bound"]) == (False, True)  # 3/5 wins
     assert "within_bound" not in auth["metrics"]["wall_op_ms_median"]  # no bound
+
+
+def test_raw_setup_wall_beside_the_scaled_setup(tmp_path):
+    """wall_setup_s_median is the import wall plus the median raw set-up
+    wall; it ranks the sides on its own, even against the scaled setup_s."""
+    parent = [_record(tmp_path / f"p{i}.json", "train", i, 100.0, 40.0, "p",
+                      setup_s=2.13, wall_setup_s=(1.56, 1.52, 1.49)) for i in range(3)]
+    change = [_record(tmp_path / f"c{i}.json", "train", i, 100.0, 40.0, "c",
+                      setup_s=2.15, wall_setup_s=(1.28, 1.25, 1.26)) for i in range(3)]
+    out = tmp_path / "bench.json"
+    assert bench_compare.main(["--label", "t", "--parent", *parent,
+                               "--change", *change, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["train"]["metrics"]
+    raw = metrics["wall_setup_s_median"]
+    assert raw["parent"]["median"] == 0.5 + 1.52 and raw["change"]["median"] == 0.5 + 1.26
+    assert (raw["better"], raw["pairs_change_better"], raw["gain_met"]) == ("lower", 3, True)
+    assert "within_bound" not in raw  # no bound
+    assert metrics["setup_s"]["pairs_change_worse"] == 3
 
 
 def _verdicts(tmp_path, parent_ops, change_ops, rss=(40.0, 40.0)):

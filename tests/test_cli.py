@@ -449,6 +449,22 @@ class TestEnrollAuth:
         assert main(["auth", "--gallery", gallery, dark]) == 1
         assert "no_face" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--sim-threshold", "--spoof-threshold", "--eye-threshold"])
+    def test_auth_non_finite_threshold_exits_2(self, tmp_path, capsys, flag, value):
+        """A non-finite threshold is a usage error: at a NaN --sim-threshold the
+        similarity test would pass this stranger."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        g = Gallery()
+        enroll(g, "mallory", np.random.default_rng(0).normal(size=32))
+        gallery = tmp_path / "g.txt"
+        gallery.write_text(gallery_to_text(g))
+        assert main(["auth", "--gallery", str(gallery), face]) == 1
+        assert "stranger" in capsys.readouterr().out
+        assert main(["auth", "--gallery", str(gallery), face, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
     def test_auth_missing_gallery_exits_3(self, tmp_path, capsys):
         face = _write_frame(tmp_path / "face.pgm", "face")
         assert main(["auth", "--gallery", str(tmp_path / "none.txt"), face]) == 3

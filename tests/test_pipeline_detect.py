@@ -105,6 +105,18 @@ class TestNms:
         ]
         assert nms(boxes, 0.5) == [boxes[1], boxes[2], boxes[0]]
 
+    def test_threshold_decisions_follow_iou_bits(self):
+        """At a threshold equal to iou(a, b) the weaker box goes; one ulp above
+        it, it stays.  This pair's IoU denominator rounds differently as
+        (area_b + area_a) - inter and as area_b + (area_a - inter)."""
+        a = _box(1.3, 15.0, 10.9, 18.5, 0.9)
+        b = _box(5.6, 13.6, 8.5, 20.9, 0.5)
+        threshold = iou(a, b)
+        inter = (b.x2 - b.x1) * (a.y2 - a.y1)
+        assert inter / (b.area + (a.area - inter)) != threshold
+        assert nms([a, b], threshold) == [a]
+        assert nms([a, b], float(np.nextafter(threshold, 1.0))) == [a, b]
+
     def test_agrees_with_exhaustive_oracle(self):
         rng = np.random.default_rng(60)
         for trial in range(100):

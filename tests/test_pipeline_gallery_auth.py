@@ -3,6 +3,7 @@
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,13 @@ class TestMatch:
         enroll(g, "alice", v)
         assert match(g, v) == ("alice", 1.0)
 
+    def test_nan_threshold_is_stranger(self):
+        g = Gallery()
+        v = _unit(3)
+        enroll(g, "alice", v)
+        name, sim = match(g, v, sim_threshold=float("nan"))
+        assert name is None and sim >= 1.0 - 1e-9
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf
     @pytest.mark.parametrize("probe", [[np.nan, 0.0, 0.0], [1.0, np.inf, 0.0]])
     def test_non_finite_probe_is_stranger(self, probe):
@@ -297,12 +305,45 @@ class TestGalleryFile:
         ("facegallery 1\n1\nalice\n2 1\ninf 0\n", "norm inf"),
         ("facegallery 1\n1\nbob\n3 1\n3 0 0\n", "norm 3.0"),
         ("facegallery 1\n2\nalice\n2 1\n1 0\nbob\n3 1\n1 0 0\n", "gallery dim 2"),
+        ("facegallery 1\n1\nalice\n2 1\n1 0\n\nextra\n", "trailing"),
+        ("facegallery 1\n1\nalice\n2 1\n1 0\nbob\n2 1\n0 1\n", "trailing"),
+        ("facegallery 1\n0\n\n", "trailing"),
+        # lines end where str.splitlines ends them, the rule enroll's name
+        # check relies on; str.split alone would take \x1c for a space
+        ("facegallery 1\n1\nalice\n2 1\n0.6\x1c0.8\n", "length"),
+        ("facegallery 1\n1\nalice\n2 1\n0.6\r0.8\n", "length"),
+        ("facegallery 1\n1\nal\u2028ice\n2 1\n1 0\n", "dim count"),
     ])
     def test_malformed_files_rejected(self, tmp_path, text, fragment):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(GalleryFormatError, match=fragment):
             load_gallery(path)
+
+    def test_crlf_line_endings_load(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"facegallery 1\r\n2\r\nalice\r\n2 1\r\n1 0\r\nbob\r\n0 0\r\n")
+        loaded = load_gallery(path)
+        assert list(loaded.identities) == ["alice", "bob"] and loaded.dim == 2
+        np.testing.assert_array_equal(loaded.identities["alice"][0], [1.0, 0.0])
+
+    def test_load_streams_the_file(self, tmp_path):
+        """The reader holds a few lines at a time, never the file's text or
+        its line list: its traced peak stays below the file's size."""
+        g = Gallery()
+        rng = np.random.default_rng(7)
+        for k in range(2000):
+            enroll(g, f"id{k // 5}", rng.normal(size=64))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        tracemalloc.start()
+        try:
+            loaded = load_gallery(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.total_embeddings() == 2000
+        assert peak < path.stat().st_size
 
     def test_format_error_is_a_value_error(self):
         assert issubclass(GalleryFormatError, ValueError)
@@ -555,6 +596,13 @@ class TestAuthenticate:
     def test_eye_threshold_inclusive(self):
         rec, scorers, gallery, config = _setup(eye_scores=(0.5, 0.5))
         assert authenticate(_face_frame(), gallery, scorers, config).kind == "eyes_closed"
+
+    @pytest.mark.parametrize("eye_scores", [(1.0, 1.0), (0.0, 0.0)])
+    def test_nan_eye_threshold_rejects(self, eye_scores):
+        rec, scorers, gallery, config = _setup(eye_scores=eye_scores)
+        config.eye_closed_threshold = float("nan")
+        out = authenticate(_face_frame(), gallery, scorers, config)
+        assert out.kind == "eyes_closed" and out.identity == "alice"
 
     def test_missing_landmarks_skip_eye_check(self):
         rec, scorers, gallery, config = _setup(eye_scores=(1.0, 1.0), landmarks=False)
