@@ -4,25 +4,32 @@ A gallery is one float64 (capacity, d) matrix whose first E rows are the
 embeddings in enrollment order, an owner array giving each row's identity
 rank (identities ranked by first enrollment), and each identity's row list.
 enroll and load_gallery fill it only through _register, which ranks a name,
-and _append, which writes a row and grows the capacity by half when full, so
-E rows copy the matrix O(log E) times.  match scores all rows with one einsum
-and, among the rows equal to the best similarity, takes the smallest owner
-rank: ties go to the identity enrolled first, then to its earliest embedding.
-Not BLAS gemv (`rows @ probe`): it sums blocks of rows in different orders, so
-identical rows at different positions can score different bits and break
-that rule; einsum sums every row alike.
+_append, which writes a row and grows the capacity by half when full, so E
+rows copy the matrix O(log E) times, and _claim, which gives rows already
+written (say, read from a row companion) to a name.  match scores all rows
+with one einsum and, among the rows equal to the best similarity, takes the
+smallest owner rank: ties go to the identity enrolled first, then to its
+earliest embedding.  Not BLAS gemv (`rows @ probe`): it sums blocks of rows
+in different orders, so identical rows at different positions can score
+different bits and break that rule; einsum sums every row alike.
 
 The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
 17-significant-digit decimals, which round-trip float64 exactly.  Both fillers
 admit only finite unit embeddings of one dim, so match can trust every row.
+
+Beside the text, save_gallery writes a binary row companion (companion_path).
+When it was written for exactly this text, load_gallery takes the rows from
+it and parses no decimal; otherwise it parses the text, the source of truth.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import shutil
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +41,10 @@ MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
+# companion header: a magic naming the row dtype (another byte order reads as
+# stale), the text's sha256, n, d, the sha256 of the n * d float64 row bytes
+_COMPANION = struct.Struct("<24s32sQQ32s")
+_COMPANION_MAGIC = f"cotface-gallery-rows {np.dtype(np.float64).str}".encode()
 
 
 class GalleryFormatError(ValueError):
@@ -69,18 +80,27 @@ class Gallery:
             self._names.append(name)
         return self._ids[name]
 
-    def _append(self, name: str, unit: np.ndarray | list[float]):
-        n = self._size
-        if n == len(self._rows):
-            capacity = max(8, n + n // 2)
-            rows, owner = np.empty((capacity, np.size(unit))), np.empty(capacity, np.intp)
-            if n:
-                rows[:n], owner[:n] = self._rows, self._owner
-            self._rows, self._owner = rows, owner
+    def _reserve(self, room: int, dim: int):
+        """Capacity for max(8, room + room // 2) rows of dim, keeping the rows held."""
+        capacity, n = max(8, room + room // 2), self._size
+        rows, owner = np.empty((capacity, dim)), np.empty(capacity, np.intp)
+        if n:
+            rows[:n], owner[:n] = self._rows[:n], self._owner[:n]
+        self._rows, self._owner = rows, owner
+
+    def _claim(self, name: str, count: int):
+        """Give the next count rows, already written, to name."""
         rank, ids = self._register(name)
-        self._rows[n], self._owner[n] = unit, rank
-        ids.append(n)
-        self._size = n + 1
+        n = self._size
+        self._owner[n : n + count] = rank
+        ids.extend(range(n, n + count))
+        self._size = n + count
+
+    def _append(self, name: str, unit: np.ndarray | list[float]):
+        if self._size == len(self._rows):
+            self._reserve(self._size, np.size(unit))
+        self._rows[self._size] = unit
+        self._claim(name, 1)
 
 
 @dataclass(frozen=True)
@@ -112,13 +132,19 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     embedding = np.asarray(embedding, dtype=np.float64)
     if not np.isfinite(embedding).all():
         raise ValueError("embedding contains non-finite values")
-    unit = l2_normalize(embedding)
-    if not abs(np.linalg.norm(unit) - 1.0) <= UNIT_NORM_TOLERANCE:  # ||embedding|| overflowed
-        raise ValueError("embedding norm overflows float64")
+    unit = _unit(embedding)
     if gallery.dim is not None and unit.size != gallery.dim:
         raise ValueError(f"embedding dim {unit.size} != gallery dim {gallery.dim}")
     gallery._append(name, unit)
     return EnrollResult(True, None, count + 1)
+
+
+def _unit(vector) -> np.ndarray:
+    """l2_normalize(vector); ValueError if a finite vector's norm overflows."""
+    unit = l2_normalize(vector)
+    if np.isfinite(unit).all() and not abs(np.linalg.norm(unit) - 1.0) <= UNIT_NORM_TOLERANCE:
+        raise ValueError("embedding norm overflows float64")
+    return unit
 
 
 def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
@@ -126,9 +152,11 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
 
     Returns (identity, best_similarity); identity is None (stranger) unless the
     best similarity is at least sim_threshold, which NaN never is.  Ties keep the
-    earliest enrolled identity.  An empty gallery reports (None, -1.0).
+    earliest enrolled identity.  An empty gallery reports (None, -1.0).  A
+    non-finite probe scores NaN; a finite one whose norm overflows raises
+    ValueError, as enroll does.
     """
-    probe = l2_normalize(probe)
+    probe = _unit(probe)
     n = gallery._size
     if not n:
         return None, -1.0
@@ -153,72 +181,144 @@ def gallery_to_text(gallery: Gallery) -> str:
     return "".join(_text_lines(gallery))
 
 
-def save_gallery(gallery: Gallery, path):
-    """Write the gallery file atomically.
+def companion_path(path) -> Path:
+    """The binary row companion that save_gallery writes beside path."""
+    return Path(f"{path}.rows")
 
-    The text goes to a temporary file beside path, which then replaces path
-    (taking its permission bits), so a failed write leaves any previous
-    gallery file as it was and no temporary file behind.
+
+def save_gallery(gallery: Gallery, path):
+    """Write the gallery file and its row companion atomically.
+
+    Both go to temporary files beside them, which then replace the text and
+    then the companion, so a failed write leaves the previous files as they
+    were and no temporary file behind; a failure between the two replaces
+    leaves a companion of other text, which load_gallery ignores.  Both take
+    the permission bits of the text file they replace.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    companion = companion_path(path)
+    tmp, tmp_rows = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, companion))
+    text_sha = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(_text_lines(gallery))
+        with open(tmp, "wb") as fh:
+            for line in _text_lines(gallery):
+                data = line.encode("utf-8")
+                text_sha.update(data)
+                fh.write(data)
+        rows_sha = hashlib.sha256()
+        with open(tmp_rows, "wb") as fh:
+            fh.seek(_COMPANION.size)  # the header holds the rows' hash, so it goes last
+            for _, ids in gallery._ids.values():  # text order, which enrollment order may not be
+                data = gallery._rows[ids].tobytes()
+                rows_sha.update(data)
+                fh.write(data)
+            fh.seek(0)
+            fh.write(_COMPANION.pack(_COMPANION_MAGIC, text_sha.digest(), gallery._size,
+                                     gallery.dim or 0, rows_sha.digest()))
         if path.exists():
             shutil.copymode(path, tmp)
+        shutil.copymode(tmp, tmp_rows)
         os.replace(tmp, path)
+        os.replace(tmp_rows, companion)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        tmp_rows.unlink(missing_ok=True)
         raise
 
 
 def load_gallery(path) -> Gallery:
-    """Parse a gallery file in one pass; embeddings round-trip bit-exactly.
+    """Read a gallery file; embeddings round-trip bit-exactly.
 
-    The lines (as str.splitlines cuts them; see enroll) go in through enroll's
-    builder, so a huge declared dim allocates nothing.  GalleryFormatError
-    reports the first fault in file order, such as a trailing line or a dim
-    other than the first identity's, then any non-finite embedding or one
-    whose norm differs from 1 by more than UNIT_NORM_TOLERANCE.
+    The file is hashed in blocks, then its lines (as str.splitlines cuts them;
+    see enroll) are walked once.  The rows come from the row companion when it
+    holds this text's hash, the walk's n and d and intact rows; otherwise they
+    are parsed and go in through enroll's builder (so a huge declared dim
+    allocates nothing).  GalleryFormatError reports the first fault in file
+    order, such as a trailing line or a dim other than the first identity's,
+    then any non-finite embedding or one whose norm differs from 1 by more
+    than UNIT_NORM_TOLERANCE.
     """
-    gallery = Gallery()
     with open(path, "r", encoding="utf-8") as fh:
-        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+        text_sha = hashlib.sha256()
+        for block in iter(lambda: fh.buffer.read(1 << 20), b""):
+            text_sha.update(block)
+        companion = _companion_rows(path, text_sha.digest())
+        gallery = companion and _read_text(path, fh, *companion)
+        if gallery is None:  # no companion fits the text: parse the rows
+            gallery = _read_text(path, fh, Gallery(), None)
 
-        # Reads stay outside `except ValueError`: truncated or undecodable input raises one.
-        def take(at_end=None):
-            line = next(lines, at_end)
-            if line is None:
-                raise GalleryFormatError(f"{path}: truncated gallery file")
-            return line
+    rows = gallery._rows[: gallery._size]
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN and inf fail too
+    if bad.size:
+        name, norm = gallery._names[gallery._owner[bad[0]]], float(norms[bad[0]])
+        raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
+    return gallery
 
-        magic, count_line = take(), take("")  # a missing count line is a bad one
-        header = magic.split()
-        if len(header) != 2 or header[0] != MAGIC:
-            raise GalleryFormatError(f"{path}: bad magic line {magic!r}")
-        if header[1] != str(VERSION):
-            raise GalleryFormatError(f"{path}: unsupported version {header[1]!r}")
+
+def _companion_rows(path, text_sha: bytes):
+    """(gallery, n) with the companion's n rows in gallery's matrix, no row
+    claimed yet; None when the companion is missing, short, long or corrupt,
+    or was written for other text or another byte order."""
+    try:
+        with open(companion_path(path), "rb") as fh:
+            head = fh.read(_COMPANION.size).ljust(_COMPANION.size, b"\0")  # short: fails st_size
+            magic, for_text, n, d, rows_sha = _COMPANION.unpack(head)
+            if ((magic, for_text) != (_COMPANION_MAGIC, text_sha)
+                    or os.fstat(fh.fileno()).st_size != _COMPANION.size + 8 * n * d):
+                return None
+            gallery = Gallery()
+            gallery._reserve(n, d)
+            data = gallery._rows[:n].reshape(-1).view(np.uint8)
+            if fh.readinto(data) != data.size or hashlib.sha256(data).digest() != rows_sha:
+                return None
+    except OSError:
+        return None
+    return gallery, n
+
+
+def _read_text(path, fh, gallery: Gallery, n: int | None) -> Gallery | None:
+    """Walk the text file fh from its start into gallery, parsing each row
+    line; or, when gallery's matrix already holds n companion rows, skipping
+    them, and returning None unless the "dim count" lines call for n rows of
+    the companion's dim."""
+    fh.seek(0)
+    lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+
+    # Reads stay outside `except ValueError`: truncated or undecodable input raises one.
+    def take(at_end=None):
+        line = next(lines, at_end)
+        if line is None:
+            raise GalleryFormatError(f"{path}: truncated gallery file")
+        return line
+
+    magic, count_line = take(), take("")  # a missing count line is a bad one
+    header = magic.split()
+    if len(header) != 2 or header[0] != MAGIC:
+        raise GalleryFormatError(f"{path}: bad magic line {magic!r}")
+    if header[1] != str(VERSION):
+        raise GalleryFormatError(f"{path}: unsupported version {header[1]!r}")
+    try:
+        n_identities = int(count_line)
+    except ValueError as exc:
+        raise GalleryFormatError(f"{path}: bad identity count") from exc
+    if n_identities < 0:
+        raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
+    for _ in range(n_identities):
+        name, dim_count = take(), take("")
+        if not name:
+            raise GalleryFormatError(f"{path}: empty identity name")
         try:
-            n_identities = int(count_line)
+            dim, count = map(int, dim_count.split())
         except ValueError as exc:
-            raise GalleryFormatError(f"{path}: bad identity count") from exc
-        if n_identities < 0:
-            raise GalleryFormatError(f"{path}: bad identity count {n_identities}")
-        for _ in range(n_identities):
-            name, dim_count = take(), take("")
-            if not name:
-                raise GalleryFormatError(f"{path}: empty identity name")
-            try:
-                dim, count = map(int, dim_count.split())
-            except ValueError as exc:
-                raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
-            if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
-                raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
-            if count and gallery.dim not in (None, dim):
-                raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
-            if name in gallery._ids:
-                raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
+            raise GalleryFormatError(f"{path}: bad 'dim count' line for {name!r}") from exc
+        if not 0 <= count <= MAX_EMBEDDINGS_PER_IDENTITY:
+            raise GalleryFormatError(f"{path}: {name!r} count {count} breaks the embedding cap")
+        if count and gallery.dim not in (None, dim):
+            raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
+        if name in gallery._ids:
+            raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
+        if n is None:
             gallery._register(name)
             for _ in range(count):
                 row = take()
@@ -229,13 +329,12 @@ def load_gallery(path) -> Gallery:
                 if len(values) != dim:
                     raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
                 gallery._append(name, values)
-        if next(lines, None) is not None:
-            raise GalleryFormatError(f"{path}: trailing lines after the last declared identity")
-
-    rows = gallery._rows[: gallery._size]
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN and inf fail too
-    if bad.size:
-        name, norm = gallery._names[gallery._owner[bad[0]]], float(norms[bad[0]])
-        raise GalleryFormatError(f"{path}: embedding of {name!r} has norm {norm!r}, not 1")
-    return gallery
+        elif count and dim != gallery._rows.shape[1]:
+            return None
+        else:
+            for _ in range(count):
+                take()
+            gallery._claim(name, count)
+    if next(lines, None) is not None:
+        raise GalleryFormatError(f"{path}: trailing lines after the last declared identity")
+    return gallery if n is None or gallery._size == n else None

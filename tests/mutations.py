@@ -5,7 +5,9 @@ tokens, say); the tests judge each result by the file's own reader."""
 
 from __future__ import annotations
 
+import hashlib
 import re
+import struct
 
 from hypothesis import strategies as st
 
@@ -62,6 +64,38 @@ def mutate_gallery(text, kind, a, b, factor):
         values = [f"{float(v) * factor:.17g}" for v in values]
     lines[row] = " ".join(values)
     return "\n".join(lines)
+
+
+COMPANION_EDITS = st.tuples(
+    st.sampled_from(["flip", "truncate", "extend", "shape", "rows"]), _INDEX, _INDEX)
+# a row companion is a 24-byte magic, the text's sha256, n and d (little-endian
+# uint64), the rows' sha256, then the n * d float64 rows
+_N_AT, _ROWS_SHA_AT = 56, 72
+_ROWS_AT = _ROWS_SHA_AT + 32
+
+
+def mutate_companion(data, kind, a, b):
+    """One edit of a gallery's row companion: flip bit b % 8 of byte a, cut it
+    at a, append b % 16 + 1 zero bytes, rewrite (n, d) as a wrong shape (some
+    keep n * d), or forge a consistent companion of one row fewer or one more
+    (a copy of the first), its rows' sha256 recomputed."""
+    if kind == "flip":
+        at = a % len(data)
+        return data[:at] + bytes([data[at] ^ 1 << b % 8]) + data[at + 1:]
+    if kind == "truncate":
+        return data[: a % len(data)]
+    if kind == "extend":
+        return data + bytes(b % 16 + 1)
+    n, d = struct.unpack_from("<QQ", data, _N_AT)
+    if kind == "shape":
+        shapes = [(d, n), (2 * n, d // 2), (n + 1, d), (max(n - 1, 0), d), (n, d + 1)]
+        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[_ROWS_SHA_AT:]
+    rows = data[_ROWS_AT:]
+    if b % 2 and n:
+        n, rows = n - 1, rows[: len(rows) - 8 * d]
+    else:
+        n, rows = n + 1, rows + rows[: 8 * d]
+    return data[:_N_AT] + struct.pack("<QQ", n, d) + hashlib.sha256(rows).digest() + rows
 
 
 PGM_EDITS = st.tuples(st.sampled_from(["truncate", "token", "byte"]), _INDEX, _INDEX)

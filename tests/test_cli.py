@@ -23,8 +23,10 @@ from cotface.pipeline import (
     gallery_to_text,
     load_gallery,
     read_pgm,
+    save_gallery,
     write_pgm,
 )
+from cotface.pipeline.gallery import companion_path
 from mutations import (
     GALLERY_EDITS,
     PGM_EDITS,
@@ -422,6 +424,30 @@ class TestEnrollAuth:
         assert main(["enroll", "--gallery", gallery, "--name", "alice", face]) == 0
         assert main(["enroll", "--gallery", gallery, "--name", "alice", face]) == 0
         assert load_gallery(gallery).total_embeddings() == 2
+
+    def test_auth_reads_the_same_gallery_with_or_without_its_companion(self, tmp_path, capsys):
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = tmp_path / "g.txt"
+        g = Gallery()
+        rng = np.random.default_rng(5)
+        for k in range(12):  # distractors enrolled round-robin, so not in file order
+            enroll(g, f"d{k % 4}", rng.normal(size=32))
+        save_gallery(g, gallery)
+        assert main(["enroll", "--gallery", str(gallery), "--name", "alice", face]) == 0
+        companion = companion_path(gallery)
+        capsys.readouterr()
+        runs = []
+        for damage in (None, "flip", "delete"):
+            if damage == "flip":  # the last row byte
+                data = bytearray(companion.read_bytes())
+                data[-1] ^= 1
+                companion.write_bytes(bytes(data))
+            elif damage == "delete":
+                companion.unlink()
+            runs.append((main(["auth", "--gallery", str(gallery), face]), capsys.readouterr()))
+            assert gallery.read_text(encoding="utf-8") == gallery_to_text(load_gallery(gallery))
+        assert runs[0][0] == 0 and "accepted identity=alice" in runs[0][1].out
+        assert runs[1:] == runs[:1] * 2
 
     def test_auth_stranger_at_tight_threshold(self, tmp_path, capsys):
         face = _write_frame(tmp_path / "face.pgm", "face")

@@ -4,7 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotface.pipeline import (
@@ -237,6 +237,28 @@ class TestNmsRows:
         assert kept == [i for i in visiting if i in kept]
         assert set(kept) == nms_exhaustive(boxes, threshold, iou)
 
+    @settings(max_examples=200, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 6),
+                                    st.integers(1, 6), st.sampled_from([0.2, 0.5, 0.9, 1.0])),
+                          max_size=8),
+           later=st.lists(st.tuples(st.booleans(), st.sampled_from([0.2, 0.5, 0.9, 1.0])),
+                          min_size=8, max_size=8),
+           first=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0]),
+           rise=st.sampled_from([0.0, 1e-12, 0.1, 0.5, np.inf]))
+    def test_a_pass_at_or_above_an_applied_threshold_keeps_every_row(
+            self, specs, later, first, rise):
+        """What detect's skip relies on: rows kept at one threshold, then some
+        dropped and the rest rescored (boxes unmoved), all survive a pass at
+        that threshold or above, in (-confidence, index) order."""
+        rows = np.array([[x, y, x + w, y + h, c] for x, y, w, h, c in specs]).reshape(-1, 5)
+        rows = rows[nms_rows(rows, first)]
+        later = np.array(later, dtype=float)[: len(rows)]  # (stays, new confidence) per row
+        stays = later[:, 0] == 1.0
+        rows = rows[stays]
+        rows[:, 4] = later[stays, 1]
+        visiting = np.lexsort((np.arange(len(rows)), -rows[:, 4]))
+        np.testing.assert_array_equal(nms_rows(rows, first + rise), visiting)
+
 
 class _ClippedLandmarks(_BrightScorer):
     """_BrightScorer whose stage-3 landmarks leave the box and get clipped."""
@@ -266,13 +288,28 @@ def _assert_detect_matches_oracle(pixels, config):
         np.testing.assert_array_equal(a.landmarks, b.landmarks)
 
 
+_FRAME_WITH_OVERLAPS = dict(seed=7, height=40, width=44, integer=False, stride=1,
+                           min_face=14.0, faces=2)
+
+
+# detect skips an NMS pass whose threshold is at least one already applied:
+# the examples take a later pass below, equal to and above an earlier one, and
+# a NaN threshold, which takes the full pass
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
        integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
-       faces=st.integers(0, 2))
-def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces):
+       faces=st.integers(0, 2),
+       stage_iou=st.tuples(*[st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, np.nan])] * 3))
+@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, 0.3, 0.5))
+@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, 0.7, 0.7))
+@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.3, 0.7, 0.9))
+@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.9, 0.5, 0.1))
+@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, np.nan, 0.7))
+def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces,
+                                          stage_iou):
     _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
-                                  DetectConfig(min_face=min_face, stride=stride))
+                                  DetectConfig(min_face=min_face, stride=stride,
+                                               stage_iou=stage_iou))
 
 
 @pytest.mark.parametrize("scan_batch, chunk", [(1, 1), (7, 3), (64, 8)])

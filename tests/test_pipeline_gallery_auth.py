@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
 from cotface.pipeline import gallery as gallery_module
+from cotface.pipeline.gallery import companion_path
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
@@ -30,7 +31,7 @@ from cotface.pipeline import (
     spoof_gate,
 )
 
-from mutations import GALLERY_EDITS, mutate_gallery
+from mutations import COMPANION_EDITS, GALLERY_EDITS, mutate_companion, mutate_gallery
 from oracles import match_loop
 
 
@@ -170,6 +171,15 @@ class TestMatch:
         name, sim = match(g, np.array(probe))
         assert name is None and np.isnan(sim)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the probe's norm
+    @pytest.mark.parametrize("probe", [[1e308, 1e308], [1e308, -1e308]])
+    def test_overflowing_probe_rejected(self, probe):
+        # l2_normalize divides such a probe by an infinite norm, to zeros
+        g = Gallery()
+        enroll(g, "alice", np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="norm overflows"):
+            match(g, probe, sim_threshold=-0.5)
+
     def test_best_across_multiple_embeddings(self):
         g = Gallery()
         enroll(g, "alice", np.array([1.0, 0.0]))
@@ -267,7 +277,7 @@ class TestGalleryFile:
         enroll(g, "alice", _unit(1))
         path = tmp_path / "g.txt"
         save_gallery(g, path)
-        before = path.read_bytes()
+        before, rows_before = path.read_bytes(), companion_path(path).read_bytes()
         enroll(g, "bob", _unit(2))
         text_lines = gallery_module._text_lines
 
@@ -279,7 +289,8 @@ class TestGalleryFile:
         with pytest.raises(OSError, match="disk full"):
             save_gallery(g, path)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+        assert companion_path(path).read_bytes() == rows_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
 
     def test_load_does_not_renormalize(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -345,6 +356,75 @@ class TestGalleryFile:
         assert loaded.total_embeddings() == 2000
         assert peak < path.stat().st_size
 
+    def test_companion_rows_are_bit_identical_and_skip_the_parse(self, tmp_path, monkeypatch):
+        g = Gallery()
+        rng = np.random.default_rng(3)
+        enroll(g, "alice", np.array([3.0, -0.0, 4.0]))  # -0.0 survives "%.17g" as "-0"
+        for k in range(40):  # enrolled round-robin: the file groups rows by identity
+            enroll(g, f"id{k % 8}", rng.normal(size=3) * 10.0 ** rng.integers(-5, 150))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        monkeypatch.setattr(Gallery, "_append", None)  # no row goes in one at a time
+        loaded = load_gallery(path)
+        monkeypatch.undo()
+        companion_path(path).unlink()
+        _assert_same_gallery(loaded, load_gallery(path))
+        assert gallery_to_text(loaded) == gallery_to_text(g)
+
+    def test_companion_takes_the_text_permissions(self, tmp_path):
+        g = Gallery()
+        enroll(g, "alice", _unit(1))
+        path = tmp_path / "g.txt"
+        path.write_text("")
+        path.chmod(0o600)
+        save_gallery(g, path)
+        assert companion_path(path).stat().st_mode & 0o777 == 0o600
+
+    def test_failed_companion_write_keeps_both_files(self, tmp_path, monkeypatch):
+        g = Gallery()
+        enroll(g, "alice", _unit(1))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        before = path.read_bytes(), companion_path(path).read_bytes()
+        enroll(g, "bob", _unit(2))
+
+        class FailingHeader:
+            size = gallery_module._COMPANION.size
+
+            def pack(self, *args):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(gallery_module, "_COMPANION", FailingHeader())
+        with pytest.raises(OSError, match="disk full"):
+            save_gallery(g, path)
+        assert (path.read_bytes(), companion_path(path).read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
+
+    def test_failure_between_the_replaces_leaves_a_stale_companion(self, tmp_path, monkeypatch):
+        """The text is replaced first; the old companion then no longer
+        matches it, and the load reads the text."""
+        g = Gallery()
+        enroll(g, "alice", _unit(1))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        rows_before = companion_path(path).read_bytes()
+        enroll(g, "bob", _unit(2))
+        replace = gallery_module.os.replace
+
+        def text_only(src, dst):
+            if str(dst).endswith(".rows"):
+                raise OSError("power cut")
+            replace(src, dst)
+
+        monkeypatch.setattr(gallery_module.os, "replace", text_only)
+        with pytest.raises(OSError, match="power cut"):
+            save_gallery(g, path)
+        monkeypatch.undo()
+        assert path.read_text() == gallery_to_text(g)
+        assert companion_path(path).read_bytes() == rows_before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
+        assert gallery_to_text(load_gallery(path)) == gallery_to_text(g)
+
     def test_format_error_is_a_value_error(self):
         assert issubclass(GalleryFormatError, ValueError)
 
@@ -389,6 +469,59 @@ class TestGalleryProperties:
         for probe in probes + [rng.normal(size=4)]:
             if probe.size == loaded.dim:
                 assert match(loaded, probe)[1] <= 1.0 + 1e-9
+
+
+    @staticmethod
+    def _saved(tmp):
+        """A saved gallery whose text order (identity by identity) is not
+        its enrollment order, with an identity that has no rows."""
+        g = Gallery()
+        rng = np.random.default_rng(11)
+        for name in ("alice", "bob", "alice", "carol", "bob", "carol", "carol"):
+            enroll(g, name, rng.normal(size=4))
+        g._register("dan")  # "0 0"
+        path = Path(tmp) / "g.txt"
+        save_gallery(g, path)
+        return g, path
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutation=GALLERY_EDITS)
+    def test_stale_companion_reads_as_the_text(self, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            g, path = self._saved(tmp)
+            path.write_text(mutate_gallery(gallery_to_text(g), *mutation))
+            results = []
+            for _ in range(2):  # beside the stale companion, then the text alone
+                try:
+                    results.append(load_gallery(path))
+                except GalleryFormatError as exc:
+                    results.append(str(exc))
+                companion_path(path).unlink(missing_ok=True)
+        if isinstance(results[0], str):
+            assert results[0] == results[1]
+        else:
+            _assert_same_gallery(*results)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=COMPANION_EDITS)
+    def test_damaged_companion_reads_as_the_text(self, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            g, path = self._saved(tmp)
+            companion = companion_path(path)
+            companion.write_bytes(mutate_companion(companion.read_bytes(), *edit))
+            loaded = load_gallery(path)
+            companion.unlink()
+            _assert_same_gallery(loaded, load_gallery(path))
+            assert gallery_to_text(loaded) == gallery_to_text(g)
+
+
+def _assert_same_gallery(a, b):
+    """Equal names, owners and rows, the rows bit for bit."""
+    assert a._names == b._names and a._ids == b._ids and a.dim == b.dim
+    n = a.total_embeddings()
+    assert b.total_embeddings() == n
+    np.testing.assert_array_equal(a._owner[:n], b._owner[:n])
+    assert a._rows[:n].tobytes() == b._rows[:n].tobytes()
 
 
 class TestSpoofGate:
