@@ -23,8 +23,8 @@ stages 2 and 3 get at most _CHUNK boxes per call.
 
 An NMS pass that cannot suppress is skipped: a greedy pass at threshold t
 keeps rows whose pairwise IoU is below t, and later stages only drop and
-rescore rows, so a pass at or above the smallest threshold applied so far
-keeps every row, in nms_rows's visiting order, which detect takes directly.
+rescore rows, so a pass at or above an earlier pass's threshold keeps every
+row, in nms_rows's visiting order, which detect takes directly.
 """
 
 from __future__ import annotations
@@ -234,24 +234,20 @@ def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
     """
     if config is None:
         config = DetectConfig()
-    applied = np.inf  # the smallest NMS threshold applied so far (module docstring)
 
-    def nms_pass(rows, threshold):
-        nonlocal applied
-        if threshold >= applied:  # no pair of rows can reach it: keep all, in visiting order
-            return np.lexsort((np.arange(len(rows)), -rows[:, 4]))
-        if threshold < applied:  # a NaN threshold takes the full pass and lowers nothing
-            applied = threshold
-        return nms_rows(rows, threshold)
+    def nms_pass(rows, k):  # skipped after a pass at no higher threshold; NaN never skips
+        if any(t <= config.stage_iou[k] for t in config.stage_iou[:k]):
+            return np.lexsort((np.arange(len(rows)), -rows[:, 4]))  # nms_rows's visiting order
+        return nms_rows(rows, config.stage_iou[k])
 
     rows = _scan_stage(img, scorer.stage1, config)
-    rows = rows[nms_pass(rows, config.stage_iou[0])]
+    rows = rows[nms_pass(rows, 0)]
     rows, _ = _rescore_stage(img, rows, lambda crops, boxes: (scorer.stage2(crops, boxes), None),
                              24, config.stage_confidences[1])
-    rows = rows[nms_pass(rows, config.stage_iou[1])]
+    rows = rows[nms_pass(rows, 1)]
     rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
     return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
-            for i in nms_pass(rows, config.stage_iou[2])]
+            for i in nms_pass(rows, 2)]
 
 
 def min_face_filter(boxes, frame_width: float, ratio: float = 5.0) -> list:

@@ -18,9 +18,9 @@ count, then per identity its name, "dim count", and one embedding per line as
 17-significant-digit decimals, which round-trip float64 exactly.  Both fillers
 admit only finite unit embeddings of one dim, so match can trust every row.
 
-Beside the text, save_gallery writes a binary row companion (companion_path).
-When it was written for exactly this text, load_gallery takes the rows from
-it and parses no decimal; otherwise it parses the text, the source of truth.
+Beside the text G, save_gallery writes a binary row companion G.rows.  When
+it was written for exactly this text, load_gallery takes the rows from it and
+parses no decimal; otherwise it parses the text, the source of truth.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
-# companion header: a magic naming the row dtype (another byte order reads as
-# stale), the text's sha256, n, d, the sha256 of the n * d float64 row bytes
-_COMPANION = struct.Struct("<24s32sQQ32s")
+# companion: this header (a magic naming the row dtype, so another byte order
+# reads as stale; the text's sha256; n; d), the n * d float64 rows in text
+# order, then the sha256 of every byte before it
+_COMPANION = struct.Struct("<24s32sQQ")
 _COMPANION_MAGIC = f"cotface-gallery-rows {np.dtype(np.float64).str}".encode()
 
 
@@ -97,10 +98,13 @@ class Gallery:
         self._size = n + count
 
     def _append(self, name: str, unit: np.ndarray | list[float]):
-        if self._size == len(self._rows):
-            self._reserve(self._size, np.size(unit))
-        self._rows[self._size] = unit
-        self._claim(name, 1)
+        n = self._size
+        if n == len(self._rows):
+            self._reserve(n, np.size(unit))
+        rank, ids = self._register(name)
+        self._rows[n], self._owner[n] = unit, rank
+        ids.append(n)
+        self._size = n + 1
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,13 @@ def gallery_to_text(gallery: Gallery) -> str:
     return "".join(_text_lines(gallery))
 
 
-def companion_path(path) -> Path:
-    """The binary row companion that save_gallery writes beside path."""
-    return Path(f"{path}.rows")
+def _write_hashed(fh, chunks) -> bytes:
+    """Write the byte strings chunks to fh; the sha256 of all of them."""
+    sha = hashlib.sha256()
+    for data in chunks:
+        sha.update(data)
+        fh.write(data)
+    return sha.digest()
 
 
 def save_gallery(gallery: Gallery, path):
@@ -196,25 +204,15 @@ def save_gallery(gallery: Gallery, path):
     the permission bits of the text file they replace.
     """
     path = Path(path)
-    companion = companion_path(path)
+    companion = Path(f"{path}.rows")
     tmp, tmp_rows = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, companion))
-    text_sha = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for line in _text_lines(gallery):
-                data = line.encode("utf-8")
-                text_sha.update(data)
-                fh.write(data)
-        rows_sha = hashlib.sha256()
-        with open(tmp_rows, "wb") as fh:
-            fh.seek(_COMPANION.size)  # the header holds the rows' hash, so it goes last
-            for _, ids in gallery._ids.values():  # text order, which enrollment order may not be
-                data = gallery._rows[ids].tobytes()
-                rows_sha.update(data)
-                fh.write(data)
-            fh.seek(0)
-            fh.write(_COMPANION.pack(_COMPANION_MAGIC, text_sha.digest(), gallery._size,
-                                     gallery.dim or 0, rows_sha.digest()))
+            text_sha = _write_hashed(fh, (line.encode("utf-8") for line in _text_lines(gallery)))
+        with open(tmp_rows, "wb") as fh:  # rows in text order, which enrollment order may not be
+            head = _COMPANION.pack(_COMPANION_MAGIC, text_sha, gallery._size, gallery.dim or 0)
+            rows = (gallery._rows[ids].tobytes() for _, ids in gallery._ids.values())
+            fh.write(_write_hashed(fh, itertools.chain([head], rows)))
         if path.exists():
             shutil.copymode(path, tmp)
         shutil.copymode(tmp, tmp_rows)
@@ -229,20 +227,18 @@ def save_gallery(gallery: Gallery, path):
 def load_gallery(path) -> Gallery:
     """Read a gallery file; embeddings round-trip bit-exactly.
 
-    The file is hashed in blocks, then its lines (as str.splitlines cuts them;
-    see enroll) are walked once.  The rows come from the row companion when it
-    holds this text's hash, the walk's n and d and intact rows; otherwise they
-    are parsed and go in through enroll's builder (so a huge declared dim
-    allocates nothing).  GalleryFormatError reports the first fault in file
-    order, such as a trailing line or a dim other than the first identity's,
-    then any non-finite embedding or one whose norm differs from 1 by more
-    than UNIT_NORM_TOLERANCE.
+    The lines (as str.splitlines cuts them; see enroll) are walked once.  The
+    rows come from the row companion when it is intact and holds this text's
+    hash and the walk's n and d (the text is hashed, in blocks, only once a
+    companion's header is sound); otherwise they are parsed and go in through
+    enroll's builder (so a huge declared dim allocates nothing).
+    GalleryFormatError reports the first fault in file order, such as a
+    trailing line or a dim other than the first identity's, then any
+    non-finite embedding or one whose norm differs from 1 by more than
+    UNIT_NORM_TOLERANCE.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text_sha = hashlib.sha256()
-        for block in iter(lambda: fh.buffer.read(1 << 20), b""):
-            text_sha.update(block)
-        companion = _companion_rows(path, text_sha.digest())
+        companion = _companion_rows(path, fh)
         gallery = companion and _read_text(path, fh, *companion)
         if gallery is None:  # no companion fits the text: parse the rows
             gallery = _read_text(path, fh, Gallery(), None)
@@ -256,21 +252,29 @@ def load_gallery(path) -> Gallery:
     return gallery
 
 
-def _companion_rows(path, text_sha: bytes):
-    """(gallery, n) with the companion's n rows in gallery's matrix, no row
-    claimed yet; None when the companion is missing, short, long or corrupt,
-    or was written for other text or another byte order."""
+def _companion_rows(path, text):
+    """(gallery, n) with the n rows of path's companion in gallery's matrix,
+    none claimed yet; None when the companion is missing, short, long or
+    corrupt, or was written for other text (the file text) or byte order."""
     try:
-        with open(companion_path(path), "rb") as fh:
+        with open(f"{path}.rows", "rb") as fh:
             head = fh.read(_COMPANION.size).ljust(_COMPANION.size, b"\0")  # short: fails st_size
-            magic, for_text, n, d, rows_sha = _COMPANION.unpack(head)
-            if ((magic, for_text) != (_COMPANION_MAGIC, text_sha)
-                    or os.fstat(fh.fileno()).st_size != _COMPANION.size + 8 * n * d):
+            magic, for_text, n, d = _COMPANION.unpack(head)
+            if (magic != _COMPANION_MAGIC or (n > 0) != (d > 0)  # so the file's size bounds n
+                    or os.fstat(fh.fileno()).st_size != _COMPANION.size + 8 * n * d + 32):
                 return None
-            gallery = Gallery()
-            gallery._reserve(n, d)
+            text_sha = hashlib.sha256()
+            for block in iter(lambda: text.buffer.read(1 << 20), b""):
+                text_sha.update(block)
+            if text_sha.digest() != for_text:
+                return None
+            gallery, sha = Gallery(), hashlib.sha256(head)
+            if n:  # an empty gallery keeps its (0, 0) matrix, which enroll can grow
+                gallery._reserve(n, d)
             data = gallery._rows[:n].reshape(-1).view(np.uint8)
-            if fh.readinto(data) != data.size or hashlib.sha256(data).digest() != rows_sha:
+            fh.readinto(data)
+            sha.update(data)  # a short read leaves bytes that fail the check
+            if sha.digest() != fh.read():
                 return None
     except OSError:
         return None

@@ -67,18 +67,17 @@ def mutate_gallery(text, kind, a, b, factor):
 
 
 COMPANION_EDITS = st.tuples(
-    st.sampled_from(["flip", "truncate", "extend", "shape", "rows"]), _INDEX, _INDEX)
+    st.sampled_from(["flip", "truncate", "extend", "shape", "forge"]), _INDEX, _INDEX)
 # a row companion is a 24-byte magic, the text's sha256, n and d (little-endian
-# uint64), the rows' sha256, then the n * d float64 rows
-_N_AT, _ROWS_SHA_AT = 56, 72
-_ROWS_AT = _ROWS_SHA_AT + 32
+# uint64), the n * d float64 rows, then the sha256 of every byte before it
+_N_AT, _ROWS_AT = 56, 72
 
 
 def mutate_companion(data, kind, a, b):
     """One edit of a gallery's row companion: flip bit b % 8 of byte a, cut it
     at a, append b % 16 + 1 zero bytes, rewrite (n, d) as a wrong shape (some
-    keep n * d), or forge a consistent companion of one row fewer or one more
-    (a copy of the first), its rows' sha256 recomputed."""
+    keep n * d), or forge a companion with its sha256 recomputed: of such a
+    shape, or of one row fewer or one more (a copy of the first)."""
     if kind == "flip":
         at = a % len(data)
         return data[:at] + bytes([data[at] ^ 1 << b % 8]) + data[at + 1:]
@@ -87,15 +86,18 @@ def mutate_companion(data, kind, a, b):
     if kind == "extend":
         return data + bytes(b % 16 + 1)
     n, d = struct.unpack_from("<QQ", data, _N_AT)
+    shapes = [(d, n), (2 * n, d // 2), (n + 1, d), (max(n - 1, 0), d), (n, d + 1), (2**62, 0)]
     if kind == "shape":
-        shapes = [(d, n), (2 * n, d // 2), (n + 1, d), (max(n - 1, 0), d), (n, d + 1)]
-        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[_ROWS_SHA_AT:]
-    rows = data[_ROWS_AT:]
-    if b % 2 and n:
+        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[_ROWS_AT:]
+    rows = data[_ROWS_AT:-32]
+    if a % 2:
+        n, d = shapes[b % len(shapes)]
+    elif b % 2 and n:
         n, rows = n - 1, rows[: len(rows) - 8 * d]
     else:
         n, rows = n + 1, rows + rows[: 8 * d]
-    return data[:_N_AT] + struct.pack("<QQ", n, d) + hashlib.sha256(rows).digest() + rows
+    body = data[:_N_AT] + struct.pack("<QQ", n, d) + rows
+    return body + hashlib.sha256(body).digest()
 
 
 PGM_EDITS = st.tuples(st.sampled_from(["truncate", "token", "byte"]), _INDEX, _INDEX)

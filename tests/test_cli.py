@@ -26,7 +26,6 @@ from cotface.pipeline import (
     save_gallery,
     write_pgm,
 )
-from cotface.pipeline.gallery import companion_path
 from mutations import (
     GALLERY_EDITS,
     PGM_EDITS,
@@ -409,6 +408,17 @@ class TestEnrollAuth:
         assert "blurry" in capsys.readouterr().out
         assert load_gallery(gallery).total_embeddings() == 0
 
+    def test_enroll_after_an_all_blurry_enroll(self, tmp_path, capsys):
+        """A gallery saved with no rows takes the next enroll."""
+        blank = _write_frame(tmp_path / "blank.pgm", "blank")
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = str(tmp_path / "g.txt")
+        assert main(["enroll", "--gallery", gallery, "--name", "alice", blank]) == 1
+        assert main(["enroll", "--gallery", gallery, "--name", "alice", face]) == 0
+        capsys.readouterr()
+        assert main(["auth", "--gallery", gallery, face]) == 0
+        assert "accepted identity=alice" in capsys.readouterr().out
+
     def test_sixth_image_hits_capacity(self, tmp_path, capsys):
         face = _write_frame(tmp_path / "face.pgm", "face")
         gallery = str(tmp_path / "g.txt")
@@ -434,13 +444,13 @@ class TestEnrollAuth:
             enroll(g, f"d{k % 4}", rng.normal(size=32))
         save_gallery(g, gallery)
         assert main(["enroll", "--gallery", str(gallery), "--name", "alice", face]) == 0
-        companion = companion_path(gallery)
+        companion = Path(f"{gallery}.rows")
         capsys.readouterr()
         runs = []
         for damage in (None, "flip", "delete"):
-            if damage == "flip":  # the last row byte
+            if damage == "flip":  # the last row byte, before the 32-byte checksum
                 data = bytearray(companion.read_bytes())
-                data[-1] ^= 1
+                data[-33] ^= 1
                 companion.write_bytes(bytes(data))
             elif damage == "delete":
                 companion.unlink()

@@ -312,6 +312,19 @@ def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, 
                                                stage_iou=stage_iou))
 
 
+@pytest.mark.parametrize("stage_iou, passes", [
+    ((0.7, 0.7, 0.7), [0.7]), ((0.7, 0.3, 0.5), [0.7, 0.3]), ((0.3, 0.7, 0.2), [0.3, 0.2]),
+    ((0.9, 0.5, 0.1), [0.9, 0.5, 0.1]), ((0.7, np.nan, 0.7), [0.7, np.nan])])
+def test_only_passes_that_can_suppress_run(monkeypatch, stage_iou, passes):
+    ran = []
+    run = detect_module.nms_rows
+    monkeypatch.setattr(detect_module, "nms_rows", lambda rows, t: ran.append(t) or run(rows, t))
+    pixels = _random_frame(7, 40, 44, False, 2)
+    detect(GrayImage(pixels), _ClippedLandmarks(),
+           DetectConfig(min_face=14.0, stride=1, stage_iou=stage_iou))
+    np.testing.assert_array_equal(ran, passes)
+
+
 @pytest.mark.parametrize("scan_batch, chunk", [(1, 1), (7, 3), (64, 8)])
 def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
     # a scan batch below one row of windows still scores whole rows

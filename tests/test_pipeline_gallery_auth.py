@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
 from cotface.pipeline import gallery as gallery_module
-from cotface.pipeline.gallery import companion_path
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
@@ -277,7 +276,7 @@ class TestGalleryFile:
         enroll(g, "alice", _unit(1))
         path = tmp_path / "g.txt"
         save_gallery(g, path)
-        before, rows_before = path.read_bytes(), companion_path(path).read_bytes()
+        before, rows_before = path.read_bytes(), _companion(path).read_bytes()
         enroll(g, "bob", _unit(2))
         text_lines = gallery_module._text_lines
 
@@ -289,7 +288,7 @@ class TestGalleryFile:
         with pytest.raises(OSError, match="disk full"):
             save_gallery(g, path)
         assert path.read_bytes() == before
-        assert companion_path(path).read_bytes() == rows_before
+        assert _companion(path).read_bytes() == rows_before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
 
     def test_load_does_not_renormalize(self, tmp_path):
@@ -367,9 +366,29 @@ class TestGalleryFile:
         monkeypatch.setattr(Gallery, "_append", None)  # no row goes in one at a time
         loaded = load_gallery(path)
         monkeypatch.undo()
-        companion_path(path).unlink()
+        _companion(path).unlink()
         _assert_same_gallery(loaded, load_gallery(path))
         assert gallery_to_text(loaded) == gallery_to_text(g)
+
+    def test_empty_gallery_loads_and_grows(self, tmp_path):
+        g = Gallery()
+        g._register("dan")
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        loaded = load_gallery(path)
+        assert loaded.total_embeddings() == 0 and loaded.dim is None
+        assert enroll(loaded, "alice", _unit(1)).accepted
+        assert match(loaded, _unit(1))[0] == "alice"
+
+    def test_text_alone_is_not_hashed(self, tmp_path, monkeypatch):
+        """With no companion beside it, the load reads the text once."""
+        g = Gallery()
+        enroll(g, "alice", _unit(1))
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        _companion(path).unlink()
+        monkeypatch.setattr(gallery_module, "hashlib", None)
+        assert gallery_to_text(load_gallery(path)) == gallery_to_text(g)
 
     def test_companion_takes_the_text_permissions(self, tmp_path):
         g = Gallery()
@@ -378,14 +397,14 @@ class TestGalleryFile:
         path.write_text("")
         path.chmod(0o600)
         save_gallery(g, path)
-        assert companion_path(path).stat().st_mode & 0o777 == 0o600
+        assert _companion(path).stat().st_mode & 0o777 == 0o600
 
     def test_failed_companion_write_keeps_both_files(self, tmp_path, monkeypatch):
         g = Gallery()
         enroll(g, "alice", _unit(1))
         path = tmp_path / "g.txt"
         save_gallery(g, path)
-        before = path.read_bytes(), companion_path(path).read_bytes()
+        before = path.read_bytes(), _companion(path).read_bytes()
         enroll(g, "bob", _unit(2))
 
         class FailingHeader:
@@ -397,7 +416,7 @@ class TestGalleryFile:
         monkeypatch.setattr(gallery_module, "_COMPANION", FailingHeader())
         with pytest.raises(OSError, match="disk full"):
             save_gallery(g, path)
-        assert (path.read_bytes(), companion_path(path).read_bytes()) == before
+        assert (path.read_bytes(), _companion(path).read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
 
     def test_failure_between_the_replaces_leaves_a_stale_companion(self, tmp_path, monkeypatch):
@@ -407,7 +426,7 @@ class TestGalleryFile:
         enroll(g, "alice", _unit(1))
         path = tmp_path / "g.txt"
         save_gallery(g, path)
-        rows_before = companion_path(path).read_bytes()
+        rows_before = _companion(path).read_bytes()
         enroll(g, "bob", _unit(2))
         replace = gallery_module.os.replace
 
@@ -421,7 +440,7 @@ class TestGalleryFile:
             save_gallery(g, path)
         monkeypatch.undo()
         assert path.read_text() == gallery_to_text(g)
-        assert companion_path(path).read_bytes() == rows_before
+        assert _companion(path).read_bytes() == rows_before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.rows"]
         assert gallery_to_text(load_gallery(path)) == gallery_to_text(g)
 
@@ -472,12 +491,13 @@ class TestGalleryProperties:
 
 
     @staticmethod
-    def _saved(tmp):
+    def _saved(tmp, empty=False):
         """A saved gallery whose text order (identity by identity) is not
-        its enrollment order, with an identity that has no rows."""
+        its enrollment order, with an identity that has no rows; or, when
+        empty, only that identity."""
         g = Gallery()
         rng = np.random.default_rng(11)
-        for name in ("alice", "bob", "alice", "carol", "bob", "carol", "carol"):
+        for name in () if empty else ("alice", "bob", "alice", "carol", "bob", "carol", "carol"):
             enroll(g, name, rng.normal(size=4))
         g._register("dan")  # "0 0"
         path = Path(tmp) / "g.txt"
@@ -496,23 +516,32 @@ class TestGalleryProperties:
                     results.append(load_gallery(path))
                 except GalleryFormatError as exc:
                     results.append(str(exc))
-                companion_path(path).unlink(missing_ok=True)
+                _companion(path).unlink(missing_ok=True)
         if isinstance(results[0], str):
             assert results[0] == results[1]
         else:
             _assert_same_gallery(*results)
 
     @settings(max_examples=200, deadline=None)
-    @given(edit=COMPANION_EDITS)
-    def test_damaged_companion_reads_as_the_text(self, edit):
+    @given(edit=COMPANION_EDITS, empty=st.booleans())
+    def test_damaged_companion_reads_as_the_text(self, edit, empty):
         with tempfile.TemporaryDirectory() as tmp:
-            g, path = self._saved(tmp)
-            companion = companion_path(path)
+            g, path = self._saved(tmp, empty)
+            companion = _companion(path)
             companion.write_bytes(mutate_companion(companion.read_bytes(), *edit))
             loaded = load_gallery(path)
             companion.unlink()
-            _assert_same_gallery(loaded, load_gallery(path))
+            text_only = load_gallery(path)
+            _assert_same_gallery(loaded, text_only)
             assert gallery_to_text(loaded) == gallery_to_text(g)
+            for each in (loaded, text_only):  # both take a new row alike
+                enroll(each, "erin", np.arange(1.0, 5.0))
+            _assert_same_gallery(loaded, text_only)
+
+
+def _companion(path):
+    """The row companion save_gallery writes beside path."""
+    return Path(f"{path}.rows")
 
 
 def _assert_same_gallery(a, b):
