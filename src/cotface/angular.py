@@ -92,14 +92,17 @@ class AngularBatch:
             raise ValueError("labels must have shape (N,)")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ValueError("labels must be integers")
-        if not np.isfinite(values).all():
+        # one min and one max judge the whole array: NaN fails every comparison
+        lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+        in_range = lo >= 0.0 and hi < np.pi if self.cos is None else lo >= -1.0 and hi <= 1.0
+        if not in_range and not np.isfinite(values).all():
             raise ValueError(f"{name} contains non-finite values")
         if (self.labels < 0).any() or (self.labels >= values.shape[1]).any():
             raise ValueError("labels out of range")
-        if self.cos is None and ((values < 0.0).any() or (values >= np.pi).any()):
+        if self.cos is None and not in_range:
             raise ValueError("angles must lie in [0, pi)")
         labeled = np.abs(values[np.arange(values.shape[0]), self.labels])
-        if self.theta is None and ((np.abs(values) > 1.0).any() or (labeled == 1.0).any()):
+        if self.theta is None and (not in_range or (labeled == 1.0).any()):
             raise ValueError("cosines must lie in [-1, 1], the labeled ones in (-1, 1)")
         self.theta, self.cos = (values, np.cos(values)) if self.cos is None else (None, values)
 
@@ -142,13 +145,11 @@ def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndar
     centers.  Cosines are clamped to [-1 + eps, 1 - eps] before arccos so the
     result stays differentiable.  Returns (N, n_classes) radians.
     """
-    features = np.asarray(features, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    features, weights = (np.asarray(a, dtype=np.float64) for a in (features, weights))
     if not np.isfinite(features).all() or not np.isfinite(weights).all():
         raise ValueError("non-finite input")
-    fn = l2_normalize_rows(features, eps)
-    wn = l2_normalize_rows(weights, eps)
-    return np.arccos(np.clip(fn @ wn.T, -1.0 + eps, 1.0 - eps))
+    cos = l2_normalize_rows(features, eps) @ l2_normalize_rows(weights, eps).T
+    return np.arccos(np.clip(cos, -1.0 + eps, 1.0 - eps, out=cos), out=cos)
 
 
 def cot_from_cos(cos, eps: float = DEFAULT_EPS):
@@ -158,11 +159,17 @@ def cot_from_cos(cos, eps: float = DEFAULT_EPS):
     |cos| nears 1, holds cot at +-cos/eps near the poles; the slope is
     (1 + cot^2)/sin = 1/sin^3, and 1/eps where the floor engages.
     """
-    sin = np.sqrt((1.0 - cos) * (1.0 + cos))
-    floored = sin < eps
-    sin = np.maximum(sin, eps)
-    cot = cos / sin
-    return cot, np.where(floored, 1.0 / eps, (1.0 + cot * cot) / sin), sin
+    sin = np.subtract(1.0, cos, out=np.empty(np.shape(cos)))
+    slope = np.add(1.0, cos, out=np.empty_like(sin))
+    np.sqrt(np.multiply(sin, slope, out=sin), out=sin)
+    floored = None if sin.size == 0 or sin.min() >= eps else sin < eps  # NaN takes this branch
+    if floored is not None:
+        np.maximum(sin, eps, out=sin)
+    cot = np.divide(cos, sin)
+    np.divide(np.add(np.multiply(cot, cot, out=slope), 1.0, out=slope), sin, out=slope)
+    if floored is not None:
+        slope[floored] = 1.0 / eps
+    return cot, slope, sin
 
 
 def margin_cot(angle, eps: float = DEFAULT_EPS):
@@ -207,8 +214,7 @@ def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     sin_tm = sin_t * cos_m + cos_t * sin_m
     if (np.abs(sin_tm) < eps).any():
         raise SingularityError("cot undefined: |sin(theta + m)| < eps")
-    cot_theta_m = cos_tm / sin_tm
-    return cot_theta, cot_theta_m
+    return cot_theta, cos_tm / sin_tm
 
 
 def elastic_sample(mean: float, sigma: float, rng: np.random.Generator, size=None):

@@ -8,8 +8,10 @@ margins), and the per-sample loss is
     -log_b( e^{f(theta_y)} / (e^{f(theta_y)} + sum_{j != y} e^{g(theta_j)}) )
 
 computed as logit minus log-sum-exp with a max shift so large logits cannot
-overflow.  The batch value is the mean of the per-sample losses; grad_theta
-(grad_cos for a cosine batch) carries its gradient in the batch's shape.
+overflow.  The margins change only f, so one pass over the competitor logits
+serves every true-class branch (_shared_ce, which softmax_loss uses too).  The
+batch value is the mean of the per-sample losses; grad_theta (grad_cos for a
+cosine batch) carries its gradient in the batch's shape.
 PRESETS gives each named loss its kernel, margins and true-class branches.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
 combined margins) uses cos; the cotangent family uses cot, which diverges as
@@ -24,6 +26,7 @@ score sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -73,22 +76,35 @@ class ScorePair:
                 raise ValueError(f"{name} scores must lie in [0, 1]")
 
 
-def _cross_entropy(z, labels, ln_b: float):
-    """Softmax cross-entropy of each row of the logit matrix z at its label.
+def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
+    """Cross-entropy of true-class branches (f, df, w) over shared competitors z = s*k.
 
-    Logit minus log-sum-exp with a max shift, so large logits cannot
-    overflow.  Returns (per_sample, d(mean per_sample)/dz).
+    k (N, C) is overwritten; dk (a float or (N, C)) and df (N,) are slopes, f
+    the labeled logit and w a weight (None: unweighted).  One pass over z gives
+    the competitors' row max m and S = sum_{j != y} e^{z_j - m} (0 with none);
+    a branch adds (N,) work: top = max(m, f), D = S*e^{m - top} + e^{f - top},
+    loss (top + log D - f)/ln b.  Returns (per_sample, d(mean)/d(input)), summed.
     """
-    rows = np.arange(z.shape[0])
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = np.subtract(z, zmax)
-    np.exp(shifted, out=shifted)
-    denom = shifted.sum(axis=1, keepdims=True)
-    per_sample = (zmax[:, 0] + np.log(denom[:, 0]) - z[rows, labels]) / ln_b
-    grad = np.divide(shifted, denom, out=shifted)
-    grad[rows, labels] -= 1.0
-    grad /= z.shape[0] * ln_b
-    return per_sample, grad
+    n, rows = len(labels), np.arange(len(labels))
+    z = np.multiply(k, s, out=k)
+    z[rows, labels] = -np.inf
+    m = z.max(axis=1)
+    if z.shape[1] > 1:  # with no competitor m is -inf, and z stays -inf
+        np.subtract(z, m[:, None], out=z)
+    total = np.exp(z, out=z).sum(axis=1)  # e^{-inf} = 0 on the label
+    parts = []
+    for f, df, w in branches:
+        top = np.maximum(m, f)
+        shrink, e_f = np.exp(m - top), np.exp(f - top)
+        denom = total * shrink + e_f
+        part = ((top + np.log(denom) - f) / ln_b, shrink / (denom * (n * ln_b)),
+                (e_f / denom - 1.0) / (n * ln_b) * df)
+        parts.append(part if w is None else [w * x for x in part])
+    per_sample, coef, grad_true = (reduce(np.add, terms) for terms in zip(*parts))
+    z *= (coef * s)[:, None]
+    z *= dk
+    z[rows, labels] = grad_true
+    return per_sample, z
 
 
 def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
@@ -96,8 +112,9 @@ def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
 
     grad_theta holds the gradient w.r.t. the logits themselves.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    per_sample, grad = _cross_entropy(logits, np.asarray(labels), cfg.log_divisor)
+    logits, labels = np.array(logits, dtype=np.float64), np.asarray(labels)
+    f = logits[np.arange(len(labels)), labels]  # a copy: the core overwrites logits
+    per_sample, grad = _shared_ce(logits, 1.0, 1.0, labels, [(f, 1.0, None)], cfg.log_divisor)
     return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
 
 
@@ -133,21 +150,19 @@ ELASTIC_LOSSES = frozenset(
 
 def _margin(slot, cfg: LossConfig, rng, n: int):
     """A margin slot's value: None, a config field, or n elastic draws."""
-    if slot is None:
-        return None
-    if isinstance(slot, str):
-        return getattr(cfg, slot)
-    mean, sigma = slot
-    return elastic_sample(getattr(cfg, mean), getattr(cfg, sigma), rng, size=n)
+    if isinstance(slot, tuple):  # (mean, sigma) fields
+        return elastic_sample(*(getattr(cfg, f) for f in slot), rng, size=n)
+    return None if slot is None else getattr(cfg, slot)
 
 
 def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOutput:
     """The loss of preset `name`: cross-entropy over its margin logits.
 
-    Every class gets the competitor logit g = s*k(theta) from its cosine, the
-    labeled class f = s*(k(e1*theta + e2) - e3) per branch from its angle.
+    Every other class gets the competitor logit g = s*k(theta) from its cosine,
+    the labeled class f = s*(k(e1*theta + e2) - e3) per branch from its angle.
     Margins the preset leaves out are skipped, not applied as 1 or 0, so each
-    loss evaluates its closed form's arithmetic.  Weighted branches sum.
+    loss evaluates its closed form's arithmetic.  The weighted branches sum
+    over one competitor term, which _shared_ce computes once.
     """
     kernel, e1, e2, e3, branches = PRESETS[name]
     if rng is None and name in ELASTIC_LOSSES:
@@ -155,35 +170,24 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     weights = [w for _, w in branches]
     if weights and not sum(getattr(cfg, w) for w in weights) > 0.0:
         raise ValueError(f"{' + '.join(weights)} must be positive")
-    g, dg = _KERNELS[kernel][0](batch.cos)  # g is fresh, scaled in place
-    g *= cfg.s
-    dg *= cfg.s
-    n, labels = batch.n_samples, batch.labels
-    rows = np.arange(n)
+    k, dk = _KERNELS[kernel][0](batch.cos)  # k is fresh: the core overwrites it
+    n, labels, rows = batch.n_samples, batch.labels, np.arange(batch.n_samples)
     if batch.theta is None:  # cosine batch: d(angle)/d(cos) = -1/sin(angle) on the label
         u = np.arccos(batch.cos[rows, labels])
         slope = cfg.s / -np.sin(u)
     else:  # angle batch: d(cos)/d(angle) = -sin(angle) off the label
-        u, slope, dg = batch.theta[rows, labels], cfg.s, dg * -np.sin(batch.theta)
+        u, slope, dk = batch.theta[rows, labels], cfg.s, dk * -np.sin(batch.theta)
     e1, e2, e3 = [_margin(e, cfg, rng, n) for e in (e1, e2, e3)]  # draws in slot order
     if e1 is not None:
-        u = e1 * u
-        slope = slope * e1
+        u, slope = e1 * u, slope * e1
     if e2 is not None:
         u = u + e2
-    per_sample = grad = None
+    trues = []
     for true_kernel, weight in branches or ((kernel, None),):
-        k, dk = _KERNELS[true_kernel][1](u)
-        g[rows, labels] = cfg.s * (k if e3 is None else k - e3)  # g becomes the logits
-        ps, gz = _cross_entropy(g, labels, cfg.log_divisor)
-        gz_true = gz[rows, labels] * (slope * dk)
-        gz *= dg  # chain rule: d(logit)/d(input) is dg off the label, the f slope on it
-        gz[rows, labels] = gz_true
-        if weight is not None:
-            ps = getattr(cfg, weight) * ps
-            gz *= getattr(cfg, weight)
-        per_sample = ps if per_sample is None else per_sample + ps
-        grad = gz if grad is None else grad + gz
+        f, df = _KERNELS[true_kernel][1](u)
+        trues.append((cfg.s * (f if e3 is None else f - e3), slope * df,
+                      None if weight is None else getattr(cfg, weight)))
+    per_sample, grad = _shared_ce(k, dk, cfg.s, labels, trues, cfg.log_divisor)
     grads = {"grad_cos" if batch.theta is None else "grad_theta": grad}
     return LossOutput(float(per_sample.mean()), per_sample, **grads)
 
@@ -244,8 +248,8 @@ dual_cot_cos_loss = _preset_loss(
     """Weighted sum of a cot branch and a cos branch over one margin draw.
 
     Both branches share the sampled margins (e1, e2, e3) and the same
-    cot-based competitor term sum_{j != y} e^{s*cot(theta_j)}; only the
-    true-class logit differs: s*(cot(e1*theta + e2) - e3) versus
+    cot-based competitor term sum_{j != y} e^{s*cot(theta_j)}, computed once;
+    only the true-class logit differs: s*(cot(e1*theta + e2) - e3) versus
     s*(cos(e1*theta + e2) - e3).  value = alpha*cot_branch + beta*cos_branch.
     """)
 
@@ -258,12 +262,9 @@ def double_loss(pair: ScorePair) -> LossOutput:
     one.  Gradients are +1/|low| per low score and -1/|high| per high score.
     """
     value = float(pair.low.mean() - pair.high.mean() + 1.0)
-    return LossOutput(
-        value=value,
-        per_sample=np.array([value]),
-        grad_low=np.full(pair.low.shape, 1.0 / pair.low.size),
-        grad_high=np.full(pair.high.shape, -1.0 / pair.high.size),
-    )
+    return LossOutput(value, np.array([value]),
+                      grad_low=np.full(pair.low.shape, 1.0 / pair.low.size),
+                      grad_high=np.full(pair.high.shape, -1.0 / pair.high.size))
 
 
 def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:

@@ -109,10 +109,8 @@ class TrainReport:
 
     def to_records(self) -> str:
         """One line per step: step,loss,wall_ms."""
-        lines = ["step,loss,wall_ms"]
-        for i, (loss, ms) in enumerate(zip(self.loss_curve, self.wall_ms)):
-            lines.append(f"{i},{loss:.17g},{ms:.3f}")
-        return "\n".join(lines) + "\n"
+        steps = enumerate(zip(self.loss_curve, self.wall_ms))
+        return "step,loss,wall_ms\n" + "".join(f"{i},{v:.17g},{ms:.3f}\n" for i, (v, ms) in steps)
 
 
 def synth_dataset(spec: SynthSpec):
@@ -182,7 +180,8 @@ def forward(model: MlpModel, x):
     a_list, z_list = _forward_layers(model, x)
     emb, emb_norms = _unit_rows(a_list[-1], DEFAULT_EPS)
     head, head_norms = _unit_rows(model.head_W, DEFAULT_EPS)
-    cos = np.clip(emb @ head.T, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS)
+    cos = emb @ head.T
+    np.clip(cos, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS, out=cos)
     return emb, cos, (a_list, z_list, emb, emb_norms, head, head_norms)
 
 
@@ -266,10 +265,6 @@ def _embedding_eer(model, x, labels) -> float:
     return eer(_verification_pairs(forward(model, x)[0], labels))[0]
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def train_loop(
     spec: SynthSpec,
     loss_name: str,
@@ -348,7 +343,7 @@ def train_loop(
             if use_double:
                 raw0, cache0 = forward_scores(model, x[pure0])
                 raw1, cache1 = forward_scores(model, x[pure1])
-                sig0, sig1 = _sigmoid(raw0), _sigmoid(raw1)
+                sig0, sig1 = (1.0 / (1.0 + np.exp(-raw)) for raw in (raw0, raw1))
                 dl = double_loss(ScorePair(low=sig0, high=sig1))
                 total += dl.value
                 g0 = backward_scores(model, cache0, dl.grad_low * sig0 * (1 - sig0))
@@ -436,6 +431,12 @@ def _stacked_values(loss, x, labels, seed):
     return values
 
 
+# the angular losses' LossConfig fields, drawn uniformly in this order
+_FD_RANGES = {"s": (0.5, 4.0), "m": (0.01, 0.3), "m1": (0.9, 1.1), "m2": (0.01, 0.2),
+              "m3": (0.0, 0.2), "sigma1": (0.0, 0.05), "sigma2": (0.0, 0.05),
+              "sigma3": (0.0, 0.05), "alpha": (0.2, 1.0), "beta": (0.2, 1.0)}
+
+
 def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     """Random non-singular configuration for one trial.
 
@@ -449,19 +450,8 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     if loss_name in ANGULAR_LOSSES:
         n_samples = int(cfg_rng.integers(2, 5))
         n_classes = int(cfg_rng.integers(2, 6))
-        cfg = LossConfig(
-            s=float(cfg_rng.uniform(0.5, 4.0)),
-            m=float(cfg_rng.uniform(0.01, 0.3)),
-            m1=float(cfg_rng.uniform(0.9, 1.1)),
-            m2=float(cfg_rng.uniform(0.01, 0.2)),
-            m3=float(cfg_rng.uniform(0.0, 0.2)),
-            sigma1=float(cfg_rng.uniform(0.0, 0.05)),
-            sigma2=float(cfg_rng.uniform(0.0, 0.05)),
-            sigma3=float(cfg_rng.uniform(0.0, 0.05)),
-            alpha=float(cfg_rng.uniform(0.2, 1.0)),
-            beta=float(cfg_rng.uniform(0.2, 1.0)),
-            log_base="ten" if cfg_rng.integers(2) else "natural",
-        )
+        cfg = LossConfig(**{f: float(cfg_rng.uniform(*r)) for f, r in _FD_RANGES.items()},
+                         log_base="ten" if cfg_rng.integers(2) else "natural")
         theta = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
         labels = data_rng.integers(0, n_classes, size=n_samples)
 

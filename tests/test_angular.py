@@ -53,6 +53,32 @@ class TestAngularBatch:
         with pytest.raises(ValueError):
             AngularBatch(theta=theta, labels=labels)
 
+    _COS_RANGE = r"cosines must lie in \[-1, 1\], the labeled ones in \(-1, 1\)"
+
+    @pytest.mark.parametrize("field,values,labels,message", [
+        ("cos", [[0.3, np.nan]], [0], "cos contains non-finite values"),
+        ("cos", [[np.inf, 0.2]], [1], "cos contains non-finite values"),
+        ("cos", [[0.3, -np.inf]], [0], "cos contains non-finite values"),
+        ("cos", [[0.3, 1.5]], [0], _COS_RANGE),
+        ("cos", [[-1.5, 0.2]], [1], _COS_RANGE),
+        ("cos", [[1.0, 0.2]], [0], _COS_RANGE),   # labeled cosine 1
+        ("cos", [[0.3, -1.0]], [1], _COS_RANGE),  # labeled cosine -1
+        ("cos", [[0.3, 1.5]], [2], "labels out of range"),  # labels are judged before range
+        ("theta", [[0.1, np.nan]], [0], "theta contains non-finite values"),
+        ("theta", [[0.1, -0.1]], [0], r"angles must lie in \[0, pi\)"),
+        ("theta", [[0.1, np.pi]], [0], r"angles must lie in \[0, pi\)"),
+        ("theta", [[np.nan, -0.1]], [5], "theta contains non-finite values"),
+    ])
+    def test_error_messages(self, field, values, labels, message):
+        args = (values, labels) if field == "theta" else (None, labels, values)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AngularBatch(*args)
+
+    def test_accepts_competitor_cosines_at_plus_minus_one_and_no_rows(self):
+        assert AngularBatch(None, [0], cos=[[0.5, 1.0, -1.0]]).n_classes == 3
+        assert AngularBatch(None, np.zeros(0, dtype=int), cos=np.zeros((0, 3))).n_samples == 0
+        assert AngularBatch(np.zeros((0, 3)), np.zeros(0, dtype=int)).n_samples == 0
+
     def test_rejects_float_labels(self):
         with pytest.raises(ValueError):
             AngularBatch(theta=[[0.1, 1.0]], labels=[0.0])
