@@ -262,9 +262,12 @@ def double_loss(pair: ScorePair) -> LossOutput:
     one.  Gradients are +1/|low| per low score and -1/|high| per high score.
     """
     value = float(pair.low.mean() - pair.high.mean() + 1.0)
-    return LossOutput(value, np.array([value]),
-                      grad_low=np.full(pair.low.shape, 1.0 / pair.low.size),
-                      grad_high=np.full(pair.high.shape, -1.0 / pair.high.size))
+    return LossOutput(
+        value=value,
+        per_sample=np.array([value]),
+        grad_low=np.full(pair.low.shape, 1.0 / pair.low.size),
+        grad_high=np.full(pair.high.shape, -1.0 / pair.high.size),
+    )
 
 
 def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
