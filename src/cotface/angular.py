@@ -11,13 +11,18 @@ losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-DEFAULT_EPS = 1e-7
+DEFAULT_EPS = 1e-7  # the "eps" of every docstring below
 
 _LOG_BASES = ("natural", "ten")
+
+
+class ConfigError(ValueError):
+    """A setting that cannot work: a usage error, not bad input."""
 
 
 class ZeroVectorError(ValueError):
@@ -52,13 +57,16 @@ class LossConfig:
     log_base: str = "natural"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.s < 0.0:
-            raise ValueError(f"scale s must be >= 0, got {self.s}")
+            raise ConfigError(f"scale s must be >= 0, got {self.s}")
         for name in ("sigma1", "sigma2", "sigma3"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         if self.log_base not in _LOG_BASES:
-            raise ValueError(f"log_base must be one of {_LOG_BASES}")
+            raise ConfigError(f"log_base must be one of {_LOG_BASES}")
 
     @property
     def log_divisor(self) -> float:
@@ -115,30 +123,30 @@ class AngularBatch:
         return self.cos.shape[1]
 
 
-def l2_normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
+def l2_normalize(v) -> np.ndarray:
     """Return v / ||v||, raising ZeroVectorError when ||v|| < eps."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
-    if norm < eps:
+    if norm < DEFAULT_EPS:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
     return v / norm
 
 
-def l2_normalize_rows(m, eps: float = DEFAULT_EPS) -> np.ndarray:
+def l2_normalize_rows(m) -> np.ndarray:
     """Row-wise l2_normalize for a 2-D array."""
-    return _unit_rows(m, eps)[0]
+    return _unit_rows(m)[0]
 
 
-def _unit_rows(m, eps: float):
+def _unit_rows(m):
     """(m with unit rows, the (N, 1) row norms); ZeroVectorError below eps."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if (norms < eps).any():
+    if (norms < DEFAULT_EPS).any():
         raise ZeroVectorError("matrix has a row with norm below eps")
     return m / norms, norms
 
 
-def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndarray:
+def angles_from_features(features, weights) -> np.ndarray:
     """Angles between normalized feature rows and normalized weight rows.
 
     features: (N, d) raw feature vectors; weights: (n_classes, d) class
@@ -148,11 +156,11 @@ def angles_from_features(features, weights, eps: float = DEFAULT_EPS) -> np.ndar
     features, weights = (np.asarray(a, dtype=np.float64) for a in (features, weights))
     if not np.isfinite(features).all() or not np.isfinite(weights).all():
         raise ValueError("non-finite input")
-    cos = l2_normalize_rows(features, eps) @ l2_normalize_rows(weights, eps).T
-    return np.arccos(np.clip(cos, -1.0 + eps, 1.0 - eps, out=cos), out=cos)
+    cos = l2_normalize_rows(features) @ l2_normalize_rows(weights).T
+    return np.arccos(np.clip(cos, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS, out=cos), out=cos)
 
 
-def cot_from_cos(cos, eps: float = DEFAULT_EPS):
+def cot_from_cos(cos):
     """(cot, d cot/d cos, sin) of theta from cos(theta), with sin floored at eps.
 
     sin = max(sqrt((1 - cos)(1 + cos)), eps), factored to keep its digits as
@@ -162,6 +170,7 @@ def cot_from_cos(cos, eps: float = DEFAULT_EPS):
     sin = np.subtract(1.0, cos, out=np.empty(np.shape(cos)))
     slope = np.add(1.0, cos, out=np.empty_like(sin))
     np.sqrt(np.multiply(sin, slope, out=sin), out=sin)
+    eps = DEFAULT_EPS
     floored = None if sin.size == 0 or sin.min() >= eps else sin < eps  # NaN takes this branch
     if floored is not None:
         np.maximum(sin, eps, out=sin)
@@ -172,20 +181,20 @@ def cot_from_cos(cos, eps: float = DEFAULT_EPS):
     return cot, slope, sin
 
 
-def margin_cot(angle, eps: float = DEFAULT_EPS):
+def margin_cot(angle):
     """cot(angle) and its slope -(1 + cot^2) for margin-shifted angles.
 
     Raises SingularityError when any angle falls within eps of a multiple of
     pi, so the cotangent stays finite.
     """
     rem = np.remainder(angle, np.pi)  # in [0, pi)
-    if (np.minimum(rem, np.pi - rem) < eps).any():
+    if (np.minimum(rem, np.pi - rem) < DEFAULT_EPS).any():
         raise SingularityError("cot undefined: angle within eps of a multiple of pi")
     cot = 1.0 / np.tan(angle)
     return cot, -(1.0 + cot * cot)
 
 
-def cot_via_theta(theta, m: float = 0.0, eps: float = DEFAULT_EPS):
+def cot_via_theta(theta, m: float = 0.0):
     """Cotangent kernel working directly in angle space.
 
     Returns (cot_theta, cot_theta_m): cot(theta) with |tan| floored at eps and
@@ -193,10 +202,10 @@ def cot_via_theta(theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     """
     theta = np.asarray(theta, dtype=np.float64)
     t = np.tan(theta)
-    return 1.0 / np.copysign(np.maximum(np.abs(t), eps), t), margin_cot(theta + m, eps)[0]
+    return 1.0 / np.copysign(np.maximum(np.abs(t), DEFAULT_EPS), t), margin_cot(theta + m)[0]
 
 
-def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):
+def cot_via_identity(cos_theta, m: float = 0.0):
     """Cotangent kernel working from cosines via angle-addition identities.
 
     cot(theta) and the floored sin(theta) come from cot_from_cos, then
@@ -208,11 +217,11 @@ def cot_via_identity(cos_theta, m: float = 0.0, eps: float = DEFAULT_EPS):
     cos_t = np.asarray(cos_theta, dtype=np.float64)
     if (np.abs(cos_t) > 1.0).any():
         raise ValueError("cosines must lie in [-1, 1]")
-    cot_theta, _, sin_t = cot_from_cos(cos_t, eps)
+    cot_theta, _, sin_t = cot_from_cos(cos_t)
     cos_m, sin_m = np.cos(m), np.sin(m)
     cos_tm = cos_t * cos_m - sin_t * sin_m
     sin_tm = sin_t * cos_m + cos_t * sin_m
-    if (np.abs(sin_tm) < eps).any():
+    if (np.abs(sin_tm) < DEFAULT_EPS).any():
         raise SingularityError("cot undefined: |sin(theta + m)| < eps")
     return cot_theta, cos_tm / sin_tm
 

@@ -2,11 +2,11 @@
 
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
 Exit codes: 0 success (auth: Accepted), 1 failed check (train: an
-embedding run whose last loss is above its first) or non-accepted
-outcome, 2 usage error (argparse, or an argument that cannot work:
-ConfigError), 3 unreadable or malformed input/output files.  Every
-subcommand is deterministic for a fixed --seed: reruns produce byte-identical
-primary output files.
+embedding run whose last loss is above its first, or a loss that turns
+non-finite) or non-accepted outcome, 2 usage error (argparse, a non-finite
+float argument, or an argument that cannot work: ConfigError), 3 unreadable
+or malformed input/output files.  Every subcommand is deterministic for a
+fixed --seed: reruns produce byte-identical primary output files.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .train import (
     ConfigError,
     SynthSpec,
     TASKS,
+    TrainingDivergedError,
     forward,
     forward_scores,
     gradcheck,
@@ -223,6 +224,11 @@ def _default_scorers(seed: int, model_path=None) -> AuthScorers:
 
 # --- subcommands -------------------------------------------------------------
 
+def _write_metrics(path, items):
+    """Write (name, value) pairs as a metric,value table, each value as %.17g."""
+    path.write_text("metric,value\n" + "".join(f"{k},{v:.17g}\n" for k, v in items))
+
+
 def _cmd_refcheck(args) -> int:
     results = run_reference_checks(args.tol)
     failed = False
@@ -265,9 +271,7 @@ def _cmd_train(args) -> int:
     lines = ["step,loss"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(report.loss_curve)]
     (out / "report.csv").write_text("\n".join(lines) + "\n")
-    mlines = ["metric,value"]
-    mlines += [f"{k},{v:.17g}" for k, v in sorted(report.metrics.items())]
-    (out / "metrics.csv").write_text("\n".join(mlines) + "\n")
+    _write_metrics(out / "metrics.csv", sorted(report.metrics.items()))
     (out / "steps.log").write_text(report.to_records())
     if args.save_model:
         save_model(model, args.save_model)
@@ -357,6 +361,8 @@ def _read_scores_file(path, block_chars: int = _SCORES_BLOCK_CHARS) -> ScoredPai
 
 
 def _cmd_eval(args) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     pairs = _read_scores_file(args.scores)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -372,11 +378,8 @@ def _cmd_eval(args) -> int:
     imp_counts, _ = histogram(pairs.impostor, args.bins, (lo, hi))
     (out / "histogram.csv").write_text(
         histogram_to_csv({"genuine": gen_counts, "impostor": imp_counts}, edges))
-    (out / "summary.csv").write_text(
-        "metric,value\n"
-        f"eer,{eer_value:.17g}\n"
-        f"eer_threshold,{eer_threshold:.17g}\n"
-        f"auc,{auc_value:.17g}\n")
+    _write_metrics(out / "summary.csv",
+                   [("eer", eer_value), ("eer_threshold", eer_threshold), ("auc", auc_value)])
     print(f"eer {eer_value:.6f} at threshold {eer_threshold:.6f}")
     print(f"auc {auc_value:.6f}")
     return EXIT_OK
@@ -443,10 +446,7 @@ def _cmd_retrieval_eval(args) -> int:
     gap_value = gap(retrieval)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "retrieval_metrics.csv").write_text(
-        "metric,value\n"
-        f"map_at_100,{map_value:.17g}\n"
-        f"gap,{gap_value:.17g}\n")
+    _write_metrics(out / "retrieval_metrics.csv", [("map_at_100", map_value), ("gap", gap_value)])
     print(f"map_at_100 {map_value:.6f}")
     print(f"gap {gap_value:.6f}")
     return EXIT_OK
@@ -472,8 +472,6 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_auth(args) -> int:
-    if not np.isfinite([args.sim_threshold, args.spoof_threshold, args.eye_threshold]).all():
-        raise ConfigError("--sim-threshold, --spoof-threshold and --eye-threshold must be finite")
     gallery = load_gallery(args.gallery)
     frame = read_pgm(args.frame)
     scorers = _default_scorers(args.seed, args.model)
@@ -511,7 +509,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return _COMMANDS[args.command](args)
+    except TrainingDivergedError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (OSError, ValueError, GalleryFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_IO

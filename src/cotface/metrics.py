@@ -50,10 +50,10 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
     """Equal error rate and its threshold.
 
     The candidate grid is the sorted unique scores padded with one sentinel
-    below and above (where (FAR, FRR) are (1, 0) and (0, 1)), so the
-    FAR - FRR sign change is always bracketed.  Within the bracket both rates
-    are interpolated linearly and the crossing point is returned; exact ties
-    (FAR == FRR on a grid point) short-circuit to that point.
+    below and above every score (where (FAR, FRR) are (1, 0) and (0, 1)), so
+    the FAR - FRR sign change is always bracketed.  Within the bracket both
+    rates are interpolated linearly and the crossing point is returned; exact
+    ties (FAR == FRR on a grid point) short-circuit to that point.
     """
     return _eer_on_sweep(far_frr_sweep(pairs, _eer_grid(pairs)))
 
@@ -63,20 +63,17 @@ def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
     if pairs.genuine.size == 0 or pairs.impostor.size == 0:
         raise ValueError("both score sets must be non-empty")
     grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
-    return np.concatenate([[grid[0] - 1.0], grid, [grid[-1] + 1.0]])
+    # from 2**53 up, top + 1.0 == top; the next float up still rejects every score
+    top = grid[-1]
+    return np.concatenate([[grid[0] - 1.0], grid, [max(top + 1.0, np.nextafter(top, np.inf))]])
 
 
 def _eer_on_sweep(sweep: np.ndarray) -> tuple[float, float]:
     """eer's bracket search over the far_frr_sweep rows of its grid."""
     grid, far, frr = sweep[:, 0], sweep[:, 1], sweep[:, 2]
     diff = far - frr
-    # the first k with an exact tie, or with a sign change from k to k + 1
-    hits = (diff[:-1] == 0.0) | ((diff[:-1] > 0.0) & (diff[1:] <= 0.0))
-    k = int(hits.argmax())
-    if not hits[k]:  # diff starts at +1 and ends at -1, so a bracket always exists
-        raise AssertionError("no FAR/FRR crossing found")
-    if diff[k] == 0.0:
-        return float(far[k]), float(grid[k])
+    # diff never rises and runs from +1 to -1: k is the last point with diff > 0
+    k = int((diff[1:] <= 0.0).argmax())
     if diff[k + 1] == 0.0:
         return float(far[k + 1]), float(grid[k + 1])
     lam = diff[k] / (diff[k] - diff[k + 1])

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import DEFAULT_EPS, AngularBatch, LossConfig, _unit_rows, l2_normalize_rows
+from .angular import (DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, _unit_rows,
+                      l2_normalize_rows)
 from .losses import (
     ANGULAR_LOSSES,
     ScorePair,
@@ -35,10 +36,6 @@ TASKS = ("embedding", "binary-live-spoof", "binary-eye-state")
 BINARY_TASKS = ("binary-live-spoof", "binary-eye-state")
 EVAL_FRACTION = 0.25  # trailing share of each class held out for the metrics
 PURE_BATCH_SIZE = 16  # binary tasks: samples in each single-label batch
-
-
-class ConfigError(ValueError):
-    """A training argument that cannot work: a usage error, not bad input."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -159,14 +156,14 @@ def init_score_model(in_dim, hidden=(32, 32), seed=0) -> MlpModel:
 
 
 def _forward_layers(model: MlpModel, x):
-    """Run the affine stack, returning activations and pre-activations."""
+    """Run the affine stack, returning the input and every layer's activations."""
     a_list = [np.asarray(x, dtype=np.float64)]
-    z_list = []
     for layer in model.layers:
-        z = a_list[-1] @ layer.W.T + layer.b
-        z_list.append(z)
-        a_list.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
-    return a_list, z_list
+        a = a_list[-1] @ layer.W.T + layer.b
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        a_list.append(a)
+    return a_list
 
 
 def forward(model: MlpModel, x):
@@ -177,20 +174,20 @@ def forward(model: MlpModel, x):
     """
     if model.head_W is None:
         raise ValueError("model has no angular head")
-    a_list, z_list = _forward_layers(model, x)
-    emb, emb_norms = _unit_rows(a_list[-1], DEFAULT_EPS)
-    head, head_norms = _unit_rows(model.head_W, DEFAULT_EPS)
+    a_list = _forward_layers(model, x)
+    emb, emb_norms = _unit_rows(a_list[-1])
+    head, head_norms = _unit_rows(model.head_W)
     cos = emb @ head.T
     np.clip(cos, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS, out=cos)
-    return emb, cos, (a_list, z_list, emb, emb_norms, head, head_norms)
+    return emb, cos, (a_list, emb, emb_norms, head, head_norms)
 
 
 def forward_scores(model: MlpModel, x):
     """Raw scores of a score-head model, and the cache backward_scores consumes."""
     if model.head_W is not None:
         raise ValueError("model has an angular head, not a score head")
-    a_list, z_list = _forward_layers(model, x)
-    return a_list[-1][:, 0], (a_list, z_list)
+    a_list = _forward_layers(model, x)
+    return a_list[-1][:, 0], a_list
 
 
 def _normalization_vjp(unit, norms, grad_unit):
@@ -198,12 +195,13 @@ def _normalization_vjp(unit, norms, grad_unit):
     return (grad_unit - unit * (grad_unit * unit).sum(axis=1, keepdims=True)) / norms
 
 
-def _backward_layers(model, a_list, z_list, grad_out) -> list:
+def _backward_layers(model, a_list, grad_out) -> list:
     grads = [None] * len(model.layers)
     da = grad_out
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
-        dz = da * (z_list[i] > 0.0) if layer.activation == "relu" else da
+        # relu(z) > 0 exactly where z > 0, so the activation is the mask
+        dz = da * (a_list[i + 1] > 0.0) if layer.activation == "relu" else da
         grads[i] = (dz.T @ a_list[i], dz.sum(axis=0))
         da = dz @ layer.W
     return grads
@@ -214,21 +212,18 @@ def backward(model: MlpModel, cache, dcos) -> Grads:
 
     Chains through both L2 normalizations and the affine stack.
     """
-    a_list, z_list, emb, emb_norms, head, head_norms = cache
+    a_list, emb, emb_norms, head, head_norms = cache
     grad_emb_unit = dcos @ head
     grad_head_unit = dcos.T @ emb
     head_grad = _normalization_vjp(head, head_norms, grad_head_unit)
     grad_emb_raw = _normalization_vjp(emb, emb_norms, grad_emb_unit)
-    return Grads(layers=_backward_layers(model, a_list, z_list, grad_emb_raw),
+    return Grads(layers=_backward_layers(model, a_list, grad_emb_raw),
                  head_W=head_grad)
 
 
 def backward_scores(model: MlpModel, cache, grad_scores) -> Grads:
     """Gradients of a scalar loss given forward_scores's cache and d(loss)/d(score)."""
-    a_list, z_list = cache
-    grad_out = np.zeros_like(a_list[-1])
-    grad_out[:, 0] = grad_scores
-    return Grads(layers=_backward_layers(model, a_list, z_list, grad_out), head_W=None)
+    return Grads(layers=_backward_layers(model, cache, grad_scores[:, None]), head_W=None)
 
 
 def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
@@ -282,7 +277,8 @@ def train_loop(
     metrics are held-out verification EER before and after.  Binary tasks:
     each step draws a mixed batch (margin_sigmoid_ce on raw scores) and one
     pure batch per label; "margin-ce+double" adds the double_loss term over
-    the sigmoid scores of the pure batches (unweighted sum).  The pure
+    the sigmoid scores of the pure batches (unweighted sum), stacking all
+    three batches into one forward and one backward pass.  The pure
     batches are drawn either way so both variants consume the identical
     random stream; metrics are held-out AUC before and after.
 
@@ -336,20 +332,17 @@ def train_loop(
             mixed = rng.choice(train_idx, size=batch_size, replace=True)
             pure0 = rng.choice(pools[0], size=PURE_BATCH_SIZE, replace=True)
             pure1 = rng.choice(pools[1], size=PURE_BATCH_SIZE, replace=True)
-            raw, cache = forward_scores(model, x[mixed])
-            ce = margin_sigmoid_ce(raw, labels[mixed], cfg.m)
-            total = ce.value
-            grads = backward_scores(model, cache, ce.grad_scores)
+            rows = np.concatenate([mixed, pure0, pure1]) if use_double else mixed
+            raw, cache = forward_scores(model, x[rows])
+            ce = margin_sigmoid_ce(raw[:batch_size], labels[mixed], cfg.m)
+            total, grad = ce.value, ce.grad_scores
             if use_double:
-                raw0, cache0 = forward_scores(model, x[pure0])
-                raw1, cache1 = forward_scores(model, x[pure1])
-                sig0, sig1 = (1.0 / (1.0 + np.exp(-raw)) for raw in (raw0, raw1))
+                sig0, sig1 = np.split(1.0 / (1.0 + np.exp(-raw[batch_size:])), 2)
                 dl = double_loss(ScorePair(low=sig0, high=sig1))
                 total += dl.value
-                g0 = backward_scores(model, cache0, dl.grad_low * sig0 * (1 - sig0))
-                g1 = backward_scores(model, cache1, dl.grad_high * sig1 * (1 - sig1))
-                _accumulate(grads, g0)
-                _accumulate(grads, g1)
+                grad = np.concatenate([grad, dl.grad_low * sig0 * (1 - sig0),
+                                       dl.grad_high * sig1 * (1 - sig1)])
+            grads = backward_scores(model, cache, grad)
             if not np.isfinite(total):
                 raise TrainingDivergedError(f"non-finite loss {total!r} at step {step}")
             sgd_step(model, grads, lr)
@@ -375,12 +368,6 @@ def _parse_binary_loss(loss_name: str) -> bool:
         return True
     raise ConfigError(
         f"binary tasks take 'margin-ce' or 'margin-ce+double', got {loss_name!r}")
-
-
-def _accumulate(into: Grads, other: Grads):
-    for (dw, db), (ow, ob) in zip(into.layers, other.layers):
-        dw += ow
-        db += ob
 
 
 # --- finite-difference gradient checking -----------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from cotface.angular import (
     AngularBatch,
+    ConfigError,
     LossConfig,
     SingularityError,
     ZeroVectorError,
@@ -33,8 +34,15 @@ class TestLossConfig:
         {"log_base": "two"},
     ])
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LossConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["s", "m", "m1", "m2", "m3", "sigma1", "sigma2", "sigma3",
+                                      "alpha", "beta"])
+    def test_rejects_non_finite_fields(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            LossConfig(**{name: value})
 
 
 class TestAngularBatch:
@@ -173,7 +181,7 @@ class TestCotViaTheta:
         with pytest.raises(SingularityError):
             cot_via_theta(np.pi - 0.05, m=0.05)
         with pytest.raises(SingularityError):
-            cot_via_theta(0.0, m=0.0, eps=1e-7)
+            cot_via_theta(0.0, m=0.0)
 
     def test_pole_saturation_keeps_sign(self):
         # just above pi/2 the tangent is hugely negative, cot slightly below 0
@@ -224,7 +232,7 @@ class TestCotFromCos:
 
     def test_floor_at_the_poles(self):
         # |cos| = 1: sin floors at eps, cot = cos/eps, and the slope of cos/eps is 1/eps
-        cot, slope, sin = cot_from_cos(np.array([1.0, -1.0]), eps=1e-7)
+        cot, slope, sin = cot_from_cos(np.array([1.0, -1.0]))
         np.testing.assert_array_equal(sin, [1e-7, 1e-7])
         np.testing.assert_array_equal(cot, [1e7, -1e7])
         np.testing.assert_array_equal(slope, [1e7, 1e7])

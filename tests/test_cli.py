@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import argparse
 import io
 import os
 import shutil
@@ -73,6 +74,62 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--scores", "x.csv"])  # --out missing
         assert exc.value.code == 2
+
+
+def _float_flags():
+    """(subcommand, flag) for every option that the parser reads as a float."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, flag) for name, p in sub.choices.items() for a in p._actions
+            if a.type is float for flag in a.option_strings]
+
+
+class TestNumericArguments:
+    """Every float flag must be finite: a usage error (exit 2, one 'error:'
+    line) before the subcommand runs, whatever it would have done."""
+
+    @staticmethod
+    def _argv(command, tmp_path):
+        return {
+            "refcheck": ["refcheck"],
+            "gradcheck": ["gradcheck", "--loss", "double", "--trials", "1"],
+            "train": ["train", "--loss", "lmcot", "--steps", "1", "--out", str(tmp_path / "o")],
+            "enroll": ["enroll", "--gallery", str(tmp_path / "g.txt"), "--name", "a",
+                       _write_frame(tmp_path / "face.pgm", "face")],
+            "auth": ["auth", "--gallery", str(tmp_path / "g.txt"),
+                     _write_frame(tmp_path / "face.pgm", "face")],
+        }[command]
+
+    def test_every_float_flag_is_covered(self):
+        assert {c for c, _ in _float_flags()} == {"refcheck", "gradcheck", "train", "enroll",
+                                                  "auth"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", _float_flags())
+    def test_non_finite_value_is_a_usage_error(self, tmp_path, command, flag, value):
+        code, err = _run_cli(self._argv(command, tmp_path) + [f"{flag}={value}"])
+        assert (code, err) == (2, f"error: {flag} must be finite, got {float(value)}\n")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "g.txt").exists()
+
+    def test_negative_scale_is_a_usage_error(self, tmp_path):
+        code, err = _run_cli(self._argv("train", tmp_path) + ["--s=-1"])
+        assert (code, err) == (2, "error: scale s must be >= 0, got -1.0\n")
+
+    def test_zero_bins_is_a_usage_error_before_any_output(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("1,0.9\n0,0.1\n")
+        code, err = _run_cli(["eval", "--scores", str(scores), "--out", str(tmp_path / "o"),
+                              "--bins", "0"])
+        assert (code, err) == (2, "error: --bins must be >= 1, got 0\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_loss_that_overflows_ends_in_one_diverged_line(self, tmp_path):
+        """A finite --s 1e308 overflows the logits at the first step: exit 1, and
+        the run's last word on stderr is one 'diverged:' line, not a traceback."""
+        code, err = _run_cli(self._argv("train", tmp_path) + ["--s", "1e308"])
+        assert code == 1
+        assert err.splitlines()[-1] == "diverged: non-finite loss inf at step 0"
 
 
 class TestRefcheck:
@@ -246,6 +303,15 @@ class TestEval:
             (out / "summary.csv").read_text().splitlines()[1:]
         )
         assert float(summary["eer"]) == pytest.approx(0.5)
+
+    def test_scores_past_two_to_the_53(self, tmp_path):
+        """At 1e16, score + 1.0 == score: eer's crossing is still bracketed."""
+        scores = self._scores(tmp_path, ["1,3", "0,1e16", "1,1e16"])
+        out = tmp_path / "eval"
+        code, err = _run_cli(["eval", "--scores", scores, "--out", str(out)])
+        assert (code, err) == (0, "")
+        assert (out / "summary.csv").read_text() == (
+            "metric,value\neer,0.66666666666666674\neer_threshold,10000000000000000\nauc,0.25\n")
 
     def test_bad_label_exits_3(self, tmp_path, capsys):
         scores = self._scores(tmp_path, ["1,0.9", "maybe,0.5"])

@@ -123,6 +123,18 @@ class TestEer:
         with pytest.raises(ValueError):
             eer(ScoredPairs(genuine=np.array([]), impostor=[0.5]))
 
+    @pytest.mark.parametrize("top", [2.0**53, 1e16, 1e300, -1e300])
+    def test_tie_where_the_float_spacing_exceeds_one(self, top):
+        """From 2**53 up top + 1.0 == top, so the high sentinel must still lie
+        above every score for the FAR - FRR crossing to be bracketed."""
+        value, threshold = eer(ScoredPairs(genuine=[top], impostor=[top]))
+        assert value == 0.5
+        assert top <= threshold <= np.nextafter(top, np.inf)
+
+    def test_genuine_below_a_large_tie(self):
+        value, threshold = eer(ScoredPairs(genuine=[3.0, 1e16], impostor=[1e16]))
+        assert (value, threshold) == (pytest.approx(2.0 / 3.0, abs=1e-15), 1e16)
+
 
 class TestAuc:
     def test_perfect_separation(self):
