@@ -132,11 +132,6 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def l2_normalize_rows(m) -> np.ndarray:
-    """Row-wise l2_normalize for a 2-D array."""
-    return _unit_rows(m)[0]
-
-
 def _unit_rows(m):
     """(m with unit rows, the (N, 1) row norms); ZeroVectorError below eps."""
     m = np.asarray(m, dtype=np.float64)
@@ -156,7 +151,7 @@ def angles_from_features(features, weights) -> np.ndarray:
     features, weights = (np.asarray(a, dtype=np.float64) for a in (features, weights))
     if not np.isfinite(features).all() or not np.isfinite(weights).all():
         raise ValueError("non-finite input")
-    cos = l2_normalize_rows(features) @ l2_normalize_rows(weights).T
+    cos = _unit_rows(features)[0] @ _unit_rows(weights)[0].T
     return np.arccos(np.clip(cos, -1.0 + DEFAULT_EPS, 1.0 - DEFAULT_EPS, out=cos), out=cos)
 
 

@@ -24,6 +24,7 @@ from .metrics import (
     RankedQuery,
     RankedRetrieval,
     ScoredPairs,
+    _edges,
     _eer_grid,
     _eer_on_sweep,
     auc,
@@ -82,10 +83,6 @@ def _add_loss_config_flags(parser):
         else:
             group.add_argument(f"--{f.name}", type=float, default=f.default,
                                help={"s": "logit scale", "m": "single margin"}.get(f.name))
-
-
-def _loss_config(args) -> LossConfig:
-    return LossConfig(**{f.name: getattr(args, f.name) for f in fields(LossConfig)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,11 +160,10 @@ def _image_features(img) -> np.ndarray:
     return (small.pixels / 255.0).reshape(1, -1)
 
 
-def _toy_embedder(seed: int, model=None):
-    """Face crop -> unit embedding via a seed-fixed (or loaded) MLP."""
-    if model is None:
-        model = init_embedding_model(_TOY_SIDE * _TOY_SIDE, n_classes=2,
-                                     hidden=(64,), embed_dim=32, seed=seed)
+def _toy_embedder(seed: int, model_path=None):
+    """Face crop -> unit embedding via a seed-fixed MLP, or the one saved at model_path."""
+    model = load_model(model_path) if model_path else init_embedding_model(
+        _TOY_SIDE * _TOY_SIDE, n_classes=2, hidden=(64,), embed_dim=32, seed=seed)
     in_dim = model.layers[0].W.shape[1]
     if in_dim != _TOY_SIDE * _TOY_SIDE:
         raise ValueError(
@@ -213,11 +209,10 @@ class _BrightnessScorer:
 
 
 def _default_scorers(seed: int, model_path=None) -> AuthScorers:
-    model = load_model(model_path) if model_path else None
     return AuthScorers(
         detector=_BrightnessScorer(),
         spoof=_toy_spoof(seed),
-        embedder=_toy_embedder(seed, model),
+        embedder=_toy_embedder(seed, model_path),
         eye_closed=lambda crop: 0.0,  # stand-in: treat eyes as open
     )
 
@@ -260,7 +255,7 @@ def _cmd_train(args) -> int:
     spec = SynthSpec(task=args.task, n_classes=args.classes, dim=args.dim,
                      per_class=args.per_class, intra_spread=args.spread,
                      seed=args.seed)
-    cfg = _loss_config(args)
+    cfg = LossConfig(**{f.name: getattr(args, f.name) for f in fields(LossConfig)})
     model, report = train_loop(
         spec, args.loss, cfg, steps=args.steps, lr=args.lr, seed=args.seed,
         hidden=tuple(args.hidden), embed_dim=args.embed_dim,
@@ -305,18 +300,11 @@ def _read_scores_file(path, block_chars: int = _SCORES_BLOCK_CHARS) -> ScoredPai
     genuine, impostor = [], []
     lineno = 0  # lines before the current block
     with open(path, "r", encoding="utf-8") as fh:
-        tail = ""
-        while tail is not None:
-            chunk = fh.read(block_chars)
-            text = tail + chunk
-            if chunk:
-                cut = text.rfind("\n") + 1
-                text, tail = text[:cut], text[cut:]
-            else:  # end of file; a last line without "\n" gets one
-                text, tail = text + "\n" if text else "", None
+        while chunk := fh.read(block_chars):
+            text = chunk + fh.readline()  # the block ends on a line end, or at end of file
+            if not text.endswith("\n"):  # a last line without "\n" gets one
+                text += "\n"
             n = text.count("\n")
-            if not n:
-                continue
             tokens = text.replace("\n", ",").split(",")
             labels, values = tokens[0:-1:2], tokens[1::2]
             raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
@@ -370,10 +358,14 @@ def _cmd_eval(args) -> int:
     eer_value, eer_threshold = _eer_on_sweep(sweep)
     auc_value = auc(pairs)
     (out / "far_frr.csv").write_text(sweep_to_csv(sweep[1:-1]))
-    lo = float(min(pairs.genuine.min(), pairs.impostor.min()))
-    hi = float(max(pairs.genuine.max(), pairs.impostor.max()))
+    lo, hi = float(sweep[1, 0]), float(sweep[-2, 0])  # the grid's lowest and highest score
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    # widen until every bin has width (above 2**53 the 0.5 vanishes; a few float steps are too few)
+    step = math.ulp(max(abs(lo), abs(hi)))
+    while not ((e := _edges(lo, hi, args.bins))[1:] > e[:-1]).all():
+        lo, hi = max(lo - step, -sys.float_info.max), min(hi + step, sys.float_info.max)
+        step *= 2
     gen_counts, edges = histogram(pairs.genuine, args.bins, (lo, hi))
     imp_counts, _ = histogram(pairs.impostor, args.bins, (lo, hi))
     (out / "histogram.csv").write_text(
@@ -455,7 +447,7 @@ def _cmd_retrieval_eval(args) -> int:
 def _cmd_enroll(args) -> int:
     gallery_path = Path(args.gallery)
     gallery = load_gallery(gallery_path) if gallery_path.exists() else Gallery()
-    embed = _toy_embedder(args.seed, load_model(args.model) if args.model else None)
+    embed = _toy_embedder(args.seed, args.model)
     any_rejected = False
     for image_path in args.images:
         img = read_pgm(image_path)
@@ -471,6 +463,15 @@ def _cmd_enroll(args) -> int:
     return EXIT_FAILED if any_rejected else EXIT_OK
 
 
+_VERDICT_LINES = {  # AuthOutcome kind -> the line auth prints, from the outcome's fields
+    "accepted": "accepted identity={identity} similarity={similarity:.6f}",
+    "stranger": "stranger best_similarity={similarity:.6f}",
+    "invalid_face": "invalid_face spoof_score={spoof_score:.6f}",
+    "eyes_closed": "eyes_closed identity={identity}",
+    "no_face": "no_face",
+}
+
+
 def _cmd_auth(args) -> int:
     gallery = load_gallery(args.gallery)
     frame = read_pgm(args.frame)
@@ -481,18 +482,8 @@ def _cmd_auth(args) -> int:
         eye_closed_threshold=args.eye_threshold,
     )
     outcome = authenticate(frame, gallery, scorers, config)
-    if outcome.kind == "accepted":
-        print(f"accepted identity={outcome.identity} similarity={outcome.similarity:.6f}")
-        return EXIT_OK
-    if outcome.kind == "stranger":
-        print(f"stranger best_similarity={outcome.similarity:.6f}")
-    elif outcome.kind == "invalid_face":
-        print(f"invalid_face spoof_score={outcome.spoof_score:.6f}")
-    elif outcome.kind == "eyes_closed":
-        print(f"eyes_closed identity={outcome.identity}")
-    else:
-        print("no_face")
-    return EXIT_FAILED
+    print(_VERDICT_LINES[outcome.kind].format(**vars(outcome)))
+    return EXIT_OK if outcome.kind == "accepted" else EXIT_FAILED
 
 
 _COMMANDS = {

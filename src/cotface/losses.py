@@ -10,8 +10,8 @@ margins), and the per-sample loss is
 computed as logit minus log-sum-exp with a max shift so large logits cannot
 overflow.  The margins change only f, so one pass over the competitor logits
 serves every true-class branch (_shared_ce, which softmax_loss uses too).  The
-batch value is the mean of the per-sample losses; grad_theta (grad_cos for a
-cosine batch) carries its gradient in the batch's shape.
+batch value is the mean of the per-sample losses; grad carries its gradient
+with respect to the batch's angles, or its cosines for a cosine batch.
 PRESETS gives each named loss its kernel, margins and true-class branches.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
 combined margins) uses cos; the cotangent family uses cot, which diverges as
@@ -41,20 +41,16 @@ from .angular import (
 
 @dataclass
 class LossOutput:
-    """Loss value plus the gradients a trainer needs.
+    """Loss value, per-sample losses and grad = d(value)/d(input).
 
-    value = mean(per_sample).  The angular losses set grad_theta, or grad_cos
-    for a cosine batch (softmax_loss sets grad_theta to d/d(logits));
-    grad_scores by margin_sigmoid_ce; grad_low/grad_high by double_loss.
+    value = mean(per_sample).  grad has the input's shape: an angular batch's
+    angles (its cosines for a cosine batch), softmax_loss's logits,
+    margin_sigmoid_ce's scores, or double_loss's low scores then high scores.
     """
 
     value: float
     per_sample: np.ndarray
-    grad_theta: np.ndarray | None = None
-    grad_cos: np.ndarray | None = None
-    grad_scores: np.ndarray | None = None
-    grad_low: np.ndarray | None = None
-    grad_high: np.ndarray | None = None
+    grad: np.ndarray
 
 
 @dataclass
@@ -108,14 +104,11 @@ def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
 
 
 def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
-    """Plain softmax cross-entropy on raw, unnormalized logits.
-
-    grad_theta holds the gradient w.r.t. the logits themselves.
-    """
+    """Plain softmax cross-entropy on raw, unnormalized logits; grad is d/d(logits)."""
     logits, labels = np.array(logits, dtype=np.float64), np.asarray(labels)
     f = logits[np.arange(len(labels)), labels]  # a copy: the core overwrites logits
     per_sample, grad = _shared_ce(logits, 1.0, 1.0, labels, [(f, 1.0, None)], cfg.log_divisor)
-    return LossOutput(float(per_sample.mean()), per_sample, grad_theta=grad)
+    return LossOutput(float(per_sample.mean()), per_sample, grad)
 
 
 # kernel name -> (competitor form cos -> (fresh k, dk/dcos), true-class form angle -> (k, dk/du))
@@ -188,8 +181,7 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
         trues.append((cfg.s * (f if e3 is None else f - e3), slope * df,
                       None if weight is None else getattr(cfg, weight)))
     per_sample, grad = _shared_ce(k, dk, cfg.s, labels, trues, cfg.log_divisor)
-    grads = {"grad_cos" if batch.theta is None else "grad_theta": grad}
-    return LossOutput(float(per_sample.mean()), per_sample, **grads)
+    return LossOutput(float(per_sample.mean()), per_sample, grad)
 
 
 ANGULAR_LOSSES = {}  # preset name -> its loss(batch, cfg, rng=None), filled below
@@ -259,15 +251,12 @@ def double_loss(pair: ScorePair) -> LossOutput:
 
     Scores in [0, 1] bound the value to [0, 2]; identical branches give
     exactly 1.  The pair counts as a single sample, so per_sample has length
-    one.  Gradients are +1/|low| per low score and -1/|high| per high score.
+    one.  grad is +1/|low| per low score, then -1/|high| per high score.
     """
     value = float(pair.low.mean() - pair.high.mean() + 1.0)
-    return LossOutput(
-        value=value,
-        per_sample=np.array([value]),
-        grad_low=np.full(pair.low.shape, 1.0 / pair.low.size),
-        grad_high=np.full(pair.high.shape, -1.0 / pair.high.size),
-    )
+    grad = np.concatenate([np.full(pair.low.size, 1.0 / pair.low.size),
+                           np.full(pair.high.size, -1.0 / pair.high.size)])
+    return LossOutput(value, np.array([value]), grad)
 
 
 def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
@@ -276,7 +265,7 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
     z = score + (label - 0.5)*m, so a positive m eases the labeled class
     (shifts the true side further from the decision boundary before the
     sigmoid); pass a negative m for the penalizing variant.  Natural-log BCE
-    in the stable softplus form; grad_scores = (sigmoid(z) - label)/N.
+    in the stable softplus form; grad = (sigmoid(z) - label)/N.
     """
     scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
@@ -291,5 +280,5 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
     ez = np.exp(-np.abs(z))
     sig = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
     grad = (sig - labels) / scores.size
-    return LossOutput(float(per_sample.mean()), per_sample, grad_scores=grad)
+    return LossOutput(float(per_sample.mean()), per_sample, grad)
 

@@ -65,7 +65,8 @@ def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
     grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
     # from 2**53 up, top + 1.0 == top; the next float up still rejects every score
     top = grid[-1]
-    return np.concatenate([[grid[0] - 1.0], grid, [max(top + 1.0, np.nextafter(top, np.inf))]])
+    with np.errstate(over="ignore"):  # above the largest float, the sentinel is inf
+        return np.concatenate([[grid[0] - 1.0], grid, [max(top + 1.0, np.nextafter(top, np.inf))]])
 
 
 def _eer_on_sweep(sweep: np.ndarray) -> tuple[float, float]:
@@ -97,8 +98,20 @@ def auc(pairs: ScoredPairs) -> float:
     return (wins + 0.5 * ties) / (pairs.genuine.size * pairs.impostor.size)
 
 
+_LINSPACE_LIMIT = 2.0 ** 1020  # beyond it, np.linspace's steps can overflow
+
+
+def _edges(lo, hi, bins):
+    """np.histogram's edges, np.linspace(lo, hi, bins + 1), from a quarter scale past the limit."""
+    if max(abs(lo), abs(hi)) < _LINSPACE_LIMIT:
+        return np.linspace(lo, hi, bins + 1)
+    edges = 4.0 * np.linspace(lo / 4.0, hi / 4.0, bins + 1)
+    edges[[0, -1]] = lo, hi  # a quarter of a tiny endpoint can round away
+    return edges
+
+
 def histogram(scores, bins: int, value_range: tuple[float, float]):
-    """Fixed-range histogram; returns (counts, edges).
+    """Fixed-range histogram over equal bins; returns (counts, edges).
 
     Counts sum to the number of scores inside value_range (the right edge of
     the last bin is inclusive, matching numpy).
@@ -108,7 +121,9 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("empty value range")
-    return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins, range=(lo, hi))
+    if max(abs(lo), abs(hi)) < _LINSPACE_LIMIT:
+        return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins, range=(lo, hi))
+    return np.histogram(scores, bins=_edges(lo, hi, bins))
 
 
 def pca2(points):

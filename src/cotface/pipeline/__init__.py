@@ -39,15 +39,3 @@ from .image import (
     sharpness_gate,
     write_pgm,
 )
-
-__all__ = [
-    "AuthConfig", "AuthOutcome", "AuthScorers", "authenticate", "spoof_gate",
-    "DetectConfig", "DetectionBox", "align", "detect", "iou",
-    "min_face_filter", "nms",
-    "EnrollResult", "Gallery", "GalleryFormatError",
-    "MAX_EMBEDDINGS_PER_IDENTITY", "enroll",
-    "gallery_to_text", "load_gallery", "match", "save_gallery",
-    "GrayImage", "bilinear_resize", "crop_region", "eye_crops",
-    "image_pyramid", "laplacian", "read_pgm",
-    "rotate_region", "sharpness_gate", "write_pgm",
-]

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, _unit_rows,
-                      l2_normalize_rows)
+from .angular import DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, _unit_rows
 from .losses import (
     ANGULAR_LOSSES,
     ScorePair,
@@ -46,11 +45,6 @@ class TrainingDivergedError(RuntimeError):
 class Layer:
     W: np.ndarray
     b: np.ndarray
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -59,7 +53,6 @@ class MlpModel:
 
     layers: list
     head_W: np.ndarray | None
-    seed: int
 
 
 @dataclass
@@ -114,7 +107,7 @@ def synth_dataset(spec: SynthSpec):
     """Deterministic synthetic features and labels for a spec."""
     rng = np.random.default_rng(spec.seed)
     if spec.task == "embedding":
-        protos = l2_normalize_rows(rng.standard_normal((spec.n_classes, spec.dim)))
+        protos = _unit_rows(rng.standard_normal((spec.n_classes, spec.dim)))[0]
         dists = np.linalg.norm(protos[:, None] - protos[None, :], axis=-1)
         if (dists[np.triu_indices(spec.n_classes, k=1)] < 1e-9).any():
             raise ValueError("degenerate prototypes")
@@ -128,39 +121,31 @@ def synth_dataset(spec: SynthSpec):
     return features, labels
 
 
-def _init_layers(dims, activations, rng):
-    layers = []
-    for (d_in, d_out), act in zip(zip(dims[:-1], dims[1:]), activations):
-        scale = np.sqrt((2.0 if act == "relu" else 1.0) / d_in)
-        layers.append(Layer(W=rng.standard_normal((d_out, d_in)) * scale,
-                            b=np.zeros(d_out), activation=act))
-    return layers
+def _init_layers(dims, rng):
+    """He-scaled layers: gain 2 before a ReLU, 1 for the affine last layer."""
+    gains = [2.0] * (len(dims) - 2) + [1.0]
+    return [Layer(W=rng.standard_normal((d_out, d_in)) * np.sqrt(gain / d_in), b=np.zeros(d_out))
+            for d_in, d_out, gain in zip(dims[:-1], dims[1:], gains)]
 
 
 def init_embedding_model(in_dim, n_classes, hidden=(32, 32), embed_dim=32, seed=0) -> MlpModel:
-    """ReLU hidden layers, identity embedding layer, unit-row angular head."""
+    """ReLU hidden layers, affine embedding layer, unit-row angular head."""
     rng = np.random.default_rng(seed)
-    dims = [in_dim, *hidden, embed_dim]
-    acts = ["relu"] * len(hidden) + ["identity"]
-    layers = _init_layers(dims, acts, rng)
-    head = l2_normalize_rows(rng.standard_normal((n_classes, embed_dim)))
-    return MlpModel(layers=layers, head_W=head, seed=seed)
+    layers = _init_layers([in_dim, *hidden, embed_dim], rng)
+    return MlpModel(layers, _unit_rows(rng.standard_normal((n_classes, embed_dim)))[0])
 
 
 def init_score_model(in_dim, hidden=(32, 32), seed=0) -> MlpModel:
     """ReLU hidden layers into a single raw-score output unit."""
-    rng = np.random.default_rng(seed)
-    dims = [in_dim, *hidden, 1]
-    acts = ["relu"] * len(hidden) + ["identity"]
-    return MlpModel(layers=_init_layers(dims, acts, rng), head_W=None, seed=seed)
+    return MlpModel(_init_layers([in_dim, *hidden, 1], np.random.default_rng(seed)), None)
 
 
 def _forward_layers(model: MlpModel, x):
-    """Run the affine stack, returning the input and every layer's activations."""
+    """Run the affine stack, ReLU after every layer but the last: the input and each output."""
     a_list = [np.asarray(x, dtype=np.float64)]
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers, 1):
         a = a_list[-1] @ layer.W.T + layer.b
-        if layer.activation == "relu":
+        if i < len(model.layers):
             np.maximum(a, 0.0, out=a)
         a_list.append(a)
     return a_list
@@ -199,11 +184,10 @@ def _backward_layers(model, a_list, grad_out) -> list:
     grads = [None] * len(model.layers)
     da = grad_out
     for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        # relu(z) > 0 exactly where z > 0, so the activation is the mask
-        dz = da * (a_list[i + 1] > 0.0) if layer.activation == "relu" else da
+        # below the affine last layer, relu(z) > 0 exactly where z > 0: the activation is the mask
+        dz = da * (a_list[i + 1] > 0.0) if i < len(model.layers) - 1 else da
         grads[i] = (dz.T @ a_list[i], dz.sum(axis=0))
-        da = dz @ layer.W
+        da = dz @ model.layers[i].W
     return grads
 
 
@@ -221,9 +205,9 @@ def backward(model: MlpModel, cache, dcos) -> Grads:
                  head_W=head_grad)
 
 
-def backward_scores(model: MlpModel, cache, grad_scores) -> Grads:
+def backward_scores(model: MlpModel, cache, dscores) -> Grads:
     """Gradients of a scalar loss given forward_scores's cache and d(loss)/d(score)."""
-    return Grads(layers=_backward_layers(model, cache, grad_scores[:, None]), head_W=None)
+    return Grads(layers=_backward_layers(model, cache, dscores[:, None]), head_W=None)
 
 
 def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
@@ -234,7 +218,7 @@ def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
     if model.head_W is not None:
         if grads.head_W is not None:
             model.head_W -= lr * grads.head_W
-        model.head_W = l2_normalize_rows(model.head_W)
+        model.head_W = _unit_rows(model.head_W)[0]
     return model
 
 
@@ -260,6 +244,7 @@ def _embedding_eer(model, x, labels) -> float:
     return eer(_verification_pairs(forward(model, x)[0], labels))[0]
 
 
+@np.errstate(all="ignore")  # a blow-up is reported once, by the checks, not per numpy call
 def train_loop(
     spec: SynthSpec,
     loss_name: str,
@@ -310,7 +295,7 @@ def train_loop(
             out = loss_fn(AngularBatch(None, yt, cos=cos), cfg, rng=rng)
             if not np.isfinite(out.value):
                 raise TrainingDivergedError(f"non-finite loss {out.value!r} at step {step}")
-            grads = backward(model, cache, out.grad_cos)
+            grads = backward(model, cache, out.grad)
             sgd_step(model, grads, lr)
             curve.append(out.value)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
@@ -335,13 +320,12 @@ def train_loop(
             rows = np.concatenate([mixed, pure0, pure1]) if use_double else mixed
             raw, cache = forward_scores(model, x[rows])
             ce = margin_sigmoid_ce(raw[:batch_size], labels[mixed], cfg.m)
-            total, grad = ce.value, ce.grad_scores
+            total, grad = ce.value, ce.grad
             if use_double:
-                sig0, sig1 = np.split(1.0 / (1.0 + np.exp(-raw[batch_size:])), 2)
-                dl = double_loss(ScorePair(low=sig0, high=sig1))
+                sig = 1.0 / (1.0 + np.exp(-raw[batch_size:]))
+                dl = double_loss(ScorePair(*np.split(sig, 2)))  # low: pure0, high: pure1
                 total += dl.value
-                grad = np.concatenate([grad, dl.grad_low * sig0 * (1 - sig0),
-                                       dl.grad_high * sig1 * (1 - sig1)])
+                grad = np.concatenate([grad, dl.grad * sig * (1 - sig)])
             grads = backward_scores(model, cache, grad)
             if not np.isfinite(total):
                 raise TrainingDivergedError(f"non-finite loss {total!r} at step {step}")
@@ -434,49 +418,46 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     margins are drawn from the trial seed for every row, so each value is a
     deterministic function of its row.
     """
-    if loss_name in ANGULAR_LOSSES:
-        n_samples = int(cfg_rng.integers(2, 5))
-        n_classes = int(cfg_rng.integers(2, 6))
-        cfg = LossConfig(**{f: float(cfg_rng.uniform(*r)) for f, r in _FD_RANGES.items()},
-                         log_base="ten" if cfg_rng.integers(2) else "natural")
-        theta = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
-        labels = data_rng.integers(0, n_classes, size=n_samples)
-
-        def loss(x, y, rng):  # the registry is read per call: the traced benchmark wraps it
-            return ANGULAR_LOSSES[loss_name](AngularBatch(x, y), cfg, rng=rng)
-
-        return theta.ravel(), \
-            loss(theta, labels, np.random.default_rng(trial_seed)).grad_theta.ravel(), \
-            _stacked_values(loss, theta, labels, trial_seed)
-
-    if loss_name == "softmax":
-        n_samples = int(cfg_rng.integers(2, 5))
-        n_classes = int(cfg_rng.integers(2, 6))
-        cfg = LossConfig(log_base="ten" if cfg_rng.integers(2) else "natural")
-        logits = data_rng.normal(0.0, 2.0, size=(n_samples, n_classes))
-        labels = data_rng.integers(0, n_classes, size=n_samples)
-        return logits.ravel(), softmax_loss(logits, labels, cfg).grad_theta.ravel(), \
-            _stacked_values(lambda x, y, rng: softmax_loss(x, y, cfg), logits, labels, trial_seed)
-
-    if loss_name == "margin-ce":
-        n = int(cfg_rng.integers(2, 9))
-        m = float(cfg_rng.uniform(-1.0, 1.0))
-        scores = data_rng.normal(0.0, 2.0, size=n)
-        labels = data_rng.integers(0, 2, size=n)
-        return scores, margin_sigmoid_ce(scores, labels, m).grad_scores, \
-            _stacked_values(lambda x, y, rng: margin_sigmoid_ce(x, y, m), scores, labels,
-                            trial_seed)
-
     if loss_name == "double":
         n_low = int(cfg_rng.integers(2, 6))
         n_high = int(cfg_rng.integers(2, 6))
         scores = data_rng.uniform(0.1, 0.9, size=n_low + n_high)
         out = double_loss(ScorePair(low=scores[:n_low], high=scores[n_low:]))
-        return scores, np.concatenate([out.grad_low, out.grad_high]), \
+        return scores, out.grad, \
             lambda stack: np.array([double_loss(ScorePair(low=p[:n_low], high=p[n_low:])).value
                                     for p in stack])
 
-    raise ValueError(f"unknown loss {loss_name!r}")
+    if loss_name in ANGULAR_LOSSES:
+        n_samples = int(cfg_rng.integers(2, 5))
+        n_classes = int(cfg_rng.integers(2, 6))
+        cfg = LossConfig(**{f: float(cfg_rng.uniform(*r)) for f, r in _FD_RANGES.items()},
+                         log_base="ten" if cfg_rng.integers(2) else "natural")
+        x = data_rng.uniform(0.15, 2.6, size=(n_samples, n_classes))
+        labels = data_rng.integers(0, n_classes, size=n_samples)
+
+        def loss(x, y, rng):  # the registry is read per call: the traced benchmark wraps it
+            return ANGULAR_LOSSES[loss_name](AngularBatch(x, y), cfg, rng=rng)
+    elif loss_name == "softmax":
+        n_samples = int(cfg_rng.integers(2, 5))
+        n_classes = int(cfg_rng.integers(2, 6))
+        cfg = LossConfig(log_base="ten" if cfg_rng.integers(2) else "natural")
+        x = data_rng.normal(0.0, 2.0, size=(n_samples, n_classes))
+        labels = data_rng.integers(0, n_classes, size=n_samples)
+
+        def loss(x, y, rng):
+            return softmax_loss(x, y, cfg)
+    elif loss_name == "margin-ce":
+        n = int(cfg_rng.integers(2, 9))
+        m = float(cfg_rng.uniform(-1.0, 1.0))
+        x = data_rng.normal(0.0, 2.0, size=n)
+        labels = data_rng.integers(0, 2, size=n)
+
+        def loss(x, y, rng):
+            return margin_sigmoid_ce(x, y, m)
+    else:
+        raise ValueError(f"unknown loss {loss_name!r}")
+    return x.ravel(), loss(x, labels, np.random.default_rng(trial_seed)).grad.ravel(), \
+        _stacked_values(loss, x, labels, trial_seed)
 
 
 def gradcheck(loss_name: str, trials: int = 100, h: float = 1e-5, seed: int = 0) -> GradcheckReport:
@@ -519,24 +500,47 @@ GRADCHECK_LOSSES = tuple(ANGULAR_LOSSES) + ("softmax", "margin-ce", "double")
 
 
 def save_model(model: MlpModel, path):
-    """Serialize a model to .npz (weights, biases, activations, head, seed)."""
-    arrays = {"seed": np.array(model.seed), "n_layers": np.array(len(model.layers))}
-    acts = []
+    """Serialize a model to .npz: n_layers, W{i} and b{i} per layer, and head_W if any."""
+    arrays = {"n_layers": np.array(len(model.layers))}
     for i, layer in enumerate(model.layers):
-        arrays[f"W{i}"] = layer.W
-        arrays[f"b{i}"] = layer.b
-        acts.append(layer.activation)
-    arrays["activations"] = np.array(acts)
+        arrays[f"W{i}"], arrays[f"b{i}"] = layer.W, layer.b
     if model.head_W is not None:
         arrays["head_W"] = model.head_W
     np.savez(path, **arrays)
 
 
+def _finite_floats(a) -> bool:
+    return a.dtype.kind == "f" and bool(np.isfinite(a).all())
+
+
 def load_model(path) -> MlpModel:
-    with np.load(path, allow_pickle=False) as data:
-        n = int(data["n_layers"])
-        acts = [str(a) for a in data["activations"]]
-        layers = [Layer(W=data[f"W{i}"].copy(), b=data[f"b{i}"].copy(), activation=acts[i])
-                  for i in range(n)]
-        head = data["head_W"].copy() if "head_W" in data else None
-        return MlpModel(layers=layers, head_W=head, seed=int(data["seed"]))
+    """Read a save_model file; a ValueError names the path and the first bad entry.
+
+    Older files also hold a seed, which is ignored, and activations, which must
+    read relu for every layer but an identity last: the network these layers apply.
+    """
+    try:
+        with np.lib.npyio.NpzFile(path) as data:  # pickled members are refused
+            arrays = {key: np.asarray(data[key]) for key in data.files}
+    except Exception as exc:  # a damaged archive raises many types: zipfile's, zlib's, numpy's
+        raise ValueError(f"{path}: not a readable npz archive ({exc})") from None
+    n = arrays.get("n_layers", np.array(0))
+    if n.shape != () or n.dtype.kind not in "iu" or n < 1:
+        raise ValueError(f"{path}: n_layers must be a positive integer scalar")
+    layers, width = [], None  # width: the previous layer's output size
+    for i in range(int(n)):
+        W, b = arrays.get(f"W{i}", np.empty(0)), arrays.get(f"b{i}", np.empty(0))
+        if W.ndim != 2 or not W.size or not _finite_floats(W) or width not in (None, W.shape[1]):
+            raise ValueError(f"{path}: W{i} must be a non-empty 2-D array of finite floats"
+                             + (f" with {width} columns" if width else ""))
+        if b.shape != W.shape[:1] or not _finite_floats(b):
+            raise ValueError(f"{path}: b{i} must be a vector of {W.shape[0]} finite floats")
+        layers.append(Layer(W, b))
+        width = W.shape[0]
+    head = arrays.get("head_W")
+    if head is not None and (head.ndim != 2 or not _finite_floats(head) or head.shape[1] != width):
+        raise ValueError(f"{path}: head_W must be a 2-D array of finite floats, {width} columns")
+    acts = ["relu"] * (len(layers) - 1) + ["identity"]  # what these layers apply
+    if arrays.get("activations", np.array(acts)).tolist() != acts:
+        raise ValueError(f"{path}: activations must be relu for every layer but an identity last")
+    return MlpModel(layers, head)

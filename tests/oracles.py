@@ -257,7 +257,7 @@ def _gradcheck_trial(loss_name, cfg_rng, data_rng, trial_seed):
             lambda p: ANGULAR_LOSSES[loss_name](
                 AngularBatch(p.reshape(theta.shape), labels), cfg,
                 rng=np.random.default_rng(trial_seed)), \
-            lambda out: out.grad_theta.ravel()
+            lambda out: out.grad.ravel()
     if loss_name == "softmax":
         n_samples = int(cfg_rng.integers(2, 5))
         n_classes = int(cfg_rng.integers(2, 6))
@@ -266,19 +266,19 @@ def _gradcheck_trial(loss_name, cfg_rng, data_rng, trial_seed):
         labels = data_rng.integers(0, n_classes, size=n_samples)
         return logits.ravel(), \
             lambda p: softmax_loss(p.reshape(logits.shape), labels, cfg), \
-            lambda out: out.grad_theta.ravel()
+            lambda out: out.grad.ravel()
     if loss_name == "margin-ce":
         n = int(cfg_rng.integers(2, 9))
         m = float(cfg_rng.uniform(-1.0, 1.0))
         scores = data_rng.normal(0.0, 2.0, size=n)
         labels = data_rng.integers(0, 2, size=n)
-        return scores, lambda p: margin_sigmoid_ce(p, labels, m), lambda out: out.grad_scores
+        return scores, lambda p: margin_sigmoid_ce(p, labels, m), lambda out: out.grad
     if loss_name == "double":
         n_low = int(cfg_rng.integers(2, 6))
         n_high = int(cfg_rng.integers(2, 6))
         return data_rng.uniform(0.1, 0.9, size=n_low + n_high), \
             lambda p: double_loss(ScorePair(low=p[:n_low], high=p[n_low:])), \
-            lambda out: np.concatenate([out.grad_low, out.grad_high])
+            lambda out: out.grad
     raise ValueError(f"unknown loss {loss_name!r}")
 
 

@@ -166,7 +166,7 @@ def test_criterion_05_cot_path_equivalence():
 def _outputs_equal(a, b) -> bool:
     return (a.value == b.value
             and np.array_equal(a.per_sample, b.per_sample)
-            and np.array_equal(a.grad_theta, b.grad_theta))
+            and np.array_equal(a.grad, b.grad))
 
 
 def test_criterion_06_specialization_identities():

@@ -9,13 +9,13 @@ from cotface.angular import (
     LossConfig,
     SingularityError,
     ZeroVectorError,
+    _unit_rows,
     angles_from_features,
     cot_from_cos,
     cot_via_identity,
     cot_via_theta,
     elastic_sample,
     l2_normalize,
-    l2_normalize_rows,
 )
 
 
@@ -120,7 +120,7 @@ class TestL2Normalize:
         with pytest.raises(ZeroVectorError):
             l2_normalize([0.0, 0.0])
         with pytest.raises(ZeroVectorError):
-            l2_normalize_rows([[1.0, 0.0], [1e-12, 0.0]])
+            _unit_rows([[1.0, 0.0], [1e-12, 0.0]])
 
 
 class TestAnglesFromFeatures:

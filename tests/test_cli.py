@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from cotface import cli
 from cotface.cli import main
+from cotface.train import init_embedding_model
 from cotface.pipeline import (
     Gallery,
     GrayImage,
@@ -123,13 +125,13 @@ class TestNumericArguments:
         assert (code, err) == (2, "error: --bins must be >= 1, got 0\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_loss_that_overflows_ends_in_one_diverged_line(self, tmp_path):
         """A finite --s 1e308 overflows the logits at the first step: exit 1, and
-        the run's last word on stderr is one 'diverged:' line, not a traceback."""
-        code, err = _run_cli(self._argv("train", tmp_path) + ["--s", "1e308"])
-        assert code == 1
-        assert err.splitlines()[-1] == "diverged: non-finite loss inf at step 0"
+        stderr is one 'diverged:' line, with no numpy warning before it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_cli(self._argv("train", tmp_path) + ["--s", "1e308"])
+        assert (code, err, caught) == (1, "diverged: non-finite loss inf at step 0\n", [])
 
 
 class TestRefcheck:
@@ -326,6 +328,42 @@ class TestEval:
         assert main(["eval", "--scores", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @staticmethod
+    def _assert_histogram(lines, bins=20):
+        """eval on label,score lines exits 0 with no warning, and its bins have
+        strictly increasing edges that cover every score and count each once."""
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores = Path(tmp) / "scores.csv"
+            scores.write_text("".join(line + "\n" for line in lines))
+            out = Path(tmp) / "o"
+            result = _run_cli(["eval", "--scores", str(scores), "--out", str(out),
+                               "--bins", str(bins)])
+            rows = [r.split(",") for r in (out / "histogram.csv").read_text().splitlines()[1:]]
+        assert (result, caught) == ((0, ""), [])
+        assert len(rows) == bins and all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+        edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
+        values = [float(line.split(",")[1]) for line in lines]
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert edges[0] <= min(values) and max(values) <= edges[-1]
+        assert sum(int(r[2]) + int(r[3]) for r in rows) == len(lines)
+
+    @pytest.mark.parametrize("lines", [
+        ["1,1e17", "0,1e17"],  # the 0.5 widening of one repeated score vanishes
+        ["1,1.0000000000000002", "0,1", "1,1.0000000000000004"],  # 4 float steps, 20 bins
+        ["1,1.7976931348623157e308", "0,1"],  # eer's sentinel is past the largest float
+        ["1,1.7976931348623157e308", "0,1.7976931348623157e308"],
+        ["1,-1.7976931348623157e308", "0,1.7976931348623157e308"],  # the span overflows
+    ])
+    def test_large_close_scores_get_a_histogram(self, lines):
+        self._assert_histogram(lines)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                           max_size=6),
+           bins=st.integers(1, 40))
+    def test_every_valid_file_gets_a_histogram(self, scores, bins):
+        self._assert_histogram([f"{i % 2},{v!r}" for i, v in enumerate(scores)], bins)
 
     @pytest.mark.parametrize("line,message", [
         ("1,abc", "could not convert string to float: 'abc'"),
@@ -696,6 +734,59 @@ class TestMalformedInput:
             malformed = not _well_formed(cli._read_scores_file, scores)
             _assert_fails_cleanly(
                 _run_cli(["eval", "--scores", str(scores), "--out", str(Path(tmp) / "o")]), malformed)
+
+    @staticmethod
+    def _model_arrays():
+        """The entries save_model writes for the toy embedder's shape."""
+        model = init_embedding_model(256, n_classes=2, hidden=(64,), embed_dim=32, seed=3)
+        arrays = {"n_layers": np.array(2), "head_W": model.head_W}
+        for i, layer in enumerate(model.layers):
+            arrays[f"W{i}"], arrays[f"b{i}"] = layer.W, layer.b
+        return arrays
+
+    _BAD_MODELS = {  # name: (entries to drop, entries to set) or the file's bytes
+        "zip-garbage": b"PK\x03\x04garbage",
+        "text": b"not a model\n",
+        "empty": b"",
+        "no-n_layers": (["n_layers"], {}),
+        "no-W1": (["W1"], {}),
+        "no-b0": (["b0"], {}),
+        "n_layers-0": ([], {"n_layers": np.array(0)}),
+        "n_layers-negative": ([], {"n_layers": np.array(-1)}),
+        "n_layers-vector": ([], {"n_layers": np.array([2])}),
+        "n_layers-float": ([], {"n_layers": np.array(2.0)}),
+        "W0-1d": ([], {"W0": np.ones(256)}),
+        "W0-text": ([], {"W0": np.array([["a"] * 256] * 64)}),
+        "W0-nan": ([], {"W0": np.full((64, 256), np.nan)}),
+        "head_W-inf": ([], {"head_W": np.full((2, 32), np.inf)}),
+        "W1-unchained": ([], {"W1": np.ones((32, 63))}),
+        "b1-short": ([], {"b1": np.zeros(31)}),
+        "head_W-narrow": ([], {"head_W": np.ones((2, 31))}),
+        "head_W-1d": ([], {"head_W": np.ones(32)}),
+        "activations-relu": ([], {"activations": np.array(["relu", "relu"])}),
+        "activations-identity": ([], {"activations": np.array(["identity", "identity"])}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+    def test_model_files(self, tmp_path, case):
+        """auth and enroll reject each bad --model file with exit 3 and one
+        'error:' line that names it, and enroll leaves the gallery alone."""
+        blank, text = self._files(tmp_path)
+        gallery = tmp_path / "g.txt"
+        gallery.write_text(text)
+        model = tmp_path / "model.npz"
+        bad = self._BAD_MODELS[case]
+        if isinstance(bad, bytes):
+            model.write_bytes(bad)
+        else:
+            arrays = {k: v for k, v in self._model_arrays().items() if k not in bad[0]}
+            np.savez(model, **{**arrays, **bad[1]})
+        for argv in (["auth", "--gallery", str(gallery), "--model", str(model), blank],
+                     ["enroll", "--gallery", str(gallery), "--name", "dave", "--model",
+                      str(model), blank]):
+            code, err = _run_cli(argv)
+            assert code == 3 and err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert gallery.read_text() == text
 
     @pytest.mark.parametrize("text,lineno", [
         ("q1,1,1,nan\n", 1),

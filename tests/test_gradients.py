@@ -38,7 +38,7 @@ def test_scaled_gradient_fails_both(monkeypatch):
 
     def scaled(batch, cfg, rng=None):
         out = lmcot(batch, cfg, rng=rng)
-        out.grad_theta = out.grad_theta * 1.001
+        out.grad = out.grad * 1.001
         return out
 
     monkeypatch.setitem(ANGULAR_LOSSES, "scaled-lmcot", scaled)
@@ -53,7 +53,7 @@ def test_nan_gradient_fails_closed(monkeypatch, capsys):
 
     def nan_grad(batch, cfg, rng=None):
         out = lmcot(batch, cfg, rng=rng)
-        out.grad_theta = out.grad_theta * np.nan
+        out.grad = out.grad * np.nan
         return out
 
     monkeypatch.setitem(ANGULAR_LOSSES, "lmcot", nan_grad)
@@ -99,7 +99,7 @@ def test_double_loss_directional_derivative():
     out = double_loss(pair)
     h = 1e-6
     bumped = double_loss(ScorePair(low=[0.3 + h, 0.5], high=[0.6, 0.8]))
-    assert (bumped.value - out.value) / h == pytest.approx(out.grad_low[0], rel=1e-6)
+    assert (bumped.value - out.value) / h == pytest.approx(out.grad[0], rel=1e-6)
 
 
 def test_unknown_loss_rejected():

@@ -70,8 +70,8 @@ class TestSynthDataset:
 
 
 def _identity_model(dim: int, head: np.ndarray) -> MlpModel:
-    layer = Layer(W=np.eye(dim), b=np.zeros(dim), activation="identity")
-    return MlpModel(layers=[layer], head_W=head.copy(), seed=0)
+    layer = Layer(W=np.eye(dim), b=np.zeros(dim))
+    return MlpModel(layers=[layer], head_W=head.copy())
 
 
 class TestForward:
@@ -92,18 +92,17 @@ class TestForward:
     def test_hand_computed_tiny_net(self):
         # one identity layer, W = [[1, 0], [0, 2]], b = [1, 0]; x = [1, 1]
         # raw = [2, 2] -> unit [0.7071, 0.7071]; head rows e1, e2 -> 45 degrees
-        layer = Layer(W=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([1.0, 0.0]),
-                      activation="identity")
-        model = MlpModel(layers=[layer], head_W=np.eye(2), seed=0)
+        layer = Layer(W=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([1.0, 0.0]))
+        model = MlpModel(layers=[layer], head_W=np.eye(2))
         emb, cos, _ = forward(model, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(emb[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
         np.testing.assert_allclose(np.arccos(cos[0]), [np.pi / 4, np.pi / 4], atol=1e-6)
 
     def test_hand_computed_relu_net(self):
         # relu clips the negative preactivation: z = [1, -3] -> a = [1, 0]
-        l1 = Layer(W=np.array([[1.0, 0.0], [0.0, -3.0]]), b=np.zeros(2), activation="relu")
-        l2 = Layer(W=np.eye(2), b=np.zeros(2), activation="identity")
-        model = MlpModel(layers=[l1, l2], head_W=np.eye(2), seed=0)
+        l1 = Layer(W=np.array([[1.0, 0.0], [0.0, -3.0]]), b=np.zeros(2))
+        l2 = Layer(W=np.eye(2), b=np.zeros(2))
+        model = MlpModel(layers=[l1, l2], head_W=np.eye(2))
         emb, _, _ = forward(model, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(emb[0], [1.0, 0.0], atol=1e-12)
 
@@ -174,7 +173,7 @@ class TestBackward:
         cfg = LossConfig(s=2.0, m=0.1)
 
         out = _model_loss(model, x, labels, cfg)
-        grads = backward(model, forward(model, x)[2], out.grad_cos)
+        grads = backward(model, forward(model, x)[2], out.grad)
         analytic = _flatten_grads(grads)
 
         flat = _flatten_params(model)
@@ -200,12 +199,12 @@ class TestBackward:
         w.r.t. w2 row must vanish by symmetry (the embedding cannot rotate
         while the second raw coordinate stays zero).
         """
-        layer = Layer(W=np.diag([2.0, 3.0]), b=np.zeros(2), activation="identity")
-        model = MlpModel(layers=[layer], head_W=np.eye(2), seed=0)
+        layer = Layer(W=np.diag([2.0, 3.0]), b=np.zeros(2))
+        model = MlpModel(layers=[layer], head_W=np.eye(2))
         x = np.array([[1.5, 0.0]])
         labels = np.array([0])
         out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-        grads = backward(model, forward(model, x)[2], out.grad_cos)
+        grads = backward(model, forward(model, x)[2], out.grad)
         dW = grads.layers[0][0]
         assert dW[0, 1] == 0.0 and dW[1, 1] == 0.0
         # scaling the first weight leaves the unit embedding unchanged
@@ -244,7 +243,7 @@ class TestSgdStep:
         labels = np.random.default_rng(7).integers(0, 3, size=5)
         before = _flatten_params(model)
         out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-        sgd_step(model, backward(model, forward(model, x)[2], out.grad_cos), lr=0.0)
+        sgd_step(model, backward(model, forward(model, x)[2], out.grad), lr=0.0)
         # layers are untouched exactly; the head renormalization may move
         # already-unit rows by one ulp
         np.testing.assert_allclose(_flatten_params(model), before, rtol=0, atol=1e-15)
@@ -255,7 +254,7 @@ class TestSgdStep:
         labels = np.random.default_rng(9).integers(0, 3, size=5)
         for _ in range(5):
             out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
-            sgd_step(model, backward(model, forward(model, x)[2], out.grad_cos), lr=0.5)
+            sgd_step(model, backward(model, forward(model, x)[2], out.grad), lr=0.5)
             np.testing.assert_allclose(np.linalg.norm(model.head_W, axis=1), 1.0,
                                        atol=1e-10)
 
@@ -265,7 +264,7 @@ class TestSgdStep:
         labels = np.repeat(np.arange(3), 3)
         cfg = LossConfig(s=8.0, m=0.05)
         before = _model_loss(model, x, labels, cfg)
-        sgd_step(model, backward(model, forward(model, x)[2], before.grad_cos), lr=0.05)
+        sgd_step(model, backward(model, forward(model, x)[2], before.grad), lr=0.05)
         after = _model_loss(model, x, labels, cfg)
         assert after.value < before.value
 
@@ -347,6 +346,29 @@ class TestModelSerialization:
         _, cos_a, _ = forward(model, x)
         _, cos_b, _ = forward(loaded, x)
         np.testing.assert_array_equal(np.arccos(cos_a), np.arccos(cos_b))
+
+    def test_file_holds_weights_only(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(init_embedding_model(6, n_classes=4, hidden=(5,), seed=11), path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["W0", "W1", "b0", "b1", "head_W", "n_layers"]
+
+    def test_loads_the_older_layout(self, tmp_path):
+        """Older files also hold the seed and each layer's activation name
+        (relu, then identity last); they load as the same network: ReLU
+        between the affine layers, cosines against the unit head rows."""
+        rng = np.random.default_rng(13)
+        W0, b0, W1, b1 = rng.normal(size=(5, 6)), rng.normal(size=5), \
+            rng.normal(size=(4, 5)), rng.normal(size=4)
+        head = rng.normal(size=(3, 4))
+        path = tmp_path / "old.npz"
+        np.savez(path, seed=np.array(13), n_layers=np.array(2), W0=W0, b0=b0, W1=W1, b1=b1,
+                 activations=np.array(["relu", "identity"]), head_W=head)
+        x = rng.normal(size=(7, 6))
+        emb = np.maximum(x @ W0.T + b0, 0.0) @ W1.T + b1
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        want = emb @ (head / np.linalg.norm(head, axis=1, keepdims=True)).T
+        np.testing.assert_allclose(forward(load_model(path), x)[1], want, rtol=0, atol=1e-15)
 
     def test_round_trip_score_model(self, tmp_path):
         model = init_score_model(6, seed=12)
