@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
-Exit codes: 0 success (auth: Accepted), 1 failed check (train: an
-embedding run whose last loss is above its first, or a loss that turns
-non-finite) or non-accepted outcome, 2 usage error (argparse, a non-finite
-float argument, or an argument that cannot work: ConfigError), 3 unreadable
-or malformed input/output files.  Every subcommand is deterministic for a
-fixed --seed: reruns produce byte-identical primary output files.
+Exit codes: 0 success (auth: Accepted), 1 failed check (train: a rising
+embedding loss, or a non-finite loss or model output) or non-accepted
+outcome, 2 usage error (argparse or ConfigError), 3 unreadable or malformed
+input/output files (enroll, auth: also a model output that is not finite).
+Every subcommand is deterministic for a fixed --seed: reruns produce
+byte-identical primary output files.
 """
 
 from __future__ import annotations
@@ -263,9 +263,8 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["step,loss"]
-    lines += [f"{i},{v:.17g}" for i, v in enumerate(report.loss_curve)]
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    (out / "report.csv").write_text(
+        "step,loss\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(report.loss_curve)))
     _write_metrics(out / "metrics.csv", sorted(report.metrics.items()))
     (out / "steps.log").write_text(report.to_records())
     if args.save_model:
@@ -349,8 +348,6 @@ def _read_scores_file(path, block_chars: int = _SCORES_BLOCK_CHARS) -> ScoredPai
 
 
 def _cmd_eval(args) -> int:
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     pairs = _read_scores_file(args.scores)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -430,8 +427,6 @@ def _read_ranked_file(path):
 
 
 def _cmd_retrieval_eval(args) -> int:
-    if args.gallery_queries is not None and args.gallery_queries < 1:
-        raise ConfigError(f"--gallery-queries must be >= 1, got {args.gallery_queries}")
     retrieval = _read_ranked_file(args.ranked)
     retrieval.num_in_gallery = args.gallery_queries or len(retrieval.queries)
     map_value = map_at_100(retrieval)
@@ -497,12 +492,23 @@ _COMMANDS = {
 }
 
 
+# the least value each integer flag can work with (every --hidden entry is checked)
+_MINIMUMS = dict(seed=0, steps=1, trials=1, hidden=1, embed_dim=1, batch_size=1, bins=1,
+                 gallery_queries=1)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
+            flag = f"--{name.replace('_', '-')}"
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ConfigError(f"{flag} must be finite, got {value}")
+            for v in value if name == "hidden" else [value]:
+                if name in _MINIMUMS and v is not None and v < _MINIMUMS[name]:
+                    raise ConfigError(f"{flag} must be >= {_MINIMUMS[name]}, got {v}")
+            if name == "h" and not 0.0 < value < 0.15:  # gradcheck's angles start at 0.15
+                raise ConfigError(f"--h must be > 0 and < 0.15, got {value}")
         return _COMMANDS[args.command](args)
     except TrainingDivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ the grid of observed scores.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ def _eer_on_sweep(sweep: np.ndarray) -> tuple[float, float]:
     lam = diff[k] / (diff[k] - diff[k + 1])
     value = far[k] + lam * (far[k + 1] - far[k])
     threshold = grid[k] + lam * (grid[k + 1] - grid[k])
-    return float(value), float(threshold)
+    return float(value), min(float(threshold), sys.float_info.max)  # the top sentinel may be inf
 
 
 def auc(pairs: ScoredPairs) -> float:
@@ -121,8 +122,6 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("empty value range")
-    if max(abs(lo), abs(hi)) < _LINSPACE_LIMIT:
-        return np.histogram(np.asarray(scores, dtype=np.float64), bins=bins, range=(lo, hi))
     return np.histogram(scores, bins=_edges(lo, hi, bins))
 
 

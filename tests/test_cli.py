@@ -78,12 +78,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def _float_flags():
-    """(subcommand, flag) for every option that the parser reads as a float."""
+def _numeric_flags():
+    """(subcommand, flag, type) for every option that the parser reads as an int or a float."""
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [(name, flag) for name, p in sub.choices.items() for a in p._actions
-            if a.type is float for flag in a.option_strings]
+    return [(name, flag, a.type) for name, p in sub.choices.items() for a in p._actions
+            if a.type in (int, float) for flag in a.option_strings]
+
+
+def _float_flags():
+    """(subcommand, flag) for every option that the parser reads as a float."""
+    return [(name, flag) for name, flag, kind in _numeric_flags() if kind is float]
 
 
 class TestNumericArguments:
@@ -100,7 +105,36 @@ class TestNumericArguments:
                        _write_frame(tmp_path / "face.pgm", "face")],
             "auth": ["auth", "--gallery", str(tmp_path / "g.txt"),
                      _write_frame(tmp_path / "face.pgm", "face")],
+            "eval": ["eval", "--scores", str(_write_text(tmp_path / "s.csv", "1,0.9\n0,0.1\n")),
+                     "--out", str(tmp_path / "o")],
+            "retrieval-eval": ["retrieval-eval", "--out", str(tmp_path / "o"), "--ranked",
+                               str(_write_text(tmp_path / "r.csv", "q,1,1,0.9\nq,2,0,0.5\n"))],
         }[command]
+
+    _BAD_NUMBERS = {int: ("0", "-1"), float: ("0", "-1", "1e308", "inf", "-inf", "nan")}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bad_numbers_give_an_exit_code_and_at_most_one_line(self, data):
+        """Up to three of one subcommand's numeric flags set to 0, -1 or (floats
+        only) 1e308, +-inf or nan: exit 0, 1 or 2, at most one stderr line, no
+        numpy warning and no traceback (an exception escaping main fails the
+        test).  No huge integer is drawn: a huge size would try to allocate it."""
+        numeric = _numeric_flags()
+        command = data.draw(st.sampled_from(sorted({c for c, _, _ in numeric})))
+        flags = data.draw(st.lists(st.sampled_from([(f, t) for c, f, t in numeric if c == command]),
+                                   min_size=1, max_size=3, unique=True))
+        extra = [f"{flag}={data.draw(st.sampled_from(self._BAD_NUMBERS[kind]))}"
+                 for flag, kind in flags]
+        if command == "train" and data.draw(st.booleans()):
+            extra = ["--task", "binary-live-spoof", "--loss", "margin-ce+double"] + extra
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run_cli(self._argv("enroll", Path(tmp))) == (0, "")  # auth's gallery
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = _run_cli(self._argv(command, Path(tmp)) + extra)
+        assert code in (0, 1, 2)
+        assert err.count("\n") + len(caught) <= 1, (err, [str(w.message) for w in caught])
 
     def test_every_float_flag_is_covered(self):
         assert {c for c, _ in _float_flags()} == {"refcheck", "gradcheck", "train", "enroll",
@@ -124,6 +158,47 @@ class TestNumericArguments:
                               "--bins", "0"])
         assert (code, err) == (2, "error: --bins must be >= 1, got 0\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("train", ["--hidden", "0"], "--hidden must be >= 1, got 0"),
+        ("train", ["--hidden", "8", "-3"], "--hidden must be >= 1, got -3"),
+        ("train", ["--embed-dim", "0"], "--embed-dim must be >= 1, got 0"),
+        ("train", ["--embed-dim=-1"], "--embed-dim must be >= 1, got -1"),
+        ("train", ["--task", "binary-live-spoof", "--loss", "margin-ce", "--batch-size", "0"],
+         "--batch-size must be >= 1, got 0"),
+        ("train", ["--task", "binary-live-spoof", "--loss", "margin-ce", "--batch-size=-1"],
+         "--batch-size must be >= 1, got -1"),
+        ("train", ["--seed=-1"], "--seed must be >= 0, got -1"),
+        ("train", ["--steps", "0"], "--steps must be >= 1, got 0"),
+        ("gradcheck", ["--seed=-1"], "--seed must be >= 0, got -1"),
+        ("gradcheck", ["--trials", "0"], "--trials must be >= 1, got 0"),
+        ("gradcheck", ["--h", "0"], "--h must be > 0 and < 0.15, got 0.0"),
+        ("gradcheck", ["--h=-1e-5"], "--h must be > 0 and < 0.15, got -1e-05"),
+        ("gradcheck", ["--h", "0.15"], "--h must be > 0 and < 0.15, got 0.15"),
+        ("gradcheck", ["--h", "1e308"], "--h must be > 0 and < 0.15, got 1e+308"),
+        ("auth", ["--seed=-1"], "--seed must be >= 0, got -1"),
+        ("enroll", ["--seed=-1"], "--seed must be >= 0, got -1"),
+    ])
+    def test_integer_below_its_minimum_is_a_usage_error(self, tmp_path, command, extra, message):
+        """Sizes, counts and seeds that cannot work, and a gradcheck step that
+        leaves its angles' range: exit 2 and one 'error:' line, nothing written."""
+        code, err = _run_cli(self._argv(command, tmp_path) + extra)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("extra,steps", [
+        (["--steps", "1"], 1),
+        (["--steps", "2"], 2),
+        (["--task", "binary-live-spoof", "--loss", "margin-ce+double", "--steps", "3"], 3),
+    ])
+    def test_weights_that_overflow_end_in_one_diverged_line(self, tmp_path, extra, steps):
+        """--lr 1e308 leaves the first loss finite and the weights huge: the next
+        forward pass (the final metric's, after one step) is a divergence."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_cli(self._argv("train", tmp_path) + ["--lr", "1e308"] + extra)
+        assert (code, err, caught) == (
+            1, f"diverged: model output is not finite after 1 of {steps} steps\n", [])
 
     def test_loss_that_overflows_ends_in_one_diverged_line(self, tmp_path):
         """A finite --s 1e308 overflows the logits at the first step: exit 1, and
@@ -217,6 +292,13 @@ class TestTrain:
                 "--steps", "1", "--out", str(tmp_path / "x")]
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_reversed_binary_loss_name_is_a_usage_error(self, tmp_path, capsys):
+        args = ["train", "--task", "binary-live-spoof", "--loss", "double+margin-ce",
+                "--steps", "1", "--out", str(tmp_path / "x")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == ("error: binary tasks take 'margin-ce' or "
+                                           "'margin-ce+double', got 'double+margin-ce'\n")
 
     def test_unknown_binary_loss_is_a_usage_error(self, tmp_path, capsys):
         args = ["train", "--task", "binary-eye-state", "--loss", "nonesuch",
@@ -314,6 +396,17 @@ class TestEval:
         assert (code, err) == (0, "")
         assert (out / "summary.csv").read_text() == (
             "metric,value\neer,0.66666666666666674\neer_threshold,10000000000000000\nauc,0.25\n")
+
+    def test_eer_threshold_at_the_largest_float_is_finite(self, tmp_path, capsys):
+        """Above the largest float eer's high sentinel is inf; the threshold is
+        capped at the largest float, not interpolated halfway to inf."""
+        top = "1.7976931348623157e308"
+        scores = self._scores(tmp_path, [f"1,{top}", f"0,{top}"])
+        out = tmp_path / "eval"
+        code, err = _run_cli(["eval", "--scores", scores, "--out", str(out)])
+        assert (code, err) == (0, "")
+        assert (out / "summary.csv").read_text() == (
+            f"metric,value\neer,0.5\neer_threshold,{top.replace('e', 'e+')}\nauc,0.5\n")
 
     def test_bad_label_exits_3(self, tmp_path, capsys):
         scores = self._scores(tmp_path, ["1,0.9", "maybe,0.5"])
@@ -652,6 +745,11 @@ class TestEnrollAuth:
                      "--name", "alice", str(tmp_path / "missing.pgm")]) == 3
 
 
+def _write_text(path, text):
+    path.write_text(text)
+    return path
+
+
 def _run_cli(argv):
     """(exit code, stderr) of one in-process run; an exception that escapes
     main (a traceback for a user) fails the calling test."""
@@ -786,6 +884,27 @@ class TestMalformedInput:
                       str(model), blank]):
             code, err = _run_cli(argv)
             assert code == 3 and err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert gallery.read_text() == text
+
+    def test_model_whose_output_overflows(self, tmp_path):
+        """Finite weights whose forward pass overflows: auth and enroll both exit
+        3 with one 'error:' line and no numpy warning, and enroll leaves the
+        gallery alone."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = tmp_path / "g.txt"
+        assert _run_cli(["enroll", "--gallery", str(gallery), "--name", "a", face]) == (0, "")
+        text = gallery.read_text()
+        arrays = self._model_arrays()
+        arrays["W0"] = np.full_like(arrays["W0"], 1e308)
+        model = tmp_path / "model.npz"
+        np.savez(model, **arrays)
+        for argv in (["auth", "--gallery", str(gallery), "--model", str(model), face],
+                     ["enroll", "--gallery", str(gallery), "--name", "b", "--model",
+                      str(model), face]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = _run_cli(argv)
+            assert (result, caught) == ((3, "error: model output is not finite\n"), [])
         assert gallery.read_text() == text
 
     @pytest.mark.parametrize("text,lineno", [

@@ -131,6 +131,12 @@ class TestEer:
         assert value == 0.5
         assert top <= threshold <= np.nextafter(top, np.inf)
 
+    def test_threshold_at_the_largest_float_is_finite(self):
+        """Past the largest float the high sentinel is inf: the threshold is capped."""
+        top = np.finfo(np.float64).max
+        assert eer(ScoredPairs(genuine=[top], impostor=[top])) == (0.5, top)
+        assert eer(ScoredPairs(genuine=[1.0, top], impostor=[top])) == (pytest.approx(2 / 3), top)
+
     def test_genuine_below_a_large_tie(self):
         value, threshold = eer(ScoredPairs(genuine=[3.0, 1e16], impostor=[1e16]))
         assert (value, threshold) == (pytest.approx(2.0 / 3.0, abs=1e-15), 1e16)

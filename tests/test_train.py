@@ -1,15 +1,18 @@
 """Synthetic data, forward/backward passes and the training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cotface.angular import LossConfig, angles_from_features
 from cotface.losses import arcface_loss, lmcot_loss
-from cotface.angular import AngularBatch
+from cotface.angular import AngularBatch, ConfigError
 from cotface.train import (
     Grads,
     Layer,
     MlpModel,
+    NonFiniteOutputError,
     SynthSpec,
     TrainingDivergedError,
     backward,
@@ -122,6 +125,19 @@ class TestForward:
             forward(scored, x)
         with pytest.raises(ValueError):
             forward_scores(angular, x)
+
+    def test_output_that_is_not_finite_raises_without_warnings(self):
+        """Finite weights whose products overflow: both heads raise one
+        NonFiniteOutputError and numpy warns about nothing."""
+        scored = init_score_model(4, hidden=(3,), seed=0)
+        angular = init_embedding_model(4, n_classes=2, hidden=(3,), embed_dim=2, seed=0)
+        x = np.ones((2, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model, fn in ((scored, forward_scores), (angular, forward)):
+                model.layers[0].W[:] = 1e308
+                with pytest.raises(NonFiniteOutputError, match="model output is not finite"):
+                    fn(model, x)
 
 
 def _model_loss(model, x, labels, cfg):
@@ -299,12 +315,31 @@ class TestTrainLoop:
         assert a.metrics == b.metrics
 
     def test_divergence_aborts(self):
-        # an absurd rate explodes the raw-score head within a few steps (the
-        # embedding head cannot diverge this way: normalization bounds it)
+        # an absurd rate explodes the raw-score head within a few steps
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 train_loop(BINARY_SPEC, "margin-ce", LossConfig(m=1.0),
                            steps=200, lr=1e9, seed=0, hidden=(16,))
+
+    @pytest.mark.parametrize("spec,cfg,loss,steps", [
+        (EMBED_SPEC, EMBED_CFG, "lmcot", 1),
+        (EMBED_SPEC, EMBED_CFG, "lmcot", 2),
+        (BINARY_SPEC, LossConfig(m=1.0), "margin-ce+double", 3),
+    ])
+    def test_weights_that_overflow_abort(self, spec, cfg, loss, steps):
+        """At lr 1e308 the first loss is finite and the step blows up the
+        weights: the next forward pass, or the final metric's when it is the
+        last step, is a divergence, not a bad score set."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match=f"^model output is not finite after 1 of {steps} steps$"):
+                train_loop(spec, loss, cfg, steps=steps, lr=1e308, seed=0, hidden=(16,))
+
+    @pytest.mark.parametrize("loss", ["double+margin-ce", "margin-ce+margin-ce", "double", "lmcot"])
+    def test_binary_tasks_take_two_loss_names(self, loss):
+        with pytest.raises(ConfigError, match="'margin-ce' or 'margin-ce\\+double'"):
+            train_loop(BINARY_SPEC, loss, LossConfig(m=1.0), steps=1)
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
