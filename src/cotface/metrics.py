@@ -80,7 +80,10 @@ def _eer_on_sweep(sweep: np.ndarray) -> tuple[float, float]:
         return float(far[k + 1]), float(grid[k + 1])
     lam = diff[k] / (diff[k] - diff[k + 1])
     value = far[k] + lam * (far[k + 1] - far[k])
-    threshold = grid[k] + lam * (grid[k + 1] - grid[k])
+    with np.errstate(over="ignore"):  # a bracket wider than the largest float overflows
+        step = grid[k + 1] - grid[k]
+    threshold = (grid[k] + lam * step if np.isfinite(step)
+                 else (1.0 - lam) * grid[k] + lam * grid[k + 1])
     return float(value), min(float(threshold), sys.float_info.max)  # the top sentinel may be inf
 
 

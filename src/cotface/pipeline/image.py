@@ -108,14 +108,13 @@ def crop_resize(img: GrayImage, boxes, width: int, height: int) -> np.ndarray:
 def _crop_taps(start, size, n: int):
     """Per crop (start, size along one axis): the two image indices each of
     n output samples reads and the weight of the second, each shape (K, n)."""
-    s = np.clip((np.arange(n) + 0.5) * (size / n)[:, None] - 0.5,
-                0.0, (size - 1.0)[:, None])
-    return _taps(s, size[:, None], start[:, None])
+    return _taps((np.arange(n) + 0.5) * (size / n)[:, None] - 0.5, size[:, None], start[:, None])
 
 
 def _taps(s, size, start=0):
-    """The two indices, offset by start, that source coordinates s in
-    [0, size - 1] read, and the weight of the second."""
+    """The two indices, offset by start, that source coordinates s, clamped
+    to [0, size - 1], read, and the weight of the second."""
+    s = np.clip(s, 0.0, size - 1.0)
     i0 = np.floor(s).astype(np.intp)
     return start + i0, start + np.minimum(i0 + 1, size - 1), s - i0
 
@@ -211,8 +210,7 @@ def rotate_region(img: GrayImage, center, angle: float,
     ys = np.arange(y1, y2, dtype=np.float64)
     gx, gy = np.meshgrid(xs - cx, ys - cy)
     ca, sa = np.cos(angle), np.sin(angle)
-    src_x = np.clip(ca * gx - sa * gy + cx, 0.0, img.width - 1.0)
-    src_y = np.clip(sa * gx + ca * gy + cy, 0.0, img.height - 1.0)
+    src_x, src_y = ca * gx - sa * gy + cx, sa * gx + ca * gy + cy
     return GrayImage(_blend(img.pixels, *_taps(src_y, img.height), *_taps(src_x, img.width)))
 
 

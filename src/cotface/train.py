@@ -121,7 +121,10 @@ def synth_dataset(spec: SynthSpec):
         protos = np.stack([-0.5 * direction, 0.5 * direction])
     labels = np.repeat(np.arange(spec.n_classes), spec.per_class)
     noise = rng.standard_normal((labels.size, spec.dim))
-    features = protos[labels] + spec.intra_spread * noise
+    with np.errstate(over="ignore"):
+        features = protos[labels] + spec.intra_spread * noise
+    if not np.isfinite(features).all():
+        raise ConfigError(f"intra_spread {spec.intra_spread:g} makes the features overflow")
     return features, labels
 
 

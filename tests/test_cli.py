@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotface import cli
@@ -137,8 +137,7 @@ class TestNumericArguments:
         assert err.count("\n") + len(caught) <= 1, (err, [str(w.message) for w in caught])
 
     def test_every_float_flag_is_covered(self):
-        assert {c for c, _ in _float_flags()} == {"refcheck", "gradcheck", "train", "enroll",
-                                                  "auth"}
+        assert {c for c, _ in _float_flags()} == {"train", "auth"}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command,flag", _float_flags())
@@ -172,16 +171,12 @@ class TestNumericArguments:
         ("train", ["--steps", "0"], "--steps must be >= 1, got 0"),
         ("gradcheck", ["--seed=-1"], "--seed must be >= 0, got -1"),
         ("gradcheck", ["--trials", "0"], "--trials must be >= 1, got 0"),
-        ("gradcheck", ["--h", "0"], "--h must be > 0 and < 0.15, got 0.0"),
-        ("gradcheck", ["--h=-1e-5"], "--h must be > 0 and < 0.15, got -1e-05"),
-        ("gradcheck", ["--h", "0.15"], "--h must be > 0 and < 0.15, got 0.15"),
-        ("gradcheck", ["--h", "1e308"], "--h must be > 0 and < 0.15, got 1e+308"),
         ("auth", ["--seed=-1"], "--seed must be >= 0, got -1"),
         ("enroll", ["--seed=-1"], "--seed must be >= 0, got -1"),
     ])
     def test_integer_below_its_minimum_is_a_usage_error(self, tmp_path, command, extra, message):
-        """Sizes, counts and seeds that cannot work, and a gradcheck step that
-        leaves its angles' range: exit 2 and one 'error:' line, nothing written."""
+        """Sizes, counts and seeds that cannot work: exit 2 and one 'error:'
+        line, nothing written."""
         code, err = _run_cli(self._argv(command, tmp_path) + extra)
         assert (code, err) == (2, f"error: {message}\n")
         assert not (tmp_path / "o").exists() and not (tmp_path / "g.txt").exists()
@@ -220,9 +215,25 @@ class TestRefcheck:
         for name in ("softmax", "sphereface", "cosface", "arcface", "lmcot"):
             assert name in first
 
-    def test_unreachable_tolerance_fails(self, capsys):
-        assert main(["refcheck", "--tol", "1e-9"]) == 1
-        assert "FAILED" in capsys.readouterr().out
+    def test_a_wrong_frozen_value_fails(self, monkeypatch, capsys):
+        """refcheck judges at its fixed tolerance, so one frozen value moved by
+        1e-2 fails the run: exit 1, that line FAIL, the others PASS."""
+        from cotface import reference
+        checks = [(name, value + 1e-2 if name == "lmcot" else value, fn)
+                  for name, value, fn in reference._CHECKS]
+        monkeypatch.setattr(reference, "_CHECKS", tuple(checks))
+        assert main(["refcheck"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("reference check FAILED\n")
+        assert [line.split()[-1] for line in out.splitlines()[:-1]] == [
+            "FAIL" if name == "lmcot" else "PASS" for name, _, _ in checks]
+
+    def test_library_tolerance_still_judges(self):
+        """The fixed bound is the library default; a caller's own bound still
+        decides, so an unreachable one fails."""
+        from cotface.reference import run_reference_checks
+        assert all(r.passed for r in run_reference_checks())
+        assert not all(r.passed for r in run_reference_checks(tolerance=1e-9))
 
 
 class TestGradcheck:
@@ -231,10 +242,23 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "arcface" in out and "PASS" in out
 
-    def test_stricter_than_float_noise_fails(self, capsys):
-        rc = main(["gradcheck", "--loss", "cosface", "--trials", "3", "--tol", "1e-18"])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("refcheck", "--tol", "1e-9"),
+    ("gradcheck", "--tol", "1e-18"),
+    ("gradcheck", "--h", "1e-5"),
+])
+def test_check_bounds_are_not_flags(command, flag, value):
+    """What refcheck and gradcheck accept is fixed by the library: neither
+    parser has the flag, and a bound on the command line runs no check
+    (argparse reads '--h' as an abbreviation of '--help')."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert flag not in {f for a in sub.choices[command]._actions for f in a.option_strings}
+    out = io.StringIO()
+    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()), redirect_stdout(out):
+        main([command, flag, value])
+    assert "PASS" not in out.getvalue()
 
 
 _TRAIN_ARGS = [
@@ -317,6 +341,19 @@ class TestTrain:
     def test_impossible_dataset_is_a_usage_error(self, tmp_path, flag, value):
         args = [*_TRAIN_ARGS, flag, value, "--out", str(tmp_path / "x")]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("task", [[], ["--task", "binary-live-spoof", "--loss", "margin-ce"]])
+    def test_overflowing_dataset_is_a_usage_error(self, tmp_path, task):
+        """--spread 1e308 overflows the features: one 'error:' line, exit 2,
+        nothing written, before any step runs."""
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_cli(["train", "--loss", "lmcot", *task, "--spread", "1e308",
+                                  "--steps", "1", "--out", str(out)])
+        assert (code, err, caught) == (
+            2, "error: intra_spread 1e+308 makes the features overflow\n", [])
+        assert not out.exists()
 
     def test_per_class_six_holds_out_two(self, tmp_path):
         assert "6" in _TRAIN_ARGS
@@ -407,6 +444,20 @@ class TestEval:
         assert (code, err) == (0, "")
         assert (out / "summary.csv").read_text() == (
             f"metric,value\neer,0.5\neer_threshold,{top.replace('e', 'e+')}\nauc,0.5\n")
+
+    def test_eer_threshold_across_the_whole_float_range(self, tmp_path):
+        """A bracket from -max to +max spans more than the largest float: the
+        threshold is interpolated without overflow, at 0.6 of the largest float."""
+        top = "1.7976931348623157e308"
+        scores = self._scores(tmp_path, [f"1,-{top}", f"1,{top}"] + [f"0,-{top}"] * 3
+                              + [f"0,{top}"])
+        out = tmp_path / "eval"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_cli(["eval", "--scores", scores, "--out", str(out)])
+        assert (code, err, caught) == (0, "", [])
+        summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+        assert float(summary["eer_threshold"]) == pytest.approx(0.6 * float(top), rel=1e-15)
 
     def test_bad_label_exits_3(self, tmp_path, capsys):
         scores = self._scores(tmp_path, ["1,0.9", "maybe,0.5"])
@@ -588,6 +639,14 @@ class TestRetrievalEval:
         assert "expected" in capsys.readouterr().err
 
 
+@st.composite
+def _face_placements(draw):
+    """(frame side, face side, x, y): a square face at least side/5 wide, inside the frame."""
+    side = draw(st.integers(60, 120))
+    face = draw(st.integers(-(-side // 5), side))
+    return side, face, draw(st.integers(0, side - face)), draw(st.integers(0, side - face))
+
+
 class TestEnrollAuth:
     def test_enroll_then_auth_accepts(self, tmp_path, capsys):
         face = _write_frame(tmp_path / "face.pgm", "face")
@@ -604,6 +663,14 @@ class TestEnrollAuth:
         assert main(["enroll", "--gallery", gallery, "--name", "alice", blank]) == 1
         assert "blurry" in capsys.readouterr().out
         assert load_gallery(gallery).total_embeddings() == 0
+
+    @pytest.mark.parametrize("flag", ["--pixel-threshold=0", "--count-threshold=0"])
+    def test_sharpness_gate_has_no_off_switch(self, tmp_path, flag):
+        """enroll judges sharpness at the library's thresholds; no flag moves them."""
+        blank = _write_frame(tmp_path / "blank.pgm", "blank")
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["enroll", "--gallery", str(tmp_path / "g.txt"), "--name", "a", blank, flag])
+        assert exc.value.code == 2 and not (tmp_path / "g.txt").exists()
 
     def test_enroll_after_an_all_blurry_enroll(self, tmp_path, capsys):
         """A gallery saved with no rows takes the next enroll."""
@@ -665,13 +732,42 @@ class TestEnrollAuth:
         assert "stranger" in capsys.readouterr().out
 
     def test_auth_spoof_threshold_blocks(self, tmp_path, capsys):
-        # the toy spoof model scores this frame ~0.55: fake at threshold 0.5
+        # the stand-in spoof scorer gives 0.0, a fake at the inclusive cut-off 0
         face = _write_frame(tmp_path / "face.pgm", "face")
         gallery = str(tmp_path / "g.txt")
         main(["enroll", "--gallery", gallery, "--name", "alice", face])
         capsys.readouterr()
-        assert main(["auth", "--gallery", gallery, face, "--spoof-threshold", "0.5"]) == 1
+        assert main(["auth", "--gallery", gallery, face, "--spoof-threshold", "0"]) == 1
         assert "invalid_face" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["face", "dark", "blank"])
+    def test_default_spoof_scorer_is_a_constant(self, tmp_path, kind):
+        """The default spoof scorer calls every frame live whatever the seed;
+        --seed reaches the toy embedder alone."""
+        frame = read_pgm(_write_frame(tmp_path / "f.pgm", kind))
+        assert {cli._default_scorers(seed).spoof(frame) for seed in (0, 1, 7)} == {0.0}
+
+    @settings(max_examples=40, deadline=None)
+    @given(placement=_face_placements(), face_level=st.integers(200, 255),
+           dark_level=st.integers(0, 40))
+    @example(placement=(120, 90, 15, 30), face_level=235, dark_level=30)
+    def test_auth_never_calls_a_bright_face_invalid(self, placement, face_level, dark_level):
+        """A bright square face at least side/5 wide, anywhere in a dark frame,
+        is never an invalid_face at the default thresholds: the frame's spoof
+        score does not depend on where the face sits."""
+        side, face, x, y = placement
+        pixels = np.full((side, side), float(dark_level))
+        pixels[y:y + face, x:x + face] = face_level
+        g = Gallery()
+        enroll(g, "mallory", np.random.default_rng(0).normal(size=32))
+        with tempfile.TemporaryDirectory() as tmp:
+            gallery, frame = Path(tmp) / "g.txt", Path(tmp) / "frame.pgm"
+            gallery.write_text(gallery_to_text(g))
+            write_pgm(GrayImage(pixels), frame)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["auth", "--gallery", str(gallery), str(frame)])
+        assert code in (0, 1) and not out.getvalue().startswith("invalid_face"), out.getvalue()
 
     def test_auth_no_face_on_dark_frame(self, tmp_path, capsys):
         face = _write_frame(tmp_path / "face.pgm", "face")

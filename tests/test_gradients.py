@@ -47,6 +47,12 @@ def test_scaled_gradient_fails_both(monkeypatch):
     assert repr(batched) == repr(loop)
 
 
+def test_stricter_than_float_noise_fails():
+    """The bound is the caller's: cosface passes at 1e-4 and fails at 1e-18."""
+    report = gradcheck("cosface", trials=3)
+    assert report.passed() and not report.passed(1e-18)
+
+
 def test_nan_gradient_fails_closed(monkeypatch, capsys):
     """A NaN analytic gradient fails the batched check, the loop and the CLI."""
     lmcot = ANGULAR_LOSSES["lmcot"]

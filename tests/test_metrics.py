@@ -1,5 +1,7 @@
 """Verification metrics against exhaustive and dense-solver oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +138,26 @@ class TestEer:
         top = np.finfo(np.float64).max
         assert eer(ScoredPairs(genuine=[top], impostor=[top])) == (0.5, top)
         assert eer(ScoredPairs(genuine=[1.0, top], impostor=[top])) == (pytest.approx(2 / 3), top)
+
+    _ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(gen=st.lists(_ANY_FINITE, min_size=1, max_size=6),
+           imp=st.lists(_ANY_FINITE, min_size=1, max_size=6))
+    @example(gen=[-1.7976931348623157e308, 1.7976931348623157e308],
+             imp=[-1.7976931348623157e308] * 3 + [1.7976931348623157e308])
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_finite_over_the_whole_float_range(self, gen, imp):
+        """Any finite scores give a finite threshold inside the sentinels'
+        bracket, and no numpy warning, however wide a bracket is."""
+        scores = gen + imp
+        with np.errstate(over="ignore"):
+            top = min(max(max(scores) + 1.0, np.nextafter(max(scores), np.inf)),
+                      np.finfo(np.float64).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, threshold = eer(ScoredPairs(genuine=gen, impostor=imp))
+        assert 0.0 <= value <= 1.0
+        assert min(scores) - 1.0 <= threshold <= top
 
     def test_genuine_below_a_large_tie(self):
         value, threshold = eer(ScoredPairs(genuine=[3.0, 1e16], impostor=[1e16]))

@@ -20,7 +20,7 @@ from cotface.pipeline import (
     sharpness_gate,
     write_pgm,
 )
-from cotface.pipeline.image import crop_bounds, crop_resize
+from cotface.pipeline.image import _taps, crop_bounds, crop_resize
 from oracles import read_pgm_scan, rotate_region_taps
 
 
@@ -322,6 +322,16 @@ class TestPgmScannerOracle:
             path = Path(tmp) / "img.pgm"
             path.write_bytes(data)
             assert _pgm_result(read_pgm, path) == _pgm_result(read_pgm_scan, path)
+
+
+class TestTaps:
+    def test_source_coordinates_clamp_to_the_edge(self):
+        """Coordinates before 0 read the first pixel and those past size - 1
+        the last, each with weight 0 on the second tap."""
+        i0, i1, w = _taps(np.array([-7.5, -0.5, 0.0, 2.25, 4.0, 4.5, 1e308]), 5, start=10)
+        assert i0.tolist() == [10, 10, 10, 12, 14, 14, 14]
+        assert i1.tolist() == [11, 11, 11, 13, 14, 14, 14]
+        assert w.tolist() == [0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0]
 
 
 class TestRotateRegionOracle:

@@ -71,6 +71,17 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             SynthSpec(intra_spread=-0.1)
 
+    @pytest.mark.parametrize("spread", [1e308, float("inf")])
+    @pytest.mark.parametrize("task", ["embedding", "binary-live-spoof"])
+    def test_overflowing_spread_rejected(self, task, spread):
+        """A spread whose features leave the floats is a ConfigError, raised
+        without a numpy warning."""
+        spec = SynthSpec(task=task, n_classes=3, dim=4, per_class=3, intra_spread=spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="makes the features overflow"):
+                synth_dataset(spec)
+
 
 def _identity_model(dim: int, head: np.ndarray) -> MlpModel:
     layer = Layer(W=np.eye(dim), b=np.zeros(dim))
