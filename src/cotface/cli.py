@@ -12,6 +12,7 @@ byte-identical primary output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -82,12 +83,16 @@ def _add_loss_config_flags(parser):
                                help={"s": "logit scale", "m": "single margin"}.get(f.name))
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; no flag is read from a prefix of its name."""
     parser = argparse.ArgumentParser(
         prog="cotface",
         description="Angular margin losses, desk-scale training, and face authentication.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     sub.add_parser("refcheck", help="replay the frozen reference-batch loss values")
 

@@ -13,6 +13,7 @@ from .detect import (
     align,
     detect,
     iou,
+    largest_face,
     min_face_filter,
     nms,
 )

@@ -1,10 +1,10 @@
 """End-to-end authentication over one frame.
 
-Fixed stage order: detect (keep the largest face), minimum-size filter,
-alignment, anti-spoof gate on the FULL frame, gallery match, and finally the
-closed-eye check (rejecting when both eyes are closed).  Every gate fails
-closed: a non-finite score from any scorer never gives "accepted".  Each stage
-short-circuits, so e.g. the embedder never runs on a spoofed frame.
+Fixed stage order: the largest detected face (largest_face), minimum-size
+filter, alignment, anti-spoof gate on the FULL frame, gallery match, and
+finally the closed-eye check (rejecting when both eyes are closed).  Every
+gate fails closed: a non-finite score from any scorer never gives "accepted".
+Each stage short-circuits, so e.g. the embedder never runs on a spoofed frame.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import DetectConfig, align, detect, min_face_filter
+# detect is not called here; perfbench/layers.py wraps it at this module's
+# name, so the name stays importable from it.
+from .detect import DetectConfig, align, detect, largest_face, min_face_filter  # noqa: F401
 from .gallery import Gallery, match
 from .image import GrayImage, eye_crops
 
@@ -75,11 +77,8 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
     if det_cfg is None:
         det_cfg = DetectConfig(min_face=frame.width / config.min_face_ratio)
 
-    boxes = detect(frame, scorers.detector, det_cfg)
-    if not boxes:
-        return AuthOutcome("no_face")
-    face = max(boxes, key=lambda b: b.area)
-    if not min_face_filter([face], frame.width, config.min_face_ratio):
+    face = largest_face(frame, scorers.detector, det_cfg)
+    if face is None or not min_face_filter([face], frame.width, config.min_face_ratio):
         return AuthOutcome("no_face")
 
     crop, landmarks = align(frame, face)

@@ -251,7 +251,7 @@ class TestGradcheck:
 def test_check_bounds_are_not_flags(command, flag, value):
     """What refcheck and gradcheck accept is fixed by the library: neither
     parser has the flag, and a bound on the command line runs no check
-    (argparse reads '--h' as an abbreviation of '--help')."""
+    (no flag is read from a prefix of its name, so '--h' is not '--help')."""
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert flag not in {f for a in sub.choices[command]._actions for f in a.option_strings}
@@ -259,6 +259,59 @@ def test_check_bounds_are_not_flags(command, flag, value):
     with pytest.raises(SystemExit), redirect_stderr(io.StringIO()), redirect_stdout(out):
         main([command, flag, value])
     assert "PASS" not in out.getvalue()
+
+
+def _subparsers():
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def _flag_prefixes(draw):
+    """(subcommand, prefix): a proper prefix, of at least one letter, of one
+    of the subcommand's long flags (--help included) that is not a flag."""
+    parsers = _subparsers()
+    command = draw(st.sampled_from(sorted(parsers)))
+    flags = {f for a in parsers[command]._actions for f in a.option_strings}
+    return command, draw(st.sampled_from(sorted(
+        {f[:n] for f in flags if f.startswith("--") for n in range(3, len(f))} - flags)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(choice=_flag_prefixes())
+@example(choice=("gradcheck", "--h"))
+@example(choice=("gradcheck", "--tri"))
+def test_no_flag_is_read_from_a_prefix(choice):
+    """A prefix of a flag's name is a usage error: exit 2, one 'error:' line
+    naming it, and nothing on stdout."""
+    command, prefix = choice
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(TestNumericArguments._argv(command, Path(tmp)) + [prefix, "1"])
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert len(errors) == 1 and f"unrecognized arguments: {prefix} 1" in errors[0]
+
+
+@pytest.mark.parametrize("first, second", [
+    (["gradcheck", "--seed", "5", "--loss", "double"], ["enroll", "--gallery", "g", "--name",
+                                                        "a", "f.pgm"]),
+    (["train", "--loss", "arcface", "--out", "o", "--hidden", "1", "2", "3", "--s", "9"],
+     ["train", "--loss", "lmcot", "--out", "p"]),
+    (["auth", "--gallery", "g", "f.pgm", "--sim-threshold", "0.9", "--seed", "2"],
+     ["eval", "--scores", "s.csv", "--out", "o"]),
+])
+def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch, first, second):
+    """main parses with one parser per process; what a call parses does not
+    depend on an earlier call, so the second argv, its defaults left unset,
+    reads as a fresh parser reads it."""
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+    assert main(first) == 0 and main(second) == 0
+    assert seen[1] == vars(cli._build_parser.__wrapped__().parse_args(second))
+    assert cli._build_parser() is cli._build_parser()
 
 
 _TRAIN_ARGS = [
@@ -821,6 +874,28 @@ class TestEnrollAuth:
         monkeypatch.setattr(cli._BrightnessScorer, "stage1", lambda self, crops, boxes: 0.9)
         assert main(["auth", "--gallery", gallery, face]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_confidence_in_the_first_scored_chunk_exits_3(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """auth rescores only the largest boxes, and validates each of them:
+        1.5 for the first box stage 2 sees is a malformed output."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = str(tmp_path / "g.txt")
+        main(["enroll", "--gallery", gallery, "--name", "alice", face])
+        capsys.readouterr()
+        calls = []
+
+        def stage2(self, crops, boxes):
+            calls.append(len(crops))
+            conf = self.stage1(crops, boxes)
+            if len(calls) == 1:
+                conf[0] = 1.5
+            return conf
+
+        monkeypatch.setattr(cli._BrightnessScorer, "stage2", stage2)
+        assert main(["auth", "--gallery", gallery, face]) == 3
+        assert capsys.readouterr().err == "error: confidence must lie in [0, 1]\n"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["a\nb", "a\u2028b", "a\x85b", "a\rb", "a\udcffb"])
     def test_enroll_unstorable_name_exits_3(self, tmp_path, capsys, name):

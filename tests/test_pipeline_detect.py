@@ -14,6 +14,7 @@ from cotface.pipeline import (
     align,
     detect,
     iou,
+    largest_face,
     min_face_filter,
     nms,
 )
@@ -335,6 +336,64 @@ def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
     _assert_detect_matches_oracle(pixels, config)
 
 
+class _QuarterScorer(_ClippedLandmarks):
+    """Brightness rounded to quarters, so boxes tie in both confidences."""
+
+    def stage1(self, crops, boxes):
+        return np.round(_brightness(crops) * 4.0) / 4.0
+
+
+class _PlacedScorer(_QuarterScorer):
+    """Stage-3 confidence in quarters from the box's place, not its crop, so
+    it does not follow the stage-1 order."""
+
+    def stage3(self, crops, boxes):
+        conf = np.round(4.0 * ((boxes[:, 0] * 7.0 + boxes[:, 1] * 13.0) % 1.0)) / 4.0
+        return conf, super().stage3(crops, boxes)[1]
+
+
+_SCORERS = {"bright": _ClippedLandmarks, "quarters": _QuarterScorer, "placed": _PlacedScorer}
+
+
+def _same_box(got, want):
+    """Equal fields and landmarks, or both None."""
+    if got is None or want is None:
+        return got is want
+    return _fields(got) == _fields(want) and np.array_equal(got.landmarks, want.landmarks)
+
+
+# the default stage_iou takes the fast path, the others mostly fall back to detect
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
+       integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
+       faces=st.integers(0, 3), scorer=st.sampled_from(sorted(_SCORERS)),
+       chunk=st.sampled_from([1, 3, 8]),
+       stage_confidences=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]),
+       stage_iou=st.one_of(st.just((0.7, 0.7, 0.7)), st.tuples(
+           *[st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, np.nan])] * 3)))
+# the next two examples pick a box of the largest area that is not the first
+# to survive, the second after a chunk that ends below that area
+@example(seed=1692857840, height=43, width=32, integer=False, stride=3, min_face=15.2, faces=3,
+         scorer="placed", chunk=1, stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, 0.7, 0.7))
+@example(seed=352567537, height=32, width=20, integer=True, stride=3, min_face=14.6, faces=1,
+         scorer="placed", chunk=3, stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, 0.7, 0.7))
+@example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3,
+         stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, np.nan, 0.7))
+def test_largest_face_is_the_largest_detected_box(seed, height, width, integer, stride, min_face,
+                                                  faces, scorer, chunk, stage_confidences,
+                                                  stage_iou):
+    """largest_face gives max(detect(...), key=area), ties in area and in
+    both confidences included, on either path and at any chunk size."""
+    img = GrayImage(_random_frame(seed, height, width, integer, faces))
+    scorer = _SCORERS[scorer]()
+    config = DetectConfig(min_face=min_face, stride=stride, stage_confidences=stage_confidences,
+                          stage_iou=stage_iou)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect_module, "_CHUNK", chunk)
+        want = max(detect(img, scorer, config), key=lambda b: b.area, default=None)
+        assert _same_box(largest_face(img, scorer, config), want)
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_landmarks_on_the_box_edge_stay_inside(transpose):
     # in this frame, y1 + 1.0 * (y2 - y1) rounds one ulp past y2 for a box
@@ -372,6 +431,17 @@ def _face_60():
     img = GrayImage(np.zeros((60, 60)))
     _plant(img, 20, 20, 40, 40)
     return img
+
+
+def test_largest_face_rescores_only_the_largest_boxes():
+    """On a frame with one large face, the fast path shows stages 2 and 3
+    one chunk each, where detect shows them every stage-1 survivor."""
+    img = GrayImage(np.zeros((60, 60)))
+    _plant(img, 8, 8, 52, 52)
+    found, scorer = detect(img, _Scripted(), DetectConfig(min_face=12.0)), _Scripted()
+    assert _same_box(largest_face(img, scorer, DetectConfig(min_face=12.0)),
+                     max(found, key=lambda b: b.area))
+    assert len(found) > 8 and scorer.calls.count("stage2") == scorer.calls.count("stage3") == 1
 
 
 _NAN = float("nan")

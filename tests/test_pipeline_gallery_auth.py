@@ -1,5 +1,6 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
+import importlib
 import itertools
 import math
 import tempfile
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
@@ -22,6 +23,7 @@ from cotface.pipeline import (
     GrayImage,
     MAX_EMBEDDINGS_PER_IDENTITY,
     authenticate,
+    detect,
     enroll,
     gallery_to_text,
     load_gallery,
@@ -32,6 +34,8 @@ from cotface.pipeline import (
 
 from mutations import COMPANION_EDITS, GALLERY_EDITS, mutate_companion, mutate_gallery
 from oracles import match_loop
+
+auth_module = importlib.import_module("cotface.pipeline.auth")
 
 
 # every line break str.splitlines knows besides "\n"
@@ -827,3 +831,59 @@ def test_minus_inf_spoof_score_is_invalid_face():
     assert not spoof_gate(float("-inf"))
     rec, scorers, gallery, config = _setup(spoof_score=float("-inf"))
     assert authenticate(_face_frame(), gallery, scorers, config).kind == "invalid_face"
+
+
+def _first_box_at(value, stage_out):
+    """stage_out with the first box of its first call given confidence value."""
+    calls = itertools.count()
+
+    def stage(crops, boxes):
+        out = stage_out(crops, boxes)
+        conf = np.array(out[0] if isinstance(out, tuple) else out, dtype=np.float64)
+        if next(calls) == 0:
+            conf[0] = value
+        return (conf, out[1]) if isinstance(out, tuple) else conf
+
+    return stage
+
+
+@pytest.mark.parametrize("stage", ["stage2", "stage3"])
+def test_a_bad_confidence_in_the_first_scored_chunk_raises(stage):
+    rec, scorers, gallery, config = _setup()
+    setattr(scorers.detector, stage, _first_box_at(1.5, getattr(scorers.detector, stage)))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        authenticate(_face_frame(), gallery, scorers, config)
+    assert "spoof" not in rec.calls
+
+
+def _crop_embedding(crop):
+    """A unit embedding that moves with the crop's size and levels."""
+    v = np.array([crop.width, crop.height, crop.pixels.mean(), crop.pixels.std() + 1.0])
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(24, 120),
+       faces=st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                      max_size=3))
+@example(seed=0, side=120, faces=[(0.75, 0.5, 0.5)])
+@example(seed=1, side=60, faces=[(0.4, 0.0, 0.0), (0.4, 1.0, 1.0)])
+def test_authenticate_keeps_the_largest_detected_face(seed, side, faces):
+    """On faces placed at random, authenticate's outcome is the one it gives
+    when the face it keeps is max(detect(...), key=area)."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.uniform(0.0, 90.0, (side, side))
+    for share, fx, fy in faces:
+        face = max(6, int(share * side))
+        x, y = int(fx * (side - face)), int(fy * (side - face))
+        pixels[y:y + face, x:x + face] = rng.uniform(190.0, 255.0, (face, face))
+    frame = GrayImage(np.rint(pixels))
+    scorers = AuthScorers(detector=_FaceScorer(_Recorder()), spoof=lambda f: 0.0,
+                          embedder=_crop_embedding, eye_closed=lambda crop: 0.0)
+    gallery = Gallery()
+    enroll(gallery, "alice", _crop_embedding(GrayImage(np.full((40, 40), 230.0))))
+    got = authenticate(frame, gallery, scorers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auth_module, "largest_face", lambda img, scorer, config: max(
+            detect(img, scorer, config), key=lambda b: b.area, default=None))
+        assert got == authenticate(frame, gallery, scorers)
