@@ -83,7 +83,6 @@ def _add_loss_config_flags(parser):
                                help={"s": "logit scale", "m": "single margin"}.get(f.name))
 
 
-@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser; no flag is read from a prefix of its name."""
     parser = argparse.ArgumentParser(

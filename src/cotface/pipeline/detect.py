@@ -200,30 +200,23 @@ def _scan_stage(img, stage1, config):
     return np.concatenate(found)
 
 
-def _score_chunk(img, boxes, stage, size: int, threshold: float):
-    """stage(size px crops, boxes) -> (confidences, landmarks or None) on one
-    chunk: the surviving rows, the pass mask and their frame landmarks."""
-    out, rel = stage(crop_resize(img, boxes, size, size), boxes)
-    survivors, keep = _survivors(out, boxes, threshold)
-    return survivors, keep, None if rel is None else _frame_landmarks(rel, boxes, keep)
+def _rescore_stage(img, rows, stage, size: int, threshold: float):
+    """Stages 2/3: re-score size px crops of the rows, _CHUNK boxes per call.
 
-
-def _stack(kept, marks):
+    stage(crops, boxes) returns (confidences, landmarks or None).  Returns the
+    surviving rows and their (K, L, 2) frame landmarks, or None when the
+    stage gave none.
+    """
+    kept, marks = [np.empty((0, 5))], []
+    for start in range(0, len(rows), _CHUNK):
+        boxes = rows[start : start + _CHUNK, :4]
+        out, rel = stage(crop_resize(img, boxes, size, size), boxes)
+        survivors, keep = _survivors(out, boxes, threshold)
+        kept.append(survivors)
+        marks.append(None if rel is None else _frame_landmarks(rel, boxes, keep))
     if all(m is None for m in marks):
         return np.concatenate(kept), None
     return np.concatenate(kept), np.concatenate(marks)  # ValueError if the chunks disagree
-
-
-def _rescore_stage(img, rows, stage, size: int, threshold: float):
-    """Stages 2/3 on the rows, _CHUNK boxes per call: the surviving rows and
-    their (K, L, 2) frame landmarks, or None when the stage gave none."""
-    chunks = [_score_chunk(img, rows[start : start + _CHUNK, :4], stage, size, threshold)
-              for start in range(0, len(rows), _CHUNK)]
-    return _stack([np.empty((0, 5))] + [c[0] for c in chunks], [c[2] for c in chunks])
-
-
-def _no_landmarks(stage2):
-    return lambda crops, boxes: (stage2(crops, boxes), None)
 
 
 def _skips(config, k) -> bool:  # after a pass at no higher threshold; NaN never skips
@@ -234,6 +227,16 @@ def _nms_pass(rows, config, k):
     if _skips(config, k):
         return np.lexsort((np.arange(len(rows)), -rows[:, 4]))  # nms_rows's visiting order
     return nms_rows(rows, config.stage_iou[k])
+
+
+def _later_stages(img, rows, scorer, config) -> list:
+    """Stages 2 and 3, each with its NMS pass, on stage-1 NMS survivors."""
+    rows, _ = _rescore_stage(img, rows, lambda crops, boxes: (scorer.stage2(crops, boxes), None),
+                             24, config.stage_confidences[1])
+    rows = rows[_nms_pass(rows, config, 1)]
+    rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
+    return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
+            for i in _nms_pass(rows, config, 2)]
 
 
 def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
@@ -252,53 +255,33 @@ def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
     if config is None:
         config = DetectConfig()
     rows = _scan_stage(img, scorer.stage1, config)
-    rows = rows[_nms_pass(rows, config, 0)]
-    rows, _ = _rescore_stage(img, rows, _no_landmarks(scorer.stage2), 24,
-                             config.stage_confidences[1])
-    rows = rows[_nms_pass(rows, config, 1)]
-    rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
-    return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
-            for i in _nms_pass(rows, config, 2)]
+    return _later_stages(img, rows[_nms_pass(rows, config, 0)], scorer, config)
 
 
-def largest_face(img: GrayImage, scorer, config: DetectConfig):
+def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
     """The box max(detect(img, scorer, config), key=area) gives, or None.
 
     When neither later NMS pass can suppress, as at the default stage_iou,
-    the stage-1 NMS survivors go through stages 2 and 3 by falling area,
-    _CHUNK boxes per call, until every box of the largest surviving area is
-    scored; the pick among those is detect's order (stage-3, then stage-2
-    confidence falling, then stage-1 NMS order).  This relies on a crop's
-    confidence not depending on the other crops in its batch.  Every scored
-    output is validated as in detect, but a box never shown to a scorer
-    cannot be judged, so a bad output on it raises nothing.  Any other
-    config runs detect.
+    detect's stages 2 and 3 run on the stage-1 NMS survivors one area at a
+    time, largest first, and the first area with a survivor gives detect's
+    first box of it.  This relies on a crop's confidence not depending on
+    the other crops in its batch.  Every scored output is validated as in
+    detect, though landmark shapes are compared only within one area; a box
+    never shown to a scorer cannot be judged, so a bad output on it raises
+    nothing.  Any other config runs detect.
     """
+    if config is None:
+        config = DetectConfig()
     if not (_skips(config, 1) and _skips(config, 2)):
         return max(detect(img, scorer, config), key=lambda b: b.area, default=None)
     rows = _scan_stage(img, scorer.stage1, config)
     rows = rows[_nms_pass(rows, config, 0)]
-    area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
-    order = np.argsort(-area, kind="stable")
-    best, found, marks = 0.0, [np.empty((0, 7))], []  # best: the largest surviving area
-    for at in (order[start : start + _CHUNK] for start in range(0, len(order), _CHUNK)):
-        if area[at[0]] < best:
-            break
-        two, keep2, _ = _score_chunk(img, rows[at, :4], _no_landmarks(scorer.stage2), 24,
-                                     config.stage_confidences[1])
-        if len(two):
-            three, keep3, m = _score_chunk(img, two[:, :4], scorer.stage3, 48,
-                                           config.stage_confidences[2])
-            at = at[keep2][keep3]
-            found.append(np.column_stack([three, two[keep3, 4], at]))
-            marks.append(m)
-            best = max(best, area[at].max(initial=0.0))
-    found, marks = _stack(found, marks)
-    if not len(found):
-        return None
-    c3, c2, pos = found[:, 4:].T  # each survivor's confidences and stage-1 NMS position
-    i = np.lexsort((pos, -c2, -c3, -area[pos.astype(np.intp)]))[0]
-    return DetectionBox(*found[i, :5].tolist(), landmarks=None if marks is None else marks[i])
+    area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])  # as DetectionBox.area
+    for size in sorted(set(area.tolist()), reverse=True):
+        boxes = _later_stages(img, rows[area == size], scorer, config)
+        if boxes:
+            return boxes[0]
+    return None
 
 
 def min_face_filter(boxes, frame_width: float, ratio: float = 5.0) -> list:

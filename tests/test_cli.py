@@ -294,26 +294,6 @@ def test_no_flag_is_read_from_a_prefix(choice):
     assert len(errors) == 1 and f"unrecognized arguments: {prefix} 1" in errors[0]
 
 
-@pytest.mark.parametrize("first, second", [
-    (["gradcheck", "--seed", "5", "--loss", "double"], ["enroll", "--gallery", "g", "--name",
-                                                        "a", "f.pgm"]),
-    (["train", "--loss", "arcface", "--out", "o", "--hidden", "1", "2", "3", "--s", "9"],
-     ["train", "--loss", "lmcot", "--out", "p"]),
-    (["auth", "--gallery", "g", "f.pgm", "--sim-threshold", "0.9", "--seed", "2"],
-     ["eval", "--scores", "s.csv", "--out", "o"]),
-])
-def test_the_parser_is_built_once_and_keeps_no_state(monkeypatch, first, second):
-    """main parses with one parser per process; what a call parses does not
-    depend on an earlier call, so the second argv, its defaults left unset,
-    reads as a fresh parser reads it."""
-    seen = []
-    for name in cli._COMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
-    assert main(first) == 0 and main(second) == 0
-    assert seen[1] == vars(cli._build_parser.__wrapped__().parse_args(second))
-    assert cli._build_parser() is cli._build_parser()
-
-
 _TRAIN_ARGS = [
     "train", "--task", "embedding", "--loss", "arcface",
     "--steps", "8", "--lr", "0.1", "--seed", "3",

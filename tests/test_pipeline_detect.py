@@ -367,27 +367,31 @@ def _same_box(got, want):
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
        integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
        faces=st.integers(0, 3), scorer=st.sampled_from(sorted(_SCORERS)),
-       chunk=st.sampled_from([1, 3, 8]),
+       chunk=st.sampled_from([1, 3, 8]), default_config=st.booleans(),
        stage_confidences=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]),
        stage_iou=st.one_of(st.just((0.7, 0.7, 0.7)), st.tuples(
            *[st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, np.nan])] * 3)))
 # the next two examples pick a box of the largest area that is not the first
 # to survive, the second after a chunk that ends below that area
 @example(seed=1692857840, height=43, width=32, integer=False, stride=3, min_face=15.2, faces=3,
-         scorer="placed", chunk=1, stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, 0.7, 0.7))
+         scorer="placed", chunk=1, default_config=False, stage_confidences=(0.5, 0.25, 0.5),
+         stage_iou=(0.7, 0.7, 0.7))
 @example(seed=352567537, height=32, width=20, integer=True, stride=3, min_face=14.6, faces=1,
-         scorer="placed", chunk=3, stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, 0.7, 0.7))
-@example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3,
+         scorer="placed", chunk=3, default_config=False, stage_confidences=(0.5, 0.25, 0.5),
+         stage_iou=(0.7, 0.7, 0.7))
+@example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3, default_config=False,
          stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, np.nan, 0.7))
 def test_largest_face_is_the_largest_detected_box(seed, height, width, integer, stride, min_face,
-                                                  faces, scorer, chunk, stage_confidences,
-                                                  stage_iou):
+                                                  faces, scorer, chunk, default_config,
+                                                  stage_confidences, stage_iou):
     """largest_face gives max(detect(...), key=area), ties in area and in
-    both confidences included, on either path and at any chunk size."""
+    both confidences included, on either path, at any chunk size and with
+    the config left out (None)."""
     img = GrayImage(_random_frame(seed, height, width, integer, faces))
     scorer = _SCORERS[scorer]()
-    config = DetectConfig(min_face=min_face, stride=stride, stage_confidences=stage_confidences,
-                          stage_iou=stage_iou)
+    config = None if default_config else DetectConfig(
+        min_face=min_face, stride=stride, stage_confidences=stage_confidences,
+        stage_iou=stage_iou)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect_module, "_CHUNK", chunk)
         want = max(detect(img, scorer, config), key=lambda b: b.area, default=None)
@@ -435,7 +439,8 @@ def _face_60():
 
 def test_largest_face_rescores_only_the_largest_boxes():
     """On a frame with one large face, the fast path shows stages 2 and 3
-    one chunk each, where detect shows them every stage-1 survivor."""
+    only the boxes of the largest area, one call each, where detect shows
+    them every stage-1 survivor."""
     img = GrayImage(np.zeros((60, 60)))
     _plant(img, 8, 8, 52, 52)
     found, scorer = detect(img, _Scripted(), DetectConfig(min_face=12.0)), _Scripted()
