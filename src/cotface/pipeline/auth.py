@@ -1,10 +1,11 @@
 """End-to-end authentication over one frame.
 
-Fixed stage order: the largest detected face (largest_face), minimum-size
-filter, alignment, anti-spoof gate on the FULL frame, gallery match, and
-finally the closed-eye check (rejecting when both eyes are closed).  Every
-gate fails closed: a non-finite score from any scorer never gives "accepted".
-Each stage short-circuits, so e.g. the embedder never runs on a spoofed frame.
+Fixed stage order: the largest face (largest_face rescores only the largest
+stage-1 survivors), minimum-size filter, alignment, anti-spoof gate on the
+FULL frame, gallery match, and finally the closed-eye check (rejecting when
+both eyes are closed).  Every gate fails closed: a non-finite score from any
+scorer never gives "accepted".  Each stage short-circuits, so e.g. the
+embedder never runs on a spoofed frame.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class AuthConfig:
     eye_closed_threshold: float = 0.5
     min_face_ratio: float = 5.0
     detect: DetectConfig | None = None  # None: derived from the frame width
+
+    def __post_init__(self):
+        if not 0.0 < self.min_face_ratio < np.inf:
+            raise ValueError("min_face_ratio must be finite and positive")
 
 
 def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,

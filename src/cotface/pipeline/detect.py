@@ -3,10 +3,10 @@
 The detector is a three-stage rescoring cascade over a pluggable batch
 scorer: the 12 px windows of each pyramid level are scored in batches,
 survivors are re-scored on 24 px and then 48 px crops (the last stage also
-predicts landmarks), with greedy NMS after each stage.  Candidates stay
-arrays from the scan to the last NMS, as rows x1, y1, x2, y2, confidence in
-original image coordinates; only the boxes detect returns become
-DetectionBox objects.
+predicts landmarks).  One greedy NMS pass, at NMS_IOU, follows stage 1.
+Candidates stay arrays from the scan to the last stage, as rows x1, y1, x2,
+y2, confidence in original image coordinates; only the boxes detect returns
+become DetectionBox objects.
 
 For K candidates the scorer provides
 
@@ -21,10 +21,10 @@ clipped to [0, 1].  Scorers can be learned models or synthetic test
 probes.  Stage 1 gets whole rows of windows, up to _SCAN_BATCH per call;
 stages 2 and 3 get at most _CHUNK boxes per call.
 
-An NMS pass that cannot suppress is skipped: a greedy pass at threshold t
+Stages 2 and 3 need no NMS pass of their own: a greedy pass at threshold t
 keeps rows whose pairwise IoU is below t, and later stages only drop and
-rescore rows, so a pass at or above an earlier pass's threshold keeps every
-row, in nms_rows's visiting order, which detect takes directly.
+rescore rows, so another pass at t would keep every row.  They order their
+survivors as such a pass would visit them, by descending confidence.
 """
 
 from __future__ import annotations
@@ -97,9 +97,9 @@ def nms_rows(rows, iou_threshold: float) -> np.ndarray:
     iou's operation order, so decisions at the threshold are iou's.
     """
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
-    x1, y1, x2, y2, conf = rows.T
+    x1, y1, x2, y2, _ = rows.T
     area = (x2 - x1) * (y2 - y1)
-    order = np.lexsort((np.arange(len(rows)), -conf))
+    order = _visiting_order(rows)
     kept = []
     while order.size:
         i, rest = order[0], order[1:]
@@ -122,22 +122,24 @@ def nms(boxes, iou_threshold: float) -> list:
 
 @dataclass
 class DetectConfig:
-    """Cascade parameters: pyramid geometry plus per-stage gates."""
+    """Cascade parameters: smallest face side, stage-1 window step, stage gates."""
 
     min_face: float = 24.0
-    scale_factor: float = 0.709
     stride: int = 2
     stage_confidences: tuple = (0.6, 0.7, 0.7)
-    stage_iou: tuple = (0.7, 0.7, 0.7)
 
     def __post_init__(self):
-        if len(self.stage_confidences) != 3 or len(self.stage_iou) != 3:
-            raise ValueError("need one confidence and one iou threshold per stage")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if not 0.0 < self.min_face < np.inf:
+            raise ValueError("min_face must be finite and positive")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) \
+                or self.stride < 1:
+            raise ValueError("stride must be an integer >= 1")
+        if len(self.stage_confidences) != 3:
+            raise ValueError("need one confidence per stage")
 
 
 _WINDOW = 12
+NMS_IOU = 0.7  # the one NMS pass's threshold, after stage 1
 # scorer batch sizes; they bound the memory of a batch's crops and resampling
 _SCAN_BATCH = 2048  # stage-1 windows per call (whole rows of windows, at least one row)
 _CHUNK = 8  # stage-2/3 boxes per call
@@ -176,9 +178,10 @@ def _frame_landmarks(rel, boxes, keep):
 
 def _scan_stage(img, stage1, config):
     """Stage 1: score every 12 px window of every pyramid level, windows in
-    row-major order, whole rows of windows per call up to _SCAN_BATCH."""
+    row-major order, whole rows of windows per call up to _SCAN_BATCH; the
+    survivors of the NMS pass at NMS_IOU, in its visiting order."""
     found = [np.empty((0, 5))]
-    for level, scale in image_pyramid(img, config.min_face, config.scale_factor, _WINDOW):
+    for level, scale in image_pyramid(img, config.min_face, window=_WINDOW):
         if level.width < _WINDOW or level.height < _WINDOW:
             continue
         windows = sliding_window_view(level.pixels, (_WINDOW, _WINDOW))
@@ -197,7 +200,8 @@ def _scan_stage(img, stage1, config):
                 np.minimum((y0 + _WINDOW) / scale, float(img.height)),
             ])
             found.append(_survivors(stage1(crops, boxes), boxes, config.stage_confidences[0])[0])
-    return np.concatenate(found)
+    found = np.concatenate(found)
+    return found[nms_rows(found, NMS_IOU)]
 
 
 def _rescore_stage(img, rows, stage, size: int, threshold: float):
@@ -219,63 +223,48 @@ def _rescore_stage(img, rows, stage, size: int, threshold: float):
     return np.concatenate(kept), np.concatenate(marks)  # ValueError if the chunks disagree
 
 
-def _skips(config, k) -> bool:  # after a pass at no higher threshold; NaN never skips
-    return any(t <= config.stage_iou[k] for t in config.stage_iou[:k])
-
-
-def _nms_pass(rows, config, k):
-    if _skips(config, k):
-        return np.lexsort((np.arange(len(rows)), -rows[:, 4]))  # nms_rows's visiting order
-    return nms_rows(rows, config.stage_iou[k])
+def _visiting_order(rows):  # nms_rows's: descending confidence, ties by lower row index
+    return np.lexsort((np.arange(len(rows)), -rows[:, 4]))
 
 
 def _later_stages(img, rows, scorer, config) -> list:
-    """Stages 2 and 3, each with its NMS pass, on stage-1 NMS survivors."""
+    """Stages 2 and 3 on stage-1 NMS survivors, each ordered as nms_rows visits."""
     rows, _ = _rescore_stage(img, rows, lambda crops, boxes: (scorer.stage2(crops, boxes), None),
                              24, config.stage_confidences[1])
-    rows = rows[_nms_pass(rows, config, 1)]
+    rows = rows[_visiting_order(rows)]
     rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
     return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
-            for i in _nms_pass(rows, config, 2)]
+            for i in _visiting_order(rows)]
 
 
 def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
     """Run the full three-stage cascade; returns the surviving DetectionBoxes.
 
-    scorer is a batch scorer (see the module docstring): for K candidates,
-    stage1(crops (K, 12, 12), boxes (K, 4)) -> (K,) confidences,
-    stage2(crops (K, 24, 24), boxes (K, 4)) -> (K,) confidences, and
-    stage3(crops (K, 48, 48), boxes (K, 4)) -> ((K,) confidences, landmarks),
-    with landmarks either None or (K, L, 2) coordinates relative to each box
-    in [0, 1], the same L in every call.  A stage with no candidates is not
-    called, nor is any later one.  A malformed output, a passing confidence
-    outside [0, 1] or a non-finite landmark of a passing box raises
-    ValueError; a NaN confidence never passes.
+    scorer is a batch scorer (see the module docstring) whose landmarks have
+    the same L in every call.  A stage with no candidates is not called, nor
+    is any later one.  A malformed output, a passing confidence outside
+    [0, 1] or a non-finite landmark of a passing box raises ValueError; a
+    NaN confidence never passes.
     """
     if config is None:
         config = DetectConfig()
-    rows = _scan_stage(img, scorer.stage1, config)
-    return _later_stages(img, rows[_nms_pass(rows, config, 0)], scorer, config)
+    return _later_stages(img, _scan_stage(img, scorer.stage1, config), scorer, config)
 
 
 def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
     """The box max(detect(img, scorer, config), key=area) gives, or None.
 
-    When neither later NMS pass can suppress, as at the default stage_iou,
-    detect's stages 2 and 3 run on the stage-1 NMS survivors one area at a
-    time, largest first, and the first area with a survivor gives detect's
-    first box of it.  This relies on a crop's confidence not depending on
-    the other crops in its batch.  Every scored output is validated as in
-    detect, though landmark shapes are compared only within one area; a box
-    never shown to a scorer cannot be judged, so a bad output on it raises
-    nothing.  Any other config runs detect.
+    detect's stage-1 scan and NMS pass run once; its stages 2 and 3 then run
+    on the survivors one area at a time, largest first, and the first area
+    with a survivor gives detect's first box of it.  This relies on a crop's
+    confidence not depending on the other crops in its batch.  Every scored
+    output is validated as in detect, though landmark shapes are compared
+    only within one area; a box never shown to a scorer cannot be judged, so
+    a bad output on it raises nothing.
     """
     if config is None:
         config = DetectConfig()
-    if not (_skips(config, 1) and _skips(config, 2)):
-        return max(detect(img, scorer, config), key=lambda b: b.area, default=None)
     rows = _scan_stage(img, scorer.stage1, config)
-    rows = rows[_nms_pass(rows, config, 0)]
     area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])  # as DetectionBox.area
     for size in sorted(set(area.tolist()), reverse=True):
         boxes = _later_stages(img, rows[area == size], scorer, config)
@@ -286,7 +275,7 @@ def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
 
 def min_face_filter(boxes, frame_width: float, ratio: float = 5.0) -> list:
     """Keep boxes at least frame_width/ratio wide (inclusive)."""
-    if frame_width <= 0.0 or ratio <= 0.0:
+    if not (frame_width > 0.0 and ratio > 0.0):
         raise ValueError("frame_width and ratio must be positive")
     return [b for b in boxes if b.width >= frame_width / ratio]
 

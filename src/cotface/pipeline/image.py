@@ -162,8 +162,8 @@ def image_pyramid(img: GrayImage, min_face: float, scale_factor: float = 0.709,
     further level shrinks by scale_factor, and levels are kept while the
     scaled short side still covers one window.
     """
-    if min_face <= 0.0:
-        raise ValueError("min_face must be positive")
+    if not 0.0 < min_face < np.inf:
+        raise ValueError("min_face must be finite and positive")
     if not 0.0 < scale_factor < 1.0:
         raise ValueError("scale_factor must lie in (0, 1)")
     levels = []

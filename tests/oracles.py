@@ -154,13 +154,13 @@ def _greedy_nms(boxes, iou_threshold, iou_fn):
     return kept
 
 
-def detect_per_window(img, scorer, config):
+def detect_per_window(img, scorer, config, iou_threshold=0.7):
     """The three-stage cascade one candidate at a time.
 
     Stage 1 loops over every window of every pyramid level and builds one
     DetectionBox per survivor; stages 2 and 3 cut and resample each box with
-    crop_region plus bilinear_resize; each stage ends in _greedy_nms.  The
-    batch scorer is called with K = 1 batches.
+    crop_region plus bilinear_resize; each stage ends in _greedy_nms at
+    iou_threshold.  The batch scorer is called with K = 1 batches.
     """
     from dataclasses import replace
 
@@ -168,7 +168,7 @@ def detect_per_window(img, scorer, config):
 
     window = 12
     boxes = []
-    for level, scale in image_pyramid(img, config.min_face, config.scale_factor, window):
+    for level, scale in image_pyramid(img, config.min_face, window=window):
         if level.width < window or level.height < window:
             continue
         for y0 in range(0, level.height - window + 1, config.stride):
@@ -181,7 +181,7 @@ def detect_per_window(img, scorer, config):
                 conf = float(scorer.stage1(crop[None], np.array([coords]))[0])
                 if conf >= config.stage_confidences[0]:
                     boxes.append(DetectionBox(*coords, conf))
-    boxes = _greedy_nms(boxes, config.stage_iou[0], iou)
+    boxes = _greedy_nms(boxes, iou_threshold, iou)
 
     for stage, size in ((2, 24), (3, 48)):
         survivors = []
@@ -202,7 +202,7 @@ def detect_per_window(img, scorer, config):
                         np.minimum(box.y1 + rel[:, 1] * box.height, box.y2)])
             if conf >= config.stage_confidences[stage - 1]:
                 survivors.append(replace(box, confidence=conf, landmarks=landmarks))
-        boxes = _greedy_nms(survivors, config.stage_iou[stage - 1], iou)
+        boxes = _greedy_nms(survivors, iou_threshold, iou)
     return boxes
 
 

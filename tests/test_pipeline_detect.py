@@ -173,6 +173,26 @@ def _plant(img, x1, y1, x2, y2):
     img.pixels[y1:y2, x1:x2] = 255.0
 
 
+class TestDetectConfig:
+    @pytest.mark.parametrize("min_face", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_min_face_must_be_finite_and_positive(self, min_face):
+        with pytest.raises(ValueError, match="min_face"):
+            DetectConfig(min_face=min_face)
+
+    @pytest.mark.parametrize("stride", [0, -2, 1.5, 2.0, True, False, "2"])
+    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            DetectConfig(stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 3, np.int64(2)])
+    def test_integer_strides_are_taken(self, stride):
+        assert DetectConfig(stride=stride).stride == stride
+
+    def test_one_gate_per_stage(self):
+        with pytest.raises(ValueError, match="one confidence per stage"):
+            DetectConfig(stage_confidences=(0.6, 0.7))
+
+
 class TestDetect:
     def test_dark_frame_yields_nothing(self):
         img = GrayImage(np.zeros((60, 60)))
@@ -248,9 +268,9 @@ class TestNmsRows:
            rise=st.sampled_from([0.0, 1e-12, 0.1, 0.5, np.inf]))
     def test_a_pass_at_or_above_an_applied_threshold_keeps_every_row(
             self, specs, later, first, rise):
-        """What detect's skip relies on: rows kept at one threshold, then some
-        dropped and the rest rescored (boxes unmoved), all survive a pass at
-        that threshold or above, in (-confidence, index) order."""
+        """Why stages 2 and 3 need no NMS pass: rows kept at one threshold,
+        then some dropped and the rest rescored (boxes unmoved), all survive
+        a pass at that threshold or above, in (-confidence, index) order."""
         rows = np.array([[x, y, x + w, y + h, c] for x, y, w, h, c in specs]).reshape(-1, 5)
         rows = rows[nms_rows(rows, first)]
         later = np.array(later, dtype=float)[: len(rows)]  # (stays, new confidence) per row
@@ -269,73 +289,6 @@ class _ClippedLandmarks(_BrightScorer):
         return self.stage1(crops, boxes), _relative_landmarks(crops, rel)
 
 
-def _random_frame(seed, height, width, integer, faces):
-    """Dark noise with up to `faces` bright squares; integer or fractional levels."""
-    rng = np.random.default_rng(seed)
-    pixels = rng.uniform(0.0, 90.0, (height, width))
-    for _ in range(faces):
-        side = int(rng.integers(6, min(height, width) + 1))
-        y, x = rng.integers(0, height - side + 1), rng.integers(0, width - side + 1)
-        pixels[y : y + side, x : x + side] = rng.uniform(190.0, 255.0, (side, side))
-    return np.rint(pixels) if integer else pixels
-
-
-def _assert_detect_matches_oracle(pixels, config):
-    img, scorer = GrayImage(pixels), _ClippedLandmarks()
-    got = detect(img, scorer, config)
-    want = detect_per_window(img, scorer, config)
-    assert [_fields(b) for b in got] == [_fields(b) for b in want]
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.landmarks, b.landmarks)
-
-
-_FRAME_WITH_OVERLAPS = dict(seed=7, height=40, width=44, integer=False, stride=1,
-                           min_face=14.0, faces=2)
-
-
-# detect skips an NMS pass whose threshold is at least one already applied:
-# the examples take a later pass below, equal to and above an earlier one, and
-# a NaN threshold, which takes the full pass
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
-       integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
-       faces=st.integers(0, 2),
-       stage_iou=st.tuples(*[st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, np.nan])] * 3))
-@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, 0.3, 0.5))
-@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, 0.7, 0.7))
-@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.3, 0.7, 0.9))
-@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.9, 0.5, 0.1))
-@example(**_FRAME_WITH_OVERLAPS, stage_iou=(0.7, np.nan, 0.7))
-def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces,
-                                          stage_iou):
-    _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
-                                  DetectConfig(min_face=min_face, stride=stride,
-                                               stage_iou=stage_iou))
-
-
-@pytest.mark.parametrize("stage_iou, passes", [
-    ((0.7, 0.7, 0.7), [0.7]), ((0.7, 0.3, 0.5), [0.7, 0.3]), ((0.3, 0.7, 0.2), [0.3, 0.2]),
-    ((0.9, 0.5, 0.1), [0.9, 0.5, 0.1]), ((0.7, np.nan, 0.7), [0.7, np.nan])])
-def test_only_passes_that_can_suppress_run(monkeypatch, stage_iou, passes):
-    ran = []
-    run = detect_module.nms_rows
-    monkeypatch.setattr(detect_module, "nms_rows", lambda rows, t: ran.append(t) or run(rows, t))
-    pixels = _random_frame(7, 40, 44, False, 2)
-    detect(GrayImage(pixels), _ClippedLandmarks(),
-           DetectConfig(min_face=14.0, stride=1, stage_iou=stage_iou))
-    np.testing.assert_array_equal(ran, passes)
-
-
-@pytest.mark.parametrize("scan_batch, chunk", [(1, 1), (7, 3), (64, 8)])
-def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
-    # a scan batch below one row of windows still scores whole rows
-    monkeypatch.setattr(detect_module, "_SCAN_BATCH", scan_batch)
-    monkeypatch.setattr(detect_module, "_CHUNK", chunk)
-    pixels, config = _random_frame(7, 40, 44, False, 2), DetectConfig(min_face=14.0, stride=1)
-    assert len(detect(GrayImage(pixels), _ClippedLandmarks(), config)) > 1
-    _assert_detect_matches_oracle(pixels, config)
-
-
 class _QuarterScorer(_ClippedLandmarks):
     """Brightness rounded to quarters, so boxes tie in both confidences."""
 
@@ -352,7 +305,76 @@ class _PlacedScorer(_QuarterScorer):
         return conf, super().stage3(crops, boxes)[1]
 
 
-_SCORERS = {"bright": _ClippedLandmarks, "quarters": _QuarterScorer, "placed": _PlacedScorer}
+class _ReorderedScorer(_PlacedScorer):
+    """_PlacedScorer with a stage-2 confidence from the box's place on
+    another pattern, so the stage-2 order decides among stage-3 ties and
+    follows neither the stage-1 nor the stage-3 order."""
+
+    def stage2(self, crops, boxes):
+        return 0.7 + 0.3 * ((boxes[:, 0] * 3.0 + boxes[:, 1] * 5.0) % 1.0)
+
+
+_SCORERS = {"bright": _ClippedLandmarks, "quarters": _QuarterScorer, "placed": _PlacedScorer,
+            "reordered": _ReorderedScorer}
+
+
+def _random_frame(seed, height, width, integer, faces):
+    """Dark noise with up to `faces` bright squares; integer or fractional levels."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.uniform(0.0, 90.0, (height, width))
+    for _ in range(faces):
+        side = int(rng.integers(6, min(height, width) + 1))
+        y, x = rng.integers(0, height - side + 1), rng.integers(0, width - side + 1)
+        pixels[y : y + side, x : x + side] = rng.uniform(190.0, 255.0, (side, side))
+    return np.rint(pixels) if integer else pixels
+
+
+def _assert_detect_matches_oracle(pixels, config, scorer="bright"):
+    img, scorer = GrayImage(pixels), _SCORERS[scorer]()
+    got = detect(img, scorer, config)
+    want = detect_per_window(img, scorer, config)
+    assert [_fields(b) for b in got] == [_fields(b) for b in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.landmarks, b.landmarks)
+
+
+_FRAME_WITH_OVERLAPS = dict(seed=7, height=40, width=44, integer=False, stride=1,
+                           min_face=14.0, faces=2)
+
+
+# detect runs one NMS pass, after stage 1; the oracle runs one after every
+# stage, at the same threshold.  The reordered scorer ties stage-3
+# confidences, so the stage-2 order decides among them.
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
+       integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
+       faces=st.integers(0, 2), scorer=st.sampled_from(sorted(_SCORERS)))
+@example(**_FRAME_WITH_OVERLAPS, scorer="bright")
+@example(**_FRAME_WITH_OVERLAPS, scorer="reordered")
+def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces,
+                                          scorer):
+    _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
+                                  DetectConfig(min_face=min_face, stride=stride), scorer)
+
+
+@pytest.mark.parametrize("find", [detect, largest_face])
+def test_one_nms_pass_per_frame(monkeypatch, find):
+    ran = []
+    run = detect_module.nms_rows
+    monkeypatch.setattr(detect_module, "nms_rows", lambda rows, t: ran.append(t) or run(rows, t))
+    pixels = _random_frame(7, 40, 44, False, 2)
+    assert find(GrayImage(pixels), _ClippedLandmarks(), DetectConfig(min_face=14.0, stride=1))
+    assert ran == [detect_module.NMS_IOU]
+
+
+@pytest.mark.parametrize("scan_batch, chunk", [(1, 1), (7, 3), (64, 8)])
+def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
+    # a scan batch below one row of windows still scores whole rows
+    monkeypatch.setattr(detect_module, "_SCAN_BATCH", scan_batch)
+    monkeypatch.setattr(detect_module, "_CHUNK", chunk)
+    pixels, config = _random_frame(7, 40, 44, False, 2), DetectConfig(min_face=14.0, stride=1)
+    assert len(detect(GrayImage(pixels), _ClippedLandmarks(), config)) > 1
+    _assert_detect_matches_oracle(pixels, config)
 
 
 def _same_box(got, want):
@@ -362,36 +384,30 @@ def _same_box(got, want):
     return _fields(got) == _fields(want) and np.array_equal(got.landmarks, want.landmarks)
 
 
-# the default stage_iou takes the fast path, the others mostly fall back to detect
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
        integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
        faces=st.integers(0, 3), scorer=st.sampled_from(sorted(_SCORERS)),
        chunk=st.sampled_from([1, 3, 8]), default_config=st.booleans(),
-       stage_confidences=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]),
-       stage_iou=st.one_of(st.just((0.7, 0.7, 0.7)), st.tuples(
-           *[st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, np.nan])] * 3)))
+       stage_confidences=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]))
 # the next two examples pick a box of the largest area that is not the first
 # to survive, the second after a chunk that ends below that area
 @example(seed=1692857840, height=43, width=32, integer=False, stride=3, min_face=15.2, faces=3,
-         scorer="placed", chunk=1, default_config=False, stage_confidences=(0.5, 0.25, 0.5),
-         stage_iou=(0.7, 0.7, 0.7))
+         scorer="placed", chunk=1, default_config=False, stage_confidences=(0.5, 0.25, 0.5))
 @example(seed=352567537, height=32, width=20, integer=True, stride=3, min_face=14.6, faces=1,
-         scorer="placed", chunk=3, default_config=False, stage_confidences=(0.5, 0.25, 0.5),
-         stage_iou=(0.7, 0.7, 0.7))
+         scorer="placed", chunk=3, default_config=False, stage_confidences=(0.5, 0.25, 0.5))
 @example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3, default_config=False,
-         stage_confidences=(0.5, 0.25, 0.5), stage_iou=(0.7, np.nan, 0.7))
+         stage_confidences=(0.5, 0.25, 0.5))
 def test_largest_face_is_the_largest_detected_box(seed, height, width, integer, stride, min_face,
                                                   faces, scorer, chunk, default_config,
-                                                  stage_confidences, stage_iou):
+                                                  stage_confidences):
     """largest_face gives max(detect(...), key=area), ties in area and in
-    both confidences included, on either path, at any chunk size and with
-    the config left out (None)."""
+    both confidences included, at any chunk size and with the config left
+    out (None)."""
     img = GrayImage(_random_frame(seed, height, width, integer, faces))
     scorer = _SCORERS[scorer]()
     config = None if default_config else DetectConfig(
-        min_face=min_face, stride=stride, stage_confidences=stage_confidences,
-        stage_iou=stage_iou)
+        min_face=min_face, stride=stride, stage_confidences=stage_confidences)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect_module, "_CHUNK", chunk)
         want = max(detect(img, scorer, config), key=lambda b: b.area, default=None)
@@ -438,7 +454,7 @@ def _face_60():
 
 
 def test_largest_face_rescores_only_the_largest_boxes():
-    """On a frame with one large face, the fast path shows stages 2 and 3
+    """On a frame with one large face, largest_face shows stages 2 and 3
     only the boxes of the largest area, one call each, where detect shows
     them every stage-1 survivor."""
     img = GrayImage(np.zeros((60, 60)))
@@ -536,6 +552,10 @@ class TestMinFaceFilter:
             min_face_filter([], 0.0)
         with pytest.raises(ValueError):
             min_face_filter([], 100.0, ratio=-1.0)
+        with pytest.raises(ValueError):
+            min_face_filter([], _NAN)
+        with pytest.raises(ValueError):
+            min_face_filter([], 100.0, ratio=_NAN)
 
 
 def _gradient_image(h=100, w=100):

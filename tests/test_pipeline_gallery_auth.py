@@ -662,6 +662,14 @@ def _setup(spoof_score=0.0, eye_scores=(0.0, 0.0), embedding=E_ALICE, landmarks=
     return rec, scorers, gallery, config
 
 
+class TestAuthConfig:
+    @pytest.mark.parametrize("ratio", [0.0, math.nan, math.inf, -1.0])
+    def test_min_face_ratio_must_be_finite_and_positive(self, ratio):
+        # authenticate would divide the frame width by 0 and find no face at NaN
+        with pytest.raises(ValueError, match="min_face_ratio"):
+            AuthConfig(min_face_ratio=ratio)
+
+
 class TestAuthenticate:
     def test_accepted_round_trip(self):
         rec, scorers, gallery, config = _setup()

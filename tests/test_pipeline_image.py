@@ -148,6 +148,9 @@ class TestImagePyramid:
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             image_pyramid(_blank(20, 20), min_face=0.0)
+        for min_face in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                image_pyramid(_blank(20, 20), min_face=min_face)
         with pytest.raises(ValueError):
             image_pyramid(_blank(20, 20), min_face=10.0, scale_factor=1.5)
 
