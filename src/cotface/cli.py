@@ -142,9 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame", help="PGM frame")
     p.add_argument("--model", default=None, help="embedder .npz (default: seed-fixed toy)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sim-threshold", type=float, default=0.5)
-    p.add_argument("--spoof-threshold", type=float, default=0.65)
-    p.add_argument("--eye-threshold", type=float, default=0.5)
+    p.add_argument("--sim-threshold", type=float, default=AuthConfig.sim_threshold)
+    p.add_argument("--spoof-threshold", type=float, default=AuthConfig.spoof_threshold)
+    p.add_argument("--eye-threshold", type=float, default=AuthConfig.eye_closed_threshold)
 
     return parser
 
@@ -262,67 +262,64 @@ def _cmd_train(args) -> int:
 
 
 _IS_GENUINE = {"1": True, "genuine": True, "0": False, "impostor": False}
-_SCORES_BLOCK_CHARS = 1 << 17
+_PLAIN_BYTES = np.isin(np.arange(256), np.frombuffer(b"0123456789+-.eE,\n", dtype=np.uint8))
 
 
-def _read_scores_file(path, block_chars: int = _SCORES_BLOCK_CHARS) -> ScoredPairs:
-    """Parse label,score lines, reading block_chars characters at a time.
+def _data_lines(path):
+    """(path:lineno, stripped line) for each text-mode line of path that is
+    neither blank nor a "#" comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
+
+
+def _read_scores_file(path) -> ScoredPairs:
+    """Parse label,score lines.
 
     Text mode ends lines at "\n", "\r\n" and "\r" alike.  A line is blank,
     a comment (its stripped form starts with "#"), or "label,score" with one
     comma, a label of 1/genuine or 0/impostor in any case, and a finite
     score that Python's float accepts; a ValueError names the first other
-    line as path:lineno.  A block of well-formed lines is parsed whole: one
-    split, a byte check that "," and "\n" alternate, each distinct label
-    token classified once and float mapped over the scores.  Any other block
-    (comments, blank lines, a bad line) goes line by line.
+    line as path:lineno.  A plain file, whose bytes are all in
+    "0123456789+-.eE,\n", that ends in "\n" and whose every line is "0," or
+    "1," and a score, is read whole: its labels from the bytes, its scores
+    by one np.loadtxt call.  Any other file, or a plain one that loadtxt
+    refuses or reads as non-finite, goes line by line with the same result.
     """
-    genuine, impostor = [], []
-    lineno = 0  # lines before the current block
-    with open(path, "r", encoding="utf-8") as fh:
-        while chunk := fh.read(block_chars):
-            text = chunk + fh.readline()  # the block ends on a line end, or at end of file
-            if not text.endswith("\n"):  # a last line without "\n" gets one
-                text += "\n"
-            n = text.count("\n")
-            tokens = text.replace("\n", ",").split(",")
-            labels, values = tokens[0:-1:2], tokens[1::2]
-            raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-            seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-            kinds = {tok: _IS_GENUINE.get(tok.strip().lower()) for tok in set(labels)}
-            scores = None
-            if seps.size == 2 * n and (seps[::2] == ord(",")).all() and None not in kinds.values():
-                try:
-                    scores = np.fromiter(map(float, values), dtype=np.float64, count=n)
-                except ValueError:
-                    pass
-            if scores is not None and np.isfinite(scores).all():
-                is_genuine = np.fromiter(map(kinds.__getitem__, labels), dtype=bool, count=n)
-                genuine.append(scores[is_genuine])
-                impostor.append(scores[~is_genuine])
-            else:
-                gen, imp = [], []
-                for at, line in enumerate(text.split("\n")[:-1], lineno + 1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    parts = line.split(",")
-                    if len(parts) != 2:
-                        raise ValueError(f"{path}:{at}: expected 'label,score'")
-                    label = parts[0].strip().lower()
-                    try:
-                        score = float(parts[1])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{at}: {exc}") from None
-                    if label not in _IS_GENUINE:
-                        raise ValueError(f"{path}:{at}: unknown label {label!r}")
-                    if not math.isfinite(score):
-                        raise ValueError(f"{path}:{at}: non-finite score {parts[1]!r}")
-                    (gen if _IS_GENUINE[label] else imp).append(score)
-                genuine.append(np.array(gen))
-                impostor.append(np.array(imp))
-            lineno += n
-    genuine, impostor = np.concatenate([[]] + genuine), np.concatenate([[]] + impostor)
+    raw = np.fromfile(path, dtype=np.uint8)
+    scores = None
+    if raw.size and raw[-1] == ord("\n") and _PLAIN_BYTES[raw].all():
+        starts = np.r_[0, np.flatnonzero(raw[:-1] == ord("\n")) + 1]
+        labels = raw[starts]
+        # every line starts with a label byte, so starts + 1 is inside the file
+        if ((labels == ord("0")) | (labels == ord("1"))).all() \
+                and (raw[starts + 1] == ord(",")).all() \
+                and np.count_nonzero(raw == ord(",")) == starts.size:
+            try:
+                scores = np.loadtxt(path, delimiter=",", usecols=1, comments=None, ndmin=1)
+            except ValueError:
+                pass
+    if scores is not None and np.isfinite(scores).all():
+        genuine, impostor = scores[labels == ord("1")], scores[labels == ord("0")]
+    else:
+        genuine, impostor = [], []
+        for where, line in _data_lines(path):
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{where}: expected 'label,score'")
+            label = parts[0].strip().lower()
+            try:
+                score = float(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if label not in _IS_GENUINE:
+                raise ValueError(f"{where}: unknown label {label!r}")
+            if not math.isfinite(score):
+                raise ValueError(f"{where}: non-finite score {parts[1]!r}")
+            (genuine if _IS_GENUINE[label] else impostor).append(score)
+        genuine, impostor = np.array(genuine), np.array(impostor)
     if not genuine.size or not impostor.size:
         raise ValueError(f"{path}: need at least one genuine and one impostor score")
     return ScoredPairs(genuine=genuine, impostor=impostor)
@@ -365,36 +362,31 @@ def _read_ranked_file(path):
     gap, the rank after it).  GAP's flat view holds each query's rank-1 row.
     """
     per_query: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            where = f"{path}:{lineno}"
-            if len(parts) != 4:
-                raise ValueError(f"{where}: expected 'query,rank,correct,confidence'")
-            try:
-                query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            entries = per_query.setdefault(query, {})
-            if rank < 1:
-                raise ValueError(f"{where}: rank must be >= 1, got {rank}")
-            if rank in entries:
-                raise ValueError(f"{where}: rank {rank} repeats within query {query!r}")
-            if correct not in (0, 1):
-                raise ValueError(f"{where}: correct must be 0 or 1")
-            if not math.isfinite(conf):
-                raise ValueError(f"{where}: non-finite confidence {parts[3]!r}")
-            entries[rank] = (correct, conf, lineno)
+    for where, line in _data_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ValueError(f"{where}: expected 'query,rank,correct,confidence'")
+        try:
+            query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        entries = per_query.setdefault(query, {})
+        if rank < 1:
+            raise ValueError(f"{where}: rank must be >= 1, got {rank}")
+        if rank in entries:
+            raise ValueError(f"{where}: rank {rank} repeats within query {query!r}")
+        if correct not in (0, 1):
+            raise ValueError(f"{where}: correct must be 0 or 1")
+        if not math.isfinite(conf):
+            raise ValueError(f"{where}: non-finite confidence {parts[3]!r}")
+        entries[rank] = (correct, conf, where)
     if not per_query:
         raise ValueError(f"{path}: no predictions")
     queries, top = [], []
     for query, entries in per_query.items():
         for k, rank in enumerate(sorted(entries), 1):
             if rank != k:
-                raise ValueError(f"{path}:{entries[rank][2]}: query {query!r} skips rank {k}")
+                raise ValueError(f"{entries[rank][2]}: query {query!r} skips rank {k}")
         ranked = [entries[rank] for rank in sorted(entries)]
         rel = np.array([c for c, _, _ in ranked])
         # the file carries no relevant-item counts; use the correct count

@@ -36,8 +36,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # bilinear_resize is not called here; perfbench/layers.py counts its calls at
 # this module's name, so the name stays importable from it.
-from .image import (GrayImage, bilinear_resize, crop_bounds, crop_region,  # noqa: F401
-                    crop_resize, image_pyramid, rotate_region)
+from .image import (WINDOW, GrayImage, bilinear_resize, crop_bounds,  # noqa: F401
+                    crop_region, crop_resize, image_pyramid, rotate_region)
 
 
 @dataclass
@@ -138,7 +138,6 @@ class DetectConfig:
             raise ValueError("need one confidence per stage")
 
 
-_WINDOW = 12
 NMS_IOU = 0.7  # the one NMS pass's threshold, after stage 1
 # scorer batch sizes; they bound the memory of a batch's crops and resampling
 _SCAN_BATCH = 2048  # stage-1 windows per call (whole rows of windows, at least one row)
@@ -181,23 +180,23 @@ def _scan_stage(img, stage1, config):
     row-major order, whole rows of windows per call up to _SCAN_BATCH; the
     survivors of the NMS pass at NMS_IOU, in its visiting order."""
     found = [np.empty((0, 5))]
-    for level, scale in image_pyramid(img, config.min_face, window=_WINDOW):
-        if level.width < _WINDOW or level.height < _WINDOW:
+    for level, scale in image_pyramid(img, config.min_face):
+        if level.width < WINDOW or level.height < WINDOW:
             continue
-        windows = sliding_window_view(level.pixels, (_WINDOW, _WINDOW))
+        windows = sliding_window_view(level.pixels, (WINDOW, WINDOW))
         windows = windows[:: config.stride, :: config.stride]
         nx = windows.shape[1]
         band = max(1, _SCAN_BATCH // nx)  # window rows per call
         for r in range(0, windows.shape[0], band):
             rows = windows[r : r + band]
-            crops = np.ascontiguousarray(rows).reshape(-1, _WINDOW, _WINDOW)
+            crops = np.ascontiguousarray(rows).reshape(-1, WINDOW, WINDOW)
             x0 = np.tile(np.arange(nx) * config.stride, len(rows))
             y0 = np.repeat(np.arange(r, r + len(rows)) * config.stride, nx)
             boxes = np.column_stack([
                 np.minimum(x0 / scale, img.width - 1.0),
                 np.minimum(y0 / scale, img.height - 1.0),
-                np.minimum((x0 + _WINDOW) / scale, float(img.width)),
-                np.minimum((y0 + _WINDOW) / scale, float(img.height)),
+                np.minimum((x0 + WINDOW) / scale, float(img.width)),
+                np.minimum((y0 + WINDOW) / scale, float(img.height)),
             ])
             found.append(_survivors(stage1(crops, boxes), boxes, config.stage_confidences[0])[0])
     found = np.concatenate(found)

@@ -15,6 +15,8 @@ import numpy as np
 
 DEFAULT_PIXEL_THRESHOLD = 30.0
 SHARPNESS_COUNT_FRACTION = 0.005
+WINDOW = 12  # side of the stage-1 scan window, px
+PYRAMID_STEP = 0.709  # scale ratio of consecutive pyramid levels
 # one PGM header token: skip whitespace and "#" comments (to the end of their
 # line), then take a run of non-whitespace that does not start a comment
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
@@ -154,25 +156,22 @@ def sharpness_gate(img: GrayImage, pixel_threshold: float = DEFAULT_PIXEL_THRESH
     return edge_count >= count_threshold, edge_count
 
 
-def image_pyramid(img: GrayImage, min_face: float, scale_factor: float = 0.709,
-                  window: int = 12) -> list[tuple[GrayImage, float]]:
+def image_pyramid(img: GrayImage, min_face: float) -> list[tuple[GrayImage, float]]:
     """Scaled copies for a sliding-window scan.
 
-    The first scale maps a min_face-sized region onto the window size; each
-    further level shrinks by scale_factor, and levels are kept while the
+    The first scale maps a min_face-sized region onto the WINDOW size; each
+    further level shrinks by PYRAMID_STEP, and levels are kept while the
     scaled short side still covers one window.
     """
     if not 0.0 < min_face < np.inf:
         raise ValueError("min_face must be finite and positive")
-    if not 0.0 < scale_factor < 1.0:
-        raise ValueError("scale_factor must lie in (0, 1)")
     levels = []
-    scale = window / min_face
-    while min(img.width, img.height) * scale >= window:
+    scale = WINDOW / min_face
+    while min(img.width, img.height) * scale >= WINDOW:
         w = max(1, int(round(img.width * scale)))
         h = max(1, int(round(img.height * scale)))
         levels.append((bilinear_resize(img, w, h), scale))
-        scale *= scale_factor
+        scale *= PYRAMID_STEP
     return levels
 
 

@@ -168,7 +168,7 @@ def detect_per_window(img, scorer, config, iou_threshold=0.7):
 
     window = 12
     boxes = []
-    for level, scale in image_pyramid(img, config.min_face, window=window):
+    for level, scale in image_pyramid(img, config.min_face):
         if level.width < window or level.height < window:
             continue
         for y0 in range(0, level.height - window + 1, config.stride):

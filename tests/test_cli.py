@@ -570,44 +570,85 @@ _LINES = st.one_of(
 )
 
 
+# score texts over the plain alphabet, which loadtxt and float must read alike
+_PLAIN_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", ".", "1e", "1e400", "-1e400", "9007199254740993",
+                     "2.2250738585072011e-308", "4.9406564584124654e-324", "+.5", "1.e1", "e5"]),
+    st.text("0123456789+-.eE", max_size=8),
+)
+
+
 class TestScoresParser:
-    """cli._read_scores_file, block by block, against the line loop of
+    """cli._read_scores_file, on its whole-file path for plain 0,/1, files and
+    its line loop for every other file, against the line loop of
     oracles.read_scores_loop: equal arrays bit for bit, or the same ValueError."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(lines=st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
-                          min_size=1, max_size=12),
-           last_ending=st.booleans(),
-           block_chars=st.integers(1, 40))
-    def test_matches_line_loop(self, lines, last_ending, block_chars):
-        text = "".join(line + ending for line, ending in lines)
-        if not last_ending:
-            text = text[:-len(lines[-1][1])]
+    @staticmethod
+    def _assert_matches_line_loop(data: bytes):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.csv"
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(data)
             try:
                 expected = read_scores_loop(path)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
-                    cli._read_scores_file(path, block_chars)
+                    cli._read_scores_file(path)
                 assert str(got.value) == str(exc)
                 return
-            pairs = cli._read_scores_file(path, block_chars)
+            pairs = cli._read_scores_file(path)
         for got, want in zip((pairs.genuine, pairs.impostor), expected):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
-    def test_well_formed_blocks(self, tmp_path):
-        """A long well-formed file with CRLF endings, read whole and in blocks
-        that cut lines (and CRLF pairs) at every offset."""
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
+                          min_size=1, max_size=12),
+           last_ending=st.booleans())
+    def test_matches_line_loop(self, lines, last_ending):
+        text = "".join(line + ending for line, ending in lines)
+        if not last_ending:
+            text = text[:-len(lines[-1][1])]
+        self._assert_matches_line_loop(text.encode("utf-8"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.tuples(st.sampled_from("01"), _PLAIN_SCORES), min_size=1,
+                          max_size=12))
+    def test_plain_files_match_line_loop(self, lines):
+        self._assert_matches_line_loop("".join(f"{lab},{v}\n" for lab, v in lines).encode())
+
+    @pytest.mark.parametrize("data", [
+        b"1,0.5\n0,\x1c0.0\n",  # loadtxt reads 0.0 where float refuses
+        b"1,1_0\n0,0.5\n",  # float reads 10.0 where loadtxt refuses
+        b"1,0.5\n0,0.25",  # no last newline
+        b"1,0.5\n",  # one line
+    ])
+    def test_edge_files_match_line_loop(self, data):
+        self._assert_matches_line_loop(data)
+
+    def test_plain_file_skips_the_line_loop(self, tmp_path, monkeypatch):
+        def line_loop(path):
+            raise AssertionError(f"{path} went line by line")
+
+        monkeypatch.setattr(cli, "_data_lines", line_loop)
+        path = tmp_path / "scores.csv"
+        path.write_text("1,0.9\n0,0.25\n1,1e-3\n0,-2.5E+2\n1,0.00001\n")
+        pairs = cli._read_scores_file(path)
+        assert pairs.genuine.tolist() == [0.9, 1e-3, 1e-5]
+        assert pairs.impostor.tolist() == [0.25, -250.0]
+
+    def test_long_well_formed_files(self, tmp_path):
+        """2,000 lines with mixed label spellings and CRLF ends (the line loop),
+        and the same lines as 0/1 with "\n" ends (the whole-file path)."""
         rng = np.random.default_rng(3)
         labels = rng.choice(["1", "0", "genuine", "Impostor"], 2000)
-        text = "".join(f"{lab},{v!r}\r\n" for lab, v in zip(labels, rng.normal(size=2000).tolist()))
-        path = tmp_path / "scores.csv"
-        path.write_bytes(text.encode("utf-8"))
-        expected = read_scores_loop(path)
-        for block_chars in (7, 64, 1000, 1 << 17):
-            pairs = cli._read_scores_file(path, block_chars)
+        values = rng.normal(size=2000).tolist()
+        crlf = "".join(f"{lab},{v!r}\r\n" for lab, v in zip(labels, values))
+        plain = "".join(f"{int(lab in ('1', 'genuine'))},{v!r}\n" for lab, v in zip(labels, values))
+        for text in (crlf, plain):
+            path = tmp_path / "scores.csv"
+            path.write_text(text, newline="")
+            expected = read_scores_loop(path)
+            pairs = cli._read_scores_file(path)
             for got, want in zip((pairs.genuine, pairs.impostor), expected):
                 assert got.tobytes() == want.tobytes()
 
@@ -664,6 +705,12 @@ class TestRetrievalEval:
                      "--out", str(tmp_path / "o"), "--gallery-queries", count]) == 2
         assert "--gallery-queries must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_rank_gap_names_the_rank_after_it(self, tmp_path, capsys):
+        ranked = self._ranked(tmp_path, ["# header", "a,1,1,0.9", "", "a,3,0,0.8"])
+        assert main(["retrieval-eval", "--ranked", ranked,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {ranked}:4: query 'a' skips rank 2\n"
 
     def test_malformed_line_exits_3(self, tmp_path, capsys):
         ranked = self._ranked(tmp_path, ["a,1,1"])

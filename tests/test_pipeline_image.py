@@ -126,7 +126,7 @@ class TestImagePyramid:
         assert levels[0][0].width == 60
 
     def test_level_arithmetic(self):
-        levels = image_pyramid(_blank(240, 240), min_face=48.0, scale_factor=0.709)
+        levels = image_pyramid(_blank(240, 240), min_face=48.0)
         scales = [s for _, s in levels]
         expected = []
         s = 12.0 / 48.0
@@ -151,8 +151,6 @@ class TestImagePyramid:
         for min_face in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 image_pyramid(_blank(20, 20), min_face=min_face)
-        with pytest.raises(ValueError):
-            image_pyramid(_blank(20, 20), min_face=10.0, scale_factor=1.5)
 
 
 class TestCropRegion:
