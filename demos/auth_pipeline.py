@@ -79,7 +79,7 @@ def run(title, spoof_score=0.1, embedding=None, eye_score=0.0, frame_override=No
         embedder=lambda crop: embedding if embedding is not None else np.array([1.0, 0.0, 0.0]),
         eye_closed=lambda crop: eye_score,
     )
-    config = AuthConfig(detect=DetectConfig(min_face=20.0))
+    config = AuthConfig(min_face_ratio=3.0)  # smallest face: 60 / 3 = 20 px, as above
     out = authenticate(frame_override if frame_override is not None else frame,
                        gallery, scorers, config)
     fields = {k: v for k, v in (("identity", out.identity),

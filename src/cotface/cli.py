@@ -143,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="embedder .npz (default: seed-fixed toy)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sim-threshold", type=float, default=AuthConfig.sim_threshold)
-    p.add_argument("--spoof-threshold", type=float, default=AuthConfig.spoof_threshold)
-    p.add_argument("--eye-threshold", type=float, default=AuthConfig.eye_closed_threshold)
 
     return parser
 
@@ -266,13 +264,13 @@ _PLAIN_BYTES = np.isin(np.arange(256), np.frombuffer(b"0123456789+-.eE,\n", dtyp
 
 
 def _data_lines(path):
-    """(path:lineno, stripped line) for each text-mode line of path that is
-    neither blank nor a "#" comment."""
+    """(lineno, stripped line) for each text-mode line of path that is
+    neither blank nor a "#" comment; errors name it as path:lineno."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                yield f"{path}:{lineno}", line
+                yield lineno, line
 
 
 def _read_scores_file(path) -> ScoredPairs:
@@ -305,19 +303,19 @@ def _read_scores_file(path) -> ScoredPairs:
         genuine, impostor = scores[labels == ord("1")], scores[labels == ord("0")]
     else:
         genuine, impostor = [], []
-        for where, line in _data_lines(path):
+        for lineno, line in _data_lines(path):
             parts = line.split(",")
             if len(parts) != 2:
-                raise ValueError(f"{where}: expected 'label,score'")
+                raise ValueError(f"{path}:{lineno}: expected 'label,score'")
             label = parts[0].strip().lower()
             try:
                 score = float(parts[1])
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if label not in _IS_GENUINE:
-                raise ValueError(f"{where}: unknown label {label!r}")
+                raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
             if not math.isfinite(score):
-                raise ValueError(f"{where}: non-finite score {parts[1]!r}")
+                raise ValueError(f"{path}:{lineno}: non-finite score {parts[1]!r}")
             (genuine if _IS_GENUINE[label] else impostor).append(score)
         genuine, impostor = np.array(genuine), np.array(impostor)
     if not genuine.size or not impostor.size:
@@ -362,31 +360,31 @@ def _read_ranked_file(path):
     gap, the rank after it).  GAP's flat view holds each query's rank-1 row.
     """
     per_query: dict = {}
-    for where, line in _data_lines(path):
+    for lineno, line in _data_lines(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
-            raise ValueError(f"{where}: expected 'query,rank,correct,confidence'")
+            raise ValueError(f"{path}:{lineno}: expected 'query,rank,correct,confidence'")
         try:
             query, rank, correct, conf = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         entries = per_query.setdefault(query, {})
         if rank < 1:
-            raise ValueError(f"{where}: rank must be >= 1, got {rank}")
+            raise ValueError(f"{path}:{lineno}: rank must be >= 1, got {rank}")
         if rank in entries:
-            raise ValueError(f"{where}: rank {rank} repeats within query {query!r}")
+            raise ValueError(f"{path}:{lineno}: rank {rank} repeats within query {query!r}")
         if correct not in (0, 1):
-            raise ValueError(f"{where}: correct must be 0 or 1")
+            raise ValueError(f"{path}:{lineno}: correct must be 0 or 1")
         if not math.isfinite(conf):
-            raise ValueError(f"{where}: non-finite confidence {parts[3]!r}")
-        entries[rank] = (correct, conf, where)
+            raise ValueError(f"{path}:{lineno}: non-finite confidence {parts[3]!r}")
+        entries[rank] = (correct, conf, lineno)
     if not per_query:
         raise ValueError(f"{path}: no predictions")
     queries, top = [], []
     for query, entries in per_query.items():
         for k, rank in enumerate(sorted(entries), 1):
             if rank != k:
-                raise ValueError(f"{entries[rank][2]}: query {query!r} skips rank {k}")
+                raise ValueError(f"{path}:{entries[rank][2]}: query {query!r} skips rank {k}")
         ranked = [entries[rank] for rank in sorted(entries)]
         rel = np.array([c for c, _, _ in ranked])
         # the file carries no relevant-item counts; use the correct count
@@ -444,12 +442,7 @@ def _cmd_auth(args) -> int:
     gallery = load_gallery(args.gallery)
     frame = read_pgm(args.frame)
     scorers = _default_scorers(args.seed, args.model)
-    config = AuthConfig(
-        sim_threshold=args.sim_threshold,
-        spoof_threshold=args.spoof_threshold,
-        eye_closed_threshold=args.eye_threshold,
-    )
-    outcome = authenticate(frame, gallery, scorers, config)
+    outcome = authenticate(frame, gallery, scorers, AuthConfig(sim_threshold=args.sim_threshold))
     print(_VERDICT_LINES[outcome.kind].format(**vars(outcome)))
     return EXIT_OK if outcome.kind == "accepted" else EXIT_FAILED
 

@@ -14,7 +14,6 @@ from .detect import (
     detect,
     iou,
     largest_face,
-    min_face_filter,
     nms,
 )
 from .gallery import (

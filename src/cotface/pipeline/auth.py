@@ -1,9 +1,9 @@
 """End-to-end authentication over one frame.
 
 Fixed stage order: the largest face (largest_face rescores only the largest
-stage-1 survivors), minimum-size filter, alignment, anti-spoof gate on the
-FULL frame, gallery match, and finally the closed-eye check (rejecting when
-both eyes are closed).  Every gate fails closed: a non-finite score from any
+stage-1 survivors), kept if at least frame width / min_face_ratio wide,
+alignment, anti-spoof gate on the FULL frame, gallery match, and finally the
+closed-eye check (rejecting when both eyes are closed).  Every gate fails closed: a non-finite score from any
 scorer never gives "accepted".  Each stage short-circuits, so e.g. the
 embedder never runs on a spoofed frame.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 # detect is not called here; perfbench/layers.py wraps it at this module's
 # name, so the name stays importable from it.
-from .detect import DetectConfig, align, detect, largest_face, min_face_filter  # noqa: F401
+from .detect import DetectConfig, align, detect, largest_face  # noqa: F401
 from .gallery import Gallery, match
 from .image import GrayImage, eye_crops
 
@@ -65,8 +65,7 @@ class AuthConfig:
     sim_threshold: float = 0.5
     spoof_threshold: float = DEFAULT_SPOOF_THRESHOLD
     eye_closed_threshold: float = 0.5
-    min_face_ratio: float = 5.0
-    detect: DetectConfig | None = None  # None: derived from the frame width
+    min_face_ratio: float = 5.0  # the smallest face is frame width / min_face_ratio
 
     def __post_init__(self):
         if not 0.0 < self.min_face_ratio < np.inf:
@@ -75,15 +74,17 @@ class AuthConfig:
 
 def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
                  config: AuthConfig | None = None) -> AuthOutcome:
-    """Authenticate one frame against the gallery."""
+    """Authenticate one frame against the gallery.
+
+    The smallest face is frame.width / config.min_face_ratio; it sets the
+    scan's DetectConfig, which raises ValueError when it is below 6 px.
+    """
     if config is None:
         config = AuthConfig()
-    det_cfg = config.detect
-    if det_cfg is None:
-        det_cfg = DetectConfig(min_face=frame.width / config.min_face_ratio)
-
-    face = largest_face(frame, scorers.detector, det_cfg)
-    if face is None or not min_face_filter([face], frame.width, config.min_face_ratio):
+    min_face = frame.width / config.min_face_ratio
+    # a box the frame edge clamped, or whose width rounds down, is narrower than min_face
+    face = largest_face(frame, scorers.detector, DetectConfig(min_face=min_face))
+    if face is None or face.width < min_face:
         return AuthOutcome("no_face")
 
     crop, landmarks = align(frame, face)

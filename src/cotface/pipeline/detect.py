@@ -122,15 +122,20 @@ def nms(boxes, iou_threshold: float) -> list:
 
 @dataclass
 class DetectConfig:
-    """Cascade parameters: smallest face side, stage-1 window step, stage gates."""
+    """Cascade parameters: smallest face side, stage-1 window step, stage gates.
+
+    min_face is at least half the WINDOW, so the pyramid upsamples the frame
+    at most 2x per side.
+    """
 
     min_face: float = 24.0
     stride: int = 2
     stage_confidences: tuple = (0.6, 0.7, 0.7)
 
     def __post_init__(self):
-        if not 0.0 < self.min_face < np.inf:
-            raise ValueError("min_face must be finite and positive")
+        if not WINDOW / 2 <= self.min_face < np.inf:
+            raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, "
+                             f"got {self.min_face}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) \
                 or self.stride < 1:
             raise ValueError("stride must be an integer >= 1")
@@ -270,13 +275,6 @@ def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
         if boxes:
             return boxes[0]
     return None
-
-
-def min_face_filter(boxes, frame_width: float, ratio: float = 5.0) -> list:
-    """Keep boxes at least frame_width/ratio wide (inclusive)."""
-    if not (frame_width > 0.0 and ratio > 0.0):
-        raise ValueError("frame_width and ratio must be positive")
-    return [b for b in boxes if b.width >= frame_width / ratio]
 
 
 def align(img: GrayImage, box: DetectionBox):

@@ -161,10 +161,11 @@ def image_pyramid(img: GrayImage, min_face: float) -> list[tuple[GrayImage, floa
 
     The first scale maps a min_face-sized region onto the WINDOW size; each
     further level shrinks by PYRAMID_STEP, and levels are kept while the
-    scaled short side still covers one window.
+    scaled short side still covers one window.  min_face must be at least
+    WINDOW / 2, so no level is more than twice the frame's size per side.
     """
-    if not 0.0 < min_face < np.inf:
-        raise ValueError("min_face must be finite and positive")
+    if not WINDOW / 2 <= min_face < np.inf:
+        raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, got {min_face}")
     levels = []
     scale = WINDOW / min_face
     while min(img.width, img.height) * scale >= WINDOW:

@@ -47,7 +47,6 @@ from cotface.metrics import (
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
-    DetectConfig,
     DetectionBox,
     Gallery,
     GrayImage,
@@ -361,7 +360,7 @@ def test_criterion_09_pipeline_suite(tmp_path):
         frame.pixels[20:40, 20:40] = 255.0
         gallery = Gallery()
         enroll(gallery, "alice", np.array([1.0, 0.0]))
-        auth_cfg = AuthConfig(detect=DetectConfig(min_face=20.0))
+        auth_cfg = AuthConfig(min_face_ratio=3.0)  # a 20 px smallest face
         live = _StageRecorder(spoof_score=0.0)
         accepted = authenticate(frame, gallery, live.scorers(), auth_cfg)
         spoofed = _StageRecorder(spoof_score=0.9)

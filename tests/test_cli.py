@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cotface import cli
 from cotface.cli import main
 from cotface.train import init_embedding_model
+from cotface.pipeline import image as image_module
 from cotface.pipeline import (
     Gallery,
     GrayImage,
@@ -264,6 +265,16 @@ def test_check_bounds_are_not_flags(command, flag, value):
 def _subparsers():
     return next(a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_settable_values_are_counted():
+    """Every subcommand argument (flags and positionals, --help aside) is a
+    setting a user can get wrong; a new one has to change this count."""
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in _subparsers().items()}
+    assert counts == {"refcheck": 0, "gradcheck": 3, "train": 25, "eval": 3,
+                      "retrieval-eval": 3, "enroll": 5, "auth": 5}
+    assert sum(counts.values()) == 44
 
 
 @st.composite
@@ -811,14 +822,50 @@ class TestEnrollAuth:
         assert main(["auth", "--gallery", gallery, face, "--sim-threshold", "1.0"]) == 1
         assert "stranger" in capsys.readouterr().out
 
-    def test_auth_spoof_threshold_blocks(self, tmp_path, capsys):
-        # the stand-in spoof scorer gives 0.0, a fake at the inclusive cut-off 0
+    @pytest.mark.parametrize("flag", ["--spoof-threshold", "--eye-threshold"])
+    def test_auth_takes_no_spoof_or_eye_threshold(self, tmp_path, capsys, flag):
+        """The stand-in spoof and eye scorers are the constant 0.0, so such a
+        threshold could only reject every frame: it is not a flag."""
         face = _write_frame(tmp_path / "face.pgm", "face")
         gallery = str(tmp_path / "g.txt")
         main(["enroll", "--gallery", gallery, "--name", "alice", face])
         capsys.readouterr()
-        assert main(["auth", "--gallery", gallery, face, "--spoof-threshold", "0"]) == 1
-        assert "invalid_face" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["auth", "--gallery", gallery, face, flag, "0.5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} 0.5" in captured.err
+
+    @pytest.mark.parametrize("width, height", [(1, 1), (29, 60), (1, 200)])
+    def test_auth_refuses_a_frame_narrower_than_30_px(self, tmp_path, capsys, monkeypatch,
+                                                      width, height):
+        """Below 30 px the smallest face, width / 5, is under 6 px: exit 3 with
+        one 'error:' line, before the pyramid resamples anything."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = str(tmp_path / "g.txt")
+        main(["enroll", "--gallery", gallery, "--name", "alice", face])
+        narrow = tmp_path / "narrow.pgm"
+        write_pgm(GrayImage(np.full((height, width), 255.0)), narrow)
+        capsys.readouterr()
+
+        def no_resize(*args):
+            raise AssertionError("the pyramid resampled a frame it should refuse")
+
+        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        assert main(["auth", "--gallery", gallery, str(narrow)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: min_face must be") and captured.err.count("\n") == 1
+
+    def test_auth_takes_a_frame_30_px_wide(self, tmp_path, capsys):
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = str(tmp_path / "g.txt")
+        main(["enroll", "--gallery", gallery, "--name", "alice", face])
+        frame = tmp_path / "frame.pgm"
+        write_pgm(GrayImage(np.full((30, 30), 255.0)), frame)
+        capsys.readouterr()
+        assert main(["auth", "--gallery", gallery, str(frame)]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kind", ["face", "dark", "blank"])
     def test_default_spoof_scorer_is_a_constant(self, tmp_path, kind):
@@ -859,8 +906,7 @@ class TestEnrollAuth:
         assert "no_face" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag", ["--sim-threshold", "--spoof-threshold", "--eye-threshold"])
-    def test_auth_non_finite_threshold_exits_2(self, tmp_path, capsys, flag, value):
+    def test_auth_non_finite_threshold_exits_2(self, tmp_path, capsys, value):
         """A non-finite threshold is a usage error: at a NaN --sim-threshold the
         similarity test would pass this stranger."""
         face = _write_frame(tmp_path / "face.pgm", "face")
@@ -870,7 +916,7 @@ class TestEnrollAuth:
         gallery.write_text(gallery_to_text(g))
         assert main(["auth", "--gallery", str(gallery), face]) == 1
         assert "stranger" in capsys.readouterr().out
-        assert main(["auth", "--gallery", str(gallery), face, f"{flag}={value}"]) == 2
+        assert main(["auth", "--gallery", str(gallery), face, f"--sim-threshold={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite" in captured.err
 

@@ -1,4 +1,4 @@
-"""Detection cascade: IoU, greedy NMS, scanning, size gate, alignment."""
+"""Detection cascade: IoU, greedy NMS, scanning, alignment."""
 
 import importlib
 
@@ -15,7 +15,6 @@ from cotface.pipeline import (
     detect,
     iou,
     largest_face,
-    min_face_filter,
     nms,
 )
 from cotface.pipeline.detect import nms_rows
@@ -174,10 +173,14 @@ def _plant(img, x1, y1, x2, y2):
 
 
 class TestDetectConfig:
-    @pytest.mark.parametrize("min_face", [0.0, -1.0, np.nan, np.inf, -np.inf])
-    def test_min_face_must_be_finite_and_positive(self, min_face):
-        with pytest.raises(ValueError, match="min_face"):
+    @pytest.mark.parametrize("min_face", [0.0, -1.0, np.nan, np.inf, -np.inf, 5.999999, 1e-9])
+    def test_min_face_must_be_finite_and_at_least_half_a_window(self, min_face):
+        # below 6 px the pyramid would upsample the frame more than 2x per side
+        with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
             DetectConfig(min_face=min_face)
+
+    def test_min_face_of_half_a_window_is_taken(self):
+        assert DetectConfig(min_face=6.0).min_face == 6.0
 
     @pytest.mark.parametrize("stride", [0, -2, 1.5, 2.0, True, False, "2"])
     def test_stride_must_be_an_integer_of_at_least_one(self, stride):
@@ -536,26 +539,6 @@ class TestScorerContract:
         scorer = _Scripted(**{stage: lambda k: np.zeros(k)})
         assert detect(_face_60(), scorer, DetectConfig(min_face=20.0)) == []
         assert stage in scorer.calls and later not in scorer.calls
-
-
-class TestMinFaceFilter:
-    def test_inclusive_threshold(self):
-        frame_w = 100.0
-        quarter = _box(0.0, 0.0, 25.0, 25.0)   # width W/4
-        fifth = _box(0.0, 0.0, 20.0, 25.0)     # width exactly W/5
-        sixth = _box(0.0, 0.0, 100.0 / 6.0, 25.0)
-        kept = min_face_filter([quarter, fifth, sixth], frame_w, ratio=5.0)
-        assert kept == [quarter, fifth]
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            min_face_filter([], 0.0)
-        with pytest.raises(ValueError):
-            min_face_filter([], 100.0, ratio=-1.0)
-        with pytest.raises(ValueError):
-            min_face_filter([], _NAN)
-        with pytest.raises(ValueError):
-            min_face_filter([], 100.0, ratio=_NAN)
 
 
 def _gradient_image(h=100, w=100):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
 from cotface.pipeline import gallery as gallery_module
+from cotface.pipeline import image as image_module
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
@@ -26,6 +27,7 @@ from cotface.pipeline import (
     detect,
     enroll,
     gallery_to_text,
+    largest_face,
     load_gallery,
     match,
     save_gallery,
@@ -658,7 +660,7 @@ def _setup(spoof_score=0.0, eye_scores=(0.0, 0.0), embedding=E_ALICE, landmarks=
     )
     gallery = Gallery()
     enroll(gallery, "alice", E_ALICE)
-    config = AuthConfig(detect=DetectConfig(min_face=20.0))
+    config = AuthConfig(min_face_ratio=3.0)  # the smallest face of a 60 px frame: 20 px
     return rec, scorers, gallery, config
 
 
@@ -668,6 +670,56 @@ class TestAuthConfig:
         # authenticate would divide the frame width by 0 and find no face at NaN
         with pytest.raises(ValueError, match="min_face_ratio"):
             AuthConfig(min_face_ratio=ratio)
+
+    def test_a_smallest_face_below_6_px_is_refused_before_any_scan(self, monkeypatch):
+        """60 / 10 = 6 px is the least smallest face; 60 / 10.5 is refused
+        before the pyramid resamples the frame or the detector runs."""
+        rec, scorers, gallery, _ = _setup()
+        assert authenticate(_face_frame(), gallery, scorers,
+                            AuthConfig(min_face_ratio=10.0)).kind == "accepted"
+        rec.calls.clear()
+
+        def no_resize(*args):
+            raise AssertionError("the pyramid resampled a frame it should refuse")
+
+        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
+            authenticate(_face_frame(), gallery, scorers, AuthConfig(min_face_ratio=10.5))
+        assert rec.calls == []
+
+
+class _WidthScorer:
+    """Stage 1 passes the boxes whose width `keep` accepts; stages 2 and 3
+    pass every box, without landmarks."""
+
+    def __init__(self, keep):
+        self.keep = keep
+
+    def stage1(self, crops, boxes):
+        return self.keep(boxes[:, 2] - boxes[:, 0]).astype(np.float64)
+
+    def stage2(self, crops, boxes):
+        return np.ones(len(crops))
+
+    def stage3(self, crops, boxes):
+        return np.ones(len(crops)), None
+
+
+class TestSmallestFace:
+    """authenticate keeps a face at least frame width / min_face_ratio wide,
+    the same smallest face that sets the scan's first pyramid level (a
+    narrower one: TestAuthenticate.test_undersized_face_is_no_face)."""
+
+    @pytest.mark.parametrize("keep", [lambda w: w == 20.0, lambda w: w > 20.0],
+                             ids=["exactly-the-smallest", "wider"])
+    def test_a_face_at_least_the_smallest_is_kept(self, keep):
+        """On a 60 px frame at ratio 3 the first level's boxes are exactly
+        20 px wide, and the gate is inclusive."""
+        rec, scorers, gallery, config = _setup()
+        scorers.detector = _WidthScorer(keep)
+        face = largest_face(_face_frame(), scorers.detector, DetectConfig(min_face=20.0))
+        assert face is not None and keep(np.array(face.width))
+        assert authenticate(_face_frame(), gallery, scorers, config).kind == "accepted"
 
 
 class TestAuthenticate:
@@ -702,12 +754,17 @@ class TestAuthenticate:
         assert "spoof" not in rec.calls and "embed" not in rec.calls
 
     def test_undersized_face_is_no_face(self):
-        # the 20 px face is detected but 100/4 = 25 px is required
+        """An 11 px face on the right edge of a 60 px frame at ratio 4.96.  The
+        first level is 59.52 px, rounded to 60, so its last window column ends
+        past the frame and is clamped to it: the cascade finds the face only
+        in that 11.6 px box, narrower than the smallest face, 12.1 px."""
         rec, scorers, gallery, _ = _setup()
-        frame = GrayImage(np.zeros((60, 100)))
-        frame.pixels[20:40, 20:40] = 255.0
-        config = AuthConfig(min_face_ratio=4.0, detect=DetectConfig(min_face=20.0))
-        out = authenticate(frame, gallery, scorers, config)
+        frame = GrayImage(np.zeros((60, 60)))
+        frame.pixels[20:32, 49:] = 255.0
+        face = largest_face(frame, scorers.detector, DetectConfig(min_face=60 / 4.96))
+        assert face is not None and face.x2 == 60.0 and face.width < 60 / 4.96
+        rec.calls.clear()
+        out = authenticate(frame, gallery, scorers, AuthConfig(min_face_ratio=4.96))
         assert out.kind == "no_face"
         assert "detect" in rec.calls and "spoof" not in rec.calls
 
@@ -878,7 +935,8 @@ def _crop_embedding(crop):
 @example(seed=1, side=60, faces=[(0.4, 0.0, 0.0), (0.4, 1.0, 1.0)])
 def test_authenticate_keeps_the_largest_detected_face(seed, side, faces):
     """On faces placed at random, authenticate's outcome is the one it gives
-    when the face it keeps is max(detect(...), key=area)."""
+    when the face it keeps is max(detect(...), key=area).  Below 30 px the
+    smallest face, side / 5, is under 6 px and authenticate refuses the frame."""
     rng = np.random.default_rng(seed)
     pixels = rng.uniform(0.0, 90.0, (side, side))
     for share, fx, fy in faces:
@@ -890,6 +948,10 @@ def test_authenticate_keeps_the_largest_detected_face(seed, side, faces):
                           embedder=_crop_embedding, eye_closed=lambda crop: 0.0)
     gallery = Gallery()
     enroll(gallery, "alice", _crop_embedding(GrayImage(np.full((40, 40), 230.0))))
+    if side < 30:
+        with pytest.raises(ValueError, match="min_face"):
+            authenticate(frame, gallery, scorers)
+        return
     got = authenticate(frame, gallery, scorers)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(auth_module, "largest_face", lambda img, scorer, config: max(

@@ -20,6 +20,7 @@ from cotface.pipeline import (
     sharpness_gate,
     write_pgm,
 )
+from cotface.pipeline import image as image_module
 from cotface.pipeline.image import _taps, crop_bounds, crop_resize
 from oracles import read_pgm_scan, rotate_region_taps
 
@@ -151,6 +152,20 @@ class TestImagePyramid:
         for min_face in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 image_pyramid(_blank(20, 20), min_face=min_face)
+
+    @pytest.mark.parametrize("min_face", [5.9, 0.2, 1e-6])
+    def test_min_face_below_half_a_window_allocates_nothing(self, monkeypatch, min_face):
+        """At min_face 0.2 a 1 x 200 frame's first level would be 60 x 12,000."""
+        def no_resize(*args):
+            raise AssertionError("resampled a level it should refuse")
+
+        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
+            image_pyramid(_blank(200, 1), min_face=min_face)
+
+    def test_min_face_of_half_a_window_doubles_the_frame(self):
+        levels = image_pyramid(_blank(30, 40), min_face=6.0)
+        assert (levels[0][0].height, levels[0][0].width, levels[0][1]) == (60, 80, 2.0)
 
 
 class TestCropRegion:
