@@ -1,8 +1,9 @@
 """Drive the whole authentication pipeline on synthetic frames.
 
 A "face" here is just a bright square on a dark background so that a batch
-cascade scorer that rates each crop by its mean brightness can find it.  The point is the plumbing: sharpness
-gate, pyramid scan, NMS, alignment, gallery, spoof gate, eye check.
+cascade scorer that rates each crop by its mean brightness can find it.  The
+point is the plumbing: sharpness gate, pyramid scan, NMS, alignment, gallery,
+spoof gate, eye check.
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import numpy as np
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
-    DetectConfig,
     Gallery,
     GrayImage,
     authenticate,
@@ -53,7 +53,7 @@ print(f"sharpness gate: {'pass' if ok else 'fail'} ({edges} edge pixels)")
 levels = image_pyramid(frame, min_face=20.0)
 print("pyramid levels:", [(lvl.width, round(s, 3)) for lvl, s in levels])
 
-boxes = detect(frame, BrightnessCascade(), DetectConfig(min_face=20.0))
+boxes = detect(frame, BrightnessCascade(), 20.0)
 print(f"detected {len(boxes)} box(es):")
 for b in boxes:
     print(f"  ({b.x1:.1f},{b.y1:.1f})-({b.x2:.1f},{b.y2:.1f}) conf {b.confidence:.3f}")

@@ -8,7 +8,6 @@ from .auth import (
     spoof_gate,
 )
 from .detect import (
-    DetectConfig,
     DetectionBox,
     align,
     detect,

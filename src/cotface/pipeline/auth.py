@@ -3,24 +3,26 @@
 Fixed stage order: the largest face (largest_face rescores only the largest
 stage-1 survivors), kept if at least frame width / min_face_ratio wide,
 alignment, anti-spoof gate on the FULL frame, gallery match, and finally the
-closed-eye check (rejecting when both eyes are closed).  Every gate fails closed: a non-finite score from any
-scorer never gives "accepted".  Each stage short-circuits, so e.g. the
-embedder never runs on a spoofed frame.
+closed-eye check (rejecting when both eyes are closed).  Every gate fails
+closed: a non-finite score from any scorer never gives "accepted".  Each
+stage short-circuits, so e.g. the embedder never runs on a spoofed frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # detect is not called here; perfbench/layers.py wraps it at this module's
 # name, so the name stays importable from it.
-from .detect import DetectConfig, align, detect, largest_face  # noqa: F401
+from .detect import align, detect, largest_face  # noqa: F401
 from .gallery import Gallery, match
 from .image import GrayImage, eye_crops
 
-DEFAULT_SPOOF_THRESHOLD = 0.65
+DEFAULT_SPOOF_THRESHOLD = 0.65  # spoof scores at or above it are fakes
+EYE_CLOSED_THRESHOLD = 0.5  # an eye scoring at or above it is closed
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,9 @@ class AuthOutcome:
     spoof_score: float | None = None
 
 
-def spoof_gate(score: float, threshold: float = DEFAULT_SPOOF_THRESHOLD) -> bool:
-    """True when the frame counts as live; scores >= threshold and non-finite
-    scores are fakes."""
-    return bool(np.isfinite(score)) and score < threshold
+def spoof_gate(score: float) -> bool:
+    """True when the frame counts as live: a finite score under DEFAULT_SPOOF_THRESHOLD."""
+    return bool(np.isfinite(score)) and score < DEFAULT_SPOOF_THRESHOLD
 
 
 @dataclass
@@ -63,8 +64,6 @@ class AuthScorers:
 @dataclass
 class AuthConfig:
     sim_threshold: float = 0.5
-    spoof_threshold: float = DEFAULT_SPOOF_THRESHOLD
-    eye_closed_threshold: float = 0.5
     min_face_ratio: float = 5.0  # the smallest face is frame width / min_face_ratio
 
     def __post_init__(self):
@@ -77,20 +76,25 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
     """Authenticate one frame against the gallery.
 
     The smallest face is frame.width / config.min_face_ratio; it sets the
-    scan's DetectConfig, which raises ValueError when it is below 6 px.
+    scan's pyramid, which raises ValueError when it is below 6 px.
     """
     if config is None:
         config = AuthConfig()
     min_face = frame.width / config.min_face_ratio
-    # a box the frame edge clamped, or whose width rounds down, is narrower than min_face
-    face = largest_face(frame, scorers.detector, DetectConfig(min_face=min_face))
-    if face is None or face.width < min_face:
+    face = largest_face(frame, scorers.detector, min_face)
+    # An unclamped first-level box is 12 / scale wide in exact arithmetic:
+    # min_face to within one ulp of it, and a level exists only if min_face
+    # is about frame.width or less.  Its two edges and their difference, all
+    # at most frame.width, round by half an ulp of frame.width each, so the
+    # box is short of min_face by at most 2.5 such ulps.  A box the frame
+    # edge clamped by more than that is dropped.
+    if face is None or face.width < min_face - 3 * math.ulp(frame.width):
         return AuthOutcome("no_face")
 
     crop, landmarks = align(frame, face)
 
     spoof_score = float(scorers.spoof(frame))
-    if not spoof_gate(spoof_score, config.spoof_threshold):
+    if not spoof_gate(spoof_score):
         return AuthOutcome("invalid_face", spoof_score=spoof_score)
 
     embedding = scorers.embedder(crop)
@@ -101,8 +105,8 @@ def authenticate(frame: GrayImage, gallery: Gallery, scorers: AuthScorers,
     if landmarks is not None and landmarks.shape[0] >= 2:
         left, right = eye_crops(crop, landmarks[0], landmarks[1])
         scores = (float(scorers.eye_closed(left)), float(scorers.eye_closed(right)))
-        # open eyes pass; a non-finite score or threshold rejects, like both eyes closed
-        if not (np.isfinite(scores).all() and min(scores) < config.eye_closed_threshold):
+        # open eyes pass; a non-finite score rejects, like both eyes closed
+        if not (np.isfinite(scores).all() and min(scores) < EYE_CLOSED_THRESHOLD):
             return AuthOutcome("eyes_closed", identity=identity)
 
     return AuthOutcome("accepted", identity=identity, similarity=best_sim)

@@ -120,29 +120,9 @@ def nms(boxes, iou_threshold: float) -> list:
     return [boxes[i] for i in nms_rows(rows, iou_threshold)]
 
 
-@dataclass
-class DetectConfig:
-    """Cascade parameters: smallest face side, stage-1 window step, stage gates.
-
-    min_face is at least half the WINDOW, so the pyramid upsamples the frame
-    at most 2x per side.
-    """
-
-    min_face: float = 24.0
-    stride: int = 2
-    stage_confidences: tuple = (0.6, 0.7, 0.7)
-
-    def __post_init__(self):
-        if not WINDOW / 2 <= self.min_face < np.inf:
-            raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, "
-                             f"got {self.min_face}")
-        if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) \
-                or self.stride < 1:
-            raise ValueError("stride must be an integer >= 1")
-        if len(self.stage_confidences) != 3:
-            raise ValueError("need one confidence per stage")
-
-
+# MTCNN's published constants (Zhang et al., 2016)
+STRIDE = 2  # stage-1 window step on each pyramid level, px
+STAGE_GATES = (0.6, 0.7, 0.7)  # the confidence each stage's survivors reach
 NMS_IOU = 0.7  # the one NMS pass's threshold, after stage 1
 # scorer batch sizes; they bound the memory of a batch's crops and resampling
 _SCAN_BATCH = 2048  # stage-1 windows per call (whole rows of windows, at least one row)
@@ -180,30 +160,30 @@ def _frame_landmarks(rel, boxes, keep):
                      np.minimum(y1 + rel[:, :, 1] * (y2 - y1), y2)], axis=-1)
 
 
-def _scan_stage(img, stage1, config):
+def _scan_stage(img, stage1, min_face):
     """Stage 1: score every 12 px window of every pyramid level, windows in
     row-major order, whole rows of windows per call up to _SCAN_BATCH; the
     survivors of the NMS pass at NMS_IOU, in its visiting order."""
     found = [np.empty((0, 5))]
-    for level, scale in image_pyramid(img, config.min_face):
+    for level, scale in image_pyramid(img, min_face):
         if level.width < WINDOW or level.height < WINDOW:
             continue
         windows = sliding_window_view(level.pixels, (WINDOW, WINDOW))
-        windows = windows[:: config.stride, :: config.stride]
+        windows = windows[::STRIDE, ::STRIDE]
         nx = windows.shape[1]
         band = max(1, _SCAN_BATCH // nx)  # window rows per call
         for r in range(0, windows.shape[0], band):
             rows = windows[r : r + band]
             crops = np.ascontiguousarray(rows).reshape(-1, WINDOW, WINDOW)
-            x0 = np.tile(np.arange(nx) * config.stride, len(rows))
-            y0 = np.repeat(np.arange(r, r + len(rows)) * config.stride, nx)
+            x0 = np.tile(np.arange(nx) * STRIDE, len(rows))
+            y0 = np.repeat(np.arange(r, r + len(rows)) * STRIDE, nx)
             boxes = np.column_stack([
                 np.minimum(x0 / scale, img.width - 1.0),
                 np.minimum(y0 / scale, img.height - 1.0),
                 np.minimum((x0 + WINDOW) / scale, float(img.width)),
                 np.minimum((y0 + WINDOW) / scale, float(img.height)),
             ])
-            found.append(_survivors(stage1(crops, boxes), boxes, config.stage_confidences[0])[0])
+            found.append(_survivors(stage1(crops, boxes), boxes, STAGE_GATES[0])[0])
     found = np.concatenate(found)
     return found[nms_rows(found, NMS_IOU)]
 
@@ -231,18 +211,19 @@ def _visiting_order(rows):  # nms_rows's: descending confidence, ties by lower r
     return np.lexsort((np.arange(len(rows)), -rows[:, 4]))
 
 
-def _later_stages(img, rows, scorer, config) -> list:
+def _later_stages(img, rows, scorer) -> list:
     """Stages 2 and 3 on stage-1 NMS survivors, each ordered as nms_rows visits."""
     rows, _ = _rescore_stage(img, rows, lambda crops, boxes: (scorer.stage2(crops, boxes), None),
-                             24, config.stage_confidences[1])
+                             24, STAGE_GATES[1])
     rows = rows[_visiting_order(rows)]
-    rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, config.stage_confidences[2])
+    rows, marks = _rescore_stage(img, rows, scorer.stage3, 48, STAGE_GATES[2])
     return [DetectionBox(*rows[i].tolist(), landmarks=None if marks is None else marks[i])
             for i in _visiting_order(rows)]
 
 
-def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
-    """Run the full three-stage cascade; returns the surviving DetectionBoxes.
+def detect(img: GrayImage, scorer, min_face: float) -> list:
+    """Run the full three-stage cascade, its pyramid starting at min_face px
+    (see image_pyramid); returns the surviving DetectionBoxes.
 
     scorer is a batch scorer (see the module docstring) whose landmarks have
     the same L in every call.  A stage with no candidates is not called, nor
@@ -250,13 +231,11 @@ def detect(img: GrayImage, scorer, config: DetectConfig | None = None) -> list:
     [0, 1] or a non-finite landmark of a passing box raises ValueError; a
     NaN confidence never passes.
     """
-    if config is None:
-        config = DetectConfig()
-    return _later_stages(img, _scan_stage(img, scorer.stage1, config), scorer, config)
+    return _later_stages(img, _scan_stage(img, scorer.stage1, min_face), scorer)
 
 
-def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
-    """The box max(detect(img, scorer, config), key=area) gives, or None.
+def largest_face(img: GrayImage, scorer, min_face: float):
+    """The box max(detect(img, scorer, min_face), key=area) gives, or None.
 
     detect's stage-1 scan and NMS pass run once; its stages 2 and 3 then run
     on the survivors one area at a time, largest first, and the first area
@@ -266,12 +245,10 @@ def largest_face(img: GrayImage, scorer, config: DetectConfig | None = None):
     only within one area; a box never shown to a scorer cannot be judged, so
     a bad output on it raises nothing.
     """
-    if config is None:
-        config = DetectConfig()
-    rows = _scan_stage(img, scorer.stage1, config)
+    rows = _scan_stage(img, scorer.stage1, min_face)
     area = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])  # as DetectionBox.area
     for size in sorted(set(area.tolist()), reverse=True):
-        boxes = _later_stages(img, rows[area == size], scorer, config)
+        boxes = _later_stages(img, rows[area == size], scorer)
         if boxes:
             return boxes[0]
     return None

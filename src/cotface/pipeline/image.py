@@ -61,12 +61,20 @@ def read_pgm(path) -> GrayImage:
         pos = match.end()
         return match[1]
 
+    def next_decimal():
+        token = next_token()
+        if not token.isdigit():  # ASCII digits only: no sign, "_" or other digits
+            raise ValueError(f"{path}: PGM header field {token!r} is not a decimal")
+        return int(token)
+
     magic = next_token()
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width, height, maxval = (int(next_token()) for _ in range(3))
+    width, height, maxval = (next_decimal() for _ in range(3))
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: empty {width}x{height} image")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
@@ -141,18 +149,15 @@ def laplacian(img: GrayImage) -> np.ndarray:
             - 4.0 * p[1:-1, 1:-1])
 
 
-def sharpness_gate(img: GrayImage, pixel_threshold: float = DEFAULT_PIXEL_THRESHOLD,
-                   count_threshold: int | None = None) -> tuple[bool, int]:
+def sharpness_gate(img: GrayImage) -> tuple[bool, int]:
     """Count strong Laplacian responses and compare against a minimum.
 
-    A pixel counts when |response| >= pixel_threshold; the image passes when
-    the count reaches count_threshold (default: 0.5% of the pixel count,
-    at least 1).  Returns (passed, edge_count).
+    A pixel counts when |response| >= DEFAULT_PIXEL_THRESHOLD; the image
+    passes when the count reaches SHARPNESS_COUNT_FRACTION of the pixel
+    count, rounded, and at least 1.  Returns (passed, edge_count).
     """
-    if count_threshold is None:
-        count_threshold = max(1, int(round(SHARPNESS_COUNT_FRACTION * img.width * img.height)))
-    responses = laplacian(img)
-    edge_count = int((np.abs(responses) >= pixel_threshold).sum())
+    edge_count = int((np.abs(laplacian(img)) >= DEFAULT_PIXEL_THRESHOLD).sum())
+    count_threshold = max(1, round(SHARPNESS_COUNT_FRACTION * img.width * img.height))
     return edge_count >= count_threshold, edge_count
 
 

@@ -154,8 +154,10 @@ def _greedy_nms(boxes, iou_threshold, iou_fn):
     return kept
 
 
-def detect_per_window(img, scorer, config, iou_threshold=0.7):
-    """The three-stage cascade one candidate at a time.
+def detect_per_window(img, scorer, min_face, stride, gates, iou_threshold=0.7):
+    """The three-stage cascade one candidate at a time, its pyramid starting
+    at min_face, its windows stride px apart and its stages gated at the
+    three confidences in gates.
 
     Stage 1 loops over every window of every pyramid level and builds one
     DetectionBox per survivor; stages 2 and 3 cut and resample each box with
@@ -168,18 +170,18 @@ def detect_per_window(img, scorer, config, iou_threshold=0.7):
 
     window = 12
     boxes = []
-    for level, scale in image_pyramid(img, config.min_face):
+    for level, scale in image_pyramid(img, min_face):
         if level.width < window or level.height < window:
             continue
-        for y0 in range(0, level.height - window + 1, config.stride):
-            for x0 in range(0, level.width - window + 1, config.stride):
+        for y0 in range(0, level.height - window + 1, stride):
+            for x0 in range(0, level.width - window + 1, stride):
                 crop = level.pixels[y0 : y0 + window, x0 : x0 + window].copy()
                 coords = (min(x0 / scale, img.width - 1.0),
                           min(y0 / scale, img.height - 1.0),
                           min((x0 + window) / scale, float(img.width)),
                           min((y0 + window) / scale, float(img.height)))
                 conf = float(scorer.stage1(crop[None], np.array([coords]))[0])
-                if conf >= config.stage_confidences[0]:
+                if conf >= gates[0]:
                     boxes.append(DetectionBox(*coords, conf))
     boxes = _greedy_nms(boxes, iou_threshold, iou)
 
@@ -200,7 +202,7 @@ def detect_per_window(img, scorer, config, iou_threshold=0.7):
                     landmarks = np.column_stack([
                         np.minimum(box.x1 + rel[:, 0] * box.width, box.x2),
                         np.minimum(box.y1 + rel[:, 1] * box.height, box.y2)])
-            if conf >= config.stage_confidences[stage - 1]:
+            if conf >= gates[stage - 1]:
                 survivors.append(replace(box, confidence=conf, landmarks=landmarks))
         boxes = _greedy_nms(survivors, iou_threshold, iou)
     return boxes
@@ -390,9 +392,17 @@ def read_pgm_scan(path):
     magic = next_token()
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width, height, maxval = (int(next_token()) for _ in range(3))
+
+    def decimal(token):
+        if not all(48 <= byte <= 57 for byte in token):  # b"0" to b"9" only
+            raise ValueError(f"{path}: PGM header field {token!r} is not a decimal")
+        return int(token)
+
+    width, height, maxval = (decimal(next_token()) for _ in range(3))
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: empty {width}x{height} image")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:

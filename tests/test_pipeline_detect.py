@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cotface.pipeline import (
-    DetectConfig,
     DetectionBox,
     GrayImage,
     align,
@@ -172,43 +171,31 @@ def _plant(img, x1, y1, x2, y2):
     img.pixels[y1:y2, x1:x2] = 255.0
 
 
-class TestDetectConfig:
+class TestMinFace:
+    @pytest.mark.parametrize("find", [detect, largest_face])
     @pytest.mark.parametrize("min_face", [0.0, -1.0, np.nan, np.inf, -np.inf, 5.999999, 1e-9])
-    def test_min_face_must_be_finite_and_at_least_half_a_window(self, min_face):
+    def test_min_face_must_be_finite_and_at_least_half_a_window(self, find, min_face):
         # below 6 px the pyramid would upsample the frame more than 2x per side
         with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
-            DetectConfig(min_face=min_face)
+            find(GrayImage(np.zeros((30, 30))), _BrightScorer(), min_face)
 
     def test_min_face_of_half_a_window_is_taken(self):
-        assert DetectConfig(min_face=6.0).min_face == 6.0
-
-    @pytest.mark.parametrize("stride", [0, -2, 1.5, 2.0, True, False, "2"])
-    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
-        with pytest.raises(ValueError, match="stride"):
-            DetectConfig(stride=stride)
-
-    @pytest.mark.parametrize("stride", [1, 3, np.int64(2)])
-    def test_integer_strides_are_taken(self, stride):
-        assert DetectConfig(stride=stride).stride == stride
-
-    def test_one_gate_per_stage(self):
-        with pytest.raises(ValueError, match="one confidence per stage"):
-            DetectConfig(stage_confidences=(0.6, 0.7))
+        assert detect(GrayImage(np.zeros((30, 30))), _BrightScorer(), 6.0) == []
 
 
 class TestDetect:
     def test_dark_frame_yields_nothing(self):
         img = GrayImage(np.zeros((60, 60)))
-        assert detect(img, _BrightScorer(), DetectConfig(min_face=20.0)) == []
+        assert detect(img, _BrightScorer(), 20.0) == []
 
     def test_zero_scorer_yields_nothing_even_on_bright_frame(self):
         img = GrayImage(np.full((60, 60), 255.0))
-        assert detect(img, _ZeroScorer(), DetectConfig(min_face=20.0)) == []
+        assert detect(img, _ZeroScorer(), 20.0) == []
 
     def test_single_bright_square_found(self):
         img = GrayImage(np.zeros((60, 60)))
         _plant(img, 20, 20, 40, 40)
-        found = detect(img, _BrightScorer(), DetectConfig(min_face=20.0))
+        found = detect(img, _BrightScorer(), 20.0)
         assert len(found) == 1
         best = found[0]
         cx, cy = (best.x1 + best.x2) / 2.0, (best.y1 + best.y2) / 2.0
@@ -218,7 +205,7 @@ class TestDetect:
     def test_landmarks_attached_in_frame_coordinates(self):
         img = GrayImage(np.zeros((60, 60)))
         _plant(img, 20, 20, 40, 40)
-        best = detect(img, _BrightScorer(), DetectConfig(min_face=20.0))[0]
+        best = detect(img, _BrightScorer(), 20.0)[0]
         assert best.landmarks is not None and best.landmarks.shape == (2, 2)
         expected = np.array([
             [best.x1 + 0.3 * best.width, best.y1 + 0.4 * best.height],
@@ -230,14 +217,14 @@ class TestDetect:
         img = GrayImage(np.zeros((60, 120)))
         _plant(img, 10, 20, 30, 40)
         _plant(img, 80, 20, 100, 40)
-        found = detect(img, _BrightScorer(), DetectConfig(min_face=20.0))
+        found = detect(img, _BrightScorer(), 20.0)
         assert len(found) == 2
         centers = sorted((b.x1 + b.x2) / 2.0 for b in found)
         assert abs(centers[0] - 20.0) <= 2.0 and abs(centers[1] - 90.0) <= 2.0
 
     def test_boxes_clamped_to_frame(self):
         img = GrayImage(np.full((30, 30), 255.0))
-        for b in detect(img, _BrightScorer(), DetectConfig(min_face=15.0)):
+        for b in detect(img, _BrightScorer(), 15.0):
             assert 0.0 <= b.x1 < b.x2 <= 30.0
             assert 0.0 <= b.y1 < b.y2 <= 30.0
 
@@ -332,10 +319,12 @@ def _random_frame(seed, height, width, integer, faces):
     return np.rint(pixels) if integer else pixels
 
 
-def _assert_detect_matches_oracle(pixels, config, scorer="bright"):
+def _assert_detect_matches_oracle(pixels, min_face, scorer="bright"):
+    """detect and the per-window oracle, at the module's STRIDE and
+    STAGE_GATES, give the same boxes."""
     img, scorer = GrayImage(pixels), _SCORERS[scorer]()
-    got = detect(img, scorer, config)
-    want = detect_per_window(img, scorer, config)
+    got = detect(img, scorer, min_face)
+    want = detect_per_window(img, scorer, min_face, detect_module.STRIDE, detect_module.STAGE_GATES)
     assert [_fields(b) for b in got] == [_fields(b) for b in want]
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.landmarks, b.landmarks)
@@ -356,8 +345,10 @@ _FRAME_WITH_OVERLAPS = dict(seed=7, height=40, width=44, integer=False, stride=1
 @example(**_FRAME_WITH_OVERLAPS, scorer="reordered")
 def test_detect_matches_per_window_oracle(seed, height, width, integer, stride, min_face, faces,
                                           scorer):
-    _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
-                                  DetectConfig(min_face=min_face, stride=stride), scorer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect_module, "STRIDE", stride)
+        _assert_detect_matches_oracle(_random_frame(seed, height, width, integer, faces),
+                                      min_face, scorer)
 
 
 @pytest.mark.parametrize("find", [detect, largest_face])
@@ -365,8 +356,9 @@ def test_one_nms_pass_per_frame(monkeypatch, find):
     ran = []
     run = detect_module.nms_rows
     monkeypatch.setattr(detect_module, "nms_rows", lambda rows, t: ran.append(t) or run(rows, t))
+    monkeypatch.setattr(detect_module, "STRIDE", 1)
     pixels = _random_frame(7, 40, 44, False, 2)
-    assert find(GrayImage(pixels), _ClippedLandmarks(), DetectConfig(min_face=14.0, stride=1))
+    assert find(GrayImage(pixels), _ClippedLandmarks(), 14.0)
     assert ran == [detect_module.NMS_IOU]
 
 
@@ -375,9 +367,10 @@ def test_batch_sizes_do_not_change_the_result(monkeypatch, scan_batch, chunk):
     # a scan batch below one row of windows still scores whole rows
     monkeypatch.setattr(detect_module, "_SCAN_BATCH", scan_batch)
     monkeypatch.setattr(detect_module, "_CHUNK", chunk)
-    pixels, config = _random_frame(7, 40, 44, False, 2), DetectConfig(min_face=14.0, stride=1)
-    assert len(detect(GrayImage(pixels), _ClippedLandmarks(), config)) > 1
-    _assert_detect_matches_oracle(pixels, config)
+    monkeypatch.setattr(detect_module, "STRIDE", 1)
+    pixels = _random_frame(7, 40, 44, False, 2)
+    assert len(detect(GrayImage(pixels), _ClippedLandmarks(), 14.0)) > 1
+    _assert_detect_matches_oracle(pixels, 14.0)
 
 
 def _same_box(got, want):
@@ -391,39 +384,36 @@ def _same_box(got, want):
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(12, 48), width=st.integers(12, 48),
        integer=st.booleans(), stride=st.integers(1, 3), min_face=st.floats(12.0, 30.0),
        faces=st.integers(0, 3), scorer=st.sampled_from(sorted(_SCORERS)),
-       chunk=st.sampled_from([1, 3, 8]), default_config=st.booleans(),
-       stage_confidences=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]))
+       chunk=st.sampled_from([1, 3, 8]),
+       gates=st.sampled_from([(0.6, 0.7, 0.7), (0.5, 0.25, 0.5)]))
 # the next two examples pick a box of the largest area that is not the first
 # to survive, the second after a chunk that ends below that area
 @example(seed=1692857840, height=43, width=32, integer=False, stride=3, min_face=15.2, faces=3,
-         scorer="placed", chunk=1, default_config=False, stage_confidences=(0.5, 0.25, 0.5))
+         scorer="placed", chunk=1, gates=(0.5, 0.25, 0.5))
 @example(seed=352567537, height=32, width=20, integer=True, stride=3, min_face=14.6, faces=1,
-         scorer="placed", chunk=3, default_config=False, stage_confidences=(0.5, 0.25, 0.5))
-@example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3, default_config=False,
-         stage_confidences=(0.5, 0.25, 0.5))
+         scorer="placed", chunk=3, gates=(0.5, 0.25, 0.5))
+@example(**_FRAME_WITH_OVERLAPS, scorer="quarters", chunk=3, gates=(0.5, 0.25, 0.5))
 def test_largest_face_is_the_largest_detected_box(seed, height, width, integer, stride, min_face,
-                                                  faces, scorer, chunk, default_config,
-                                                  stage_confidences):
+                                                  faces, scorer, chunk, gates):
     """largest_face gives max(detect(...), key=area), ties in area and in
-    both confidences included, at any chunk size and with the config left
-    out (None)."""
+    both confidences included, at any chunk size, stride and stage gates."""
     img = GrayImage(_random_frame(seed, height, width, integer, faces))
     scorer = _SCORERS[scorer]()
-    config = None if default_config else DetectConfig(
-        min_face=min_face, stride=stride, stage_confidences=stage_confidences)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detect_module, "_CHUNK", chunk)
-        want = max(detect(img, scorer, config), key=lambda b: b.area, default=None)
-        assert _same_box(largest_face(img, scorer, config), want)
+        mp.setattr(detect_module, "STRIDE", stride)
+        mp.setattr(detect_module, "STAGE_GATES", gates)
+        want = max(detect(img, scorer, min_face), key=lambda b: b.area, default=None)
+        assert _same_box(largest_face(img, scorer, min_face), want)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_landmarks_on_the_box_edge_stay_inside(transpose):
+def test_landmarks_on_the_box_edge_stay_inside(monkeypatch, transpose):
     # in this frame, y1 + 1.0 * (y2 - y1) rounds one ulp past y2 for a box
     # (x1 + 1.0 * (x2 - x1) past x2 once transposed)
+    monkeypatch.setattr(detect_module, "STRIDE", 1)
     pixels = _random_frame(1, 23, 22, False, 1)
-    _assert_detect_matches_oracle(pixels.T if transpose else pixels,
-                                  DetectConfig(min_face=19.219684455725247, stride=1))
+    _assert_detect_matches_oracle(pixels.T if transpose else pixels, 19.219684455725247)
 
 
 class _Scripted:
@@ -462,8 +452,8 @@ def test_largest_face_rescores_only_the_largest_boxes():
     them every stage-1 survivor."""
     img = GrayImage(np.zeros((60, 60)))
     _plant(img, 8, 8, 52, 52)
-    found, scorer = detect(img, _Scripted(), DetectConfig(min_face=12.0)), _Scripted()
-    assert _same_box(largest_face(img, scorer, DetectConfig(min_face=12.0)),
+    found, scorer = detect(img, _Scripted(), 12.0), _Scripted()
+    assert _same_box(largest_face(img, scorer, 12.0),
                      max(found, key=lambda b: b.area))
     assert len(found) > 8 and scorer.calls.count("stage2") == scorer.calls.count("stage3") == 1
 
@@ -473,7 +463,7 @@ _NAN = float("nan")
 
 class TestScorerContract:
     def test_unchanged_script_finds_the_face(self):
-        assert len(detect(_face_60(), _Scripted(), DetectConfig(min_face=20.0))) == 1
+        assert len(detect(_face_60(), _Scripted(), 20.0)) == 1
 
     @pytest.mark.parametrize("stage, make", [
         ("stage1", lambda k: np.full(k + 1, 0.9)),
@@ -484,7 +474,7 @@ class TestScorerContract:
     ])
     def test_wrongly_shaped_confidences_raise(self, stage, make):
         with pytest.raises(ValueError, match="shape"):
-            detect(_face_60(), _Scripted(**{stage: make}), DetectConfig(min_face=20.0))
+            detect(_face_60(), _Scripted(**{stage: make}), 20.0)
 
     @pytest.mark.parametrize("stage, make", [
         ("stage1", lambda k: np.full(k, 1.5)),
@@ -493,12 +483,12 @@ class TestScorerContract:
     ])
     def test_passing_confidence_above_one_raises(self, stage, make):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            detect(_face_60(), _Scripted(**{stage: make}), DetectConfig(min_face=20.0))
+            detect(_face_60(), _Scripted(**{stage: make}), 20.0)
 
-    def test_passing_negative_confidence_raises(self):
-        config = DetectConfig(min_face=20.0, stage_confidences=(-1.0, 0.7, 0.7))
+    def test_passing_negative_confidence_raises(self, monkeypatch):
+        monkeypatch.setattr(detect_module, "STAGE_GATES", (-1.0, 0.7, 0.7))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            detect(_face_60(), _Scripted(stage1=lambda k: np.full(k, -0.5)), config)
+            detect(_face_60(), _Scripted(stage1=lambda k: np.full(k, -0.5)), 20.0)
 
     @pytest.mark.parametrize("stage, make", [
         ("stage1", lambda k: np.full(k, _NAN)),
@@ -506,9 +496,9 @@ class TestScorerContract:
         ("stage3", lambda k: (np.full(k, _NAN), np.full((k, 2, 2), _NAN))),
         ("stage1", lambda k: np.full(k, -np.inf)),
     ])
-    def test_nan_and_minus_inf_never_pass(self, stage, make):
-        config = DetectConfig(min_face=20.0, stage_confidences=(0.0, 0.0, 0.0))
-        assert detect(_face_60(), _Scripted(**{stage: make}), config) == []
+    def test_nan_and_minus_inf_never_pass(self, monkeypatch, stage, make):
+        monkeypatch.setattr(detect_module, "STAGE_GATES", (0.0, 0.0, 0.0))
+        assert detect(_face_60(), _Scripted(**{stage: make}), 20.0) == []
 
     def test_nan_candidates_drop_out_alone(self):
         def half_nan(k):
@@ -516,7 +506,7 @@ class TestScorerContract:
             conf[::2] = _NAN
             return conf
 
-        found = detect(_face_60(), _Scripted(stage1=half_nan), DetectConfig(min_face=20.0))
+        found = detect(_face_60(), _Scripted(stage1=half_nan), 20.0)
         assert found and all(0.0 <= b.confidence <= 1.0 for b in found)
 
     @pytest.mark.parametrize("make", [
@@ -526,18 +516,18 @@ class TestScorerContract:
     ])
     def test_wrongly_shaped_landmarks_raise(self, make):
         with pytest.raises(ValueError, match="shape"):
-            detect(_face_60(), _Scripted(stage3=make), DetectConfig(min_face=20.0))
+            detect(_face_60(), _Scripted(stage3=make), 20.0)
 
     @pytest.mark.parametrize("value", [_NAN, np.inf, -np.inf])
     def test_non_finite_landmarks_of_a_passing_box_raise(self, value):
         make = lambda k: (np.full(k, 0.9), np.full((k, 2, 2), value))  # noqa: E731
         with pytest.raises(ValueError, match="finite"):
-            detect(_face_60(), _Scripted(stage3=make), DetectConfig(min_face=20.0))
+            detect(_face_60(), _Scripted(stage3=make), 20.0)
 
     @pytest.mark.parametrize("stage, later", [("stage1", "stage2"), ("stage2", "stage3")])
     def test_empty_stage_never_calls_the_next_scorer(self, stage, later):
         scorer = _Scripted(**{stage: lambda k: np.zeros(k)})
-        assert detect(_face_60(), scorer, DetectConfig(min_face=20.0)) == []
+        assert detect(_face_60(), scorer, 20.0) == []
         assert stage in scorer.calls and later not in scorer.calls
 
 

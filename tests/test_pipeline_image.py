@@ -74,24 +74,27 @@ class TestSharpnessGate:
         passed, count = sharpness_gate(_blank(20, 20))
         assert not passed and count == 0
 
-    def test_checkerboard_all_interior_pixels_count(self):
+    def test_checkerboard_all_interior_pixels_count(self, monkeypatch):
+        monkeypatch.setattr(image_module, "DEFAULT_PIXEL_THRESHOLD", 255.0)
         y, x = np.mgrid[0:10, 0:10]
         img = GrayImage(((x + y) % 2) * 255.0)
         # every interior pixel has 4 opposite neighbors: |response| = 8*255 or 4*255
-        passed, count = sharpness_gate(img, pixel_threshold=255.0)
+        passed, count = sharpness_gate(img)
         assert passed and count == 64
 
-    def test_impulse_with_explicit_thresholds(self):
+    def test_impulse_above_a_raised_pixel_threshold(self, monkeypatch):
+        # only the center's |-4*255| clears 300; 25 px need 1 strong pixel
+        monkeypatch.setattr(image_module, "DEFAULT_PIXEL_THRESHOLD", 300.0)
         img = _blank(5, 5)
         img.pixels[2, 2] = 255.0
-        passed, count = sharpness_gate(img, pixel_threshold=300.0, count_threshold=1)
+        passed, count = sharpness_gate(img)
         assert passed and count == 1
 
     def test_default_count_threshold_scales_with_area(self):
         # 40x50 = 2000 px -> needs 10; a single impulse yields 5 strong pixels
         img = _blank(40, 50)
         img.pixels[20, 25] = 255.0
-        passed, count = sharpness_gate(img, pixel_threshold=30.0)
+        passed, count = sharpness_gate(img)
         assert count == 5 and not passed
 
 
@@ -280,6 +283,17 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes([0] * 7))
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n1_0 1_0\n255\n", b"P5\n+2 2\n255\n",
+                                        b"P5\n-2 -3\n255\n", b"P5\n0 2\n255\n"])
+    def test_header_fields_are_positive_decimals(self, tmp_path, header):
+        # int() reads "1_0" as 10 and "+2" as 2; "-2 -3" and a width of 0 failed
+        # in numpy and GrayImage without naming the file
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(100))
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
