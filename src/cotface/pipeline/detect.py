@@ -3,7 +3,8 @@
 The detector is a three-stage rescoring cascade over a pluggable batch
 scorer: the 12 px windows of each pyramid level are scored in batches,
 survivors are re-scored on 24 px and then 48 px crops (the last stage also
-predicts landmarks).  One greedy NMS pass, at NMS_IOU, follows stage 1.
+predicts landmarks).  One greedy NMS pass, at NMS_IOU, follows stage 1; it
+compares only near neighbours, so it is near-linear in the stage-1 survivors.
 Candidates stay arrays from the scan to the last stage, as rows x1, y1, x2,
 y2, confidence in original image coordinates; only the boxes detect returns
 become DetectionBox objects.
@@ -94,23 +95,77 @@ def nms_rows(rows, iou_threshold: float) -> np.ndarray:
     Rows are visited by descending confidence (ties by lower row index); each
     is kept unless it overlaps an already-kept row with IoU >= iou_threshold.
     Returns the kept row indices in visiting order.  The IoU is computed in
-    iou's operation order, so decisions at the threshold are iou's.
+    iou's operation order, so decisions at the threshold are iou's.  A
+    non-finite coordinate or area raises ValueError; a threshold of 0 or
+    below, or NaN, keeps the first row visited only.
+
+    The IoU is at most the overlap over the union along either axis, so
+    IoU >= t needs widths and heights within a ratio of t and centres at
+    most (1 - t) / (1 + t) times the larger size apart on each axis.  Only
+    such pairs, from _candidate_pairs, are compared, which gives the
+    all-pairs pass's rows at a near-linear cost (Neubeck & Van Gool, 2006).
     """
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
     x1, y1, x2, y2, _ = rows.T
     area = (x2 - x1) * (y2 - y1)
+    if not np.isfinite(area).all():
+        raise ValueError("box coordinates must be finite")
     order = _visiting_order(rows)
-    kept = []
-    while order.size:
-        i, rest = order[0], order[1:]
-        kept.append(i)
-        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
-        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
-        inter = ix * iy
-        overlap = np.zeros_like(inter)
-        np.divide(inter, area[rest] + area[i] - inter, out=overlap, where=inter != 0.0)
-        order = rest[overlap < iou_threshold]
-    return np.array(kept, dtype=np.intp)
+    if not iou_threshold > 0.0:
+        return order[:1]
+    a, b = _candidate_pairs(rows, iou_threshold)
+    ix = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b]))
+    iy = np.maximum(0.0, np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b]))
+    inter = ix * iy
+    overlap = np.zeros_like(inter)
+    np.divide(inter, area[a] + area[b] - inter, out=overlap, where=inter != 0.0)
+    # each suppressing pair as (earlier, later) visiting positions, by the earlier
+    pairs = np.sort(np.argsort(order)[np.stack([a, b])[:, overlap >= iou_threshold]], axis=0)
+    gone = bytearray(len(rows))
+    for i, j in pairs[:, np.argsort(pairs[0])].T.tolist():
+        if not gone[i]:  # every pair that could drop i came before
+            gone[j] = 1
+    return order[np.frombuffer(gone, dtype=np.uint8) == 0]
+
+
+_SLACK = 1e-6  # relative widening of size classes and cells, far above their rounding
+
+
+def _candidate_pairs(rows, t: float):
+    """Row index pairs (a, b), each unordered pair once, among them every
+    pair whose IoU, as nms_rows computes it, reaches t > 0 (t >= 1 takes
+    the pairs of t = 0.999).  Rows of positive width and height get a size
+    class, max(width, height) in steps of a factor 1/t, and each class a
+    grid of cells (1 - t) / (1 + t) times its largest size, widened so that
+    no edge is more than 2**16 cells from 0.  A row meets the rows of its
+    own class and of the next one up whose centres lie in the same or an
+    adjacent cell of that class's grid.
+    """
+    x1, y1, x2, y2 = rows[:, :4].T
+    live = np.flatnonzero((x2 > x1) & (y2 > y1))  # the other rows overlap nothing
+    t = min(t, 0.999)
+    size = np.maximum(x2 - x1, y2 - y1)[live]
+    _, cls = np.unique(np.floor(np.log(size) / (-np.log(t) * (1.0 + _SLACK))), return_inverse=True)
+    top = np.zeros(cls.max(initial=-1) + 1)
+    np.maximum.at(top, cls, size)
+    far = np.abs(rows[live, :4]).max(initial=0.0)
+    cell = np.maximum((1.0 - t) / (1.0 + t) * (1.0 + _SLACK) * top, max(far / 2.0**16, 5e-324))
+    up = np.flatnonzero(cls + 1 < len(top))
+    ask = np.concatenate([np.arange(len(live)), up])  # each row in its class's grid, then the next
+    grid = np.concatenate([cls, cls[up] + 1])
+    box = rows[live[ask]]
+    centre = box[:, :2] + (box[:, 2:4] - box[:, :2]) * 0.5  # x1 + x2 could overflow
+    gx, gy = (np.floor(c / cell[grid]).astype(np.int64) + 2**17 for c in centre.T)
+    key = (grid << 36) + (gy << 18) + gx
+    by_key = np.argsort(key[: len(live)])
+    keys = key[: len(live)][by_key]
+    near = (key + (np.array([[-1], [0], [1]]) << 18)).ravel()  # three rows of cells around each
+    lo, hi = np.searchsorted(keys, near - 1), np.searchsorted(keys, near + 1, "right")
+    count = hi - lo
+    a = np.tile(ask, 3).repeat(count)
+    b = by_key[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)]
+    keep = (np.tile(np.arange(len(ask)), 3).repeat(count) >= len(live)) | (a < b)  # own class: once
+    return live[a[keep]], live[b[keep]]
 
 
 def nms(boxes, iou_threshold: float) -> list:

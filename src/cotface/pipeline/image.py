@@ -8,6 +8,7 @@ detection pyramid, and box and eye-region cropping.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -173,7 +174,9 @@ def image_pyramid(img: GrayImage, min_face: float) -> list[tuple[GrayImage, floa
         raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, got {min_face}")
     levels = []
     scale = WINDOW / min_face
-    while min(img.width, img.height) * scale >= WINDOW:
+    # side * scale rounds twice, so a short side equal to min_face can land an
+    # ulp below WINDOW; that level still rounds to WINDOW px
+    while min(img.width, img.height) * scale >= WINDOW - math.ulp(WINDOW):
         w = max(1, int(round(img.width * scale)))
         h = max(1, int(round(img.height * scale)))
         levels.append((bilinear_resize(img, w, h), scale))

@@ -1,6 +1,7 @@
 """Detection cascade: IoU, greedy NMS, scanning, alignment."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from cotface.pipeline import (
     largest_face,
     nms,
 )
-from cotface.pipeline.detect import nms_rows
+from cotface.pipeline.detect import NMS_IOU, _candidate_pairs, nms_rows
 
-from oracles import detect_per_window, nms_exhaustive
+from oracles import _greedy_nms, detect_per_window, nms_exhaustive
 
 # the module itself: `cotface.pipeline.detect` as an attribute is the function
 detect_module = importlib.import_module("cotface.pipeline.detect")
@@ -269,6 +270,133 @@ class TestNmsRows:
         rows[:, 4] = later[stays, 1]
         visiting = np.lexsort((np.arange(len(rows)), -rows[:, 4]))
         np.testing.assert_array_equal(nms_rows(rows, first + rise), visiting)
+
+
+class _Row:
+    """A box for iou and the greedy oracle that may have zero area, as rows may."""
+
+    def __init__(self, x1, y1, x2, y2, confidence):
+        self.x1, self.y1, self.x2, self.y2, self.confidence = x1, y1, x2, y2, confidence
+        self.area = (x2 - x1) * (y2 - y1)
+
+
+_TIED = st.sampled_from([0.6, 0.75, 0.9, 1.0])
+_THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, np.inf]),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def _scan_like_rows(draw):
+    """Up to 40 rows: squares on lattices of a few sizes (step = size / 6, as
+    a stride of 2 is a sixth of a 12 px window), free boxes of mixed widths,
+    copies of earlier boxes, earlier boxes moved and resized by up to half
+    their size (pairs near any threshold) and flat boxes, all clamped to a
+    frame; the confidences are often tied."""
+    frame = draw(st.sampled_from([20.0, 40.0, 100.0]))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["lattice", "free", "copy", "moved", "flat"]))
+        if kind == "lattice":
+            size = draw(st.sampled_from([6.0, 12.0, 12.0 / 0.709, 12.0 / 0.709**2, 30.0]))
+            x, y = draw(st.integers(0, 12)) * size / 6.0, draw(st.integers(0, 12)) * size / 6.0
+            box = [x, y, x + size, y + size]
+        elif kind == "copy" and rows:
+            box = draw(st.sampled_from(rows))[:4]
+        elif kind == "moved" and rows:
+            x1, y1, x2, y2 = draw(st.sampled_from(rows))[:4]
+            dx, dy, dw, dh = (draw(st.one_of(st.just(0.0), st.floats(-0.5, 0.5))) for _ in range(4))
+            x, y = x1 + dx * (x2 - x1), y1 + dy * (y2 - y1)
+            box = [x, y, x + (x2 - x1) * (1.0 + dw), y + (y2 - y1) * (1.0 + dh)]
+        else:
+            x, y, w = (draw(st.floats(0.0, frame)) for _ in range(3))
+            box = [x, y, x + w, y + (0.0 if kind == "flat" else draw(st.floats(0.0, frame)))]
+        rows.append([min(v, frame) for v in box] + [draw(st.one_of(_TIED, st.floats(0.0, 1.0)))])
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+
+
+class TestNearNeighbours:
+    """nms_rows compares only the pairs _candidate_pairs gives; the oracle
+    compares all of them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_scan_like_rows(), threshold=_THRESHOLDS)
+    def test_matches_the_greedy_oracle(self, rows, threshold):
+        boxes = [_Row(*r) for r in rows.tolist()]
+        index = {id(b): i for i, b in enumerate(boxes)}
+        want = [index[id(b)] for b in _greedy_nms(boxes, threshold, iou)]
+        assert nms_rows(rows, threshold).tolist() == want
+        if all(b.x1 < b.x2 and b.y1 < b.y2 for b in boxes):
+            boxes = [_box(*r) for r in rows.tolist()]
+            assert nms(boxes, threshold) == [boxes[i] for i in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_scan_like_rows(), threshold=_THRESHOLDS.filter(lambda t: t > 0.0))
+    def test_candidates_hold_every_pair_at_or_above_the_threshold(self, rows, threshold):
+        boxes = [_Row(*r) for r in rows.tolist()]
+        a, b = _candidate_pairs(rows, threshold)
+        pairs = {frozenset(p) for p in zip(a.tolist(), b.tolist())}
+        assert len(pairs) == len(a) and all(len(p) == 2 for p in pairs)  # each pair once
+        for i, j in itertools.combinations(range(len(boxes)), 2):
+            if iou(boxes[i], boxes[j]) >= threshold:
+                assert {i, j} in pairs
+
+    def test_candidates_hold_pairs_exactly_at_the_threshold(self):
+        """Two boxes at a threshold equal to their IoU: a box, square or
+        flat, and a copy moved along x, y or both, or narrowed or shortened
+        (a flat box and a narrowed copy reach IoU t at a size ratio of t), at
+        random sizes and places, so that pairs at the bounds straddle cell
+        and class edges.  A third box, far away, has the size between theirs,
+        so that a pair two classes apart is not in adjacent classes."""
+        rng = np.random.default_rng(26)
+        for _ in range(3000):
+            (x, y), w = rng.uniform(0.0, 300.0, 2), rng.uniform(1.0, 100.0)
+            h = w * (rng.uniform(0.05, 1.0) if rng.integers(0, 2) else 1.0)
+            dx, dy = rng.uniform(-0.9, 0.9, 2) * (w, h) * rng.integers(0, 2, 2)
+            bw, bh = (w, h) * np.where(rng.integers(0, 2, 2) == 1, rng.uniform(0.2, 1.0, 2), 1.0)
+            m = np.sqrt(max(w, h) * max(bw, bh))
+            rows = np.array([[x, y, x + w, y + h, 0.9],
+                             [x + dx, y + dy, x + dx + bw, y + dy + bh, 0.5],
+                             [x + 1e3, y, x + 1e3 + m, y + m, 0.1]])
+            threshold = iou(_Row(*rows[0]), _Row(*rows[1]))
+            if threshold > 0.0:
+                assert (0, 1) in set(zip(*np.sort(_candidate_pairs(rows, threshold), axis=0)))
+
+    def test_candidates_stay_near_linear_on_a_tall_bright_frame(self, monkeypatch):
+        """Every window of a 60 x 2,000 all-255 frame passes stage 1 (43,358
+        rows); each row meets a bounded number of others, not all of them."""
+        seen = []
+        run = detect_module.nms_rows
+        monkeypatch.setattr(detect_module, "nms_rows",
+                            lambda rows, t: seen.append(rows) or run(rows, t))
+        largest_face(GrayImage(np.full((2000, 60), 255.0)), _BrightScorer(), 12.0)
+        (rows,) = seen
+        assert len(rows) > 40_000
+        assert len(_candidate_pairs(rows, NMS_IOU)[0]) <= 64 * len(rows)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinates_raise(self, bad):
+        rows = np.array([[0.0, 0.0, 10.0, 10.0, 0.9], [1.0, 1.0, 11.0, 11.0, 0.5]])
+        for k in range(4):
+            broken = rows.copy()
+            broken[1, k] = bad
+            with pytest.raises(ValueError, match="box coordinates must be finite"):
+                nms_rows(broken, 0.5)
+        if bad == np.inf:
+            with pytest.raises(ValueError, match="box coordinates must be finite"):
+                nms([_box(0.0, 0.0, bad, bad, 0.5), _box(1.0, 1.0, 5.0, 5.0, 0.4)], 0.5)
+
+    def test_zero_area_rows_are_kept_and_suppress_nothing(self):
+        rows = np.array([[0.0, 0.0, 0.0, 5.0, 1.0], [0.0, 0.0, 0.0, 5.0, 0.9],
+                         [2.0, 2.0, 6.0, 2.0, 0.8], [0.0, 0.0, 5.0, 5.0, 0.7]])
+        for threshold in (1e-300, 0.5, 1.0):
+            assert nms_rows(rows, threshold).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_a_threshold_of_zero_or_below_keeps_the_first_visited_row(self, threshold):
+        rows = np.array([[0.0, 0.0, 1.0, 1.0, 0.5], [5.0, 5.0, 6.0, 6.0, 0.9],
+                         [9.0, 9.0, 9.0, 9.0, 0.7]])
+        assert nms_rows(rows, threshold).tolist() == [1]
+        assert nms_rows(np.empty((0, 5)), threshold).tolist() == []
 
 
 class _ClippedLandmarks(_BrightScorer):

@@ -742,6 +742,16 @@ class TestSmallestFace:
         assert largest_face(frame, scorers.detector, side / 5).width < side / 5
         assert authenticate(frame, gallery, scorers).kind == "accepted"
 
+    @pytest.mark.parametrize("side", [s for s in range(12, 500) if s * (12 / s) < 12])
+    @pytest.mark.parametrize("wide, ratio", [(1, 1.0), (5, 5.0)], ids=["square", "five-wide"])
+    def test_a_frame_one_smallest_face_tall_is_scanned(self, side, wide, ratio):
+        """A bright frame whose height is its smallest face, where side *
+        (12 / side) rounds to an ulp under 12 (15 sides in 12..499)."""
+        _, scorers, gallery, _ = _setup()
+        frame = GrayImage(np.full((side, wide * side), 255.0))
+        out = authenticate(frame, gallery, scorers, AuthConfig(min_face_ratio=ratio))
+        assert out.kind == "accepted"
+
     @settings(max_examples=60, deadline=None)
     @given(width=st.integers(30, 130), extra=st.integers(0, 40), ratio=st.floats(1.5, 5.0),
            pick=st.floats(0.0, 1.0))

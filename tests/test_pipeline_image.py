@@ -149,6 +149,17 @@ class TestImagePyramid:
         assert len(image_pyramid(_blank(13, 13), min_face=13.0)) == 1
         assert image_pyramid(_blank(13, 13), min_face=26.0) == []
 
+    def test_a_short_side_equal_to_min_face_gets_its_level(self):
+        """For 15 sides in 12..499, side * (12 / side) rounds to an ulp under
+        12; each still gets its one 12 px level, as a square and as the short
+        side of a frame five times as wide."""
+        sides = [s for s in range(12, 500) if s * (12 / s) < 12]
+        assert len(sides) == 15
+        for side in sides:
+            for width in (side, 5 * side):
+                (level, _), = image_pyramid(_blank(side, width), min_face=float(side))
+                assert (level.height, level.width) == (12, 12 * width // side)
+
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             image_pyramid(_blank(20, 20), min_face=0.0)
