@@ -9,14 +9,7 @@ loss, and look at how the margins move the per-sample penalties around.
 import numpy as np
 
 from cotface.angular import AngularBatch, LossConfig, angles_from_features, cot_via_theta
-from cotface.losses import (
-    ANGULAR_LOSSES,
-    arcface_loss,
-    cosface_loss,
-    lmcot_loss,
-    softmax_loss,
-    sphereface_loss,
-)
+from cotface.losses import ANGULAR_LOSSES, softmax_loss
 from cotface.reference import FEATURES, LABELS, LOGITS, WEIGHTS, batch
 
 cfg = LossConfig(s=2.0, log_base="ten")
@@ -31,17 +24,16 @@ print()
 # the classic ladder: plain softmax on raw logits, then the margin family
 print("losses at s=2, base-10 logs:")
 print(f"  softmax              {softmax_loss(LOGITS, LABELS, cfg).value:.4f}")
-print(f"  sphereface  m=1.1    {sphereface_loss(batch(), LossConfig(s=2.0, m=1.1, log_base='ten')).value:.4f}")
-print(f"  cosface     m=0.05   {cosface_loss(batch(), LossConfig(s=2.0, m=0.05, log_base='ten')).value:.4f}")
-print(f"  arcface     m=0.05   {arcface_loss(batch(), LossConfig(s=2.0, m=0.05, log_base='ten')).value:.4f}")
-print(f"  lmcot       m=0.05   {lmcot_loss(batch(), LossConfig(s=2.0, m=0.05, log_base='ten')).value:.4f}")
+for name, m in (("sphereface", 1.1), ("cosface", 0.05), ("arcface", 0.05), ("lmcot", 0.05)):
+    value = ANGULAR_LOSSES[name](batch(), LossConfig(s=2.0, m=m, log_base="ten")).value
+    print(f"  {name:<12}m={m:<7}{value:.4f}")
 print()
 
 # Per-sample view.  The cotangent form barely charges the easy sample and
 # hammers the hard one; arcface spreads the penalty much more evenly.
 m = LossConfig(s=2.0, m=0.05, log_base="ten")
-af = arcface_loss(batch(), m).per_sample
-lm = lmcot_loss(batch(), m).per_sample
+af = ANGULAR_LOSSES["arcface"](batch(), m).per_sample
+lm = ANGULAR_LOSSES["lmcot"](batch(), m).per_sample
 print("per-sample penalties (easy sample first):")
 print(f"  arcface  {af[0]:.6f}  {af[1]:.6f}   ratio hard/easy {af[1] / af[0]:8.1f}")
 print(f"  lmcot    {lm[0]:.2e}  {lm[1]:.6f}   ratio hard/easy {lm[1] / lm[0]:8.1e}")

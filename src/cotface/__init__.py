@@ -15,21 +15,9 @@ from .losses import (
     ANGULAR_LOSSES,
     LossOutput,
     ScorePair,
-    arcface_loss,
-    combined_margin_cos_loss,
-    combined_margin_cot_loss,
-    cosface_loss,
     double_loss,
-    dual_cot_cos_loss,
-    elastic_cot_loss,
-    elasticface_arc_loss,
-    elasticface_cos_loss,
-    generalized_lmcot_loss,
-    lmcot_loss,
     margin_sigmoid_ce,
-    norm_softmax_loss,
     softmax_loss,
-    sphereface_loss,
 )
 from .metrics import (
     RankedQuery,

@@ -155,8 +155,8 @@ def _toy_embedder(seed: int, model_path=None):
         _TOY_SIDE * _TOY_SIDE, n_classes=2, hidden=(64,), embed_dim=32, seed=seed)
     in_dim = model.layers[0].W.shape[1]
     if in_dim != _TOY_SIDE * _TOY_SIDE:
-        raise ValueError(
-            f"embedder expects {_TOY_SIDE * _TOY_SIDE} inputs, model has {in_dim}")
+        raise ValueError(f"{model_path}: embedder expects "
+                         f"{_TOY_SIDE * _TOY_SIDE} inputs, model has {in_dim}")
 
     def embed(crop):
         small = bilinear_resize(crop, _TOY_SIDE, _TOY_SIDE)

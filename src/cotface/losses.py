@@ -12,7 +12,8 @@ overflow.  The margins change only f, so one pass over the competitor logits
 serves every true-class branch (_shared_ce, which softmax_loss uses too).  The
 batch value is the mean of the per-sample losses; grad carries its gradient
 with respect to the batch's angles, or its cosines for a cosine batch.
-PRESETS gives each named loss its kernel, margins and true-class branches.
+PRESETS gives each named loss its kernel, margins and true-class branches,
+and ANGULAR_LOSSES[name] is that loss.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
 combined margins) uses cos; the cotangent family uses cot, which diverges as
 the angle approaches 0 and so punishes badly misclassified samples much harder
@@ -26,7 +27,7 @@ score sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -122,17 +123,22 @@ _KERNELS = {"cos": (lambda c: (c.copy(), 1.0), lambda u: (np.cos(u), -np.sin(u))
 # elastic_sample in slot order.  Branches are (kernel, weight field) pairs,
 # summed; none means one unweighted branch with the competitor kernel.
 PRESETS = {
-    "norm-softmax": ("cos", None, None, None, ()),
-    "sphereface": ("cos", "m", None, None, ()),
-    "cosface": ("cos", None, None, "m", ()),
-    "arcface": ("cos", None, "m", None, ()),
-    "elastic-arc": ("cos", None, ("m", "sigma2"), None, ()),
-    "elastic-cos": ("cos", None, None, ("m", "sigma3"), ()),
-    "lmcot": ("cot", None, "m", None, ()),
-    "combined-cos": ("cos", "m1", "m2", "m3", ()),
-    "combined-cot": ("cot", "m1", "m2", "m3", ()),
-    "elastic-cot": ("cot", None, ("m", "sigma2"), None, ()),
+    "norm-softmax": ("cos", None, None, None, ()),  # no margin: f = g = s*cos(theta)
+    "sphereface": ("cos", "m", None, None, ()),  # f = s*cos(m*theta)
+    "cosface": ("cos", None, None, "m", ()),  # f = s*(cos(theta) - m)
+    "arcface": ("cos", None, "m", None, ()),  # f = s*cos(theta + m)
+    "elastic-arc": ("cos", None, ("m", "sigma2"), None, ()),  # arcface, margin ~ N(m, sigma2^2)
+    "elastic-cos": ("cos", None, None, ("m", "sigma3"), ()),  # cosface, margin ~ N(m, sigma3^2)
+    "lmcot": ("cot", None, "m", None, ()),  # f = s*cot(theta + m), g = s*cot(theta)
+    # (m1, m2, m3) = (m, 0, 0), (1, m, 0) and (1, 0, m) give sphereface, arcface, cosface
+    "combined-cos": ("cos", "m1", "m2", "m3", ()),  # f = s*(cos(m1*theta + m2) - m3)
+    "combined-cot": ("cot", "m1", "m2", "m3", ()),  # f = s*(cot(m1*theta + m2) - m3)
+    "elastic-cot": ("cot", None, ("m", "sigma2"), None, ()),  # lmcot, margin ~ N(m, sigma2^2)
+    # e1 ~ N(m1, sigma1^2), e2 ~ N(m2, sigma2^2), e3 ~ N(m3, sigma3^2), drawn in
+    # that order; f = s*(cot(e1*theta + e2) - e3)
     "generalized-lmcot": ("cot", ("m1", "sigma1"), ("m2", "sigma2"), ("m3", "sigma3"), ()),
+    # alpha*cot_branch + beta*cos_branch over one margin draw and one cot competitor
+    # term: f = s*(cot(e1*theta + e2) - e3) and s*(cos(e1*theta + e2) - e3)
     "dual": ("cot", ("m1", "sigma1"), ("m2", "sigma2"), ("m3", "sigma3"),
              (("cot", "alpha"), ("cos", "beta"))),
 }
@@ -148,7 +154,7 @@ def _margin(slot, cfg: LossConfig, rng, n: int):
     return None if slot is None else getattr(cfg, slot)
 
 
-def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOutput:
+def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
     """The loss of preset `name`: cross-entropy over its margin logits.
 
     Every other class gets the competitor logit g = s*k(theta) from its cosine,
@@ -184,66 +190,8 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng) -> LossOu
     return LossOutput(float(per_sample.mean()), per_sample, grad)
 
 
-ANGULAR_LOSSES = {}  # preset name -> its loss(batch, cfg, rng=None), filled below
-
-
-def _preset_loss(qualname: str, name: str, doc: str):
-    """The loss function `qualname` of preset `name`, registered in ANGULAR_LOSSES."""
-
-    def loss(batch: AngularBatch, cfg: LossConfig, rng=None) -> LossOutput:
-        return _margin_loss(name, batch, cfg, rng)
-
-    loss.__name__ = loss.__qualname__ = qualname
-    loss.__doc__ = doc
-    ANGULAR_LOSSES[name] = loss
-    return loss
-
-
-norm_softmax_loss = _preset_loss(
-    "norm_softmax_loss", "norm-softmax", "No margin: f = g = s*cos(theta).")
-sphereface_loss = _preset_loss(
-    "sphereface_loss", "sphereface", "Multiplicative angular margin: f = s*cos(m*theta).")
-cosface_loss = _preset_loss(
-    "cosface_loss", "cosface", "Subtractive cosine margin: f = s*(cos(theta) - m).")
-arcface_loss = _preset_loss(
-    "arcface_loss", "arcface", "Additive angular margin: f = s*cos(theta + m).")
-elasticface_arc_loss = _preset_loss(
-    "elasticface_arc_loss", "elastic-arc",
-    "ArcFace with a per-sample margin drawn from N(m, sigma2^2).")
-elasticface_cos_loss = _preset_loss(
-    "elasticface_cos_loss", "elastic-cos",
-    "CosFace with a per-sample margin drawn from N(m, sigma3^2).")
-lmcot_loss = _preset_loss(
-    "lmcot_loss", "lmcot", "Cotangent margin: f = s*cot(theta + m), g = s*cot(theta).")
-combined_margin_cos_loss = _preset_loss(
-    "combined_margin_cos_loss", "combined-cos",
-    """All three cosine margins at once: f = s*(cos(m1*theta + m2) - m3).
-
-    (m1, m2, m3) = (m, 0, 0), (1, m, 0) and (1, 0, m) reduce to SphereFace,
-    ArcFace and CosFace.
-    """)
-combined_margin_cot_loss = _preset_loss(
-    "combined_margin_cot_loss", "combined-cot",
-    "Cotangent form of the combined margin: f = s*(cot(m1*theta + m2) - m3).")
-elastic_cot_loss = _preset_loss(
-    "elastic_cot_loss", "elastic-cot",
-    "Cotangent margin with the additive margin drawn from N(m, sigma2^2).")
-generalized_lmcot_loss = _preset_loss(
-    "generalized_lmcot_loss", "generalized-lmcot",
-    """Combined cotangent margin with every margin drawn per sample.
-
-    e1 ~ N(m1, sigma1^2), e2 ~ N(m2, sigma2^2), e3 ~ N(m3, sigma3^2), drawn in
-    that order; f = s*(cot(e1*theta + e2) - e3).
-    """)
-dual_cot_cos_loss = _preset_loss(
-    "dual_cot_cos_loss", "dual",
-    """Weighted sum of a cot branch and a cos branch over one margin draw.
-
-    Both branches share the sampled margins (e1, e2, e3) and the same
-    cot-based competitor term sum_{j != y} e^{s*cot(theta_j)}, computed once;
-    only the true-class logit differs: s*(cot(e1*theta + e2) - e3) versus
-    s*(cos(e1*theta + e2) - e3).  value = alpha*cot_branch + beta*cos_branch.
-    """)
+# preset name -> its loss(batch, cfg, rng=None), in PRESETS order
+ANGULAR_LOSSES = {name: partial(_margin_loss, name) for name in PRESETS}
 
 
 def double_loss(pair: ScorePair) -> LossOutput:

@@ -220,9 +220,7 @@ def _scan_stage(img, stage1, min_face):
     row-major order, whole rows of windows per call up to _SCAN_BATCH; the
     survivors of the NMS pass at NMS_IOU, in its visiting order."""
     found = [np.empty((0, 5))]
-    for level, scale in image_pyramid(img, min_face):
-        if level.width < WINDOW or level.height < WINDOW:
-            continue
+    for level, scale in image_pyramid(img, min_face):  # every level covers a window
         windows = sliding_window_view(level.pixels, (WINDOW, WINDOW))
         windows = windows[::STRIDE, ::STRIDE]
         nx = windows.shape[1]

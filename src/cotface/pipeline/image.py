@@ -48,7 +48,7 @@ class GrayImage:
 
 
 def read_pgm(path) -> GrayImage:
-    """Read a binary (P5) PGM file with maxval <= 255."""
+    """Read a binary (P5) PGM file with maxval <= 255 as levels in [0, 255]."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -81,7 +81,9 @@ def read_pgm(path) -> GrayImage:
     if len(raster) != width * height:
         raise ValueError(f"{path}: raster truncated")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels.astype(np.float64))
+    if pixels.max() > maxval:
+        raise ValueError(f"{path}: sample {pixels.max()} above maxval {maxval}")
+    return GrayImage(pixels * 255.0 / maxval)  # Netpbm: a sample is a share of maxval
 
 
 def write_pgm(img: GrayImage, path):

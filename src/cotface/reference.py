@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularBatch, LossConfig
-from .losses import (
-    arcface_loss,
-    cosface_loss,
-    lmcot_loss,
-    softmax_loss,
-    sphereface_loss,
-)
+from .losses import ANGULAR_LOSSES, softmax_loss
 
 # Raw features, unit class centers, and raw logits <x_i, w_j>.
 FEATURES = np.array([[0.1, 0.995], [0.2, 0.9798]])
@@ -44,10 +38,10 @@ def batch() -> AngularBatch:
 # (name, expected value, callable computing it)
 _CHECKS = (
     ("softmax", 0.3257, lambda: softmax_loss(LOGITS, LABELS, _config()).value),
-    ("sphereface", 0.4638, lambda: sphereface_loss(batch(), _config(m=1.1)).value),
-    ("cosface", 0.4353, lambda: cosface_loss(batch(), _config(m=0.05)).value),
-    ("arcface", 0.4322, lambda: arcface_loss(batch(), _config(m=0.05)).value),
-    ("lmcot", 2.0765, lambda: lmcot_loss(batch(), _config(m=0.05)).value),
+    ("sphereface", 0.4638, lambda: ANGULAR_LOSSES["sphereface"](batch(), _config(m=1.1)).value),
+    ("cosface", 0.4353, lambda: ANGULAR_LOSSES["cosface"](batch(), _config(m=0.05)).value),
+    ("arcface", 0.4322, lambda: ANGULAR_LOSSES["arcface"](batch(), _config(m=0.05)).value),
+    ("lmcot", 2.0765, lambda: ANGULAR_LOSSES["lmcot"](batch(), _config(m=0.05)).value),
 )
 
 

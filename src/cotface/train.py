@@ -232,15 +232,11 @@ def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
     return model
 
 
-def _split_indices(labels, n_classes):
-    """Per-class deterministic split: the trailing fraction is held out."""
-    train_idx, eval_idx = [], []
-    for c in range(n_classes):
-        idx = np.flatnonzero(labels == c)
-        k = max(1, int(round(len(idx) * EVAL_FRACTION)))
-        train_idx.extend(idx[:-k])
-        eval_idx.extend(idx[-k:])
-    return np.array(train_idx), np.array(eval_idx)
+def _split_indices(labels, spec: SynthSpec):
+    """Per-class deterministic split: each class's trailing fraction is held out."""
+    blocks = np.argsort(labels, kind="stable").reshape(spec.n_classes, spec.per_class)
+    k = max(1, int(round(spec.per_class * EVAL_FRACTION)))
+    return blocks[:, :-k].ravel(), blocks[:, -k:].ravel()
 
 
 @np.errstate(all="ignore")  # a blow-up is reported once, by the checks, not per numpy call
@@ -270,7 +266,7 @@ def train_loop(
     a non-finite loss or model output aborts with TrainingDivergedError.
     """
     x, labels = synth_dataset(spec)
-    train_idx, eval_idx = _split_indices(labels, spec.n_classes)
+    train_idx, eval_idx = _split_indices(labels, spec)
     x_eval, y_eval = x[eval_idx], labels[eval_idx]
     rng = np.random.default_rng(seed)
     t_start = time.perf_counter()

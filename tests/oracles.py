@@ -363,7 +363,8 @@ def read_pgm_scan(path):
     """Binary (P5) PGM read by scanning the header one byte at a time.
 
     Whitespace and "#" comments (up to, not including, the next newline)
-    separate tokens; a token runs to the next whitespace byte.
+    separate tokens; a token runs to the next whitespace byte.  Each sample,
+    at most maxval, becomes the level sample * 255 / maxval.
     """
     from cotface.pipeline import GrayImage
 
@@ -407,8 +408,11 @@ def read_pgm_scan(path):
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ValueError(f"{path}: raster truncated")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels.astype(np.float64))
+    samples = list(raster)  # ints in 0..255
+    if max(samples) > maxval:
+        raise ValueError(f"{path}: sample {max(samples)} above maxval {maxval}")
+    levels = [sample * 255.0 / maxval for sample in samples]  # exact for maxval 255
+    return GrayImage(np.array(levels, dtype=np.float64).reshape(height, width))
 
 
 def rotate_region_taps(img, center, angle: float, x1: int, y1: int, x2: int, y2: int):

@@ -21,20 +21,7 @@ from cotface.angular import (
     cot_via_theta,
 )
 from cotface.cli import main as cli_main
-from cotface.losses import (
-    arcface_loss,
-    combined_margin_cos_loss,
-    combined_margin_cot_loss,
-    cosface_loss,
-    dual_cot_cos_loss,
-    elastic_cot_loss,
-    elasticface_arc_loss,
-    elasticface_cos_loss,
-    generalized_lmcot_loss,
-    lmcot_loss,
-    norm_softmax_loss,
-    sphereface_loss,
-)
+from cotface.losses import ANGULAR_LOSSES
 from cotface.metrics import (
     RankedQuery,
     RankedRetrieval,
@@ -61,6 +48,19 @@ from cotface.pipeline import (
 )
 from cotface.reference import FEATURES, WEIGHTS, batch as reference_batch, run_reference_checks
 from cotface.train import GRADCHECK_LOSSES, SynthSpec, gradcheck, train_loop
+
+norm_softmax_loss = ANGULAR_LOSSES["norm-softmax"]
+sphereface_loss = ANGULAR_LOSSES["sphereface"]
+cosface_loss = ANGULAR_LOSSES["cosface"]
+arcface_loss = ANGULAR_LOSSES["arcface"]
+elasticface_arc_loss = ANGULAR_LOSSES["elastic-arc"]
+elasticface_cos_loss = ANGULAR_LOSSES["elastic-cos"]
+lmcot_loss = ANGULAR_LOSSES["lmcot"]
+combined_margin_cos_loss = ANGULAR_LOSSES["combined-cos"]
+combined_margin_cot_loss = ANGULAR_LOSSES["combined-cot"]
+elastic_cot_loss = ANGULAR_LOSSES["elastic-cot"]
+generalized_lmcot_loss = ANGULAR_LOSSES["generalized-lmcot"]
+dual_cot_cos_loss = ANGULAR_LOSSES["dual"]
 
 
 class _Record:

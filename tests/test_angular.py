@@ -76,6 +76,8 @@ class TestAngularBatch:
         ("theta", [[0.1, -0.1]], [0], r"angles must lie in \[0, pi\)"),
         ("theta", [[0.1, np.pi]], [0], r"angles must lie in \[0, pi\)"),
         ("theta", [[np.nan, -0.1]], [5], "theta contains non-finite values"),
+        ("theta", [[0.1, 1.0]], [0, 1], r"labels must have shape \(N,\)"),
+        ("cos", [[0.3, 0.2]], [[0]], r"labels must have shape \(N,\)"),
     ])
     def test_error_messages(self, field, values, labels, message):
         args = (values, labels) if field == "theta" else (None, labels, values)

@@ -729,6 +729,13 @@ class TestRetrievalEval:
                      "--out", str(tmp_path / "o")]) == 3
         assert "expected" in capsys.readouterr().err
 
+    def test_file_of_comments_only_exits_3(self, tmp_path, capsys):
+        ranked = self._ranked(tmp_path, ["# query,rank,correct,confidence", "", "# none"])
+        assert main(["retrieval-eval", "--ranked", ranked,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {ranked}: no predictions\n"
+        assert not (tmp_path / "o").exists()
+
 
 @st.composite
 def _face_placements(draw):
@@ -1123,6 +1130,24 @@ class TestMalformedInput:
         else:
             arrays = {k: v for k, v in self._model_arrays().items() if k not in bad[0]}
             np.savez(model, **{**arrays, **bad[1]})
+        for argv in (["auth", "--gallery", str(gallery), "--model", str(model), blank],
+                     ["enroll", "--gallery", str(gallery), "--name", "dave", "--model",
+                      str(model), blank]):
+            code, err = _run_cli(argv)
+            assert code == 3 and err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert gallery.read_text() == text
+
+    def test_model_of_another_input_width(self, tmp_path):
+        """A well-formed model whose first layer does not take the toy crop's
+        256 inputs: auth and enroll exit 3 with one 'error:' line that names
+        it, and enroll leaves the gallery alone."""
+        blank, text = self._files(tmp_path)
+        gallery = tmp_path / "g.txt"
+        gallery.write_text(text)
+        arrays = self._model_arrays()
+        arrays["W0"] = arrays["W0"][:, :100]
+        model = tmp_path / "model.npz"
+        np.savez(model, **arrays)
         for argv in (["auth", "--gallery", str(gallery), "--model", str(model), blank],
                      ["enroll", "--gallery", str(gallery), "--name", "dave", "--model",
                       str(model), blank]):

@@ -12,30 +12,33 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import cotface
 import oracles
+from cotface import losses
 from cotface.angular import AngularBatch, LossConfig, SingularityError
 from cotface.losses import (
     ANGULAR_LOSSES,
     ELASTIC_LOSSES,
     LossOutput,
     ScorePair,
-    arcface_loss,
-    combined_margin_cos_loss,
-    combined_margin_cot_loss,
-    cosface_loss,
     double_loss,
-    dual_cot_cos_loss,
-    elastic_cot_loss,
-    elasticface_arc_loss,
-    elasticface_cos_loss,
-    generalized_lmcot_loss,
-    lmcot_loss,
     margin_sigmoid_ce,
-    norm_softmax_loss,
     softmax_loss,
-    sphereface_loss,
 )
 from cotface.reference import LABELS, LOGITS, THETA, batch as reference_batch
+
+norm_softmax_loss = ANGULAR_LOSSES["norm-softmax"]
+sphereface_loss = ANGULAR_LOSSES["sphereface"]
+cosface_loss = ANGULAR_LOSSES["cosface"]
+arcface_loss = ANGULAR_LOSSES["arcface"]
+elasticface_arc_loss = ANGULAR_LOSSES["elastic-arc"]
+elasticface_cos_loss = ANGULAR_LOSSES["elastic-cos"]
+lmcot_loss = ANGULAR_LOSSES["lmcot"]
+combined_margin_cos_loss = ANGULAR_LOSSES["combined-cos"]
+combined_margin_cot_loss = ANGULAR_LOSSES["combined-cot"]
+elastic_cot_loss = ANGULAR_LOSSES["elastic-cot"]
+generalized_lmcot_loss = ANGULAR_LOSSES["generalized-lmcot"]
+dual_cot_cos_loss = ANGULAR_LOSSES["dual"]
 
 
 def _cfg(**kwargs) -> LossConfig:
@@ -84,7 +87,7 @@ class TestPerSampleDecomposition:
         (sphereface_loss, 1.1, (0.0336, 0.4302)),
         (cosface_loss, 0.05, (0.0368, 0.3985)),
         (arcface_loss, 0.05, (0.034, 0.3982)),
-    ])
+    ], ids=["sphereface_loss-1.1-terms0", "cosface_loss-0.05-terms1", "arcface_loss-0.05-terms2"])
     def test_printed_terms(self, fn, m, terms):
         out = fn(reference_batch(), _cfg(m=m))
         # printed terms are already divided by N = 2
@@ -357,6 +360,12 @@ class TestSpecializationLattice:
 
 
 class TestElasticBehavior:
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-1.0, 0.5)])
+    def test_dual_weights_must_sum_above_zero(self, alpha, beta):
+        b = _random_batch(np.random.default_rng(10))
+        with pytest.raises(ValueError, match=r"^alpha \+ beta must be positive$"):
+            dual_cot_cos_loss(b, _cfg(alpha=alpha, beta=beta), rng=np.random.default_rng(0))
+
     def test_rng_required(self):
         b = _random_batch(np.random.default_rng(10))
         for name in sorted(ELASTIC_LOSSES):
@@ -374,7 +383,7 @@ class TestElasticBehavior:
     @pytest.mark.parametrize("fn,sigma_field", [
         (elasticface_arc_loss, "sigma2"),
         (elasticface_cos_loss, "sigma3"),
-    ])
+    ], ids=["elasticface_arc_loss-sigma2", "elasticface_cos_loss-sigma3"])
     def test_mean_matches_quadrature(self, fn, sigma_field):
         """Monte Carlo mean over seeds within 3 SE of the quadrature value."""
         theta = np.array([[0.4, 1.3, 1.9], [1.1, 0.7, 2.2]])
@@ -482,6 +491,12 @@ class TestDoubleLoss:
         with pytest.raises(ValueError):
             ScorePair(low=low, high=high)
 
+    @pytest.mark.parametrize("low,high,name", [([np.nan], [0.5], "low"), ([0.5], [np.inf], "high")])
+    def test_non_finite_scores_rejected(self, low, high, name):
+        # NaN fails both range comparisons, so only the finiteness check stops it
+        with pytest.raises(ValueError, match=f"^{name} scores contain non-finite values$"):
+            ScorePair(low=low, high=high)
+
 
 class TestMarginSigmoidCE:
     def test_zero_margin_is_plain_bce(self):
@@ -532,6 +547,18 @@ class TestRegistry:
     def test_twelve_angular_losses(self):
         assert len(ANGULAR_LOSSES) == 12
         assert ELASTIC_LOSSES < set(ANGULAR_LOSSES)
+
+    def test_presets_are_reached_only_through_the_registry(self):
+        """Each entry is the one margin core bound to its preset, in PRESETS
+        order, and no public module name holds a second per-preset function."""
+        assert list(ANGULAR_LOSSES) == list(losses.PRESETS)
+        for name, fn in ANGULAR_LOSSES.items():
+            assert (fn.func, fn.args, fn.keywords) == (losses._margin_loss, (name,), {})
+        for module in (cotface, losses):
+            public = {n: v for n, v in vars(module).items() if not n.startswith("_")}
+            assert sorted(n for n in public if n.endswith("_loss")) == ["double_loss",
+                                                                        "softmax_loss"]
+            assert not any(v in ANGULAR_LOSSES.values() for v in public.values() if callable(v))
 
     def test_common_signature(self):
         b = _random_batch(np.random.default_rng(17))

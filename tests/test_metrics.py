@@ -24,6 +24,20 @@ from cotface.metrics import (
 )
 
 
+class TestScoredPairs:
+    @pytest.mark.parametrize("genuine,impostor,name", [
+        ([np.nan], [0.5], "genuine"), ([0.5], [0.1, -np.inf], "impostor")])
+    def test_non_finite_scores_rejected(self, genuine, impostor, name):
+        with pytest.raises(ValueError, match=f"^{name} scores contain non-finite values$"):
+            ScoredPairs(genuine=genuine, impostor=impostor)
+
+    @pytest.mark.parametrize("metric", [auc, lambda pairs: far_frr_sweep(pairs, [0.5])])
+    @pytest.mark.parametrize("genuine,impostor", [([], [0.5]), ([0.5], [])])
+    def test_empty_side_rejected(self, metric, genuine, impostor):
+        with pytest.raises(ValueError, match="^both score sets must be non-empty$"):
+            metric(ScoredPairs(genuine=genuine, impostor=impostor))
+
+
 class TestFarFrrSweep:
     PAIRS = ScoredPairs(genuine=[0.9, 0.8], impostor=[0.1, 0.2])
 
@@ -271,6 +285,15 @@ class TestPca2:
 
 
 class TestMapAt100:
+    @pytest.mark.parametrize("rel,num_relevant,message", [
+        ([1, 2], 1, "relevance flags must be 0/1"),
+        ([0.5], 1, "relevance flags must be 0/1"),
+        ([1, 0], -1, "num_relevant must be >= 0"),
+    ])
+    def test_invalid_query_rejected(self, rel, num_relevant, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RankedQuery(rel=rel, num_relevant=num_relevant)
+
     def test_first_prediction_correct(self):
         r = RankedRetrieval(queries=[RankedQuery(rel=[1], num_relevant=1),
                                      RankedQuery(rel=[1, 0], num_relevant=1)])
@@ -355,6 +378,10 @@ class TestGap:
             gap(RankedRetrieval(confidences=[0.5], correct=None, num_in_gallery=1))
         with pytest.raises(ValueError):
             gap(RankedRetrieval(confidences=[0.5], correct=[1], num_in_gallery=0))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^confidences and correct must have matching shapes$"):
+            gap(RankedRetrieval(confidences=[0.9, 0.5], correct=[1], num_in_gallery=1))
 
 
 class TestCsvRendering:

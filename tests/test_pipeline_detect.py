@@ -42,6 +42,11 @@ class TestDetectionBox:
         with pytest.raises(ValueError):
             _box(0.0, 0.0, 1.0, 1.0, conf=1.5)
 
+    @pytest.mark.parametrize("landmarks", [[5.0, 5.0], [[5.0, 5.0, 5.0]], [[[5.0, 5.0]]]])
+    def test_landmarks_must_be_k_by_2(self, landmarks):
+        with pytest.raises(ValueError, match=r"^landmarks must have shape \(k, 2\)$"):
+            _box(0.0, 0.0, 10.0, 10.0, landmarks=landmarks)
+
     def test_landmarks_must_sit_inside(self):
         with pytest.raises(ValueError):
             _box(0.0, 0.0, 10.0, 10.0, landmarks=[[11.0, 5.0], [5.0, 5.0]])

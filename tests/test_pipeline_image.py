@@ -21,7 +21,7 @@ from cotface.pipeline import (
     write_pgm,
 )
 from cotface.pipeline import image as image_module
-from cotface.pipeline.image import _taps, crop_bounds, crop_resize
+from cotface.pipeline.image import WINDOW, _taps, crop_bounds, crop_resize
 from oracles import read_pgm_scan, rotate_region_taps
 
 
@@ -160,6 +160,16 @@ class TestImagePyramid:
                 (level, _), = image_pyramid(_blank(side, width), min_face=float(side))
                 assert (level.height, level.width) == (12, 12 * width // side)
 
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 160), w=st.integers(1, 160), data=st.data())
+    def test_every_level_covers_a_window(self, h, w, data):
+        """The stage-1 scan takes every level without a size check: each is at
+        least WINDOW px on both sides, with min_face at the short side too."""
+        short = max(min(h, w), WINDOW / 2)
+        min_face = data.draw(st.one_of(st.just(float(short)), st.floats(WINDOW / 2, 320.0)))
+        for level, _ in image_pyramid(_blank(h, w), min_face):
+            assert min(level.height, level.width) >= WINDOW
+
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             image_pyramid(_blank(20, 20), min_face=0.0)
@@ -282,6 +292,19 @@ class TestPgm:
         path.write_bytes(b"P5 # comment\n# another\n 2 2\n255\n" + bytes([0, 64, 128, 255]))
         img = read_pgm(path)
         np.testing.assert_array_equal(img.pixels, [[0.0, 64.0], [128.0, 255.0]])
+
+    def test_samples_are_shares_of_maxval(self, tmp_path):
+        """Netpbm: a sample of maxval is white, whatever maxval is."""
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 2 2 15\n" + bytes([0, 5, 10, 15]))
+        np.testing.assert_array_equal(read_pgm(path).pixels, [[0.0, 85.0], [170.0, 255.0]])
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 2 2 15\n" + bytes([15, 15, 15, 16]))
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value) == f"{path}: sample 16 above maxval 15"
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "img.pgm"

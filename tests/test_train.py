@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cotface.angular import LossConfig, angles_from_features
-from cotface.losses import arcface_loss, lmcot_loss
+from cotface.losses import ANGULAR_LOSSES
 from cotface.angular import AngularBatch, ConfigError
 from cotface.train import (
     Grads,
@@ -27,6 +27,8 @@ from cotface.train import (
     synth_dataset,
     train_loop,
 )
+
+arcface_loss = ANGULAR_LOSSES["arcface"]
 
 
 class TestSynthDataset:
