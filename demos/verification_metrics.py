@@ -8,7 +8,6 @@ import numpy as np
 
 from cotface.metrics import (
     RankedQuery,
-    RankedRetrieval,
     ScoredPairs,
     auc,
     eer,
@@ -46,17 +45,12 @@ for i in range(10):
 print()
 
 # retrieval metrics on a handmade ranking
-retrieval = RankedRetrieval(
-    queries=[
-        RankedQuery(rel=[1, 0, 1], num_relevant=2),   # hits at ranks 1 and 3
-        RankedQuery(rel=[0, 1], num_relevant=1),      # hit at rank 2
-    ],
-    confidences=[0.9, 0.8, 0.7, 0.6],
-    correct=[1, 0, 1, 1],
-    num_in_gallery=4,
-)
-print(f"mAP@100 {map_at_100(retrieval):.4f}")
-print(f"GAP     {gap(retrieval):.4f}")
+queries = [
+    RankedQuery(rel=[1, 0, 1], num_relevant=2),   # hits at ranks 1 and 3
+    RankedQuery(rel=[0, 1], num_relevant=1),      # hit at rank 2
+]
+print(f"mAP@100 {map_at_100(queries):.4f}")
+print(f"GAP     {gap([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 1], num_in_gallery=4):.4f}")
 print()
 
 # 2-D projection of clustered embeddings via eigendecomposition

@@ -21,7 +21,6 @@ from .losses import (
 )
 from .metrics import (
     RankedQuery,
-    RankedRetrieval,
     ScoredPairs,
     auc,
     eer,

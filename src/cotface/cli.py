@@ -12,6 +12,7 @@ byte-identical primary output files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -23,7 +24,6 @@ import numpy as np
 from .angular import LossConfig
 from .metrics import (
     RankedQuery,
-    RankedRetrieval,
     ScoredPairs,
     _edges,
     _eer_grid,
@@ -231,6 +231,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # glibc keeps what a step frees (a few (N, C) arrays) instead of faulting it in again each step
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD: blocks up to 32 MB come from the heap
+        libc.mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD: up to 64 MB of it may stay free
     spec = SynthSpec(task=args.task, n_classes=args.classes, dim=args.dim,
                      per_class=args.per_class, intra_spread=args.spread,
                      seed=args.seed)
@@ -357,7 +362,7 @@ def _read_ranked_file(path):
     query, an integer rank >= 1 that is unique within its query, correct 0 or
     1, and a finite confidence, and a query's ranks must be exactly 1..k; a
     ValueError names the first line that breaks this as path:lineno (for a
-    gap, the rank after it).  GAP's flat view holds each query's rank-1 row.
+    gap, the rank after it).  Returns the queries, then each query's rank-1 confidence and flag.
     """
     per_query: dict = {}
     for lineno, line in _data_lines(path):
@@ -390,18 +395,17 @@ def _read_ranked_file(path):
         # the file carries no relevant-item counts; use the correct count
         queries.append(RankedQuery(rel=rel, num_relevant=int(rel.sum())))
         top.append(ranked[0])
-    return RankedRetrieval(
-        queries=queries,
-        confidences=np.array([conf for _, conf, _ in top]),
-        correct=np.array([c for c, _, _ in top]),
-    )
+    return queries, np.array([conf for _, conf, _ in top]), np.array([c for c, _, _ in top])
 
 
 def _cmd_retrieval_eval(args) -> int:
-    retrieval = _read_ranked_file(args.ranked)
-    retrieval.num_in_gallery = args.gallery_queries or len(retrieval.queries)
-    map_value = map_at_100(retrieval)
-    gap_value = gap(retrieval)
+    queries, confidences, correct = _read_ranked_file(args.ranked)
+    num_in_gallery = args.gallery_queries or len(queries)
+    if num_in_gallery < correct.sum():
+        raise ConfigError(f"--gallery-queries must be >= {correct.sum()}, the queries whose "
+                          f"top prediction is correct, got {num_in_gallery}")
+    map_value = map_at_100(queries)
+    gap_value = gap(confidences, correct, num_in_gallery)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics(out / "retrieval_metrics.csv", [("map_at_100", map_value), ("gap", gap_value)])

@@ -14,7 +14,7 @@ the grid of observed scores.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,24 +165,11 @@ class RankedQuery:
             raise ValueError("relevance flags must be 0/1")
         if self.num_relevant < 0:
             raise ValueError("num_relevant must be >= 0")
+        if self.num_relevant < self.rel.sum():
+            raise ValueError("num_relevant must be >= the number of relevant flags")
 
 
-@dataclass
-class RankedRetrieval:
-    """Retrieval results: per-query ranked lists plus a flat confidence view.
-
-    `queries` feeds map_at_100; the flat `confidences`/`correct` arrays plus
-    `num_in_gallery` (the M normalizer: queries with at least one relevant
-    gallery item) feed gap.
-    """
-
-    queries: list = field(default_factory=list)
-    confidences: np.ndarray | None = None
-    correct: np.ndarray | None = None
-    num_in_gallery: int | None = None
-
-
-def map_at_100(retrieval: RankedRetrieval) -> float:
+def map_at_100(queries: list[RankedQuery]) -> float:
     """Mean average precision truncated at rank 100.
 
     Per query: (1/min(m_q, 100)) * sum_{k <= min(n_q, 100)} P(k) * rel(k),
@@ -190,7 +177,7 @@ def map_at_100(retrieval: RankedRetrieval) -> float:
     excluded from the mean; if every query is excluded the result is 0.
     """
     aps = []
-    for q in retrieval.queries:
+    for q in queries:
         if q.num_relevant == 0:
             continue
         rel = q.rel[:100]
@@ -202,25 +189,26 @@ def map_at_100(retrieval: RankedRetrieval) -> float:
     return float(np.mean(aps))
 
 
-def gap(retrieval: RankedRetrieval) -> float:
+def gap(confidences, correct, num_in_gallery: int) -> float:
     """Global average precision over the confidence-ranked prediction list.
 
     All predictions are sorted by descending confidence (stable, so ties keep
     insertion order); GAP = (1/M) * sum_i P(i) * rel(i) with M =
-    num_in_gallery.
+    num_in_gallery, the queries with a relevant item, at least the correct count.
     """
-    if retrieval.confidences is None or retrieval.correct is None:
-        raise ValueError("gap needs the flat confidence view")
-    if not retrieval.num_in_gallery or retrieval.num_in_gallery < 1:
+    if num_in_gallery < 1:
         raise ValueError("num_in_gallery must be a positive count")
-    conf = np.asarray(retrieval.confidences, dtype=np.float64)
-    correct = np.asarray(retrieval.correct).astype(np.float64)
+    conf = np.asarray(confidences, dtype=np.float64)
+    correct = np.asarray(correct).astype(np.float64)
     if conf.shape != correct.shape:
         raise ValueError("confidences and correct must have matching shapes")
+    if num_in_gallery < correct.sum():
+        raise ValueError(f"num_in_gallery {num_in_gallery} is below the "
+                         f"{int(correct.sum())} correct predictions")
     order = np.argsort(-conf, kind="stable")
     rel = correct[order]
     precision = np.cumsum(rel) / np.arange(1, rel.size + 1)
-    return float((precision * rel).sum()) / retrieval.num_in_gallery
+    return float((precision * rel).sum()) / num_in_gallery
 
 
 _CSV_BLOCK_ROWS = 4096  # bounds the Python floats alive at once

@@ -352,6 +352,40 @@ def read_scores_loop(path):
     return np.array(genuine), np.array(impostor)
 
 
+def map_at_100_loop(queries):
+    """mAP@100 from its definition, one query and one rank at a time.
+
+    queries: (relevance flags in rank order, relevant-item count m) pairs.  A
+    query's AP is sum_{k <= 100} P(k) * rel(k) / min(m, 100), P(k) the hits
+    in the top k over k; queries with m = 0 are left out, and a mean over no
+    query is 0.
+    """
+    aps = []
+    for rel, num_relevant in queries:
+        if num_relevant == 0:
+            continue
+        hits, total = 0, 0.0
+        for k, flag in enumerate(list(rel)[:100], 1):
+            if flag:
+                hits += 1
+                total += hits / k
+        aps.append(total / min(num_relevant, 100))
+    return sum(aps) / len(aps) if aps else 0.0
+
+
+def gap_loop(confidences, correct, num_in_gallery):
+    """GAP from its definition: (1/M) * sum_i P(i) * rel(i), one prediction at
+    a time in descending confidence (Python's sort is stable, so ties keep
+    input order)."""
+    order = sorted(range(len(confidences)), key=lambda i: -confidences[i])
+    hits, total = 0, 0.0
+    for i, index in enumerate(order, 1):
+        if correct[index]:
+            hits += 1
+            total += hits / i
+    return total / num_in_gallery
+
+
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):
     """E[f(X)] for X ~ N(mean, sigma^2) by Gauss-Hermite quadrature."""
     x, w = np.polynomial.hermite.hermgauss(nodes)

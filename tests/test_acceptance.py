@@ -24,7 +24,6 @@ from cotface.cli import main as cli_main
 from cotface.losses import ANGULAR_LOSSES
 from cotface.metrics import (
     RankedQuery,
-    RankedRetrieval,
     ScoredPairs,
     auc,
     eer,
@@ -230,14 +229,11 @@ def test_criterion_07_metric_oracles():
             value, threshold = eer(pairs)
             o_value, o_threshold = oracles.eer_exhaustive(pairs.genuine, pairs.impostor)
             eer_ok &= value == o_value and threshold == o_threshold
-        map_value = map_at_100(RankedRetrieval(
-            queries=[RankedQuery(rel=[1, 0, 1], num_relevant=2)]))
+        map_value = map_at_100([RankedQuery(rel=[1, 0, 1], num_relevant=2)])
         map_ok = (map_value == (1.0 + 2.0 / 3.0) / 2.0
                   and abs(map_value - 5.0 / 6.0) < 1e-15)
-        gap_half = gap(RankedRetrieval(confidences=[0.9, 0.8], correct=[1, 0],
-                                       num_in_gallery=2))
-        gap_quarter = gap(RankedRetrieval(confidences=[0.9, 0.8], correct=[0, 1],
-                                          num_in_gallery=2))
+        gap_half = gap([0.9, 0.8], [1, 0], num_in_gallery=2)
+        gap_quarter = gap([0.9, 0.8], [0, 1], num_in_gallery=2)
         gap_ok = gap_half == 0.5 and gap_quarter == 0.25
         c.ok = auc_ok and eer_ok and map_ok and gap_ok
         c.detail = ("AUC == pairwise oracle on 200 sets, EER == exhaustive oracle "

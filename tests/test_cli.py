@@ -315,6 +315,26 @@ _TRAIN_ARGS = [
 
 
 class TestTrain:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's heap policy")
+    def test_steps_reuse_the_memory_they_free(self, tmp_path):
+        """A second train run in one process faults in almost no fresh pages:
+        the (N, C) arrays each step frees (600 x 100 here, 480 kB each) stay in
+        the heap.  Left to glibc's default policy, each step faults in several
+        of them again: over 100 pages a step."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import resource\n"
+            "from cotface.cli import main\n"
+            "argv = ['train', '--loss', 'lmcot', '--classes', '100', '--per-class', '8',"
+            f" '--steps', '40', '--out', {str(tmp_path)!r}]\n"
+            "main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "main(argv)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert int(proc.stdout.split()[-1]) < 10 * 40
+
     def test_writes_report_metrics_and_log(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(_TRAIN_ARGS + ["--out", str(out)]) == 0
@@ -715,6 +735,16 @@ class TestRetrievalEval:
         assert main(["retrieval-eval", "--ranked", ranked,
                      "--out", str(tmp_path / "o"), "--gallery-queries", count]) == 2
         assert "--gallery-queries must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gallery_queries_below_the_correct_count_is_a_usage_error(self, tmp_path, capsys):
+        """Three correct top predictions need M >= 3; M = 1 would give GAP 3."""
+        ranked = self._ranked(tmp_path, ["a,1,1,0.9", "b,1,1,0.8", "c,1,1,0.7"])
+        assert main(["retrieval-eval", "--ranked", ranked,
+                     "--out", str(tmp_path / "o"), "--gallery-queries", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --gallery-queries must be >= 3, ") and err.count("\n") == 1
+        assert err.endswith(", got 1\n")
         assert not (tmp_path / "o").exists()
 
     def test_rank_gap_names_the_rank_after_it(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Verification metrics against exhaustive and dense-solver oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from cotface.metrics import (
     RankedQuery,
-    RankedRetrieval,
     ScoredPairs,
     auc,
     eer,
@@ -289,41 +289,35 @@ class TestMapAt100:
         ([1, 2], 1, "relevance flags must be 0/1"),
         ([0.5], 1, "relevance flags must be 0/1"),
         ([1, 0], -1, "num_relevant must be >= 0"),
+        ([1, 1, 1], 1, "num_relevant must be >= the number of relevant flags"),
     ])
     def test_invalid_query_rejected(self, rel, num_relevant, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RankedQuery(rel=rel, num_relevant=num_relevant)
 
     def test_first_prediction_correct(self):
-        r = RankedRetrieval(queries=[RankedQuery(rel=[1], num_relevant=1),
-                                     RankedQuery(rel=[1, 0], num_relevant=1)])
-        assert map_at_100(r) == 1.0
+        queries = [RankedQuery(rel=[1], num_relevant=1), RankedQuery(rel=[1, 0], num_relevant=1)]
+        assert map_at_100(queries) == 1.0
 
     def test_second_prediction_correct(self):
-        r = RankedRetrieval(queries=[RankedQuery(rel=[0, 1], num_relevant=1)])
-        assert map_at_100(r) == 0.5
+        assert map_at_100([RankedQuery(rel=[0, 1], num_relevant=1)]) == 0.5
 
     def test_interleaved_fixture(self):
-        r = RankedRetrieval(queries=[RankedQuery(rel=[1, 0, 1], num_relevant=2)])
-        assert map_at_100(r) == (1.0 + 2.0 / 3.0) / 2.0
+        assert map_at_100([RankedQuery(rel=[1, 0, 1], num_relevant=2)]) == (1.0 + 2.0 / 3.0) / 2.0
 
     def test_queries_without_relevant_items_excluded(self):
-        r = RankedRetrieval(queries=[RankedQuery(rel=[1], num_relevant=1),
-                                     RankedQuery(rel=[0, 0], num_relevant=0)])
-        assert map_at_100(r) == 1.0
-        only_empty = RankedRetrieval(queries=[RankedQuery(rel=[0], num_relevant=0)])
-        assert map_at_100(only_empty) == 0.0
+        queries = [RankedQuery(rel=[1], num_relevant=1), RankedQuery(rel=[0, 0], num_relevant=0)]
+        assert map_at_100(queries) == 1.0
+        assert map_at_100([RankedQuery(rel=[0], num_relevant=0)]) == 0.0
 
     def test_truncation_at_rank_100(self):
         rel = np.zeros(150, dtype=int)
         rel[120] = 1  # beyond the cutoff, must not count
-        r = RankedRetrieval(queries=[RankedQuery(rel=rel, num_relevant=1)])
-        assert map_at_100(r) == 0.0
+        assert map_at_100([RankedQuery(rel=rel, num_relevant=1)]) == 0.0
 
     def test_normalizer_caps_at_100(self):
         rel = np.ones(100, dtype=int)
-        r = RankedRetrieval(queries=[RankedQuery(rel=rel, num_relevant=500)])
-        assert map_at_100(r) == pytest.approx(1.0)
+        assert map_at_100([RankedQuery(rel=rel, num_relevant=500)]) == pytest.approx(1.0)
 
     def test_range(self):
         rng = np.random.default_rng(10)
@@ -332,31 +326,39 @@ class TestMapAt100:
             for _ in range(rng.integers(1, 5)):
                 rel = rng.integers(0, 2, rng.integers(1, 20))
                 queries.append(RankedQuery(rel=rel, num_relevant=int(rel.sum())))
-            assert 0.0 <= map_at_100(RankedRetrieval(queries=queries)) <= 1.0
+            assert 0.0 <= map_at_100(queries) <= 1.0
+
+    # a query is its flags in rank order and its relevant items beyond the hits
+    _QUERIES = st.lists(st.tuples(
+        st.integers(1, 160).flatmap(lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        st.integers(0, 3)), min_size=1, max_size=6)
+
+    @given(drawn=_QUERIES)
+    @example(drawn=[([0] * 120 + [1], 0), ([0, 0], 2), ([0, 0], 0)])  # a hit past 100, no hits
+    @example(drawn=[([1] * 150, 0)])  # more than 100 relevant items
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracle(self, drawn):
+        """Equal to the scalar loop within a relative 1e-12: numpy sums the
+        precisions pairwise, the loop one at a time."""
+        queries = [(rel, sum(rel) + extra) for rel, extra in drawn]
+        value = map_at_100([RankedQuery(rel=rel, num_relevant=m) for rel, m in queries])
+        assert math.isclose(value, oracles.map_at_100_loop(queries), rel_tol=1e-12)
 
 
 class TestGap:
     def test_all_correct(self):
-        r = RankedRetrieval(confidences=[0.9, 0.5, 0.7], correct=[1, 1, 1],
-                            num_in_gallery=3)
-        assert gap(r) == 1.0
+        assert gap([0.9, 0.5, 0.7], [1, 1, 1], num_in_gallery=3) == 1.0
 
     def test_correct_above_wrong(self):
-        r = RankedRetrieval(confidences=[0.9, 0.8], correct=[1, 0], num_in_gallery=2)
-        assert gap(r) == 0.5
+        assert gap([0.9, 0.8], [1, 0], num_in_gallery=2) == 0.5
 
     def test_wrong_above_correct(self):
-        r = RankedRetrieval(confidences=[0.9, 0.8], correct=[0, 1], num_in_gallery=2)
-        assert gap(r) == 0.25
+        assert gap([0.9, 0.8], [0, 1], num_in_gallery=2) == 0.25
 
     def test_stable_tie_break(self):
         # equal confidences keep insertion order, so these two differ
-        first_correct = RankedRetrieval(confidences=[0.5, 0.5], correct=[1, 0],
-                                        num_in_gallery=2)
-        second_correct = RankedRetrieval(confidences=[0.5, 0.5], correct=[0, 1],
-                                         num_in_gallery=2)
-        assert gap(first_correct) == 0.5
-        assert gap(second_correct) == 0.25
+        assert gap([0.5, 0.5], [1, 0], num_in_gallery=2) == 0.5
+        assert gap([0.5, 0.5], [0, 1], num_in_gallery=2) == 0.25
 
     def test_appending_low_confidence_correct_never_hurts_numerator(self):
         rng = np.random.default_rng(11)
@@ -364,24 +366,36 @@ class TestGap:
             n = int(rng.integers(1, 10))
             conf = rng.uniform(0.1, 1.0, n)
             correct = rng.integers(0, 2, n)
-            m = max(1, int(correct.sum()))
-            base = gap(RankedRetrieval(confidences=conf, correct=correct,
-                                       num_in_gallery=m)) * m
-            extended = gap(RankedRetrieval(
-                confidences=np.append(conf, 0.01),
-                correct=np.append(correct, 1),
-                num_in_gallery=m)) * m
+            m = int(correct.sum()) + 1  # room for the appended correct prediction
+            base = gap(conf, correct, num_in_gallery=m) * m
+            extended = gap(np.append(conf, 0.01), np.append(correct, 1), num_in_gallery=m) * m
             assert extended >= base - 1e-12
+
+    _CONFIDENCES = st.one_of(st.sampled_from([0.25, 0.5]), st.floats(-1.0, 1.0))
+
+    @given(rows=st.lists(st.tuples(_CONFIDENCES, st.integers(0, 1)), min_size=1, max_size=150),
+           extra=st.integers(0, 5))
+    @example(rows=[(0.5, 0), (0.5, 1), (0.5, 1)], extra=0)  # a tie keeps input order
+    @example(rows=[(0.9, 0), (0.1, 0)], extra=1)  # no correct prediction
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_oracle(self, rows, extra):
+        """Equal to the scalar loop within a relative 1e-12, for any M at or
+        above the correct count."""
+        conf, correct = [c for c, _ in rows], [flag for _, flag in rows]
+        m = max(1, sum(correct) + extra)
+        assert math.isclose(gap(conf, correct, m), oracles.gap_loop(conf, correct, m),
+                            rel_tol=1e-12)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
-            gap(RankedRetrieval(confidences=[0.5], correct=None, num_in_gallery=1))
-        with pytest.raises(ValueError):
-            gap(RankedRetrieval(confidences=[0.5], correct=[1], num_in_gallery=0))
+            gap([0.5], [1], num_in_gallery=0)
+        # each correct prediction's query has a relevant item; M = 1 here would give GAP 3
+        with pytest.raises(ValueError, match="^num_in_gallery 1 is below the 3 correct"):
+            gap([0.9, 0.8, 0.7], [1, 1, 1], num_in_gallery=1)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="^confidences and correct must have matching shapes$"):
-            gap(RankedRetrieval(confidences=[0.9, 0.5], correct=[1], num_in_gallery=1))
+            gap([0.9, 0.5], [1], num_in_gallery=1)
 
 
 class TestCsvRendering:

@@ -1,5 +1,6 @@
 """Synthetic data, forward/backward passes and the training loop."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +84,17 @@ class TestSynthDataset:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="makes the features overflow"):
                 synth_dataset(spec)
+
+    def test_memory_is_linear_in_the_class_count(self):
+        """1,000 classes of 16-d features take about 1 MB; a table over class
+        pairs (C x C x d float64) would take 128 MB."""
+        tracemalloc.start()
+        try:
+            synth_dataset(SynthSpec(n_classes=1000, dim=16, per_class=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _identity_model(dim: int, head: np.ndarray) -> MlpModel:
