@@ -5,8 +5,8 @@ Exit codes: 0 success (auth: Accepted), 1 failed check (train: a rising
 embedding loss, or a non-finite loss or model output) or non-accepted
 outcome, 2 usage error (argparse or ConfigError), 3 unreadable or malformed
 input/output files (enroll, auth: also a model output that is not finite).
-Every subcommand is deterministic for a fixed --seed: reruns produce
-byte-identical primary output files.
+Every subcommand is deterministic (train and gradcheck for a fixed --seed):
+reruns produce byte-identical primary output files.
 """
 
 from __future__ import annotations
@@ -134,14 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("images", nargs="+", help="PGM face images")
-    p.add_argument("--model", default=None, help="embedder .npz (default: seed-fixed toy)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", default=None, help="embedder .npz (default: fixed toy)")
 
     p = sub.add_parser("auth", help="authenticate one frame against a gallery")
     p.add_argument("--gallery", required=True)
     p.add_argument("frame", help="PGM frame")
-    p.add_argument("--model", default=None, help="embedder .npz (default: seed-fixed toy)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--model", default=None, help="embedder .npz (default: fixed toy)")
     p.add_argument("--sim-threshold", type=float, default=AuthConfig.sim_threshold)
 
     return parser
@@ -149,10 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- toy scorers -------------------------------------------------------------
 
-def _toy_embedder(seed: int, model_path=None):
-    """Face crop -> unit embedding via a seed-fixed MLP, or the one saved at model_path."""
+def _toy_embedder(model_path=None):
+    """Face crop -> unit embedding via a fixed (seed 0) MLP, or the one saved at model_path."""
     model = load_model(model_path) if model_path else init_embedding_model(
-        _TOY_SIDE * _TOY_SIDE, n_classes=2, hidden=(64,), embed_dim=32, seed=seed)
+        _TOY_SIDE * _TOY_SIDE, n_classes=2, hidden=(64,), embed_dim=32, seed=0)
     in_dim = model.layers[0].W.shape[1]
     if in_dim != _TOY_SIDE * _TOY_SIDE:
         raise ValueError(f"{model_path}: embedder expects "
@@ -187,11 +185,11 @@ class _BrightnessScorer:
             self._LANDMARKS, (len(crops),) + self._LANDMARKS.shape)
 
 
-def _default_scorers(seed: int, model_path=None) -> AuthScorers:
+def _default_scorers(model_path=None) -> AuthScorers:
     return AuthScorers(
         detector=_BrightnessScorer(),
         spoof=lambda frame: 0.0,  # stand-in: treat every frame as live
-        embedder=_toy_embedder(seed, model_path),
+        embedder=_toy_embedder(model_path),
         eye_closed=lambda crop: 0.0,  # stand-in: treat eyes as open
     )
 
@@ -417,7 +415,7 @@ def _cmd_retrieval_eval(args) -> int:
 def _cmd_enroll(args) -> int:
     gallery_path = Path(args.gallery)
     gallery = load_gallery(gallery_path) if gallery_path.exists() else Gallery()
-    embed = _toy_embedder(args.seed, args.model)
+    embed = _toy_embedder(args.model)
     any_rejected = False
     for image_path in args.images:
         img = read_pgm(image_path)
@@ -445,7 +443,7 @@ _VERDICT_LINES = {  # AuthOutcome kind -> the line auth prints, from the outcome
 def _cmd_auth(args) -> int:
     gallery = load_gallery(args.gallery)
     frame = read_pgm(args.frame)
-    scorers = _default_scorers(args.seed, args.model)
+    scorers = _default_scorers(args.model)
     outcome = authenticate(frame, gallery, scorers, AuthConfig(sim_threshold=args.sim_threshold))
     print(_VERDICT_LINES[outcome.kind].format(**vars(outcome)))
     return EXIT_OK if outcome.kind == "accepted" else EXIT_FAILED

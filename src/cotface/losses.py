@@ -7,11 +7,12 @@ margins), and the per-sample loss is
 
     -log_b( e^{f(theta_y)} / (e^{f(theta_y)} + sum_{j != y} e^{g(theta_j)}) )
 
-computed as logit minus log-sum-exp with a max shift so large logits cannot
-overflow.  The margins change only f, so one pass over the competitor logits
-serves every true-class branch (_shared_ce, which softmax_loss uses too).  The
-batch value is the mean of the per-sample losses; grad carries its gradient
-with respect to the batch's angles, or its cosines for a cosine batch.
+computed with a max shift and log1p of the terms below the top, so no exp
+overflows and small losses keep their digits.  The margins change only f, so
+one pass over the competitor logits serves every true-class branch (_shared_ce,
+which softmax_loss uses too).  The batch value is the mean of the per-sample
+losses; grad carries its gradient with respect to the batch's angles, or its
+cosines for a cosine batch.
 PRESETS gives each named loss its kernel, margins and true-class branches,
 and ANGULAR_LOSSES[name] is that loss.
 The cosine family (norm-softmax, SphereFace, CosFace, ArcFace, ElasticFace,
@@ -20,8 +21,8 @@ the angle approaches 0 and so punishes badly misclassified samples much harder
 while driving well-classified ones to essentially zero loss.
 
 Score-level losses for the binary heads live here too: a margin-shifted
-sigmoid cross-entropy and a score-separation loss over a (low, high) pair of
-score sets.
+sigmoid cross-entropy (softmax_loss over the logits (0, z)) and a
+score-separation loss over a (low, high) pair of score sets.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
     the labeled logit and w a weight (None: unweighted).  One pass over z gives
     the competitors' row max m and S = sum_{j != y} e^{z_j - m} (0 with none);
     a branch adds (N,) work: top = max(m, f), D = S*e^{m - top} + e^{f - top},
-    loss (top + log D - f)/ln b.  Returns (per_sample, d(mean)/d(input)), summed.
+    loss (top - f + log1p(S*e^{m - top} - (1 - e^{f - top})))/ln b, which keeps a
+    near-certain sample's digits.  Returns (per_sample, d(mean)/d(input)), summed.
     """
     n, rows = len(labels), np.arange(len(labels))
     z = np.multiply(k, s, out=k)
@@ -94,8 +96,8 @@ def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
         top = np.maximum(m, f)
         shrink, e_f = np.exp(m - top), np.exp(f - top)
         denom = total * shrink + e_f
-        part = ((top + np.log(denom) - f) / ln_b, shrink / (denom * (n * ln_b)),
-                (e_f / denom - 1.0) / (n * ln_b) * df)
+        part = ((top - f + np.log1p(total * shrink - (1.0 - e_f))) / ln_b,
+                shrink / (denom * (n * ln_b)), (e_f / denom - 1.0) / (n * ln_b) * df)
         parts.append(part if w is None else [w * x for x in part])
     per_sample, coef, grad_true = (reduce(np.add, terms) for terms in zip(*parts))
     z *= (coef * s)[:, None]
@@ -208,12 +210,11 @@ def double_loss(pair: ScorePair) -> LossOutput:
 
 
 def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
-    """Sigmoid cross-entropy on margin-shifted raw scores.
+    """Sigmoid cross-entropy on margin-shifted scores z: softmax_loss over (0, z).
 
-    z = score + (label - 0.5)*m, so a positive m eases the labeled class
-    (shifts the true side further from the decision boundary before the
-    sigmoid); pass a negative m for the penalizing variant.  Natural-log BCE
-    in the stable softplus form; grad = (sigmoid(z) - label)/N.
+    z = score + (label - 0.5)*m, so a positive m eases the labeled class (moves
+    it away from the decision boundary) and a negative m penalizes it.  Natural
+    log; grad = (sigmoid(z) - label)/N.
     """
     scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
@@ -222,11 +223,5 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     z = scores + (labels - 0.5) * m
-    # softplus(z) - z*y is -log sigmoid(z) for y=1 and -log(1-sigmoid(z)) for y=0
-    per_sample = np.logaddexp(0.0, z) - z * labels
-    # exp of -|z| only, so extreme scores cannot overflow
-    ez = np.exp(-np.abs(z))
-    sig = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    grad = (sig - labels) / scores.size
-    return LossOutput(float(per_sample.mean()), per_sample, grad)
-
+    out = softmax_loss(np.stack([np.zeros_like(z), z], axis=1), labels.astype(np.intp))
+    return LossOutput(out.value, out.per_sample, out.grad[:, 1])

@@ -167,6 +167,8 @@ class RankedQuery:
             raise ValueError("num_relevant must be >= 0")
         if self.num_relevant < self.rel.sum():
             raise ValueError("num_relevant must be >= the number of relevant flags")
+        if not float(self.num_relevant).is_integer():  # nan, inf or a fraction
+            raise ValueError("num_relevant must be a whole number")
 
 
 def map_at_100(queries: list[RankedQuery]) -> float:
@@ -196,12 +198,14 @@ def gap(confidences, correct, num_in_gallery: int) -> float:
     insertion order); GAP = (1/M) * sum_i P(i) * rel(i) with M =
     num_in_gallery, the queries with a relevant item, at least the correct count.
     """
-    if num_in_gallery < 1:
+    if not (num_in_gallery >= 1 and float(num_in_gallery).is_integer()):  # nan fails >= 1
         raise ValueError("num_in_gallery must be a positive count")
     conf = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct).astype(np.float64)
     if conf.shape != correct.shape:
         raise ValueError("confidences and correct must have matching shapes")
+    if not (np.isin(correct, (0, 1)).all() and np.isfinite(conf).all()):
+        raise ValueError("correct flags must be 0/1 and confidences finite")
     if num_in_gallery < correct.sum():
         raise ValueError(f"num_in_gallery {num_in_gallery} is below the "
                          f"{int(correct.sum())} correct predictions")

@@ -29,16 +29,18 @@ def ce_value(theta, labels, f_true, g_other, s: float, ln_b: float = 1.0):
     class's logit; both already include the scale s in the caller's closure
     or receive it here for convenience (callers pass s-inclusive functions
     and s=1, or bare functions and the scale).  Returns (value, per_sample).
+    Each loss -log(num / (num + rest)) is taken as log1p(rest / num), so a
+    loss near 0 keeps its digits.
     """
     theta = np.asarray(theta, dtype=np.float64)
     per_sample = []
     for i, y in enumerate(labels):
         num = math.exp(s * f_true(theta[i, y]))
-        den = num
+        rest = 0.0
         for j in range(theta.shape[1]):
             if j != y:
-                den += math.exp(s * g_other(theta[i, j]))
-        per_sample.append(-math.log(num / den) / ln_b)
+                rest += math.exp(s * g_other(theta[i, j]))
+        per_sample.append(math.log1p(rest / num) / ln_b)
     return sum(per_sample) / len(per_sample), np.array(per_sample)
 
 

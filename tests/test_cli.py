@@ -172,8 +172,6 @@ class TestNumericArguments:
         ("train", ["--steps", "0"], "--steps must be >= 1, got 0"),
         ("gradcheck", ["--seed=-1"], "--seed must be >= 0, got -1"),
         ("gradcheck", ["--trials", "0"], "--trials must be >= 1, got 0"),
-        ("auth", ["--seed=-1"], "--seed must be >= 0, got -1"),
-        ("enroll", ["--seed=-1"], "--seed must be >= 0, got -1"),
     ])
     def test_integer_below_its_minimum_is_a_usage_error(self, tmp_path, command, extra, message):
         """Sizes, counts and seeds that cannot work: exit 2 and one 'error:'
@@ -181,6 +179,16 @@ class TestNumericArguments:
         code, err = _run_cli(self._argv(command, tmp_path) + extra)
         assert (code, err) == (2, f"error: {message}\n")
         assert not (tmp_path / "o").exists() and not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("command", ["auth", "enroll"])
+    def test_toy_embedder_takes_no_seed(self, tmp_path, command):
+        """Enroll and auth must embed alike, so the toy embedder is fixed and
+        --seed is no flag of either (--model brings another embedder)."""
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+            main(self._argv(command, tmp_path) + ["--seed", "0"])
+        assert exc.value.code == 2 and "unrecognized arguments: --seed 0" in err.getvalue()
+        assert not (tmp_path / "g.txt").exists()
 
     @pytest.mark.parametrize("extra,steps", [
         (["--steps", "1"], 1),
@@ -273,8 +281,8 @@ def test_settable_values_are_counted():
     counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
               for name, p in _subparsers().items()}
     assert counts == {"refcheck": 0, "gradcheck": 3, "train": 25, "eval": 3,
-                      "retrieval-eval": 3, "enroll": 5, "auth": 5}
-    assert sum(counts.values()) == 44
+                      "retrieval-eval": 3, "enroll": 4, "auth": 4}
+    assert sum(counts.values()) == 42
 
 
 @st.composite
@@ -906,10 +914,9 @@ class TestEnrollAuth:
 
     @pytest.mark.parametrize("kind", ["face", "dark", "blank"])
     def test_default_spoof_scorer_is_a_constant(self, tmp_path, kind):
-        """The default spoof scorer calls every frame live whatever the seed;
-        --seed reaches the toy embedder alone."""
+        """The default spoof scorer calls every frame live."""
         frame = read_pgm(_write_frame(tmp_path / "f.pgm", kind))
-        assert {cli._default_scorers(seed).spoof(frame) for seed in (0, 1, 7)} == {0.0}
+        assert cli._default_scorers().spoof(frame) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(placement=_face_placements(), face_level=st.integers(200, 255),

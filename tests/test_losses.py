@@ -9,7 +9,7 @@ import decimal
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cotface
@@ -118,10 +118,14 @@ class TestAgainstScalarOracle:
         out = softmax_loss(np.zeros((3, 7)), [0, 3, 6], LossConfig())
         assert out.value == pytest.approx(np.log(7.0), rel=1e-12)
 
-    def test_one_sided_logits_closed_form(self):
-        out = softmax_loss([[10.0, -10.0]], [0], LossConfig())
-        assert out.value == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-9)
-        assert out.value == pytest.approx(2.06e-9, rel=5e-3)
+    @pytest.mark.parametrize("logits,label,gap,printed", [
+        ([10.0, -10.0], 0, 20.0, 2.06e-9),
+        ([0.0, 30.0], 1, 30.0, 9.36e-14),  # a loss far below ulp(30) keeps its digits
+    ])
+    def test_one_sided_logits_closed_form(self, logits, label, gap, printed):
+        out = softmax_loss([logits], [label], LossConfig())
+        assert out.value == pytest.approx(np.log1p(np.exp(-gap)), rel=1e-12, abs=0.0)
+        assert out.value == pytest.approx(printed, rel=5e-3)
 
     @pytest.mark.parametrize("name,f,g", [
         ("norm-softmax", lambda t, c: np.cos(t), lambda t, c: np.cos(t)),
@@ -507,15 +511,17 @@ class TestMarginSigmoidCE:
         expected = -(labels * np.log(p) + (1 - labels) * np.log(1 - p))
         np.testing.assert_allclose(out.per_sample, expected, rtol=1e-12)
 
-    def test_closed_form_positive_label(self):
-        out = margin_sigmoid_ce([0.0], [1], m=2.0)
-        assert out.value == pytest.approx(np.log1p(np.exp(-1.0)), rel=1e-12)
-        assert out.value == pytest.approx(0.3133, abs=1e-4)
+    @pytest.mark.parametrize("score,m", [(0.0, 2.0), (20.0, 0.0), (40.0, 0.0)])
+    def test_closed_form_positive_label(self, score, m):
+        """log1p(e^-z) at z = score + m/2, to the last digits where it is near 0."""
+        out = margin_sigmoid_ce([score], [1], m=m)
+        assert out.value == pytest.approx(np.log1p(np.exp(-(score + m / 2))), rel=1e-12, abs=0.0)
 
     def test_sign_symmetry(self):
         a = margin_sigmoid_ce([0.0], [1], m=2.0).value
         b = margin_sigmoid_ce([0.0], [0], m=2.0).value
         assert a == pytest.approx(b, rel=1e-15)
+        assert a == pytest.approx(0.3133, abs=1e-4)
 
     def test_margin_eases_true_class(self):
         # positive m moves the labeled side away from the boundary, so the
@@ -624,24 +630,32 @@ def _cosine_batches(draw):
 
 
 def _oracle_value(name, cos, labels, cfg):
-    """The closed form's mean loss by oracles.ce_value over the cosines, one
-    sample at a time: the labeled class's logit is taken at arccos of its
-    cosine, and each sample's logits are shifted by their largest so no exp
-    overflows.  None where the labeled logit lies so far below the largest
+    """The closed form's per-sample losses by oracles.ce_value over the cosines,
+    one sample at a time, and a bound on each one's error: the labeled class's
+    logit is taken at arccos of its cosine, and each sample's logits are shifted
+    by their largest so no exp overflows.  The bound is 1e-9 of the loss plus its
+    sensitivity to rounding its logits: d = 4 ulps of the largest scaled logit
+    moves a natural-log loss l by at most 2*d*(1 - e^{-l}), the sum of
+    |dl/dlogit|.  None where the labeled logit lies so far below the largest
     that its exp underflows."""
     branches, g = _CLOSED_FORMS[name]
-    per_sample = np.zeros(len(labels))
+    per_sample, bound = np.zeros(len(labels)), np.zeros(len(labels))
     for weight, f in branches:
+        w = 1.0 if weight is None else getattr(cfg, weight)
         for i, y in enumerate(labels):
             f_y = f(np.arccos(cos[i, y]), cfg)
-            shift = max(f_y, *(g(c) for j, c in enumerate(cos[i]) if j != y))
+            logits = [f_y] + [g(c) for j, c in enumerate(cos[i]) if j != y]
+            shift = max(logits)
             if cfg.s * (shift - f_y) > 700.0:
                 return None
             _, per = oracles.ce_value(
                 cos[i : i + 1], labels[i : i + 1], lambda c: f(np.arccos(c), cfg) - shift,
                 lambda c: g(c) - shift, s=cfg.s, ln_b=cfg.log_divisor)
-            per_sample[i] += (1.0 if weight is None else getattr(cfg, weight)) * per[0]
-    return per_sample.mean()
+            d = 4.0 * np.spacing(cfg.s * max(map(abs, logits)))
+            per_sample[i] += w * per[0]
+            bound[i] += w * (1e-9 * per[0] - 2.0 * d * np.expm1(-per[0] * cfg.log_divisor)
+                             / cfg.log_divisor)
+    return per_sample, bound
 
 
 class TestCosineBatch:
@@ -650,12 +664,23 @@ class TestCosineBatch:
 
     @settings(max_examples=300, deadline=None)
     @given(_cosine_batches())
-    def test_every_loss_matches_the_oracle(self, example):
+    # a near-certain combined-cot sample, whose small loss a log of a sum that
+    # holds 1 rounds away, and an lmcot logit near -3.8e7, one ulp of whose
+    # cotangent moves the loss by about 1e-9
+    @example((np.array([[-0.9999999, -0.9999999]]), np.array([0]),
+              LossConfig(s=8.0, m=0.0, m1=0.9999998999999999, m2=0.0, m3=0.0,
+                         alpha=0.2, beta=0.2)))
+    @example((np.array([[-0.9999999999995, -0.9999999999995]]), np.array([0]),
+              LossConfig(s=37.91985650732589, m=3.629312304633602e-284,
+                         m1=1.0870082340542682, m2=0.13853642919721237,
+                         m3=0.21857762683494147, alpha=0.3333333333333333,
+                         beta=0.6225430453941163)))
+    def test_every_loss_matches_the_oracle(self, case):
         """Scales up to 64, dual with both weights nonzero, and labeled cosines
         within 1e-6 of 1, where the competitors' shared term vanishes beside
-        the labeled logit: the loss matches the oracle, and it and its
-        gradient stay finite."""
-        cos, labels, cfg = example
+        the labeled logit: each sample's loss matches the oracle within the
+        oracle's bound, and the loss and its gradient stay finite."""
+        cos, labels, cfg = case
         batch = AngularBatch(None, labels, cos=cos)
         for name in ANGULAR_LOSSES:
             try:
@@ -671,7 +696,9 @@ class TestCosineBatch:
             want = _oracle_value(name, cos, labels, cfg)
             event(f"compared with the oracle: {want is not None}")
             if want is not None:
-                assert out.value == pytest.approx(want, rel=1e-9), name
+                per_sample, bound = want
+                assert (np.abs(out.per_sample - per_sample) <= bound).all(), (
+                    name, out.per_sample, per_sample, bound)
 
     def test_angles_and_their_cosines_agree(self):
         rng = np.random.default_rng(41)

@@ -290,6 +290,8 @@ class TestMapAt100:
         ([0.5], 1, "relevance flags must be 0/1"),
         ([1, 0], -1, "num_relevant must be >= 0"),
         ([1, 1, 1], 1, "num_relevant must be >= the number of relevant flags"),
+        ([1], float("nan"), "num_relevant must be a whole number"),
+        ([1], 1.5, "num_relevant must be a whole number"),
     ])
     def test_invalid_query_rejected(self, rel, num_relevant, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -386,12 +388,23 @@ class TestGap:
         assert math.isclose(gap(conf, correct, m), oracles.gap_loop(conf, correct, m),
                             rel_tol=1e-12)
 
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError):
-            gap([0.5], [1], num_in_gallery=0)
+    _FLAGS = "correct flags must be 0/1 and confidences finite"
+
+    @pytest.mark.parametrize("conf,correct,m,message", [
+        ([0.5], [1], 0, "num_in_gallery must be a positive count"),
+        ([0.5], [1], float("nan"), "num_in_gallery must be a positive count"),  # was GAP nan
+        ([0.5], [1], 1.5, "num_in_gallery must be a positive count"),
+        ([0.5], [1], float("inf"), "num_in_gallery must be a positive count"),
         # each correct prediction's query has a relevant item; M = 1 here would give GAP 3
-        with pytest.raises(ValueError, match="^num_in_gallery 1 is below the 3 correct"):
-            gap([0.9, 0.8, 0.7], [1, 1, 1], num_in_gallery=1)
+        ([0.9, 0.8, 0.7], [1, 1, 1], 1, "num_in_gallery 1 is below the 3 correct predictions"),
+        ([0.9, 0.8], [-1, 1], 1, _FLAGS),  # was GAP 1.0 with one real hit
+        ([0.9], [2], 2, _FLAGS),  # was GAP 2.0
+        ([float("nan"), 0.8], [1, 0], 1, _FLAGS),  # was GAP 0.5, the NaN ranked last
+        ([float("inf"), 0.8], [1, 0], 1, _FLAGS),
+    ])
+    def test_missing_fields_rejected(self, conf, correct, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gap(conf, correct, num_in_gallery=m)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="^confidences and correct must have matching shapes$"):
