@@ -441,8 +441,8 @@ _VERDICT_LINES = {  # AuthOutcome kind -> the line auth prints, from the outcome
 
 
 def _cmd_auth(args) -> int:
+    frame = read_pgm(args.frame)  # first: an unreadable frame costs no gallery load
     gallery = load_gallery(args.gallery)
-    frame = read_pgm(args.frame)
     scorers = _default_scorers(args.model)
     outcome = authenticate(frame, gallery, scorers, AuthConfig(sim_threshold=args.sim_threshold))
     print(_VERDICT_LINES[outcome.kind].format(**vars(outcome)))

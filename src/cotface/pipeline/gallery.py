@@ -6,7 +6,7 @@ rank (identities ranked by first enrollment), and each identity's row list.
 enroll and load_gallery fill it only through _register, which ranks a name,
 _append, which writes a row and grows the capacity by half when full, so E
 rows copy the matrix O(log E) times, and _claim, which gives rows already
-written (say, read from a row companion) to a name.  match scores all rows
+written (read from a row companion) to a name.  match scores all rows
 with one einsum and, among the rows equal to the best similarity, takes the
 smallest owner rank: ties go to the identity enrolled first, then to its
 earliest embedding.  Not BLAS gemv (`rows @ probe`): it sums blocks of rows
@@ -18,9 +18,11 @@ count, then per identity its name, "dim count", and one embedding per line as
 17-significant-digit decimals, which round-trip float64 exactly.  Both fillers
 admit only finite unit embeddings of one dim, so match can trust every row.
 
-Beside the text G, save_gallery writes a binary row companion G.rows.  When
-it was written for exactly this text, load_gallery takes the rows from it and
-parses no decimal; otherwise it parses the text, the source of truth.
+Beside the text G, save_gallery writes a binary companion G.rows holding the
+identity table (names and counts) and the rows.  When it was written for
+exactly this text and its table passes the checks the text parse applies,
+load_gallery takes both from it and reads no text line, only the text's
+bytes to hash them; otherwise it parses the text, the source of truth.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
-# companion: this header (a magic naming the row dtype, so another byte order
-# reads as stale; the text's sha256; n; d), the n * d float64 rows in text
-# order, then the sha256 of every byte before it
-_COMPANION = struct.Struct("<24s32sQQ")
-_COMPANION_MAGIC = f"cotface-gallery-rows {np.dtype(np.float64).str}".encode()
+# companion: this header (a magic naming the format and the row dtype, so an
+# older companion or another byte order reads as stale; the text's sha256; n;
+# d; the identity count k; the byte size of the names), the identity table (the
+# k UTF-8 names in text order joined by "\n", then k one-byte counts), the
+# n * d float64 rows in text order, then the sha256 of every byte before it
+_COMPANION = struct.Struct("<24s32sQQQQ")
+_COMPANION_MAGIC = f"cotface-gallery-2 {np.dtype(np.float64).str}".encode().ljust(24, b"\0")
 
 
 class GalleryFormatError(ValueError):
@@ -209,10 +213,13 @@ def save_gallery(gallery: Gallery, path):
     try:
         with open(tmp, "wb") as fh:
             text_sha = _write_hashed(fh, (line.encode("utf-8") for line in _text_lines(gallery)))
-        with open(tmp_rows, "wb") as fh:  # rows in text order, which enrollment order may not be
-            head = _COMPANION.pack(_COMPANION_MAGIC, text_sha, gallery._size, gallery.dim or 0)
+        with open(tmp_rows, "wb") as fh:  # in text order, which enrollment order may not be
+            names = "\n".join(gallery._ids).encode("utf-8")
+            counts = bytes(len(ids) for _, ids in gallery._ids.values())
+            head = _COMPANION.pack(_COMPANION_MAGIC, text_sha, gallery._size, gallery.dim or 0,
+                                   len(counts), len(names))
             rows = (gallery._rows[ids].tobytes() for _, ids in gallery._ids.values())
-            fh.write(_write_hashed(fh, itertools.chain([head], rows)))
+            fh.write(_write_hashed(fh, itertools.chain([head, names, counts], rows)))
         if path.exists():
             shutil.copymode(path, tmp)
         shutil.copymode(tmp, tmp_rows)
@@ -227,21 +234,21 @@ def save_gallery(gallery: Gallery, path):
 def load_gallery(path) -> Gallery:
     """Read a gallery file; embeddings round-trip bit-exactly.
 
-    The lines (as str.splitlines cuts them; see enroll) are walked once.  The
-    rows come from the row companion when it is intact and holds this text's
-    hash and the walk's n and d (the text is hashed, in blocks, only once a
-    companion's header is sound); otherwise they are parsed and go in through
-    enroll's builder (so a huge declared dim allocates nothing).
-    GalleryFormatError reports the first fault in file order, such as a
-    trailing line or a dim other than the first identity's, then any
-    non-finite embedding or one whose norm differs from 1 by more than
-    UNIT_NORM_TOLERANCE.
+    With a row companion that is intact, holds this text's hash and the text's
+    identity count, and whose identity table passes the text parse's name and
+    count checks, the names, counts and rows come from the companion, and the
+    text is only hashed, in blocks (once the companion's header is sound).
+    Otherwise the lines (as str.splitlines cuts them; see enroll) are walked
+    once and the rows parsed into enroll's builder (so a huge declared dim
+    allocates nothing).  GalleryFormatError reports the first fault in file
+    order, such as a trailing line or a dim other than the first identity's,
+    then any non-finite embedding or one whose norm differs from 1 by more
+    than UNIT_NORM_TOLERANCE.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        companion = _companion_rows(path, fh)
-        gallery = companion and _read_text(path, fh, *companion)
-        if gallery is None:  # no companion fits the text: parse the rows
-            gallery = _read_text(path, fh, Gallery(), None)
+    gallery = _companion_gallery(path)
+    if gallery is None:  # no companion fits the text: parse the text
+        with open(path, "r", encoding="utf-8") as fh:
+            gallery = _read_text(path, fh)
 
     rows = gallery._rows[: gallery._size]
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -252,23 +259,30 @@ def load_gallery(path) -> Gallery:
     return gallery
 
 
-def _companion_rows(path, text):
-    """(gallery, n) with the n rows of path's companion in gallery's matrix,
-    none claimed yet; None when the companion is missing, short, long or
-    corrupt, or was written for other text (the file text) or byte order."""
+def _companion_gallery(path) -> Gallery | None:
+    """The gallery path's companion holds, every row claimed; None when the
+    companion is missing, short, long or corrupt, of an older format or the
+    other byte order, written for other text (the file path), or holds a table
+    the text parse would refuse: a name that is empty, repeated, not UTF-8 or
+    not one line, a count above the cap, counts whose sum is not n, or an
+    identity count other than the text's."""
     try:
-        with open(f"{path}.rows", "rb") as fh:
+        with open(f"{path}.rows", "rb") as fh, open(path, "rb") as text:
             head = fh.read(_COMPANION.size).ljust(_COMPANION.size, b"\0")  # short: fails st_size
-            magic, for_text, n, d = _COMPANION.unpack(head)
+            magic, for_text, n, d, k, names_size = _COMPANION.unpack(head)
             if (magic != _COMPANION_MAGIC or (n > 0) != (d > 0)  # so the file's size bounds n
-                    or os.fstat(fh.fileno()).st_size != _COMPANION.size + 8 * n * d + 32):
+                    or os.fstat(fh.fileno()).st_size
+                    != _COMPANION.size + names_size + k + 8 * n * d + 32):
                 return None
-            text_sha = hashlib.sha256()
-            for block in iter(lambda: text.buffer.read(1 << 20), b""):
+            counted = f"{MAGIC} {VERSION}\n{k}\n".encode()  # the text's first two lines
+            start = text.read(len(counted))
+            text_sha = hashlib.sha256(start)
+            for block in iter(lambda: text.read(1 << 20), b""):
                 text_sha.update(block)
-            if text_sha.digest() != for_text:
+            if start != counted or text_sha.digest() != for_text:
                 return None
-            gallery, sha = Gallery(), hashlib.sha256(head)
+            table = fh.read(names_size + k)
+            gallery, sha = Gallery(), hashlib.sha256(head + table)
             if n:  # an empty gallery keeps its (0, 0) matrix, which enroll can grow
                 gallery._reserve(n, d)
             data = gallery._rows[:n].reshape(-1).view(np.uint8)
@@ -276,17 +290,22 @@ def _companion_rows(path, text):
             sha.update(data)  # a short read leaves bytes that fail the check
             if sha.digest() != fh.read():
                 return None
-    except OSError:
+        names = table[:names_size].decode("utf-8").split("\n") if names_size else []
+    except (OSError, UnicodeDecodeError):
         return None
-    return gallery, n
+    counts = table[names_size:]
+    if not (len(names) == k == len(set(names)) and sum(counts) == n
+            and max(counts, default=0) <= MAX_EMBEDDINGS_PER_IDENTITY
+            and all(name.splitlines() == [name] for name in names)):
+        return None
+    for name, count in zip(names, counts):
+        gallery._claim(name, count)
+    return gallery
 
 
-def _read_text(path, fh, gallery: Gallery, n: int | None) -> Gallery | None:
-    """Walk the text file fh from its start into gallery, parsing each row
-    line; or, when gallery's matrix already holds n companion rows, skipping
-    them, and returning None unless the "dim count" lines call for n rows of
-    the companion's dim."""
-    fh.seek(0)
+def _read_text(path, fh) -> Gallery:
+    """The gallery the text file fh holds, each row parsed into enroll's builder."""
+    gallery = Gallery()
     lines = itertools.chain.from_iterable(map(str.splitlines, fh))
 
     # Reads stay outside `except ValueError`: truncated or undecodable input raises one.
@@ -322,23 +341,16 @@ def _read_text(path, fh, gallery: Gallery, n: int | None) -> Gallery | None:
             raise GalleryFormatError(f"{path}: {name!r} has dim {dim}, gallery dim {gallery.dim}")
         if name in gallery._ids:
             raise GalleryFormatError(f"{path}: duplicate identity {name!r}")
-        if n is None:
-            gallery._register(name)
-            for _ in range(count):
-                row = take()
-                try:
-                    values = list(map(float, row.split()))
-                except ValueError as exc:
-                    raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
-                if len(values) != dim:
-                    raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
-                gallery._append(name, values)
-        elif count and dim != gallery._rows.shape[1]:
-            return None
-        else:
-            for _ in range(count):
-                take()
-            gallery._claim(name, count)
+        gallery._register(name)
+        for _ in range(count):
+            row = take()
+            try:
+                values = list(map(float, row.split()))
+            except ValueError as exc:
+                raise GalleryFormatError(f"{path}: non-numeric embedding for {name!r}") from exc
+            if len(values) != dim:
+                raise GalleryFormatError(f"{path}: embedding length != {dim} for {name!r}")
+            gallery._append(name, values)
     if next(lines, None) is not None:
         raise GalleryFormatError(f"{path}: trailing lines after the last declared identity")
-    return gallery if n is None or gallery._size == n else None
+    return gallery

@@ -11,6 +11,8 @@ import struct
 
 from hypothesis import strategies as st
 
+from cotface.pipeline import gallery
+
 _INDEX = st.integers(0, 10**6)
 
 # A factor within UNIT_NORM_TOLERANCE of 1 leaves a row that the format
@@ -67,17 +69,43 @@ def mutate_gallery(text, kind, a, b, factor):
 
 
 COMPANION_EDITS = st.tuples(
-    st.sampled_from(["flip", "truncate", "extend", "shape", "forge"]), _INDEX, _INDEX)
-# a row companion is a 24-byte magic, the text's sha256, n and d (little-endian
-# uint64), the n * d float64 rows, then the sha256 of every byte before it
-_N_AT, _ROWS_AT = 56, 72
+    st.sampled_from(["flip", "truncate", "extend", "shape", "forge", "table"]), _INDEX, _INDEX)
+# a row companion is its header (a 24-byte magic, the text's sha256, then n, d,
+# the identity count k and the names' byte size as little-endian uint64), the
+# k names joined by "\n", k one-byte counts, the n * d float64 rows, then the
+# sha256 of every byte before it
+_HEADER = gallery._COMPANION
+_N_AT = struct.calcsize("<24s32s")
+TABLE_FORGERIES = ("empty", "duplicate", "\n", "\r", "\u2028", "not utf-8", "surrogate",
+                   "cap", "sum", "drop")
+
+
+def _companion_parts(data):
+    """[magic, text sha256, n, d], the names (bytes), the counts and the rows
+    of a well-formed companion."""
+    fields = _HEADER.unpack_from(data)
+    k, names_size = fields[4:]
+    names = data[_HEADER.size : _HEADER.size + names_size]
+    counts = data[_HEADER.size + names_size : _HEADER.size + names_size + k]
+    rows = data[_HEADER.size + names_size + k : -32]
+    return list(fields[:4]), names.split(b"\n") if names else [], list(counts), rows
+
+
+def _forged(fields, names, counts, rows):
+    """The companion of these parts, its sha256 recomputed."""
+    names = b"\n".join(names)
+    body = _HEADER.pack(*fields, len(counts), len(names)) + names + bytes(counts) + rows
+    return body + hashlib.sha256(body).digest()
 
 
 def mutate_companion(data, kind, a, b):
     """One edit of a gallery's row companion: flip bit b % 8 of byte a, cut it
     at a, append b % 16 + 1 zero bytes, rewrite (n, d) as a wrong shape (some
     keep n * d), or forge a companion with its sha256 recomputed: of such a
-    shape, or of one row fewer or one more (a copy of the first)."""
+    shape, of one row fewer or one more (a copy of the first), or with
+    identity a's table entry forged as TABLE_FORGERIES[b] names (an empty,
+    repeated, multi-line or non-UTF-8 name, a count above the cap, counts
+    that no longer sum to n, or the identity dropped)."""
     if kind == "flip":
         at = a % len(data)
         return data[:at] + bytes([data[at] ^ 1 << b % 8]) + data[at + 1:]
@@ -85,19 +113,42 @@ def mutate_companion(data, kind, a, b):
         return data[: a % len(data)]
     if kind == "extend":
         return data + bytes(b % 16 + 1)
-    n, d = struct.unpack_from("<QQ", data, _N_AT)
+    fields, names, counts, rows = _companion_parts(data)
+    n, d = fields[2:]
     shapes = [(d, n), (2 * n, d // 2), (n + 1, d), (max(n - 1, 0), d), (n, d + 1), (2**62, 0)]
     if kind == "shape":
-        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[_ROWS_AT:]
-    rows = data[_ROWS_AT:-32]
+        at = _N_AT + 16
+        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[at:]
+    if kind == "table":
+        i, forgery = a % len(names), TABLE_FORGERIES[b % len(TABLE_FORGERIES)]
+        if forgery == "empty":
+            names[i] = b""
+        elif forgery == "duplicate":
+            names[i] = names[i - 1]  # no edit when there is one name
+        elif forgery == "\n":  # k + 1 names, k of them distinct
+            names[i] += b"\n" + names[i]
+        elif forgery == "not utf-8":
+            names[i] += b"\xff"
+        elif forgery == "surrogate":
+            names[i] += "\ud800".encode("utf-8", "surrogatepass")
+        elif forgery == "cap":  # the sum stays n when n is above the cap
+            total, counts = sum(counts), [0] * len(counts)
+            counts[i] = gallery.MAX_EMBEDDINGS_PER_IDENTITY + 1
+            counts[i - 1] += max(total - counts[i], 0)
+        elif forgery == "sum":
+            counts[i] = (counts[i] + 1) % (gallery.MAX_EMBEDDINGS_PER_IDENTITY + 1)
+        elif forgery == "drop":
+            del names[i], counts[i]
+        else:  # a line break inside the name
+            names[i] = names[i][:1] + forgery.encode("utf-8") + names[i][1:]
+        return _forged(fields, names, counts, rows)
     if a % 2:
-        n, d = shapes[b % len(shapes)]
+        fields[2:] = shapes[b % len(shapes)]
     elif b % 2 and n:
-        n, rows = n - 1, rows[: len(rows) - 8 * d]
+        fields[2], rows = n - 1, rows[: len(rows) - 8 * d]
     else:
-        n, rows = n + 1, rows + rows[: 8 * d]
-    body = data[:_N_AT] + struct.pack("<QQ", n, d) + rows
-    return body + hashlib.sha256(body).digest()
+        fields[2], rows = n + 1, rows + rows[: 8 * d]
+    return _forged(fields, names, counts, rows)
 
 
 PGM_EDITS = st.tuples(st.sampled_from(["truncate", "token", "byte"]), _INDEX, _INDEX)

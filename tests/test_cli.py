@@ -983,6 +983,13 @@ class TestEnrollAuth:
         bad.write_bytes(b"P5\n9 9\n255\n123")
         assert main(["auth", "--gallery", gallery, str(bad)]) == 3
 
+    def test_auth_reads_the_frame_before_the_gallery(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n9 9\n255\n123")
+        assert main(["auth", "--gallery", str(tmp_path / "none.txt"), str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "none.txt" not in err
+
     def test_malformed_detector_output_exits_3(self, tmp_path, capsys, monkeypatch):
         face = _write_frame(tmp_path / "face.pgm", "face")
         gallery = str(tmp_path / "g.txt")

@@ -1,10 +1,12 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import itertools
 import math
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -36,7 +38,13 @@ from cotface.pipeline import (
     spoof_gate,
 )
 
-from mutations import COMPANION_EDITS, GALLERY_EDITS, mutate_companion, mutate_gallery
+from mutations import (
+    COMPANION_EDITS,
+    GALLERY_EDITS,
+    TABLE_FORGERIES,
+    mutate_companion,
+    mutate_gallery,
+)
 from oracles import match_loop
 
 auth_module = importlib.import_module("cotface.pipeline.auth")
@@ -369,14 +377,45 @@ class TestGalleryFile:
         enroll(g, "alice", np.array([3.0, -0.0, 4.0]))  # -0.0 survives "%.17g" as "-0"
         for k in range(40):  # enrolled round-robin: the file groups rows by identity
             enroll(g, f"id{k % 8}", rng.normal(size=3) * 10.0 ** rng.integers(-5, 150))
+        g._register("nobody")  # "0 0"
         path = tmp_path / "g.txt"
         save_gallery(g, path)
-        monkeypatch.setattr(Gallery, "_append", None)  # no row goes in one at a time
+        monkeypatch.setattr(gallery_module, "_read_text", _no_text_parse)
         loaded = load_gallery(path)
         monkeypatch.undo()
         _companion(path).unlink()
         _assert_same_gallery(loaded, load_gallery(path))
         assert gallery_to_text(loaded) == gallery_to_text(g)
+
+    def test_an_older_companion_reads_as_the_text_until_the_next_save(self, tmp_path,
+                                                                       monkeypatch):
+        """A companion of the format before the identity table (its own magic;
+        a header of magic, text sha256, n and d; the rows; the checksum) sends
+        the load down the text parse, and the next save replaces it."""
+        g = Gallery()
+        rng = np.random.default_rng(4)
+        for name in ("bob", "alice", "bob", "carol", "alice"):
+            enroll(g, name, rng.normal(size=4))
+        g._register("dan")
+        path = tmp_path / "g.txt"
+        save_gallery(g, path)
+        text = path.read_bytes()
+        body = struct.pack("<24s32sQQ", f"cotface-gallery-rows {np.dtype(np.float64).str}".encode(),
+                           hashlib.sha256(text).digest(), g.total_embeddings(), g.dim)
+        body += b"".join(g._rows[ids].tobytes() for _, ids in g._ids.values())
+        older = body + hashlib.sha256(body).digest()
+        _companion(path).write_bytes(older)
+        parses = _count_text_parses(monkeypatch)
+        beside_older = load_gallery(path)
+        assert len(parses) == 1
+        _companion(path).unlink()
+        _assert_same_gallery(beside_older, load_gallery(path))
+        _companion(path).write_bytes(older)
+        save_gallery(beside_older, path)
+        assert path.read_bytes() == text
+        assert _companion(path).read_bytes().startswith(gallery_module._COMPANION_MAGIC)
+        monkeypatch.setattr(gallery_module, "_read_text", _no_text_parse)
+        _assert_same_gallery(load_gallery(path), beside_older)
 
     def test_empty_gallery_loads_and_grows(self, tmp_path):
         g = Gallery()
@@ -545,6 +584,33 @@ class TestGalleryProperties:
             for each in (loaded, text_only):  # both take a new row alike
                 enroll(each, "erin", np.arange(1.0, 5.0))
             _assert_same_gallery(loaded, text_only)
+
+    @pytest.mark.parametrize("forgery", range(len(TABLE_FORGERIES)))
+    @pytest.mark.parametrize("identity", range(4))
+    def test_each_forged_table_reads_as_the_text(self, tmp_path, monkeypatch, forgery, identity):
+        """Each table forgery of each identity (the last one, "dan", has no
+        rows) fails a check, so the text is parsed, whatever the other
+        checks would find."""
+        g, path = self._saved(tmp_path)
+        companion = _companion(path)
+        companion.write_bytes(mutate_companion(companion.read_bytes(), "table", identity, forgery))
+        parses = _count_text_parses(monkeypatch)
+        forged = load_gallery(path)
+        assert len(parses) == 1
+        companion.unlink()
+        _assert_same_gallery(forged, load_gallery(path))
+
+
+def _no_text_parse(path, fh):
+    raise AssertionError(f"{path}: the text was parsed")
+
+
+def _count_text_parses(monkeypatch):
+    """A list that gains an entry at each text parse load_gallery makes."""
+    parses, read_text = [], gallery_module._read_text
+    monkeypatch.setattr(gallery_module, "_read_text",
+                        lambda path, fh: parses.append(path) or read_text(path, fh))
+    return parses
 
 
 def _companion(path):
