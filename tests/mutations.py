@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-import struct
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cotface.pipeline import gallery
@@ -69,32 +69,31 @@ def mutate_gallery(text, kind, a, b, factor):
 
 
 COMPANION_EDITS = st.tuples(
-    st.sampled_from(["flip", "truncate", "extend", "shape", "forge", "table"]), _INDEX, _INDEX)
+    st.sampled_from(["flip", "truncate", "extend", "shape", "forge", "swap", "table"]),
+    _INDEX, _INDEX)
 # a row companion is its header (a 24-byte magic, the text's sha256, then n, d,
 # the identity count k and the names' byte size as little-endian uint64), the
 # k names joined by "\n", k one-byte counts, the n * d float64 rows, then the
 # sha256 of every byte before it
 _HEADER = gallery._COMPANION
-_N_AT = struct.calcsize("<24s32s")
 TABLE_FORGERIES = ("empty", "duplicate", "\n", "\r", "\u2028", "not utf-8", "surrogate",
                    "cap", "sum", "drop")
 
 
 def _companion_parts(data):
-    """[magic, text sha256, n, d], the names (bytes), the counts and the rows
-    of a well-formed companion."""
-    fields = _HEADER.unpack_from(data)
-    k, names_size = fields[4:]
-    names = data[_HEADER.size : _HEADER.size + names_size]
-    counts = data[_HEADER.size + names_size : _HEADER.size + names_size + k]
-    rows = data[_HEADER.size + names_size + k : -32]
-    return list(fields[:4]), names.split(b"\n") if names else [], list(counts), rows
+    """The header's fields (magic, text sha256, n, d, k, the names' size), the
+    names (bytes), the counts and the rows of a well-formed companion."""
+    fields = list(_HEADER.unpack_from(data))
+    table_at = _HEADER.size + fields[5]
+    rows_at = table_at + fields[4]
+    names = data[_HEADER.size : table_at].split(b"\n") if fields[5] else []
+    return fields, names, list(data[table_at:rows_at]), data[rows_at:-32]
 
 
 def _forged(fields, names, counts, rows):
-    """The companion of these parts, its sha256 recomputed."""
+    """The companion of these parts, its k, names' size and sha256 recomputed."""
     names = b"\n".join(names)
-    body = _HEADER.pack(*fields, len(counts), len(names)) + names + bytes(counts) + rows
+    body = _HEADER.pack(*fields[:4], len(counts), len(names)) + names + bytes(counts) + rows
     return body + hashlib.sha256(body).digest()
 
 
@@ -102,7 +101,8 @@ def mutate_companion(data, kind, a, b):
     """One edit of a gallery's row companion: flip bit b % 8 of byte a, cut it
     at a, append b % 16 + 1 zero bytes, rewrite (n, d) as a wrong shape (some
     keep n * d), or forge a companion with its sha256 recomputed: of such a
-    shape, of one row fewer or one more (a copy of the first), or with
+    shape, of one row fewer or one more (a copy of the first), as a machine of
+    the other byte order writes it (its magic and rows swapped), or with
     identity a's table entry forged as TABLE_FORGERIES[b] names (an empty,
     repeated, multi-line or non-UTF-8 name, a count above the cap, counts
     that no longer sum to n, or the identity dropped)."""
@@ -114,11 +114,15 @@ def mutate_companion(data, kind, a, b):
     if kind == "extend":
         return data + bytes(b % 16 + 1)
     fields, names, counts, rows = _companion_parts(data)
-    n, d = fields[2:]
+    n, d = fields[2:4]
     shapes = [(d, n), (2 * n, d // 2), (n + 1, d), (max(n - 1, 0), d), (n, d + 1), (2**62, 0)]
     if kind == "shape":
-        at = _N_AT + 16
-        return data[:_N_AT] + struct.pack("<QQ", *shapes[b % len(shapes)]) + data[at:]
+        fields[2:4] = shapes[b % len(shapes)]
+        return _HEADER.pack(*fields) + data[_HEADER.size:]
+    if kind == "swap":
+        native = np.dtype(np.float64)
+        fields[0] = fields[0].replace(native.str.encode(), native.newbyteorder().str.encode())
+        return _forged(fields, names, counts, np.frombuffer(rows, native).byteswap().tobytes())
     if kind == "table":
         i, forgery = a % len(names), TABLE_FORGERIES[b % len(TABLE_FORGERIES)]
         if forgery == "empty":
@@ -143,7 +147,7 @@ def mutate_companion(data, kind, a, b):
             names[i] = names[i][:1] + forgery.encode("utf-8") + names[i][1:]
         return _forged(fields, names, counts, rows)
     if a % 2:
-        fields[2:] = shapes[b % len(shapes)]
+        fields[2:4] = shapes[b % len(shapes)]
     elif b % 2 and n:
         fields[2], rows = n - 1, rows[: len(rows) - 8 * d]
     else:

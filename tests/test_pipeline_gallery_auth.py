@@ -588,9 +588,8 @@ class TestGalleryProperties:
     @pytest.mark.parametrize("forgery", range(len(TABLE_FORGERIES)))
     @pytest.mark.parametrize("identity", range(4))
     def test_each_forged_table_reads_as_the_text(self, tmp_path, monkeypatch, forgery, identity):
-        """Each table forgery of each identity (the last one, "dan", has no
-        rows) fails a check, so the text is parsed, whatever the other
-        checks would find."""
+        """Each table forgery at each identity (the last, "dan", has no rows)
+        fails a check, so the load parses the text."""
         g, path = self._saved(tmp_path)
         companion = _companion(path)
         companion.write_bytes(mutate_companion(companion.read_bytes(), "table", identity, forgery))
