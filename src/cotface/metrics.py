@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floattext import format_rows
+
 
 @dataclass
 class ScoredPairs:
@@ -215,24 +217,13 @@ def gap(confidences, correct, num_in_gallery: int) -> float:
     return float((precision * rel).sum()) / num_in_gallery
 
 
-_CSV_BLOCK_ROWS = 4096  # bounds the Python floats alive at once
-
-
 def sweep_to_csv(sweep: np.ndarray) -> str:
-    """Render far_frr_sweep rows as a threshold,far,frr table."""
-    parts = ["threshold,far,frr\n"]
-    for start in range(0, len(sweep), _CSV_BLOCK_ROWS):
-        block = sweep[start:start + _CSV_BLOCK_ROWS]
-        parts.append("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    """Render far_frr_sweep rows as a threshold,far,frr table of "%.17g" values."""
+    return "threshold,far,frr\n" + format_rows(sweep, b",", b"\n").decode()
 
 
 def histogram_to_csv(counts_by_name: dict, edges: np.ndarray) -> str:
-    """Render one or more histograms over shared edges as a CSV table."""
-    names = list(counts_by_name)
-    lines = ["bin_left,bin_right," + ",".join(names)]
-    for i in range(edges.size - 1):
-        row = [f"{edges[i]:.17g}", f"{edges[i + 1]:.17g}"]
-        row += [str(int(counts_by_name[n][i])) for n in names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """Render histograms over shared edges as a CSV table; "%.17g" prints a count as an integer."""
+    table = np.column_stack([edges[:-1], edges[1:], *counts_by_name.values()])
+    return ",".join(["bin_left,bin_right", *counts_by_name]) + "\n" + format_rows(
+        table, b",", b"\n").decode()

@@ -38,11 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from ..angular import l2_normalize
+from ..floattext import format_rows
 
 MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
+_TEXT_CHUNK = 32  # identities rendered at once, which bounds what a save holds
 # companion: this header (a magic naming the format and the row dtype, so an
 # older companion or another byte order reads as stale; the text's sha256; n;
 # d; the identity count k; the byte size of the names), the identity table (the
@@ -176,17 +178,20 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
 
 
 def _text_lines(gallery: Gallery):
-    """The gallery file, one "\\n"-terminated line at a time."""
-    yield f"{MAGIC} {VERSION}\n{len(gallery._names)}\n"
-    row_format = " ".join(["%.17g"] * (gallery.dim or 0)) + "\n"
-    for name, (_, ids) in gallery._ids.items():
-        yield f"{name}\n{gallery.dim if ids else 0} {len(ids)}\n"
-        for i in ids:
-            yield row_format % tuple(gallery._rows[i].tolist())
+    """The gallery file as UTF-8 bytes, _TEXT_CHUNK identities at a time."""
+    yield f"{MAGIC} {VERSION}\n{len(gallery._names)}\n".encode()
+    entries = list(gallery._ids.items())
+    for chunk in (entries[i:i + _TEXT_CHUNK] for i in range(0, len(entries), _TEXT_CHUNK)):
+        rows = gallery._rows[[i for _, (_, ids) in chunk for i in ids]]
+        row_lines, lines = iter(format_rows(rows, b" ", b"\n").split(b"\n")), []
+        for name, (_, ids) in chunk:
+            lines.append(f"{name}\n{gallery.dim if ids else 0} {len(ids)}".encode())
+            lines.extend(itertools.islice(row_lines, len(ids)))
+        yield b"\n".join(lines) + b"\n"
 
 
 def gallery_to_text(gallery: Gallery) -> str:
-    return "".join(_text_lines(gallery))
+    return b"".join(_text_lines(gallery)).decode()
 
 
 def _write_hashed(fh, chunks) -> bytes:
@@ -212,7 +217,7 @@ def save_gallery(gallery: Gallery, path):
     tmp, tmp_rows = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, companion))
     try:
         with open(tmp, "wb") as fh:
-            text_sha = _write_hashed(fh, (line.encode("utf-8") for line in _text_lines(gallery)))
+            text_sha = _write_hashed(fh, _text_lines(gallery))
         with open(tmp_rows, "wb") as fh:  # in text order, which enrollment order may not be
             names = "\n".join(gallery._ids).encode("utf-8")
             counts = bytes(len(ids) for _, ids in gallery._ids.values())

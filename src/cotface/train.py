@@ -31,7 +31,7 @@ from .losses import (
 )
 from .metrics import ScoredPairs, auc, eer
 
-TASKS = ("embedding", "binary-live-spoof", "binary-eye-state")
+TASKS = ("embedding", "binary-live-spoof")
 BINARY_LOSSES = {"margin-ce": False, "margin-ce+double": True}  # name -> adds the double term?
 EVAL_FRACTION = 0.25  # trailing share of each class held out for the metrics
 PURE_BATCH_SIZE = 16  # binary tasks: samples in each single-label batch

@@ -388,6 +388,13 @@ def gap_loop(confidences, correct, num_in_gallery):
     return total / num_in_gallery
 
 
+def format_17g_rows(values, sep: str, end: str) -> bytes:
+    """Each value as "%.17g" % x, sep between a row's values and end after
+    each row, one Python format call per value, as ASCII bytes."""
+    return "".join(sep.join("%.17g" % x for x in row) + end
+                   for row in np.asarray(values).tolist()).encode()
+
+
 def gauss_hermite_mean(per_margin_value, mean: float, sigma: float, nodes: int = 64):
     """E[f(X)] for X ~ N(mean, sigma^2) by Gauss-Hermite quadrature."""
     x, w = np.polynomial.hermite.hermgauss(nodes)

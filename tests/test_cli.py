@@ -397,7 +397,7 @@ class TestTrain:
                                            "'margin-ce+double', got 'double+margin-ce'\n")
 
     def test_unknown_binary_loss_is_a_usage_error(self, tmp_path, capsys):
-        args = ["train", "--task", "binary-eye-state", "--loss", "nonesuch",
+        args = ["train", "--task", "binary-live-spoof", "--loss", "nonesuch",
                 "--steps", "1", "--out", str(tmp_path / "x")]
         assert main(args) == 2
         assert "margin-ce" in capsys.readouterr().err

@@ -45,7 +45,7 @@ from mutations import (
     mutate_companion,
     mutate_gallery,
 )
-from oracles import match_loop
+from oracles import format_17g_rows, match_loop
 
 auth_module = importlib.import_module("cotface.pipeline.auth")
 
@@ -370,6 +370,37 @@ class TestGalleryFile:
             tracemalloc.stop()
         assert loaded.total_embeddings() == 2000
         assert peak < path.stat().st_size
+
+    def test_save_holds_a_few_identities_of_text(self, tmp_path):
+        """save_gallery renders and writes the text a chunk of identities at a
+        time: its traced peak stays below a third of the text's size."""
+        g = Gallery()
+        rng = np.random.default_rng(8)
+        for k in range(10_000):
+            enroll(g, f"id{k // 5}", rng.normal(size=128))
+        path = tmp_path / "g.txt"
+        tracemalloc.start()
+        try:
+            save_gallery(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 3
+
+    def test_text_is_the_per_value_format_across_chunks(self):
+        """Identities enrolled round-robin, some with no rows, over several
+        chunks of text: each row is its values' "%.17g" joined by spaces."""
+        g = Gallery()
+        rng = np.random.default_rng(9)
+        for k in range(300):
+            enroll(g, f"id{k % 70}", rng.normal(size=4) * 10.0 ** rng.integers(-6, 3, 4))
+        for k in range(5):
+            g._register(f"empty{k}")
+        expected = [f"facegallery 1\n{len(g.identities)}\n"]
+        for name, rows in g.identities.items():
+            expected.append(f"{name}\n{4 if rows else 0} {len(rows)}\n")
+            expected.append(format_17g_rows(rows, " ", "\n").decode())
+        assert gallery_to_text(g) == "".join(expected)
 
     def test_companion_rows_are_bit_identical_and_skip_the_parse(self, tmp_path, monkeypatch):
         g = Gallery()
