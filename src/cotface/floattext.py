@@ -1,10 +1,9 @@
 """Exact "%.17g" text for float64 arrays, without one Python call per value.
 
-For 1e-4 <= |x| < 1 that text is "-" if negative, "0.", -e - 1 zeros (e = floor(log10|x|))
-and D = round(|x| * 10**(16 - e)) without trailing zeros.  10**(16 - e) is an exact double,
-so Dekker's product (Numer. Math. 18, 1971) gives |x| * 10**(16 - e) exactly as hi + lo; and
-hi > 2**53 is even, so hi + rint(lo) rounds ties to even, as "%" does (Gay 1990).  Other
-values go through "%".  Each value's text fills NUL-padded 4-byte words.
+For 1e-4 <= |x| < 1, e = floor(log10|x|), it is "-" if x < 0, "0.", -e - 1 zeros and the
+digits of D = round(|x| * 10**(16 - e)) without trailing zeros.  10**(16 - e) is a double, so
+Dekker's product (Numer. Math. 18, 1971) gives |x| * 10**(16 - e) as hi + lo exactly; hi > 2**53
+is even, so hi + rint(lo) rounds ties to even as "%" does (Gay 1990).  Others go through "%".
 """
 
 from __future__ import annotations
@@ -37,13 +36,12 @@ def format_rows(values, sep: bytes, end: bytes) -> bytes:
     """The bytes of "".join(sep.join("%.17g" % x for x in row) + end for row in values)
     for a 2-D float64 array; sep and end hold no NUL byte."""
     values = np.asarray(values, dtype=np.float64)
-    n, k = values.shape
-    if not k:
-        return end * n
+    if not values.shape[1]:
+        return end * len(values)
     size = -(-max(len(sep), len(end)) // 4) * 4  # whole words
     sep, end = (np.frombuffer(t.ljust(size, b"\0"), np.uint32) for t in (sep, end))
-    step, out = max(1, _BLOCK // k), []
-    for x in (values[i:i + step] for i in range(0, n, step)):
+    step, out = max(1, _BLOCK // values.shape[1]), []
+    for x in (values[i:i + step] for i in range(0, len(values), step)):
         flat = x.ravel()
         a = np.abs(flat)
         fast = (a >= 1e-4) & (a < 1.0)

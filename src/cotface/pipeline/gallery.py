@@ -17,6 +17,8 @@ The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
 17-significant-digit decimals, which round-trip float64 exactly.  Both fillers
 admit only finite unit embeddings of one dim, so match can trust every row.
+The rows are "%.17g" % x per value, rendered _TEXT_CHUNK identities at a time
+by floattext.format_rows, the one exact renderer that also writes far_frr.csv.
 
 Beside the text G, save_gallery writes a binary companion G.rows holding the
 identity table (names and counts) and the rows.  When it was written for
@@ -44,7 +46,7 @@ MAGIC = "facegallery"
 VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
-_TEXT_CHUNK = 32  # identities rendered at once, which bounds what a save holds
+_TEXT_CHUNK = 8  # identities rendered at once; more grow the heap and save no time
 # companion: this header (a magic naming the format and the row dtype, so an
 # older companion or another byte order reads as stale; the text's sha256; n;
 # d; the identity count k; the byte size of the names), the identity table (the

@@ -16,7 +16,8 @@ from cotface.floattext import format_rows
 
 def _assert_renders(values, sep=",", end="\n"):
     values = np.asarray(values, dtype=np.float64)
-    assert format_rows(values, sep.encode(), end.encode()) == oracles.format_17g_rows(values, sep, end)
+    expected = oracles.format_17g_rows(values, sep, end)
+    assert format_rows(values, sep.encode(), end.encode()) == expected
 
 
 def _signed(values):
