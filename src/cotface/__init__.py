@@ -3,6 +3,7 @@
 from .angular import (
     AngularBatch,
     LossConfig,
+    NormOverflowError,
     SingularityError,
     ZeroVectorError,
     angles_from_features,

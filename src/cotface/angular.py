@@ -29,6 +29,10 @@ class ZeroVectorError(ValueError):
     """Raised when a vector with norm below eps is normalized."""
 
 
+class NormOverflowError(ValueError):
+    """Raised when a finite vector is normalized whose norm overflows float64."""
+
+
 class SingularityError(ValueError):
     """Raised when a cotangent is requested at an angle where it diverges."""
 
@@ -124,20 +128,25 @@ class AngularBatch:
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Return v / ||v||, raising ZeroVectorError when ||v|| < eps."""
+    """Return v / ||v||: ZeroVectorError when ||v|| < eps, NormOverflowError when v is
+    finite and ||v||, its squares summed unscaled, overflows; a non-finite v passes."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm < DEFAULT_EPS:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
+    if norm == math.inf and np.isfinite(v).all():
+        raise NormOverflowError("cannot normalize vector: its norm overflows float64")
     return v / norm
 
 
 def _unit_rows(m):
-    """(m with unit rows, the (N, 1) row norms); ZeroVectorError below eps."""
+    """(m with unit rows, the (N, 1) row norms); l2_normalize's errors, row by row."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if (norms < DEFAULT_EPS).any():
         raise ZeroVectorError("matrix has a row with norm below eps")
+    if not (norms < math.inf).all() and np.isfinite(m[np.isinf(norms[:, 0])]).all(axis=1).any():
+        raise NormOverflowError("matrix has a finite row whose norm overflows float64")
     return m / norms, norms
 
 

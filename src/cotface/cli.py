@@ -2,9 +2,10 @@
 
 Subcommands: refcheck, gradcheck, train, eval, retrieval-eval, enroll, auth.
 Exit codes: 0 success (auth: Accepted), 1 failed check (train: a rising
-embedding loss, or a non-finite loss or model output) or non-accepted
-outcome, 2 usage error (argparse or ConfigError), 3 unreadable or malformed
-input/output files (enroll, auth: also a model output that is not finite).
+embedding loss, a non-finite loss or model output, or an embedding or head
+row that cannot be normalized) or non-accepted outcome, 2 usage error
+(argparse or ConfigError), 3 unreadable or malformed input/output files
+(enroll, auth: also a model output that is not finite).
 Every subcommand is deterministic (train and gradcheck for a fixed --seed):
 reruns produce byte-identical primary output files.
 """
@@ -84,7 +85,7 @@ def _add_loss_config_flags(parser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; no flag is read from a prefix of its name."""
+    """The argument parser: no flag is read from a prefix of its name; args.run is the handler."""
     parser = argparse.ArgumentParser(
         prog="cotface",
         description="Angular margin losses, desk-scale training, and face authentication.",
@@ -93,12 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
-    sub.add_parser("refcheck", help="replay the frozen reference-batch loss values")
+    p = sub.add_parser("refcheck", help="replay the frozen reference-batch loss values")
+    p.set_defaults(run=_cmd_refcheck)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
     p.add_argument("--loss", choices=GRADCHECK_LOSSES + ("all",), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_gradcheck)
 
     p = sub.add_parser("train", help="train a toy model on a synthetic set")
     p.add_argument("--task", choices=TASKS, default="embedding")
@@ -117,11 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--save-model", default=None, help="optional .npz model path")
     _add_loss_config_flags(p)
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("eval", help="EER/AUC/histograms from a label,score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bins", type=int, default=20)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("retrieval-eval", help="mAP@100 and GAP from a ranked file")
     p.add_argument("--ranked", required=True,
@@ -129,18 +134,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gallery-queries", type=int, default=None,
                    help="M normalizer for GAP (default: distinct queries)")
+    p.set_defaults(run=_cmd_retrieval_eval)
 
     p = sub.add_parser("enroll", help="enroll face images into a gallery")
     p.add_argument("--gallery", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("images", nargs="+", help="PGM face images")
     p.add_argument("--model", default=None, help="embedder .npz (default: fixed toy)")
+    p.set_defaults(run=_cmd_enroll)
 
     p = sub.add_parser("auth", help="authenticate one frame against a gallery")
     p.add_argument("--gallery", required=True)
     p.add_argument("frame", help="PGM frame")
     p.add_argument("--model", default=None, help="embedder .npz (default: fixed toy)")
     p.add_argument("--sim-threshold", type=float, default=AuthConfig.sim_threshold)
+    p.set_defaults(run=_cmd_auth)
 
     return parser
 
@@ -449,17 +457,6 @@ def _cmd_auth(args) -> int:
     return EXIT_OK if outcome.kind == "accepted" else EXIT_FAILED
 
 
-_COMMANDS = {
-    "refcheck": _cmd_refcheck,
-    "gradcheck": _cmd_gradcheck,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "retrieval-eval": _cmd_retrieval_eval,
-    "enroll": _cmd_enroll,
-    "auth": _cmd_auth,
-}
-
-
 # the least value each integer flag can work with (every --hidden entry is checked)
 _MINIMUMS = dict(seed=0, steps=1, trials=1, hidden=1, embed_dim=1, batch_size=1, bins=1,
                  gallery_queries=1)
@@ -475,7 +472,7 @@ def main(argv=None) -> int:
             for v in value if name == "hidden" else [value]:
                 if name in _MINIMUMS and v is not None and v < _MINIMUMS[name]:
                     raise ConfigError(f"{flag} must be >= {_MINIMUMS[name]}, got {v}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except TrainingDivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_FAILED

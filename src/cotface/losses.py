@@ -108,7 +108,8 @@ def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
 
 def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
     """Plain softmax cross-entropy on raw, unnormalized logits; grad is d/d(logits)."""
-    logits, labels = np.array(logits, dtype=np.float64), np.asarray(labels)
+    logits = np.array(logits, dtype=np.float64)
+    labels = AngularBatch(None, labels, cos=np.zeros(logits.shape)).labels  # AngularBatch's checks
     f = logits[np.arange(len(labels)), labels]  # a copy: the core overwrites logits
     per_sample, grad = _shared_ce(logits, 1.0, 1.0, labels, [(f, 1.0, None)], cfg.log_divisor)
     return LossOutput(float(per_sample.mean()), per_sample, grad)

@@ -23,7 +23,7 @@ from .floattext import format_rows
 
 @dataclass
 class ScoredPairs:
-    """Similarity scores for genuine (same-identity) and impostor pairs."""
+    """Finite similarity scores of genuine (same-identity) and impostor pairs, neither side empty."""
 
     genuine: np.ndarray
     impostor: np.ndarray
@@ -34,12 +34,12 @@ class ScoredPairs:
         for name, arr in (("genuine", self.genuine), ("impostor", self.impostor)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} scores contain non-finite values")
+        if not (self.genuine.size and self.impostor.size):
+            raise ValueError("both score sets must be non-empty")
 
 
 def far_frr_sweep(pairs: ScoredPairs, thresholds) -> np.ndarray:
     """FAR and FRR at each threshold; returns rows (threshold, far, frr)."""
-    if pairs.genuine.size == 0 or pairs.impostor.size == 0:
-        raise ValueError("both score sets must be non-empty")
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     gen = np.sort(pairs.genuine)
     imp = np.sort(pairs.impostor)
@@ -63,8 +63,6 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
 
 def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
     """eer's candidate grid: the sorted unique scores and the two sentinels."""
-    if pairs.genuine.size == 0 or pairs.impostor.size == 0:
-        raise ValueError("both score sets must be non-empty")
     grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
     # from 2**53 up, top + 1.0 == top; the next float up still rejects every score
     top = grid[-1]
@@ -94,8 +92,6 @@ def auc(pairs: ScoredPairs) -> float:
 
     Rank-statistic form: (#{g > i} + 0.5 * #{g == i}) / (|G| * |I|).
     """
-    if pairs.genuine.size == 0 or pairs.impostor.size == 0:
-        raise ValueError("both score sets must be non-empty")
     imp = np.sort(pairs.impostor)
     below = np.searchsorted(imp, pairs.genuine, side="left").sum()
     below_or_eq = np.searchsorted(imp, pairs.genuine, side="right").sum()

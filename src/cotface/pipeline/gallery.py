@@ -144,19 +144,11 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     embedding = np.asarray(embedding, dtype=np.float64)
     if not np.isfinite(embedding).all():
         raise ValueError("embedding contains non-finite values")
-    unit = _unit(embedding)
+    unit = l2_normalize(embedding)
     if gallery.dim is not None and unit.size != gallery.dim:
         raise ValueError(f"embedding dim {unit.size} != gallery dim {gallery.dim}")
     gallery._append(name, unit)
     return EnrollResult(True, None, count + 1)
-
-
-def _unit(vector) -> np.ndarray:
-    """l2_normalize(vector); ValueError if a finite vector's norm overflows."""
-    unit = l2_normalize(vector)
-    if np.isfinite(unit).all() and not abs(np.linalg.norm(unit) - 1.0) <= UNIT_NORM_TOLERANCE:
-        raise ValueError("embedding norm overflows float64")
-    return unit
 
 
 def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
@@ -168,7 +160,7 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     non-finite probe scores NaN; a finite one whose norm overflows raises
     ValueError, as enroll does.
     """
-    probe = _unit(probe)
+    probe = l2_normalize(probe)
     n = gallery._size
     if not n:
         return None, -1.0

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, _unit_rows
+from .angular import (DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, NormOverflowError,
+                      ZeroVectorError, _unit_rows, l2_normalize)
 from .losses import (
     ANGULAR_LOSSES,
     ScorePair,
@@ -113,8 +114,7 @@ def synth_dataset(spec: SynthSpec):
     if spec.task == "embedding":
         protos = _unit_rows(rng.standard_normal((spec.n_classes, spec.dim)))[0]
     else:
-        direction = rng.standard_normal(spec.dim)
-        direction /= np.linalg.norm(direction)
+        direction = l2_normalize(rng.standard_normal(spec.dim))
         protos = np.stack([-0.5 * direction, 0.5 * direction])
     labels = np.repeat(np.arange(spec.n_classes), spec.per_class)
     noise = rng.standard_normal((labels.size, spec.dim))
@@ -260,7 +260,8 @@ def train_loop(
     random stream; metrics are held-out AUC before and after.
 
     One loop runs each task's step(), a batch's (loss, grads), and evaluate();
-    a non-finite loss or model output aborts with TrainingDivergedError.
+    a non-finite loss or model output, or an embedding or head row whose norm
+    overflows or falls below eps, aborts with TrainingDivergedError.
     """
     x, labels = synth_dataset(spec)
     train_idx, eval_idx = _split_indices(labels, spec)
@@ -326,12 +327,13 @@ def train_loop(
             loss, grads = step()
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss {loss!r} at step {i}")
-            sgd_step(model, grads, lr)
             curve.append(loss)
+            sgd_step(model, grads, lr)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
         metrics_out[f"{metric}_final"] = evaluate()
-    except NonFiniteOutputError as exc:
-        raise TrainingDivergedError(f"{exc} after {len(curve)} of {steps} steps") from None
+    except (NonFiniteOutputError, NormOverflowError, ZeroVectorError) as exc:
+        what = exc if isinstance(exc, ZeroVectorError) else "model output is not finite"
+        raise TrainingDivergedError(f"{what} after {len(curve)} of {steps} steps") from None
     return model, TrainReport(loss_curve=curve, wall_ms=wall_ms, metrics=metrics_out,
                               wall_time_s=time.perf_counter() - t_start)
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cotface.angular import (
     AngularBatch,
     ConfigError,
     LossConfig,
+    NormOverflowError,
     SingularityError,
     ZeroVectorError,
     _unit_rows,
@@ -17,6 +21,7 @@ from cotface.angular import (
     elastic_sample,
     l2_normalize,
 )
+from cotface.pipeline.gallery import UNIT_NORM_TOLERANCE
 
 
 class TestLossConfig:
@@ -124,6 +129,35 @@ class TestL2Normalize:
         with pytest.raises(ZeroVectorError):
             _unit_rows([[1.0, 0.0], [1e-12, 0.0]])
 
+    def test_finite_vector_whose_norm_overflows_raises(self):
+        """The squares of 3e200 overflow: dividing by the inf norm would give a zero vector."""
+        with np.errstate(over="ignore"), pytest.raises(NormOverflowError, match="norm overflows"):
+            l2_normalize([3e200, 4e200])
+        with np.errstate(over="ignore"), pytest.raises(NormOverflowError, match="norm overflows"):
+            _unit_rows([[1.0, 0.0], [3e200, 4e200]])
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_non_finite_vector_passes_through(self, v):
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(l2_normalize(v)).all()
+            assert not np.isfinite(_unit_rows([v])[0]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                    elements=st.floats(-10.0, 10.0)),
+           k=st.integers(-6, 300))
+    def test_unit_or_refused_at_every_scale(self, m, k):
+        """Finite vectors and matrices scaled by 10**k are refused or made unit
+        rows, never zero rows."""
+        m = m * 10.0 ** k
+        for unit_rows in (lambda: l2_normalize(m[0])[None], lambda: _unit_rows(m)[0]):
+            try:
+                with np.errstate(over="ignore"):
+                    rows = unit_rows()
+            except (ZeroVectorError, NormOverflowError):
+                continue
+            assert (np.abs(np.sqrt((rows * rows).sum(axis=1)) - 1.0) <= UNIT_NORM_TOLERANCE).all()
+
 
 class TestAnglesFromFeatures:
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -158,6 +192,10 @@ class TestAnglesFromFeatures:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             angles_from_features([[np.inf, 1.0]], self.W)
+
+    def test_features_whose_norm_overflows_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+            angles_from_features([[1e200, 1e200]], [[1.0, 0.0]])
 
 
 class TestCotViaTheta:

@@ -212,6 +212,21 @@ class TestNumericArguments:
             code, err = _run_cli(self._argv("train", tmp_path) + ["--s", "1e308"])
         assert (code, err, caught) == (1, "diverged: non-finite loss inf at step 0\n", [])
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--spread", "1e156", "--s", "8", "--m", "0.1"], "model output is not finite"),
+        (["--hidden", "1"], "matrix has a row with norm below eps"),
+    ])
+    def test_embedding_that_cannot_be_normalized_ends_in_one_diverged_line(
+            self, tmp_path, extra, message):
+        """Features so large that the embeddings' norms overflow, and a dead
+        network's zero embeddings, are a divergence (exit 1), not a flat loss
+        (exit 0) or a file error (exit 3)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run_cli(["train", "--loss", "arcface", "--steps", "3",
+                                  "--out", str(tmp_path / "o"), *extra])
+        assert (code, err, caught) == (1, f"diverged: {message} after 0 of 3 steps\n", [])
+
 
 class TestRefcheck:
     def test_passes_and_is_repeatable(self, capsys):

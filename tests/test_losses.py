@@ -114,6 +114,16 @@ class TestAgainstScalarOracle:
         assert out.value == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(out.per_sample, per_sample, rtol=1e-12)
 
+    @pytest.mark.parametrize("labels,message", [
+        ([-1], "labels out of range"),
+        ([3], "labels out of range"),
+        ([1.5], "labels must be integers"),
+        ([2, 0], r"labels must have shape \(N,\)"),
+    ])
+    def test_softmax_refuses_the_labels_angular_batch_refuses(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            softmax_loss([[1.0, 2.0, 3.0]], labels)
+
     def test_uniform_logits_give_log_n(self):
         out = softmax_loss(np.zeros((3, 7)), [0, 3, 6], LossConfig())
         assert out.value == pytest.approx(np.log(7.0), rel=1e-12)

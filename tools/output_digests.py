@@ -8,8 +8,13 @@ N(0.25, 0.15^2), shuffled, 5 decimals), runs `cotface eval` on them, and
 builds a 2,000-identity gallery of 5 random 128-d embeddings each with
 `enroll`, saved with `save_gallery`.  It prints one `sha256  name` line for
 far_frr.csv, summary.csv, histogram.csv, the gallery text and its .rows
-companion.  Run it in two checkouts to show that they write the same bytes.
-It imports `cotface` from the checkout's `src/`; everything else is stdlib.
+companion.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
+the benchmark's train arguments (`perfbench/workloads.py`'s
+`Train.TRAIN_ARGS`) with `--seed` the given seed, and prints the digests of
+each run's report.csv and metrics.csv.  Run it in two checkouts to show that
+they write the same bytes.  It sets one BLAS thread before numpy loads: the
+train bytes differ between thread counts.  It imports `cotface` from the
+checkout's `src/` and the train arguments from its `perfbench/`.
 """
 
 from __future__ import annotations
@@ -18,15 +23,19 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import random
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 from cotface.cli import main  # noqa: E402
 from cotface.pipeline import Gallery, enroll, save_gallery  # noqa: E402
+from workloads import Train  # noqa: E402
 
 N_GENUINE, N_IMPOSTOR, DECIMALS = 60_000, 240_000, 5
 IDENTITIES, PER_IDENTITY, DIM = 2_000, 5, 128
@@ -39,21 +48,40 @@ def score_lines(rng: random.Random) -> str:
                    for label in labels)
 
 
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"cotface {argv[0]} exited {code}")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests(seed: int, work: Path) -> dict[str, str]:
+    """far_frr.csv, summary.csv, histogram.csv, the gallery text and its companion."""
     rng = random.Random(seed)
     scores, out = work / "scores.csv", work / "eval"
     scores.write_text(score_lines(rng))
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["eval", "--scores", str(scores), "--out", str(out)])
-    if code != 0:
-        raise SystemExit(f"cotface eval exited {code}")
+    _run(["eval", "--scores", str(scores), "--out", str(out)])
     gallery = Gallery()
     for k in range(IDENTITIES * PER_IDENTITY):
         enroll(gallery, f"id{k // PER_IDENTITY}", [rng.gauss(0.0, 1.0) for _ in range(DIM)])
     save_gallery(gallery, work / "gallery.txt")
     files = [out / "far_frr.csv", out / "summary.csv", out / "histogram.csv",
              work / "gallery.txt", work / "gallery.txt.rows"]
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    return {path.name: _sha256(path) for path in files}
+
+
+def train_digests(seed: int, work: Path) -> dict[str, str]:
+    """report.csv and metrics.csv of the benchmark's lmcot and dual train runs."""
+    found = {}
+    for loss in Train.LOSSES:
+        out = work / f"train-{loss}"
+        _run(["train", "--loss", loss, "--seed", str(seed), "--out", str(out), *Train.TRAIN_ARGS])
+        found.update({f"{loss}/{name}": _sha256(out / name) for name in ("report.csv", "metrics.csv")})
+    return found
 
 
 def _main() -> int:
@@ -61,7 +89,8 @@ def _main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        for name, digest in digests(args.seed, Path(work)).items():
+        found = {**digests(args.seed, Path(work)), **train_digests(args.seed, Path(work))}
+        for name, digest in found.items():
             print(f"{digest}  {name}")
     return 0
 
