@@ -23,7 +23,7 @@ from .floattext import format_rows
 
 @dataclass
 class ScoredPairs:
-    """Finite similarity scores of genuine (same-identity) and impostor pairs, neither side empty."""
+    """Finite similarity scores of genuine (same-identity) and impostor pairs; neither is empty."""
 
     genuine: np.ndarray
     impostor: np.ndarray

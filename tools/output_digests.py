@@ -80,7 +80,8 @@ def train_digests(seed: int, work: Path) -> dict[str, str]:
     for loss in Train.LOSSES:
         out = work / f"train-{loss}"
         _run(["train", "--loss", loss, "--seed", str(seed), "--out", str(out), *Train.TRAIN_ARGS])
-        found.update({f"{loss}/{name}": _sha256(out / name) for name in ("report.csv", "metrics.csv")})
+        for name in ("report.csv", "metrics.csv"):
+            found[f"{loss}/{name}"] = _sha256(out / name)
     return found
 
 
