@@ -15,7 +15,6 @@ from .angular import (
 from .losses import (
     ANGULAR_LOSSES,
     LossOutput,
-    ScorePair,
     double_loss,
     margin_sigmoid_ce,
     softmax_loss,

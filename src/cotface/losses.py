@@ -22,7 +22,7 @@ while driving well-classified ones to essentially zero loss.
 
 Score-level losses for the binary heads live here too: a margin-shifted
 sigmoid cross-entropy (softmax_loss over the logits (0, z)) and a
-score-separation loss over a (low, high) pair of score sets.
+score-separation loss over a metrics.ScoredPairs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .angular import (
     elastic_sample,
     margin_cot,
 )
+from .metrics import ScoredPairs
 
 
 @dataclass
@@ -47,31 +48,12 @@ class LossOutput:
 
     value = mean(per_sample).  grad has the input's shape: an angular batch's
     angles (its cosines for a cosine batch), softmax_loss's logits,
-    margin_sigmoid_ce's scores, or double_loss's low scores then high scores.
+    margin_sigmoid_ce's scores, or double_loss's impostor scores then genuine scores.
     """
 
     value: float
     per_sample: np.ndarray
     grad: np.ndarray
-
-
-@dataclass
-class ScorePair:
-    """Two score sets in [0, 1]: low should be pushed down, high up."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    def __post_init__(self):
-        self.low = np.atleast_1d(np.asarray(self.low, dtype=np.float64))
-        self.high = np.atleast_1d(np.asarray(self.high, dtype=np.float64))
-        for name, arr in (("low", self.low), ("high", self.high)):
-            if arr.size == 0:
-                raise ValueError(f"{name} scores must be non-empty")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} scores contain non-finite values")
-            if (arr < 0.0).any() or (arr > 1.0).any():
-                raise ValueError(f"{name} scores must lie in [0, 1]")
 
 
 def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
@@ -109,6 +91,10 @@ def _shared_ce(k, dk, s: float, labels, branches, ln_b: float):
 def softmax_loss(logits, labels, cfg: LossConfig = LossConfig()) -> LossOutput:
     """Plain softmax cross-entropy on raw, unnormalized logits; grad is d/d(logits)."""
     logits = np.array(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ValueError("logits must be 2-D (N, n_classes)")
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contain non-finite values")
     labels = AngularBatch(None, labels, cos=np.zeros(logits.shape)).labels  # AngularBatch's checks
     f = logits[np.arange(len(labels)), labels]  # a copy: the core overwrites logits
     per_sample, grad = _shared_ce(logits, 1.0, 1.0, labels, [(f, 1.0, None)], cfg.log_divisor)
@@ -197,16 +183,18 @@ def _margin_loss(name: str, batch: AngularBatch, cfg: LossConfig, rng=None) -> L
 ANGULAR_LOSSES = {name: partial(_margin_loss, name) for name in PRESETS}
 
 
-def double_loss(pair: ScorePair) -> LossOutput:
-    """Separation loss on a (low, high) score pair: mean(low) - mean(high) + 1.
+def double_loss(pairs: ScoredPairs) -> LossOutput:
+    """Separation loss on a score set pair: mean(impostor) - mean(genuine) + 1.
 
-    Scores in [0, 1] bound the value to [0, 2]; identical branches give
-    exactly 1.  The pair counts as a single sample, so per_sample has length
-    one.  grad is +1/|low| per low score, then -1/|high| per high score.
+    Scores must lie in [0, 1], which bounds the value to [0, 2]; identical sets
+    give exactly 1.  The pair counts as one sample, so per_sample has length
+    one.  grad is +1/|impostor| per impostor score, then -1/|genuine| per genuine.
     """
-    value = float(pair.low.mean() - pair.high.mean() + 1.0)
-    grad = np.concatenate([np.full(pair.low.size, 1.0 / pair.low.size),
-                           np.full(pair.high.size, -1.0 / pair.high.size)])
+    imp, gen = pairs.impostor, pairs.genuine
+    if min(imp.min(), gen.min()) < 0.0 or max(imp.max(), gen.max()) > 1.0:
+        raise ValueError("scores must lie in [0, 1]")
+    value = float(imp.mean() - gen.mean() + 1.0)
+    grad = np.concatenate([np.full(imp.size, 1.0 / imp.size), np.full(gen.size, -1.0 / gen.size)])
     return LossOutput(value, np.array([value]), grad)
 
 
@@ -218,6 +206,10 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
     log; grad = (sigmoid(z) - label)/N.
     """
     scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
+    if scores.ndim != 1 or not np.isfinite(scores).all():
+        raise ValueError("scores must be 1-D and finite")
+    if not np.isfinite(m):
+        raise ValueError("m must be finite")
     labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have matching shapes")

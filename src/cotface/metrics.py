@@ -23,7 +23,7 @@ from .floattext import format_rows
 
 @dataclass
 class ScoredPairs:
-    """Finite similarity scores of genuine (same-identity) and impostor pairs; neither is empty."""
+    """Finite 1-D similarity scores of genuine (same-identity) and impostor pairs; neither is empty."""
 
     genuine: np.ndarray
     impostor: np.ndarray
@@ -32,6 +32,8 @@ class ScoredPairs:
         self.genuine = np.atleast_1d(np.asarray(self.genuine, dtype=np.float64))
         self.impostor = np.atleast_1d(np.asarray(self.impostor, dtype=np.float64))
         for name, arr in (("genuine", self.genuine), ("impostor", self.impostor)):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} scores must be 1-D")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} scores contain non-finite values")
         if not (self.genuine.size and self.impostor.size):
@@ -121,6 +123,8 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     if bins < 1:
         raise ValueError("bins must be >= 1")
     lo, hi = value_range
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("value range must be finite")
     if not lo < hi:
         raise ValueError("empty value range")
     return np.histogram(scores, bins=_edges(lo, hi, bins))

@@ -25,7 +25,6 @@ from .angular import (DEFAULT_EPS, AngularBatch, ConfigError, LossConfig, NormOv
                       ZeroVectorError, _unit_rows, l2_normalize)
 from .losses import (
     ANGULAR_LOSSES,
-    ScorePair,
     double_loss,
     margin_sigmoid_ce,
     softmax_loss,
@@ -314,7 +313,8 @@ def train_loop(
             total, grad = ce.value, ce.grad
             if use_double:
                 sig = 1.0 / (1.0 + np.exp(-raw[batch_size:]))
-                dl = double_loss(ScorePair(*np.split(sig, 2)))  # low: pure0, high: pure1
+                dl = double_loss(ScoredPairs(genuine=sig[PURE_BATCH_SIZE:],  # pure1
+                                             impostor=sig[:PURE_BATCH_SIZE]))  # pure0
                 total += dl.value
                 grad = np.concatenate([grad, dl.grad * sig * (1 - sig)])
             return total, backward_scores(model, cache, grad)
@@ -403,13 +403,13 @@ def _fd_setup(loss_name, cfg_rng, data_rng, trial_seed):
     deterministic function of its row.
     """
     if loss_name == "double":
-        n_low = int(cfg_rng.integers(2, 6))
-        n_high = int(cfg_rng.integers(2, 6))
-        scores = data_rng.uniform(0.1, 0.9, size=n_low + n_high)
-        out = double_loss(ScorePair(low=scores[:n_low], high=scores[n_low:]))
-        return scores, out.grad, \
-            lambda stack: np.array([double_loss(ScorePair(low=p[:n_low], high=p[n_low:])).value
-                                    for p in stack])
+        n_imp = int(cfg_rng.integers(2, 6))
+        n_gen = int(cfg_rng.integers(2, 6))
+        scores = data_rng.uniform(0.1, 0.9, size=n_imp + n_gen)
+
+        def loss(p):  # impostor scores first, as in double_loss's grad
+            return double_loss(ScoredPairs(genuine=p[n_imp:], impostor=p[:n_imp]))
+        return scores, loss(scores).grad, lambda stack: np.array([loss(p).value for p in stack])
 
     if loss_name in ANGULAR_LOSSES:
         n_samples = int(cfg_rng.integers(2, 5))

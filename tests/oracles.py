@@ -236,8 +236,8 @@ def match_loop(identities, probe, sim_threshold: float = 0.5):
 def _gradcheck_trial(loss_name, cfg_rng, data_rng, trial_seed):
     """One trial's (params, loss_fn, grad_of), drawn as gradcheck draws it."""
     from cotface.angular import AngularBatch, LossConfig
-    from cotface.losses import (ANGULAR_LOSSES, ScorePair, double_loss, margin_sigmoid_ce,
-                                softmax_loss)
+    from cotface.losses import ANGULAR_LOSSES, double_loss, margin_sigmoid_ce, softmax_loss
+    from cotface.metrics import ScoredPairs
 
     if loss_name in ANGULAR_LOSSES:
         n_samples = int(cfg_rng.integers(2, 5))
@@ -278,10 +278,10 @@ def _gradcheck_trial(loss_name, cfg_rng, data_rng, trial_seed):
         labels = data_rng.integers(0, 2, size=n)
         return scores, lambda p: margin_sigmoid_ce(p, labels, m), lambda out: out.grad
     if loss_name == "double":
-        n_low = int(cfg_rng.integers(2, 6))
-        n_high = int(cfg_rng.integers(2, 6))
-        return data_rng.uniform(0.1, 0.9, size=n_low + n_high), \
-            lambda p: double_loss(ScorePair(low=p[:n_low], high=p[n_low:])), \
+        n_imp = int(cfg_rng.integers(2, 6))
+        n_gen = int(cfg_rng.integers(2, 6))
+        return data_rng.uniform(0.1, 0.9, size=n_imp + n_gen), \
+            lambda p: double_loss(ScoredPairs(genuine=p[n_imp:], impostor=p[:n_imp])), \
             lambda out: out.grad
     raise ValueError(f"unknown loss {loss_name!r}")
 

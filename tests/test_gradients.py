@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cotface.cli import main
-from cotface.losses import ANGULAR_LOSSES, ScorePair, double_loss
+from cotface.losses import ANGULAR_LOSSES, double_loss
+from cotface.metrics import ScoredPairs
 from cotface.train import GRADCHECK_LOSSES, _TiledNormal, gradcheck
 from oracles import gradcheck_loop
 
@@ -101,10 +102,9 @@ def test_double_loss_gradient_exact():
 
 
 def test_double_loss_directional_derivative():
-    pair = ScorePair(low=[0.3, 0.5], high=[0.6, 0.8])
-    out = double_loss(pair)
+    out = double_loss(ScoredPairs(genuine=[0.6, 0.8], impostor=[0.3, 0.5]))
     h = 1e-6
-    bumped = double_loss(ScorePair(low=[0.3 + h, 0.5], high=[0.6, 0.8]))
+    bumped = double_loss(ScoredPairs(genuine=[0.6, 0.8], impostor=[0.3 + h, 0.5]))
     assert (bumped.value - out.value) / h == pytest.approx(out.grad[0], rel=1e-6)
 
 

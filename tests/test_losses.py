@@ -20,11 +20,11 @@ from cotface.losses import (
     ANGULAR_LOSSES,
     ELASTIC_LOSSES,
     LossOutput,
-    ScorePair,
     double_loss,
     margin_sigmoid_ce,
     softmax_loss,
 )
+from cotface.metrics import ScoredPairs
 from cotface.reference import LABELS, LOGITS, THETA, batch as reference_batch
 
 norm_softmax_loss = ANGULAR_LOSSES["norm-softmax"]
@@ -114,15 +114,20 @@ class TestAgainstScalarOracle:
         assert out.value == pytest.approx(value, rel=1e-12)
         np.testing.assert_allclose(out.per_sample, per_sample, rtol=1e-12)
 
-    @pytest.mark.parametrize("labels,message", [
-        ([-1], "labels out of range"),
-        ([3], "labels out of range"),
-        ([1.5], "labels must be integers"),
-        ([2, 0], r"labels must have shape \(N,\)"),
+    @pytest.mark.parametrize("logits,labels,message", [
+        ([[1.0, 2.0, 3.0]], [-1], "labels out of range"),
+        ([[1.0, 2.0, 3.0]], [3], "labels out of range"),
+        ([[1.0, 2.0, 3.0]], [1.5], "labels must be integers"),
+        ([[1.0, 2.0, 3.0]], [2, 0], r"labels must have shape \(N,\)"),
+        # the logits are checked first, and by their own name
+        ([1.0, 2.0], [0], r"logits must be 2-D \(N, n_classes\)"),
+        ([[1.0, np.nan]], [0], "logits contain non-finite values"),
+        ([[1.0, np.inf]], [0], "logits contain non-finite values"),
+        ([[-np.inf, 2.0]], [5], "logits contain non-finite values"),
     ])
-    def test_softmax_refuses_the_labels_angular_batch_refuses(self, labels, message):
+    def test_softmax_refuses_the_labels_angular_batch_refuses(self, logits, labels, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            softmax_loss([[1.0, 2.0, 3.0]], labels)
+            softmax_loss(logits, labels)
 
     def test_uniform_logits_give_log_n(self):
         out = softmax_loss(np.zeros((3, 7)), [0, 3, 6], LossConfig())
@@ -474,42 +479,48 @@ class TestLmcotVersusArcface:
 
 class TestDoubleLoss:
     def test_perfect_separation(self):
-        assert double_loss(ScorePair(low=[0.0], high=[1.0])).value == 0.0
+        assert double_loss(ScoredPairs(genuine=[1.0], impostor=[0.0])).value == 0.0
 
     def test_no_separation(self):
-        assert double_loss(ScorePair(low=[0.5], high=[0.5])).value == 1.0
+        assert double_loss(ScoredPairs(genuine=[0.5], impostor=[0.5])).value == 1.0
 
     def test_hand_arithmetic(self):
-        out = double_loss(ScorePair(low=[0.2, 0.4], high=[0.7, 0.9]))
+        out = double_loss(ScoredPairs(genuine=[0.7, 0.9], impostor=[0.2, 0.4]))
         assert out.value == pytest.approx(0.5, rel=1e-15)
 
     def test_value_range_for_sigmoid_scores(self):
         rng = np.random.default_rng(16)
         for _ in range(200):
-            pair = ScorePair(low=rng.uniform(0, 1, rng.integers(1, 6)),
-                             high=rng.uniform(0, 1, rng.integers(1, 6)))
-            assert 0.0 <= double_loss(pair).value <= 2.0
+            pairs = ScoredPairs(impostor=rng.uniform(0, 1, rng.integers(1, 6)),
+                                genuine=rng.uniform(0, 1, rng.integers(1, 6)))
+            assert 0.0 <= double_loss(pairs).value <= 2.0
 
     def test_gradients(self):
-        out = double_loss(ScorePair(low=[0.2, 0.4], high=[0.7, 0.9, 0.8]))
+        out = double_loss(ScoredPairs(genuine=[0.7, 0.9, 0.8], impostor=[0.2, 0.4]))
         np.testing.assert_array_equal(out.grad, [0.5, 0.5, -1 / 3, -1 / 3, -1 / 3])
         assert out.per_sample.shape == (1,)
 
     def test_exchangeable_branches_give_one(self):
         scores = [0.1, 0.6, 0.9]
-        assert double_loss(ScorePair(low=scores, high=scores)).value == \
+        assert double_loss(ScoredPairs(genuine=scores, impostor=scores)).value == \
             pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("low,high", [([], [0.5]), ([0.5], []), ([1.2], [0.5])])
-    def test_invalid_pairs_rejected(self, low, high):
-        with pytest.raises(ValueError):
-            ScorePair(low=low, high=high)
+    @pytest.mark.parametrize("impostor,genuine,message", [
+        ([], [0.5], "both score sets must be non-empty"),
+        ([0.5], [], "both score sets must be non-empty"),
+        ([1.2], [0.5], r"scores must lie in \[0, 1\]"),
+        ([0.5], [0.9, -0.1], r"scores must lie in \[0, 1\]"),
+    ])
+    def test_invalid_pairs_rejected(self, impostor, genuine, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            double_loss(ScoredPairs(genuine=genuine, impostor=impostor))
 
-    @pytest.mark.parametrize("low,high,name", [([np.nan], [0.5], "low"), ([0.5], [np.inf], "high")])
-    def test_non_finite_scores_rejected(self, low, high, name):
-        # NaN fails both range comparisons, so only the finiteness check stops it
+    @pytest.mark.parametrize("impostor,genuine,name", [
+        ([np.nan], [0.5], "impostor"), ([0.5], [np.inf], "genuine")])
+    def test_non_finite_scores_rejected(self, impostor, genuine, name):
+        # NaN fails both range comparisons, so only ScoredPairs' finiteness check stops it
         with pytest.raises(ValueError, match=f"^{name} scores contain non-finite values$"):
-            ScorePair(low=low, high=high)
+            double_loss(ScoredPairs(genuine=genuine, impostor=impostor))
 
 
 class TestMarginSigmoidCE:
@@ -557,6 +568,17 @@ class TestMarginSigmoidCE:
             margin_sigmoid_ce([0.1, 0.2], [1], m=0.0)
         with pytest.raises(ValueError):
             margin_sigmoid_ce([0.1], [2], m=0.0)
+
+    @pytest.mark.parametrize("scores,labels,m,message", [
+        ([[0.5]], [[1]], 0.0, "scores must be 1-D and finite"),
+        ([0.5, np.nan], [1, 0], 0.0, "scores must be 1-D and finite"),
+        ([0.5, -np.inf], [1, 0], 0.0, "scores must be 1-D and finite"),
+        ([0.5], [1], np.nan, "m must be finite"),
+        ([0.5], [1], np.inf, "m must be finite"),
+    ])
+    def test_misshapen_or_non_finite_input_rejected(self, scores, labels, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            margin_sigmoid_ce(scores, labels, m=m)
 
 
 class TestRegistry:

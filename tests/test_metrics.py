@@ -31,6 +31,12 @@ class TestScoredPairs:
         with pytest.raises(ValueError, match=f"^{name} scores contain non-finite values$"):
             ScoredPairs(genuine=genuine, impostor=impostor)
 
+    @pytest.mark.parametrize("genuine,impostor,name", [
+        ([[0.9, 0.8], [0.7, 0.2]], [0.1, 0.75], "genuine"), ([0.5], [[0.1], [0.2]], "impostor")])
+    def test_score_sets_that_are_not_1d_rejected(self, genuine, impostor, name):
+        with pytest.raises(ValueError, match=f"^{name} scores must be 1-D$"):
+            ScoredPairs(genuine=genuine, impostor=impostor)
+
     @pytest.mark.parametrize("metric", [auc, lambda pairs: far_frr_sweep(pairs, [0.5])])
     @pytest.mark.parametrize("genuine,impostor", [([], [0.5]), ([0.5], [])])
     def test_empty_side_rejected(self, metric, genuine, impostor):
@@ -224,8 +230,13 @@ class TestHistogram:
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             histogram([0.5], bins=0, value_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty value range$"):
             histogram([0.5], bins=2, value_range=(1.0, 1.0))
+
+    @pytest.mark.parametrize("value_range", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_range_rejected(self, value_range):
+        with pytest.raises(ValueError, match="^value range must be finite$"):
+            histogram([1.0], 3, value_range)
 
 
 class TestPca2:

@@ -10,9 +10,11 @@ builds a 2,000-identity gallery of 5 random 128-d embeddings each with
 far_frr.csv, summary.csv, histogram.csv, the gallery text and its .rows
 companion.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
 the benchmark's train arguments (`perfbench/workloads.py`'s
-`Train.TRAIN_ARGS`) with `--seed` the given seed, and prints the digests of
-each run's report.csv and metrics.csv.  Run it in two checkouts to show that
-they write the same bytes.  It sets one BLAS thread before numpy loads: the
+`Train.TRAIN_ARGS`), and `cotface train --task binary-live-spoof --loss
+margin-ce+double --steps 200`, each with `--seed` the given seed, and prints
+the digests of each run's report.csv and metrics.csv.  Last it prints the
+digest of the stdout of `cotface gradcheck --loss all` at that seed.  Run it
+in two checkouts to show that they write the same bytes.  It sets one BLAS thread before numpy loads: the
 train bytes differ between thread counts.  It imports `cotface` from the
 checkout's `src/` and the train arguments from its `perfbench/`.
 """
@@ -48,11 +50,13 @@ def score_lines(rng: random.Random) -> str:
                    for label in labels)
 
 
-def _run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(argv) -> str:
+    """Run the cotface CLI in-process; returns its stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = main(argv)
     if code != 0:
         raise SystemExit(f"cotface {argv[0]} exited {code}")
+    return stdout.getvalue()
 
 
 def _sha256(path: Path) -> str:
@@ -75,13 +79,19 @@ def digests(seed: int, work: Path) -> dict[str, str]:
 
 
 def train_digests(seed: int, work: Path) -> dict[str, str]:
-    """report.csv and metrics.csv of the benchmark's lmcot and dual train runs."""
+    """report.csv and metrics.csv of the benchmark's lmcot and dual train runs and of
+    the binary margin-ce+double run, then the stdout of gradcheck over every loss."""
+    runs = {loss: ["--loss", loss, *Train.TRAIN_ARGS] for loss in Train.LOSSES}
+    runs["margin-ce+double"] = ["--task", "binary-live-spoof", "--loss", "margin-ce+double",
+                                "--steps", "200"]
     found = {}
-    for loss in Train.LOSSES:
+    for loss, args in runs.items():
         out = work / f"train-{loss}"
-        _run(["train", "--loss", loss, "--seed", str(seed), "--out", str(out), *Train.TRAIN_ARGS])
+        _run(["train", *args, "--seed", str(seed), "--out", str(out)])
         for name in ("report.csv", "metrics.csv"):
             found[f"{loss}/{name}"] = _sha256(out / name)
+    stdout = _run(["gradcheck", "--loss", "all", "--seed", str(seed)])
+    found["gradcheck.stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
     return found
 
 
