@@ -23,7 +23,7 @@ from .floattext import format_rows
 
 @dataclass
 class ScoredPairs:
-    """Finite 1-D similarity scores of genuine (same-identity) and impostor pairs; neither is empty."""
+    """Finite 1-D similarity scores of genuine (same-identity) and impostor pairs, neither empty."""
 
     genuine: np.ndarray
     impostor: np.ndarray

@@ -14,9 +14,10 @@ the benchmark's train arguments (`perfbench/workloads.py`'s
 margin-ce+double --steps 200`, each with `--seed` the given seed, and prints
 the digests of each run's report.csv and metrics.csv.  Last it prints the
 digest of the stdout of `cotface gradcheck --loss all` at that seed.  Run it
-in two checkouts to show that they write the same bytes.  It sets one BLAS thread before numpy loads: the
-train bytes differ between thread counts.  It imports `cotface` from the
-checkout's `src/` and the train arguments from its `perfbench/`.
+in two checkouts to show that they write the same bytes.  It sets one BLAS
+thread before numpy loads: the train bytes differ between thread counts.  It
+imports `cotface` from the checkout's `src/` and the train arguments from its
+`perfbench/`.
 """
 
 from __future__ import annotations
