@@ -256,7 +256,9 @@ def _cmd_train(args) -> int:
     (out / "report.csv").write_text(
         "step,loss\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(report.loss_curve)))
     _write_metrics(out / "metrics.csv", sorted(report.metrics.items()))
-    (out / "steps.log").write_text(report.to_records())
+    steps = enumerate(zip(report.loss_curve, report.wall_ms))
+    (out / "steps.log").write_text(
+        "step,loss,wall_ms\n" + "".join(f"{i},{v:.17g},{ms:.3f}\n" for i, (v, ms) in steps))
     if args.save_model:
         save_model(model, args.save_model)
     for k, v in sorted(report.metrics.items()):

@@ -215,6 +215,9 @@ def margin_sigmoid_ce(scores, labels, m: float = 0.0) -> LossOutput:
         raise ValueError("scores and labels must have matching shapes")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-    z = scores + (labels - 0.5) * m
+    with np.errstate(over="ignore"):
+        z = scores + (labels - 0.5) * m
+    if not np.isfinite(z).all():
+        raise ValueError("margin-shifted scores must be finite")
     out = softmax_loss(np.stack([np.zeros_like(z), z], axis=1), labels.astype(np.intp))
     return LossOutput(out.value, out.per_sample, out.grad[:, 1])

@@ -120,14 +120,17 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     Counts sum to the number of scores inside value_range (the right edge of
     the last bin is inclusive, matching numpy).
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError("bins must be a whole number >= 1")
     lo, hi = value_range
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("value range must be finite")
     if not lo < hi:
         raise ValueError("empty value range")
-    return np.histogram(scores, bins=_edges(lo, hi, bins))
+    edges = _edges(lo, hi, bins)
+    if not (edges[1:] > edges[:-1]).all():
+        raise ValueError(f"value range too narrow for {bins} equal bins")
+    return np.histogram(scores, bins=edges)
 
 
 def pca2(points):

@@ -11,6 +11,7 @@ from .detect import (
     DetectionBox,
     align,
     detect,
+    image_pyramid,
     iou,
     largest_face,
     nms,
@@ -31,7 +32,6 @@ from .image import (
     bilinear_resize,
     crop_region,
     eye_crops,
-    image_pyramid,
     laplacian,
     read_pgm,
     rotate_region,

@@ -1,4 +1,4 @@
-"""Sliding-window face detection: pyramid scan, NMS, cascade, alignment.
+"""Sliding-window face detection: the detection pyramid, NMS, cascade, alignment.
 
 The detector is a three-stage rescoring cascade over a pluggable batch
 scorer: the 12 px windows of each pyramid level are scored in batches,
@@ -30,15 +30,14 @@ survivors as such a pass would visit them, by descending confidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# bilinear_resize is not called here; perfbench/layers.py counts its calls at
-# this module's name, so the name stays importable from it.
-from .image import (WINDOW, GrayImage, bilinear_resize, crop_bounds,  # noqa: F401
-                    crop_region, crop_resize, image_pyramid, rotate_region)
+from .image import (GrayImage, bilinear_resize, crop_bounds, crop_region, crop_resize,
+                    rotate_region)
 
 
 @dataclass
@@ -176,12 +175,36 @@ def nms(boxes, iou_threshold: float) -> list:
 
 
 # MTCNN's published constants (Zhang et al., 2016)
+WINDOW = 12  # side of the stage-1 scan window, px
+PYRAMID_STEP = 0.709  # scale ratio of consecutive pyramid levels
 STRIDE = 2  # stage-1 window step on each pyramid level, px
 STAGE_GATES = (0.6, 0.7, 0.7)  # the confidence each stage's survivors reach
 NMS_IOU = 0.7  # the one NMS pass's threshold, after stage 1
 # scorer batch sizes; they bound the memory of a batch's crops and resampling
 _SCAN_BATCH = 2048  # stage-1 windows per call (whole rows of windows, at least one row)
 _CHUNK = 8  # stage-2/3 boxes per call
+
+
+def image_pyramid(img: GrayImage, min_face: float) -> list[tuple[GrayImage, float]]:
+    """Scaled copies for a sliding-window scan.
+
+    The first scale maps a min_face-sized region onto the WINDOW size; each
+    further level shrinks by PYRAMID_STEP, and levels are kept while the
+    scaled short side still covers one window.  min_face must be at least
+    WINDOW / 2, so no level is more than twice the frame's size per side.
+    """
+    if not WINDOW / 2 <= min_face < np.inf:
+        raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, got {min_face}")
+    levels = []
+    scale = WINDOW / min_face
+    # side * scale rounds twice, so a short side equal to min_face can land an
+    # ulp below WINDOW; that level still rounds to WINDOW px
+    while min(img.width, img.height) * scale >= WINDOW - math.ulp(WINDOW):
+        w = max(1, int(round(img.width * scale)))
+        h = max(1, int(round(img.height * scale)))
+        levels.append((bilinear_resize(img, w, h), scale))
+        scale *= PYRAMID_STEP
+    return levels
 
 
 def _survivors(out, boxes, threshold):

@@ -2,13 +2,12 @@
 
 Images are row-major float arrays of levels in [0, 255].  Everything here is
 plain numpy: bilinear resampling (one core, for a whole image or a batch of
-box crops), the 4-neighbor Laplacian, the sharpness gate built on it, the
-detection pyramid, and box and eye-region cropping.
+box crops), the 4-neighbor Laplacian, the sharpness gate built on it, and
+box and eye-region cropping.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -16,8 +15,6 @@ import numpy as np
 
 DEFAULT_PIXEL_THRESHOLD = 30.0
 SHARPNESS_COUNT_FRACTION = 0.005
-WINDOW = 12  # side of the stage-1 scan window, px
-PYRAMID_STEP = 0.709  # scale ratio of consecutive pyramid levels
 # one PGM header token: skip whitespace and "#" comments (to the end of their
 # line), then take a run of non-whitespace that does not start a comment
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
@@ -162,28 +159,6 @@ def sharpness_gate(img: GrayImage) -> tuple[bool, int]:
     edge_count = int((np.abs(laplacian(img)) >= DEFAULT_PIXEL_THRESHOLD).sum())
     count_threshold = max(1, round(SHARPNESS_COUNT_FRACTION * img.width * img.height))
     return edge_count >= count_threshold, edge_count
-
-
-def image_pyramid(img: GrayImage, min_face: float) -> list[tuple[GrayImage, float]]:
-    """Scaled copies for a sliding-window scan.
-
-    The first scale maps a min_face-sized region onto the WINDOW size; each
-    further level shrinks by PYRAMID_STEP, and levels are kept while the
-    scaled short side still covers one window.  min_face must be at least
-    WINDOW / 2, so no level is more than twice the frame's size per side.
-    """
-    if not WINDOW / 2 <= min_face < np.inf:
-        raise ValueError(f"min_face must be finite and at least {WINDOW // 2} px, got {min_face}")
-    levels = []
-    scale = WINDOW / min_face
-    # side * scale rounds twice, so a short side equal to min_face can land an
-    # ulp below WINDOW; that level still rounds to WINDOW px
-    while min(img.width, img.height) * scale >= WINDOW - math.ulp(WINDOW):
-        w = max(1, int(round(img.width * scale)))
-        h = max(1, int(round(img.height * scale)))
-        levels.append((bilinear_resize(img, w, h), scale))
-        scale *= PYRAMID_STEP
-    return levels
 
 
 def crop_bounds(img: GrayImage, x1, y1, x2, y2):

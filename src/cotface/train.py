@@ -53,14 +53,8 @@ class Layer:
 
 @dataclass
 class MlpModel:
-    """Affine stack plus an optional angular head (unit rows, no bias)."""
+    """Affine stack plus an optional angular head (unit rows, no bias), or their gradients."""
 
-    layers: list
-    head_W: np.ndarray | None
-
-
-@dataclass
-class Grads:
     layers: list
     head_W: np.ndarray | None
 
@@ -100,11 +94,6 @@ class TrainReport:
     wall_ms: list
     metrics: dict
     wall_time_s: float = 0.0
-
-    def to_records(self) -> str:
-        """One line per step: step,loss,wall_ms."""
-        steps = enumerate(zip(self.loss_curve, self.wall_ms))
-        return "step,loss,wall_ms\n" + "".join(f"{i},{v:.17g},{ms:.3f}\n" for i, (v, ms) in steps)
 
 
 def synth_dataset(spec: SynthSpec):
@@ -192,12 +181,12 @@ def _backward_layers(model, a_list, grad_out) -> list:
     for i in reversed(range(len(model.layers))):
         # below the affine last layer, relu(z) > 0 exactly where z > 0: the activation is the mask
         dz = da * (a_list[i + 1] > 0.0) if i < len(model.layers) - 1 else da
-        grads[i] = (dz.T @ a_list[i], dz.sum(axis=0))
+        grads[i] = Layer(dz.T @ a_list[i], dz.sum(axis=0))
         da = dz @ model.layers[i].W
     return grads
 
 
-def backward(model: MlpModel, cache, dcos) -> Grads:
+def backward(model: MlpModel, cache, dcos) -> MlpModel:
     """Gradients of a scalar loss given forward's cache and d(loss)/d(cos).
 
     Chains through both L2 normalizations and the affine stack.
@@ -207,20 +196,19 @@ def backward(model: MlpModel, cache, dcos) -> Grads:
     grad_head_unit = dcos.T @ emb
     head_grad = _normalization_vjp(head, head_norms, grad_head_unit)
     grad_emb_raw = _normalization_vjp(emb, emb_norms, grad_emb_unit)
-    return Grads(layers=_backward_layers(model, a_list, grad_emb_raw),
-                 head_W=head_grad)
+    return MlpModel(_backward_layers(model, a_list, grad_emb_raw), head_grad)
 
 
-def backward_scores(model: MlpModel, cache, dscores) -> Grads:
+def backward_scores(model: MlpModel, cache, dscores) -> MlpModel:
     """Gradients of a scalar loss given forward_scores's cache and d(loss)/d(score)."""
-    return Grads(layers=_backward_layers(model, cache, dscores[:, None]), head_W=None)
+    return MlpModel(_backward_layers(model, cache, dscores[:, None]), None)
 
 
-def sgd_step(model: MlpModel, grads: Grads, lr: float) -> MlpModel:
+def sgd_step(model: MlpModel, grads: MlpModel, lr: float) -> MlpModel:
     """In-place SGD: p <- p - lr*g; head rows re-normalized afterwards."""
-    for layer, (dW, db) in zip(model.layers, grads.layers):
-        layer.W -= lr * dW
-        layer.b -= lr * db
+    for layer, g in zip(model.layers, grads.layers):
+        layer.W -= lr * g.W
+        layer.b -= lr * g.b
     if model.head_W is not None:
         if grads.head_W is not None:
             model.head_W -= lr * grads.head_W

@@ -367,7 +367,10 @@ class TestTrain:
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "metric,value"
         assert {line.split(",")[0] for line in metrics[1:]} == {"eer_initial", "eer_final"}
-        assert (out / "steps.log").read_text().splitlines()[0] == "step,loss,wall_ms"
+        steps = (out / "steps.log").read_text().splitlines()
+        assert steps[0] == "step,loss,wall_ms"
+        assert len(steps) == 1 + 8
+        assert [line.rsplit(",", 1)[0] for line in steps[1:]] == report[1:]
         stdout = capsys.readouterr().out
         assert "eer_final" in stdout and "loss " in stdout
 

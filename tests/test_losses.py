@@ -6,6 +6,7 @@ tests/oracles.py and then pinned.
 """
 
 import decimal
+import warnings
 
 import numpy as np
 import pytest
@@ -575,10 +576,15 @@ class TestMarginSigmoidCE:
         ([0.5, -np.inf], [1, 0], 0.0, "scores must be 1-D and finite"),
         ([0.5], [1], np.nan, "m must be finite"),
         ([0.5], [1], np.inf, "m must be finite"),
+        ([1.7e308], [1], 1e308, "margin-shifted scores must be finite"),
+        ([0.5, -1.7e308], [1, 0], 1e308, "margin-shifted scores must be finite"),
     ])
     def test_misshapen_or_non_finite_input_rejected(self, scores, labels, m, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            margin_sigmoid_ce(scores, labels, m=m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                margin_sigmoid_ce(scores, labels, m=m)
+        assert not caught
 
 
 class TestRegistry:

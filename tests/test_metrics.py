@@ -238,6 +238,19 @@ class TestHistogram:
         with pytest.raises(ValueError, match="^value range must be finite$"):
             histogram([1.0], 3, value_range)
 
+    @pytest.mark.parametrize("bins", [2.5, float("nan"), 3.0, float("inf"), "3", 0, -2])
+    def test_bins_not_a_whole_number_at_least_one_rejected(self, bins):
+        with pytest.raises(ValueError, match="^bins must be a whole number >= 1$"):
+            histogram([1.0], bins, (0.0, 1.0))
+
+    def test_range_too_narrow_for_equal_bins_rejected(self):
+        """Two floats one ulp apart have no 20 distinct edges between them."""
+        lo, hi = 1.0, 1.0 + 4.4e-16
+        with pytest.raises(ValueError, match="^value range too narrow for 20 equal bins$"):
+            histogram([lo, hi], 20, (lo, hi))
+        counts, edges = histogram([lo, hi], 1, (lo, hi))
+        assert counts.tolist() == [2] and edges.tolist() == [lo, hi]
+
 
 class TestPca2:
     def test_diagonal_two_dimensional(self):

@@ -1,5 +1,6 @@
 """Pixel-level operations: Laplacian, sharpness gate, pyramid, crops, PGM."""
 
+import importlib
 import tempfile
 from pathlib import Path
 
@@ -21,8 +22,12 @@ from cotface.pipeline import (
     write_pgm,
 )
 from cotface.pipeline import image as image_module
-from cotface.pipeline.image import WINDOW, _taps, crop_bounds, crop_resize
+from cotface.pipeline.detect import WINDOW
+from cotface.pipeline.image import _taps, crop_bounds, crop_resize
 from oracles import read_pgm_scan, rotate_region_taps
+
+# the module itself: `cotface.pipeline.detect` as an attribute is the function
+detect_module = importlib.import_module("cotface.pipeline.detect")
 
 
 def _blank(h, w, level=0.0):
@@ -183,9 +188,23 @@ class TestImagePyramid:
         def no_resize(*args):
             raise AssertionError("resampled a level it should refuse")
 
-        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        monkeypatch.setattr(detect_module, "bilinear_resize", no_resize)
         with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
             image_pyramid(_blank(200, 1), min_face=min_face)
+
+    def test_each_level_resamples_through_detect_bilinear_resize(self, monkeypatch):
+        """The pyramid looks bilinear_resize up in cotface.pipeline.detect, the
+        name the traced benchmark counts calls at: one call per level."""
+        calls = []
+
+        def counting(img, w, h):
+            calls.append((w, h))
+            return bilinear_resize(img, w, h)
+
+        monkeypatch.setattr(detect_module, "bilinear_resize", counting)
+        levels = image_pyramid(_blank(100, 160), min_face=20.0)
+        assert len(levels) > 1
+        assert calls == [(level.width, level.height) for level, _ in levels]
 
     def test_min_face_of_half_a_window_doubles_the_frame(self):
         levels = image_pyramid(_blank(30, 40), min_face=6.0)

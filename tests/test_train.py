@@ -10,7 +10,6 @@ from cotface.angular import LossConfig, angles_from_features
 from cotface.losses import ANGULAR_LOSSES
 from cotface.angular import AngularBatch, ConfigError
 from cotface.train import (
-    Grads,
     Layer,
     MlpModel,
     NonFiniteOutputError,
@@ -191,7 +190,7 @@ def _set_params(model, flat):
 
 
 def _flatten_grads(grads):
-    parts = [np.concatenate([dW.ravel(), db.ravel()]) for dW, db in grads.layers]
+    parts = [np.concatenate([g.W.ravel(), g.b.ravel()]) for g in grads.layers]
     if grads.head_W is not None:
         parts.append(grads.head_W.ravel())
     return np.concatenate(parts)
@@ -202,7 +201,7 @@ class TestBackward:
         model = init_embedding_model(4, n_classes=3, seed=0)
         x = np.random.default_rng(0).normal(size=(5, 4))
         grads = backward(model, forward(model, x)[2], np.zeros((5, 3)))
-        assert all(not dW.any() and not db.any() for dW, db in grads.layers)
+        assert all(not g.W.any() and not g.b.any() for g in grads.layers)
         assert not grads.head_W.any()
 
     def test_matches_finite_differences(self):
@@ -246,7 +245,7 @@ class TestBackward:
         labels = np.array([0])
         out = _model_loss(model, x, labels, LossConfig(s=2.0, m=0.1))
         grads = backward(model, forward(model, x)[2], out.grad)
-        dW = grads.layers[0][0]
+        dW = grads.layers[0].W
         assert dW[0, 1] == 0.0 and dW[1, 1] == 0.0
         # scaling the first weight leaves the unit embedding unchanged
         assert abs(dW[0, 0]) < 1e-12
@@ -261,7 +260,7 @@ class TestBackward:
             return float(np.dot(forward_scores(m, x)[0], upstream))
 
         grads = backward_scores(model, forward_scores(model, x)[1], upstream)
-        analytic = _flatten_grads(Grads(layers=grads.layers, head_W=None))
+        analytic = _flatten_grads(grads)
         flat = _flatten_params(model)
         h = 1e-6
         for i in range(0, flat.size, 5):
@@ -388,12 +387,6 @@ class TestTrainLoop:
         _, both = train_loop(BINARY_SPEC, "margin-ce+double", cfg, steps=300, lr=0.3,
                              seed=0, hidden=(16,))
         assert both.metrics["auc_final"] >= ce.metrics["auc_final"]
-
-    def test_report_records(self):
-        _, report = train_loop(EMBED_SPEC, "arcface", EMBED_CFG, steps=3, lr=0.1, seed=0)
-        lines = report.to_records().strip().split("\n")
-        assert lines[0] == "step,loss,wall_ms"
-        assert len(lines) == 4
 
 
 class TestModelSerialization:

@@ -12,12 +12,14 @@ companion.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
 the benchmark's train arguments (`perfbench/workloads.py`'s
 `Train.TRAIN_ARGS`), and `cotface train --task binary-live-spoof --loss
 margin-ce+double --steps 200`, each with `--seed` the given seed, and prints
-the digests of each run's report.csv and metrics.csv.  Last it prints the
-digest of the stdout of `cotface gradcheck --loss all` at that seed.  Run it
-in two checkouts to show that they write the same bytes.  It sets one BLAS
-thread before numpy loads: the train bytes differ between thread counts.  It
-imports `cotface` from the checkout's `src/` and the train arguments from its
-`perfbench/`.
+the digests of each run's report.csv and metrics.csv.  Then it prints the
+digest of the stdout of `cotface gradcheck --loss all` at that seed, and
+last the digest of the exit codes and output of the benchmark's auth op
+(`perfbench/workloads.py`'s `Auth` recipe built at the seed: `cotface auth`
+on its 8 frames).  Run it in two checkouts to show that they write the same
+bytes.  It sets one BLAS thread before numpy loads: the train bytes differ
+between thread counts.  It imports `cotface` from the checkout's `src/`, and
+the train arguments and the auth recipe from its `perfbench/`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 from cotface.cli import main  # noqa: E402
 from cotface.pipeline import Gallery, enroll, save_gallery  # noqa: E402
-from workloads import Train  # noqa: E402
+from workloads import Auth, Train  # noqa: E402
 
 N_GENUINE, N_IMPOSTOR, DECIMALS = 60_000, 240_000, 5
 IDENTITIES, PER_IDENTITY, DIM = 2_000, 5, 128
@@ -96,12 +98,23 @@ def train_digests(seed: int, work: Path) -> dict[str, str]:
     return found
 
 
+def auth_digest(seed: int, work: Path) -> dict[str, str]:
+    """The exit code and output of each `cotface auth` call of the benchmark's
+    auth op, built at the seed."""
+    workload = Auth(seed, work / "auth")
+    workload.dir.mkdir()
+    workload.setup()
+    text = "".join(f"{code}\n{out}" for code, out in workload.op())
+    return {"auth.exit+stdout": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def _main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        found = {**digests(args.seed, Path(work)), **train_digests(args.seed, Path(work))}
+        found = {**digests(args.seed, Path(work)), **train_digests(args.seed, Path(work)),
+                 **auth_digest(args.seed, Path(work))}
         for name, digest in found.items():
             print(f"{digest}  {name}")
     return 0
