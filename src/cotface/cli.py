@@ -26,11 +26,11 @@ from .angular import LossConfig
 from .metrics import (
     RankedQuery,
     ScoredPairs,
-    _edges,
     _eer_grid,
     _eer_on_sweep,
     auc,
     eer,  # noqa: F401  (not called here; the traced benchmark wraps cotface.cli.eer)
+    equal_edges,
     far_frr_sweep,
     gap,
     histogram,
@@ -349,7 +349,7 @@ def _cmd_eval(args) -> int:
         lo, hi = lo - 0.5, hi + 0.5
     # widen until every bin has width (above 2**53 the 0.5 vanishes; a few float steps are too few)
     step = math.ulp(max(abs(lo), abs(hi)))
-    while not ((e := _edges(lo, hi, args.bins))[1:] > e[:-1]).all():
+    while lo == hi or equal_edges(lo, hi, args.bins) is None:
         lo, hi = max(lo - step, -sys.float_info.max), min(hi + step, sys.float_info.max)
         step *= 2
     gen_counts, edges = histogram(pairs.genuine, args.bins, (lo, hi))

@@ -105,13 +105,20 @@ def auc(pairs: ScoredPairs) -> float:
 _LINSPACE_LIMIT = 2.0 ** 1020  # beyond it, np.linspace's steps can overflow
 
 
-def _edges(lo, hi, bins):
-    """np.histogram's edges, np.linspace(lo, hi, bins + 1), from a quarter scale past the limit."""
+def equal_edges(lo, hi, bins):
+    """np.histogram's edges for `bins` equal bins over [lo, hi], or None if a bin has no width."""
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError("bins must be a whole number >= 1")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("value range must be finite")
+    if not lo < hi:
+        raise ValueError("empty value range")
     if max(abs(lo), abs(hi)) < _LINSPACE_LIMIT:
-        return np.linspace(lo, hi, bins + 1)
-    edges = 4.0 * np.linspace(lo / 4.0, hi / 4.0, bins + 1)
-    edges[[0, -1]] = lo, hi  # a quarter of a tiny endpoint can round away
-    return edges
+        edges = np.linspace(lo, hi, bins + 1)
+    else:  # from a quarter scale
+        edges = 4.0 * np.linspace(lo / 4.0, hi / 4.0, bins + 1)
+        edges[[0, -1]] = lo, hi  # a quarter of a tiny endpoint can round away
+    return edges if (edges[1:] > edges[:-1]).all() else None
 
 
 def histogram(scores, bins: int, value_range: tuple[float, float]):
@@ -120,15 +127,8 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     Counts sum to the number of scores inside value_range (the right edge of
     the last bin is inclusive, matching numpy).
     """
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ValueError("bins must be a whole number >= 1")
-    lo, hi = value_range
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("value range must be finite")
-    if not lo < hi:
-        raise ValueError("empty value range")
-    edges = _edges(lo, hi, bins)
-    if not (edges[1:] > edges[:-1]).all():
+    edges = equal_edges(*value_range, bins)
+    if edges is None:
         raise ValueError(f"value range too narrow for {bins} equal bins")
     return np.histogram(scores, bins=edges)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import argparse
+import importlib
 import io
 import os
 import shutil
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from cotface import cli
 from cotface.cli import main
 from cotface.train import init_embedding_model
-from cotface.pipeline import image as image_module
 from cotface.pipeline import (
     Gallery,
     GrayImage,
@@ -39,6 +39,8 @@ from mutations import (
     mutate_scores,
 )
 from oracles import read_scores_loop
+
+detect_module = importlib.import_module("cotface.pipeline.detect")
 
 
 def _write_frame(path, kind):
@@ -914,7 +916,7 @@ class TestEnrollAuth:
         def no_resize(*args):
             raise AssertionError("the pyramid resampled a frame it should refuse")
 
-        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        monkeypatch.setattr(detect_module, "bilinear_resize", no_resize)
         assert main(["auth", "--gallery", gallery, str(narrow)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -14,6 +14,7 @@ from cotface.metrics import (
     ScoredPairs,
     auc,
     eer,
+    equal_edges,
     far_frr_sweep,
     gap,
     histogram,
@@ -238,10 +239,12 @@ class TestHistogram:
         with pytest.raises(ValueError, match="^value range must be finite$"):
             histogram([1.0], 3, value_range)
 
-    @pytest.mark.parametrize("bins", [2.5, float("nan"), 3.0, float("inf"), "3", 0, -2])
+    @pytest.mark.parametrize("bins", [2.5, float("nan"), 3.0, float("inf"), "3", 0, -2, True])
     def test_bins_not_a_whole_number_at_least_one_rejected(self, bins):
         with pytest.raises(ValueError, match="^bins must be a whole number >= 1$"):
             histogram([1.0], bins, (0.0, 1.0))
+        with pytest.raises(ValueError, match="^bins must be a whole number >= 1$"):
+            equal_edges(0.0, 1.0, bins)
 
     def test_range_too_narrow_for_equal_bins_rejected(self):
         """Two floats one ulp apart have no 20 distinct edges between them."""
@@ -250,6 +253,15 @@ class TestHistogram:
             histogram([lo, hi], 20, (lo, hi))
         counts, edges = histogram([lo, hi], 1, (lo, hi))
         assert counts.tolist() == [2] and edges.tolist() == [lo, hi]
+
+    def test_equal_edges_are_none_where_a_bin_has_no_width(self):
+        """The one rule histogram refuses by and cotface eval widens its range by."""
+        assert equal_edges(1.0, 1.0 + 4.4e-16, 20) is None
+        assert equal_edges(1.0, 1.0 + 4.4e-16, 1).tolist() == [1.0, 1.0 + 4.4e-16]
+        assert equal_edges(0.0, 1.0, 4).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert equal_edges(-1.7e308, 1.7e308, 3) is not None
+        with pytest.raises(ValueError, match="^empty value range$"):
+            equal_edges(1e17, 1e17, 20)
 
 
 class TestPca2:

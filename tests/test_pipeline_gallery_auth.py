@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from cotface.angular import l2_normalize
 from cotface.pipeline import gallery as gallery_module
-from cotface.pipeline import image as image_module
 from cotface.pipeline import (
     AuthConfig,
     AuthScorers,
@@ -48,6 +47,7 @@ from mutations import (
 from oracles import format_17g_rows, match_loop
 
 auth_module = importlib.import_module("cotface.pipeline.auth")
+detect_module = importlib.import_module("cotface.pipeline.detect")
 
 
 # every line break str.splitlines knows besides "\n"
@@ -775,7 +775,7 @@ class TestAuthConfig:
         def no_resize(*args):
             raise AssertionError("the pyramid resampled a frame it should refuse")
 
-        monkeypatch.setattr(image_module, "bilinear_resize", no_resize)
+        monkeypatch.setattr(detect_module, "bilinear_resize", no_resize)
         with pytest.raises(ValueError, match="min_face must be finite and at least 6 px"):
             authenticate(_face_frame(), gallery, scorers, AuthConfig(min_face_ratio=10.5))
         assert rec.calls == []
