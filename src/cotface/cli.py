@@ -273,7 +273,6 @@ def _cmd_train(args) -> int:
 
 
 _IS_GENUINE = {"1": True, "genuine": True, "0": False, "impostor": False}
-_PLAIN_BYTES = np.isin(np.arange(256), np.frombuffer(b"0123456789+-.eE,\n", dtype=np.uint8))
 
 
 def _data_lines(path):
@@ -299,9 +298,9 @@ def _read_scores_file(path) -> ScoredPairs:
     by one np.loadtxt call.  Any other file, or a plain one that loadtxt
     refuses or reads as non-finite, goes line by line with the same result.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
-    scores = None
-    if raw.size and raw[-1] == ord("\n") and _PLAIN_BYTES[raw].all():
+    data = Path(path).read_bytes()
+    raw, scores = np.frombuffer(data, dtype=np.uint8), None  # raw is a view of data
+    if data.endswith(b"\n") and not data.translate(None, b"0123456789+-.eE,\n"):
         starts = np.r_[0, np.flatnonzero(raw[:-1] == ord("\n")) + 1]
         labels = raw[starts]
         # every line starts with a label byte, so starts + 1 is inside the file

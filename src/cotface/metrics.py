@@ -43,6 +43,8 @@ class ScoredPairs:
 def far_frr_sweep(pairs: ScoredPairs, thresholds) -> np.ndarray:
     """FAR and FRR at each threshold; returns rows (threshold, far, frr)."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    if thresholds.ndim != 1 or np.isnan(thresholds).any():
+        raise ValueError("thresholds must be 1-D and not NaN")
     gen = np.sort(pairs.genuine)
     imp = np.sort(pairs.impostor)
     # impostors >= t accepted; genuines < t rejected
@@ -94,9 +96,9 @@ def auc(pairs: ScoredPairs) -> float:
 
     Rank-statistic form: (#{g > i} + 0.5 * #{g == i}) / (|G| * |I|).
     """
-    imp = np.sort(pairs.impostor)
-    below = np.searchsorted(imp, pairs.genuine, side="left").sum()
-    below_or_eq = np.searchsorted(imp, pairs.genuine, side="right").sum()
+    imp, gen = np.sort(pairs.impostor), np.sort(pairs.genuine)  # sorted probes walk imp in order
+    below = np.searchsorted(imp, gen, side="left").sum()
+    below_or_eq = np.searchsorted(imp, gen, side="right").sum()
     wins = int(below)
     ties = int(below_or_eq - below)
     return (wins + 0.5 * ties) / (pairs.genuine.size * pairs.impostor.size)

@@ -244,7 +244,8 @@ def train_loop(
     the sigmoid scores of the pure batches (unweighted sum), stacking all
     three batches into one forward and one backward pass.  The pure
     batches are drawn either way so both variants consume the identical
-    random stream; metrics are held-out AUC before and after.
+    random stream; metrics are the held-out AUC and mean margin_sigmoid_ce
+    (nats, at cfg.m) before and after.
 
     One loop runs each task's step(), a batch's (loss, grads), and evaluate();
     a non-finite loss or model output, or an embedding or head row whose norm
@@ -266,13 +267,12 @@ def train_loop(
         model = init_embedding_model(spec.dim, spec.n_classes,
                                      hidden=hidden, embed_dim=embed_dim, seed=seed)
         xt, yt = x[train_idx], labels[train_idx]
-        metric = "eer"
 
         def evaluate():  # every held-out pair: same label is genuine, else impostor
             emb = forward(model, x_eval)[0]
             iu = np.triu_indices(len(y_eval), k=1)
             sims, same = (emb @ emb.T)[iu], (y_eval[:, None] == y_eval[None, :])[iu]
-            return eer(ScoredPairs(genuine=sims[same], impostor=sims[~same]))[0]
+            return {"eer": eer(ScoredPairs(genuine=sims[same], impostor=sims[~same]))[0]}
 
         def step():  # the registry is read per call: the traced benchmark wraps it
             _, cos, cache = forward(model, xt)
@@ -285,11 +285,11 @@ def train_loop(
         use_double = BINARY_LOSSES[loss_name]
         model = init_score_model(spec.dim, hidden=hidden, seed=seed)
         pools = [train_idx[labels[train_idx] == c] for c in (0, 1)]
-        metric = "auc"
 
-        def evaluate():
-            return auc(ScoredPairs(genuine=forward_scores(model, x_eval[y_eval == 1])[0],
-                                   impostor=forward_scores(model, x_eval[y_eval == 0])[0]))
+        def evaluate():  # held-out AUC, and mean margin_sigmoid_ce in nats at the run's m
+            gen, imp = (forward_scores(model, x_eval[y_eval == c])[0] for c in (1, 0))
+            ce = margin_sigmoid_ce(np.r_[gen, imp], np.repeat([1, 0], [gen.size, imp.size]), cfg.m)
+            return {"auc": auc(ScoredPairs(genuine=gen, impostor=imp)), "margin_ce": ce.value}
 
         def step():
             mixed = rng.choice(train_idx, size=batch_size, replace=True)
@@ -309,7 +309,7 @@ def train_loop(
 
     curve, wall_ms = [], []
     try:
-        metrics_out = {f"{metric}_initial": evaluate()}
+        metrics_out = {f"{k}_initial": v for k, v in evaluate().items()}
         for i in range(steps):
             t0 = time.perf_counter()
             loss, grads = step()
@@ -318,7 +318,7 @@ def train_loop(
             curve.append(loss)
             sgd_step(model, grads, lr)
             wall_ms.append((time.perf_counter() - t0) * 1e3)
-        metrics_out[f"{metric}_final"] = evaluate()
+        metrics_out.update({f"{k}_final": v for k, v in evaluate().items()})
     except (NonFiniteOutputError, NormOverflowError, ZeroVectorError) as exc:
         what = exc if isinstance(exc, ZeroVectorError) else "model output is not finite"
         raise TrainingDivergedError(f"{what} after {len(curve)} of {steps} steps") from None

@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,7 +402,22 @@ class TestTrain:
         ]
         assert main(args) == 0
         metrics = (out / "metrics.csv").read_text().splitlines()
-        assert {line.split(",")[0] for line in metrics[1:]} == {"auc_initial", "auc_final"}
+        assert {line.split(",")[0] for line in metrics[1:]} == {
+            "auc_initial", "auc_final", "margin_ce_initial", "margin_ce_final"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_binary_metrics_tell_the_losses_apart(self, tmp_path, seed):
+        """The AUC saturates at 1, but the held-out margin_sigmoid_ce still
+        differs between the two binary losses; each file is the same on a rerun."""
+        written = {}
+        for loss in ("margin-ce", "margin-ce+double"):
+            for run in ("a", "b"):
+                out = tmp_path / f"{loss}-{run}"
+                assert main(["train", "--task", "binary-live-spoof", "--loss", loss, "--steps",
+                             "20", "--seed", str(seed), "--out", str(out)]) == 0
+                written[loss, run] = (out / "metrics.csv").read_bytes()
+            assert written[loss, "a"] == written[loss, "b"]
+        assert written["margin-ce", "a"] != written["margin-ce+double", "a"]
 
     def test_unknown_loss_is_reported_as_bad_input(self, tmp_path, capsys):
         args = ["train", "--task", "embedding", "--loss", "nonesuch",
@@ -638,14 +654,20 @@ _PLAIN_SCORES = st.one_of(
 )
 
 
+_PLAIN_FILE = b"1,0.5\n0,0.25\n1,-2e-3\n0,1E+2\n"
+
+
 class TestScoresParser:
     """cli._read_scores_file, on its whole-file path for plain 0,/1, files and
     its line loop for every other file, against the line loop of
-    oracles.read_scores_loop: equal arrays bit for bit, or the same ValueError."""
+    oracles.read_scores_loop: equal arrays bit for bit, or the same ValueError.
+    A file with a byte outside "0123456789+-.eE,\n", or without a last "\n",
+    must reach the line loop."""
 
     @staticmethod
     def _assert_matches_line_loop(data: bytes):
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_data_lines", wraps=cli._data_lines) as line_loop:
             path = Path(tmp) / "scores.csv"
             path.write_bytes(data)
             try:
@@ -654,10 +676,14 @@ class TestScoresParser:
                 with pytest.raises(ValueError) as got:
                     cli._read_scores_file(path)
                 assert str(got.value) == str(exc)
-                return
-            pairs = cli._read_scores_file(path)
-        for got, want in zip((pairs.genuine, pairs.impostor), expected):
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+                expected = None
+            else:
+                pairs = cli._read_scores_file(path)
+        if not (set(data) <= set(b"0123456789+-.eE,\n") and data.endswith(b"\n")):
+            assert line_loop.called
+        if expected is not None:
+            for got, want in zip((pairs.genuine, pairs.impostor), expected):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(lines=st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
@@ -680,6 +706,9 @@ class TestScoresParser:
         b"1,1_0\n0,0.5\n",  # float reads 10.0 where loadtxt refuses
         b"1,0.5\n0,0.25",  # no last newline
         b"1,0.5\n",  # one line
+        # a plain file with one byte outside the alphabet: first, mid-file, before the last "\n"
+        *(_PLAIN_FILE[:at] + byte + _PLAIN_FILE[at:] for byte in (b" ", b"\r", b"\x00", b"\xc3")
+          for at in (0, len(_PLAIN_FILE) // 2, len(_PLAIN_FILE) - 1)),
     ])
     def test_edge_files_match_line_loop(self, data):
         self._assert_matches_line_loop(data)

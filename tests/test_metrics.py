@@ -1,6 +1,7 @@
 """Verification metrics against exhaustive and dense-solver oracles."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestFarFrrSweep:
             row = far_frr_sweep(pairs, [t])[0]
             assert row[1] == sum(1 for v in pairs.impostor if v >= t) / 40
             assert row[2] == sum(1 for v in pairs.genuine if v < t) / 30
+
+    @pytest.mark.parametrize("thresholds", [
+        [np.nan], np.nan, [0.5, np.nan, 0.9], [[0.5]], np.zeros((2, 3)), np.zeros((1, 0))])
+    def test_nan_or_not_1d_thresholds_rejected(self, thresholds):
+        """A NaN compares with no score, so its FAR and FRR would mean nothing."""
+        with pytest.raises(ValueError, match="^thresholds must be 1-D and not NaN$"):
+            far_frr_sweep(self.PAIRS, thresholds)
+
+    def test_infinite_thresholds_are_valid(self):
+        sweep = far_frr_sweep(self.PAIRS, [-np.inf, np.inf])
+        assert sweep.tolist() == [[-np.inf, 1.0, 0.0], [np.inf, 0.0, 1.0]]
 
 
 class TestEer:
@@ -208,6 +220,24 @@ class TestAuc:
                 imp = rng.normal(0.4, 0.4, n_i)
             value = auc(ScoredPairs(genuine=gen, impostor=imp))
             assert value == oracles.auc_pairwise(gen, imp), trial
+
+    # heavy ties, both signed zeros, subnormals and the float extremes
+    _TIED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                             0.5, 1e308, -1e308, 1.7976931348623157e308])
+    _AUC_SCORES = st.one_of(_TIED, st.floats(allow_nan=False, allow_infinity=False))
+
+    @given(gen=st.lists(_AUC_SCORES, min_size=1, max_size=30),
+           imp=st.lists(_AUC_SCORES, min_size=1, max_size=30),
+           rnd=st.randoms(use_true_random=False))
+    @example(gen=[0.0, 5e-324], imp=[-0.0, -0.0, 5e-324], rnd=random.Random(0))
+    @example(gen=[-1e308, 1e308], imp=[1e308, -1e308, 0.0], rnd=random.Random(1))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_and_order_free_on_ties_signed_zeros_and_extremes(self, gen, imp, rnd):
+        """-0.0 ties 0.0; shuffling either score set returns the same float."""
+        value = auc(ScoredPairs(genuine=gen, impostor=imp))
+        assert value == oracles.auc_pairwise(gen, imp)
+        assert auc(ScoredPairs(genuine=rnd.sample(gen, len(gen)), impostor=imp)) == value
+        assert auc(ScoredPairs(genuine=gen, impostor=rnd.sample(imp, len(imp)))) == value
 
 
 class TestHistogram:
