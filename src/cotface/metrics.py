@@ -40,13 +40,17 @@ class ScoredPairs:
             raise ValueError("both score sets must be non-empty")
 
 
+def _ascending(a: np.ndarray) -> np.ndarray:
+    """a itself when it is already in ascending order (one O(n) check), else a sorted copy."""
+    return a if (a[1:] >= a[:-1]).all() else np.sort(a)
+
+
 def far_frr_sweep(pairs: ScoredPairs, thresholds) -> np.ndarray:
     """FAR and FRR at each threshold; returns rows (threshold, far, frr)."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     if thresholds.ndim != 1 or np.isnan(thresholds).any():
         raise ValueError("thresholds must be 1-D and not NaN")
-    gen = np.sort(pairs.genuine)
-    imp = np.sort(pairs.impostor)
+    gen, imp = _ascending(pairs.genuine), _ascending(pairs.impostor)
     # impostors >= t accepted; genuines < t rejected
     far = (imp.size - np.searchsorted(imp, thresholds, side="left")) / imp.size
     frr = np.searchsorted(gen, thresholds, side="left") / gen.size
@@ -96,7 +100,7 @@ def auc(pairs: ScoredPairs) -> float:
 
     Rank-statistic form: (#{g > i} + 0.5 * #{g == i}) / (|G| * |I|).
     """
-    imp, gen = np.sort(pairs.impostor), np.sort(pairs.genuine)  # sorted probes walk imp in order
+    imp, gen = _ascending(pairs.impostor), _ascending(pairs.genuine)  # probes walk imp in order
     below = np.searchsorted(imp, gen, side="left").sum()
     below_or_eq = np.searchsorted(imp, gen, side="right").sum()
     wins = int(below)
@@ -127,12 +131,15 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     """Fixed-range histogram over equal bins; returns (counts, edges).
 
     Counts sum to the number of scores inside value_range (the right edge of
-    the last bin is inclusive, matching numpy).
+    the last bin is inclusive): np.histogram's counts over explicit edges, by
+    its own algorithm of two searchsorted calls on the sorted scores.
     """
     edges = equal_edges(*value_range, bins)
     if edges is None:
         raise ValueError(f"value range too narrow for {bins} equal bins")
-    return np.histogram(scores, bins=edges)
+    ranked = _ascending(np.asarray(scores, dtype=np.float64).ravel())
+    below = np.r_[ranked.searchsorted(edges[:-1], "left"), ranked.searchsorted(edges[-1], "right")]
+    return np.diff(below), edges
 
 
 def pca2(points):

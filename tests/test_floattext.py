@@ -44,16 +44,17 @@ def _ties(e: int, limit: int | None):
     return q.astype(np.float64) / 2.0 ** j
 
 
-@pytest.mark.parametrize("e", range(-4, 0))
+@pytest.mark.parametrize("e", range(-6, 0))
 def test_every_tie_at_the_17th_digit_in_the_fast_range(e):
-    """e = -1 is q / 2**18 for every odd q in [26215, 262143]."""
+    """e = -1 is q / 2**18 for every odd q in [26215, 262143]; e = -6 is
+    q / 2**23 for every odd q in [9, 83]."""
     ties = _ties(e, None)
     assert ties.min() >= 10.0 ** e and ties.max() < 10.0 ** (e + 1)
     _assert_renders(_signed(ties))
 
 
 def test_ties_at_the_17th_digit_in_other_decades():
-    decades = [e for e in range(-12, 16) if not -4 <= e < 0]
+    decades = [e for e in range(-12, 16) if not -6 <= e < 0]
     _assert_renders(_signed(np.concatenate([_ties(e, 20_000) for e in decades])))
 
 
@@ -70,6 +71,37 @@ def test_the_fast_range_ends():
     steps = [x - np.arange(1, 1001) * np.spacing(np.nextafter(x, 0.0))
              for x in (1.0, 1e-1, 1e-2, 1e-3, 1e-4)]
     _assert_renders(_signed(np.concatenate([ends, *steps])))
+
+
+def test_the_exponent_form_ends():
+    """The 1,000 doubles on each side of 1e-6, 1e-5 and 1e-4, where the text
+    turns from one exponent or form to the next; the double 1e-6 is below 10**-6."""
+    assert format_rows(np.array([[1e-6]]), b",", b"\n") == b"9.9999999999999995e-07\n"
+    steps = np.arange(1, 1001)
+    sides = [x + sign * steps * np.spacing(x) for x in (1e-6, 1e-5, 1e-4)
+             for sign in (-1.0, 1.0)]
+    _assert_renders(_signed(np.concatenate([[1e-6, 1e-5, 1e-4], *sides])))
+
+
+def test_exponent_form_tails_with_zero_groups():
+    """Doubles in [1e-6, 1e-4) whose later digits end in zero groups, such as
+    1.3e-06 and 1.0001e-05.  No double there has all 16 later digits zero
+    (that text would have no "."): not even the one nearest each d * 10**e."""
+    short = np.array([float(f"{m}e{e}") for e in (-9, -10) for m in range(1, 100_000)])
+    short = short[(short >= 1e-6) & (short < 1e-4)]
+    _assert_renders(_signed(short))
+    nearest = [float(f"{d}e{e}") for d in range(1, 10) for e in (-5, -6)]
+    texts = [("%.17g" % x).split("e") for x in np.concatenate(
+        [nearest, np.nextafter(nearest, 0.0), np.nextafter(nearest, 1.0)]).tolist()]
+    assert all("." in mantissa for mantissa, exponent in texts if exponent in ("-05", "-06"))
+    _assert_renders(_signed(nearest))
+
+
+def test_signed_zeros():
+    values = np.array([[0.0, -0.0, 0.5], [-0.0, 2e-5, 0.0], [-0.0, -0.0, -0.0]])
+    assert format_rows(values, b",", b"\n") == b"0,-0,0.5\n-0,2.0000000000000002e-05,0\n-0,-0,-0\n"
+    _assert_renders(values)
+    _assert_renders(values, sep="", end="")
 
 
 def test_zeros_subnormals_and_non_finite_values():

@@ -294,6 +294,60 @@ class TestHistogram:
             equal_edges(1e17, 1e17, 20)
 
 
+class TestAnyOrderOfTheSets:
+    """far_frr_sweep, auc and histogram sort a set only when it is not already
+    ascending, so a ScoredPairs and any permutation of its sets, sorted or
+    shuffled, give the same bits.  eer's grid is np.unique of the two sets, which
+    keeps whichever of -0.0 and 0.0 its sort puts first: its threshold is the
+    same number, and the same bits unless it is a zero."""
+
+    _SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, 1e308, -1e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+    @staticmethod
+    def _results(gen, imp, thresholds, bins, value_range):
+        pairs = ScoredPairs(genuine=gen, impostor=imp)
+        value, threshold = eer(pairs)
+        return (far_frr_sweep(pairs, thresholds).tobytes(), np.float64(value).tobytes(),
+                auc(pairs), *(b"".join(a.tobytes() for a in histogram(s, bins, value_range))
+                              for s in (gen, imp))), threshold
+
+    @given(gen=st.lists(_SCORES, min_size=1, max_size=25),
+           imp=st.lists(_SCORES, min_size=1, max_size=25),
+           thresholds=st.lists(st.one_of(_SCORES, st.sampled_from([np.inf, -np.inf])),
+                               max_size=10),
+           bins=st.integers(1, 8), rnd=st.randoms(use_true_random=False))
+    @example(gen=[0.0, -0.0, 0.5], imp=[-0.0, 0.0, 0.0], thresholds=[-0.0, 0.0, np.inf],
+             bins=3, rnd=random.Random(0))
+    @example(gen=[0.0, -0.0, -0.5, -0.5], imp=[-0.0, -0.0, -0.5, -0.5], thresholds=[],
+             bins=1, rnd=random.Random(0))  # eer's threshold is 0.0 in this order, sorted -0.0
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_or_shuffled_sets_give_the_same_bits(self, gen, imp, thresholds, bins, rnd):
+        lo, hi = min(gen + imp), max(gen + imp)
+        value_range = (lo, hi) if lo < hi and equal_edges(lo, hi, bins) is not None else (-1, 1)
+        want, want_threshold = self._results(gen, imp, thresholds, bins, value_range)
+        for g, i in [(sorted(gen), sorted(imp)), (sorted(gen, reverse=True), imp),
+                     (rnd.sample(gen, len(gen)), rnd.sample(imp, len(imp)))]:
+            got, threshold = self._results(g, i, thresholds, bins, value_range)
+            assert got == want
+            assert threshold == want_threshold
+            if threshold != 0.0:
+                assert np.float64(threshold).tobytes() == np.float64(want_threshold).tobytes()
+
+    @given(scores=st.lists(st.floats(), max_size=40), bins=st.integers(1, 8),
+           value_range=st.sampled_from([(-1.0, 1.0), (0.0, 0.5), (-1e308, 1e308)]),
+           ascending=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_histogram_counts_as_np_histogram(self, scores, bins, value_range, ascending):
+        """Any floats, nan and inf among them, in file order or already ascending."""
+        if ascending:
+            scores = sorted(scores, key=lambda v: (math.isnan(v), v))
+        counts, edges = histogram(scores, bins, value_range)
+        want_counts, want_edges = np.histogram(scores, bins=edges)
+        assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
+        assert edges.tobytes() == want_edges.tobytes()
+
+
 class TestPca2:
     def test_diagonal_two_dimensional(self):
         # centered 2-D data with diagonal covariance projects onto itself
