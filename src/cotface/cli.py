@@ -285,11 +285,6 @@ def _data_lines(path):
                 yield lineno, line
 
 
-def _plain(data: bytes) -> bool:
-    """Whether data ends in "\n" and holds only the bytes "0123456789+-.eE,\n"."""
-    return data.endswith(b"\n") and not data.translate(None, b"0123456789+-.eE,\n")
-
-
 def _read_scores_file(path) -> ScoredPairs:
     """Parse label,score lines.
 
@@ -300,18 +295,12 @@ def _read_scores_file(path) -> ScoredPairs:
     line as path:lineno.  A plain file, whose bytes are all in
     "0123456789+-.eE,\n", that ends in "\n" and whose every line is "0," or
     "1," and a score, is read whole: its labels from the bytes, its scores
-    by one np.loadtxt call.  So is a file that is plain once its "\r\n" ends
-    are "\n" and each line's leading "genuine," or "impostor," is "1," or
-    "0,".  Any other file, or one that loadtxt refuses or reads as
-    non-finite, goes line by line with the same result.
+    by one np.loadtxt call.  Any other file, or a plain one that loadtxt
+    refuses or reads as non-finite, goes line by line with the same result.
     """
-    data, scores = Path(path).read_bytes(), None
-    plain = _plain(data)
-    if not plain:  # a word that does not start its line leaves a line the checks below refuse
-        data = data.replace(b"\r\n", b"\n").replace(b"genuine,", b"1,").replace(b"impostor,", b"0,")
-        plain = _plain(data)
-    raw = np.frombuffer(data, dtype=np.uint8)  # a view of data
-    if plain:
+    data = Path(path).read_bytes()
+    raw, scores = np.frombuffer(data, dtype=np.uint8), None  # raw is a view of data
+    if data.endswith(b"\n") and not data.translate(None, b"0123456789+-.eE,\n"):
         starts = np.r_[0, np.flatnonzero(raw[:-1] == ord("\n")) + 1]
         labels = raw[starts]
         # every line starts with a label byte, so starts + 1 is inside the file
@@ -319,7 +308,6 @@ def _read_scores_file(path) -> ScoredPairs:
                 and (raw[starts + 1] == ord(",")).all() \
                 and np.count_nonzero(raw == ord(",")) == starts.size:
             try:
-                # the mapping moved no score, and loadtxt reads a path faster than bytes
                 scores = np.loadtxt(path, delimiter=",", usecols=1, comments=None, ndmin=1)
             except ValueError:
                 pass

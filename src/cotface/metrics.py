@@ -131,15 +131,12 @@ def histogram(scores, bins: int, value_range: tuple[float, float]):
     """Fixed-range histogram over equal bins; returns (counts, edges).
 
     Counts sum to the number of scores inside value_range (the right edge of
-    the last bin is inclusive): np.histogram's counts over explicit edges, by
-    its own algorithm of two searchsorted calls on the sorted scores.
+    the last bin is inclusive, matching numpy).
     """
     edges = equal_edges(*value_range, bins)
     if edges is None:
         raise ValueError(f"value range too narrow for {bins} equal bins")
-    ranked = _ascending(np.asarray(scores, dtype=np.float64).ravel())
-    below = np.r_[ranked.searchsorted(edges[:-1], "left"), ranked.searchsorted(edges[-1], "right")]
-    return np.diff(below), edges
+    return np.histogram(scores, bins=edges)
 
 
 def pca2(points):

@@ -295,9 +295,9 @@ class TestHistogram:
 
 
 class TestAnyOrderOfTheSets:
-    """far_frr_sweep, auc and histogram sort a set only when it is not already
-    ascending, so a ScoredPairs and any permutation of its sets, sorted or
-    shuffled, give the same bits.  eer's grid is np.unique of the two sets, which
+    """far_frr_sweep and auc sort a set only when it is not already ascending,
+    and histogram bins by np.histogram, so a ScoredPairs and any permutation of
+    its sets, sorted or shuffled, give the same bits.  eer's grid is np.unique of the two sets, which
     keeps whichever of -0.0 and 0.0 its sort puts first: its threshold is the
     same number, and the same bits unless it is a zero."""
 
@@ -333,19 +333,6 @@ class TestAnyOrderOfTheSets:
             assert threshold == want_threshold
             if threshold != 0.0:
                 assert np.float64(threshold).tobytes() == np.float64(want_threshold).tobytes()
-
-    @given(scores=st.lists(st.floats(), max_size=40), bins=st.integers(1, 8),
-           value_range=st.sampled_from([(-1.0, 1.0), (0.0, 0.5), (-1e308, 1e308)]),
-           ascending=st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_histogram_counts_as_np_histogram(self, scores, bins, value_range, ascending):
-        """Any floats, nan and inf among them, in file order or already ascending."""
-        if ascending:
-            scores = sorted(scores, key=lambda v: (math.isnan(v), v))
-        counts, edges = histogram(scores, bins, value_range)
-        want_counts, want_edges = np.histogram(scores, bins=edges)
-        assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
-        assert edges.tobytes() == want_edges.tobytes()
 
 
 class TestPca2:
