@@ -337,12 +337,11 @@ def _read_scores_file(path) -> ScoredPairs:
 
 def _cmd_eval(args) -> int:
     pairs = _read_scores_file(args.scores)
-    grid = _eer_grid(pairs)  # before the sort: which of 0.0 and -0.0 np.unique keeps follows it
     pairs.genuine.sort()  # once, so no metric below sorts a set again
     pairs.impostor.sort()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sweep = far_frr_sweep(pairs, grid)
+    sweep = far_frr_sweep(pairs, _eer_grid(pairs))
     eer_value, eer_threshold = _eer_on_sweep(sweep)
     auc_value = auc(pairs)
     (out / "far_frr.csv").write_text(sweep_to_csv(sweep[1:-1]))

@@ -70,8 +70,8 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
 
 
 def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
-    """eer's candidate grid: the sorted unique scores and the two sentinels."""
-    grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor]))
+    """eer's candidate grid: the sorted unique scores, one +0.0 for both zeros, and two sentinels."""
+    grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor])) + 0.0  # -0.0 + 0.0 is 0.0
     # from 2**53 up, top + 1.0 == top; the next float up still rejects every score
     top = grid[-1]
     with np.errstate(over="ignore"):  # above the largest float, the sentinel is inf

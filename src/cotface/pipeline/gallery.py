@@ -157,13 +157,15 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     Returns (identity, best_similarity); identity is None (stranger) unless the
     best similarity is at least sim_threshold, which NaN never is.  Ties keep the
     earliest enrolled identity.  An empty gallery reports (None, -1.0).  A
-    non-finite probe scores NaN; a finite one whose norm overflows raises
-    ValueError, as enroll does.
+    non-finite probe scores NaN; a finite one whose norm overflows, or whose
+    dim differs from the gallery's, raises ValueError, as enroll does.
     """
     probe = l2_normalize(probe)
     n = gallery._size
     if not n:
         return None, -1.0
+    if probe.size != gallery.dim:  # einsum would broadcast a 1-element probe over every column
+        raise ValueError(f"embedding dim {probe.size} != gallery dim {gallery.dim}")
     sims = np.einsum("ij,j->i", gallery._rows[:n], probe)  # row-consistent bits; see module doc
     best_sim = float(sims.max())  # NaN when the probe is non-finite
     if not best_sim >= sim_threshold:  # a NaN similarity or threshold fails closed

@@ -4,6 +4,7 @@ import argparse
 import importlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from cotface import cli
 from cotface.cli import main
-from cotface.train import init_embedding_model
+from cotface.train import init_embedding_model, save_model
 from cotface.pipeline import (
     Gallery,
     GrayImage,
@@ -566,6 +567,29 @@ class TestEval:
         assert (code, err, caught) == (0, "", [])
         summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines())
         assert float(summary["eer_threshold"]) == pytest.approx(0.6 * float(top), rel=1e-15)
+
+    @pytest.mark.parametrize("lines", [
+        ["1,0.0", "1,-0.0", "1,-0.5", "1,-0.5", "0,-0.0", "0,-0.0", "0,-0.5", "0,-0.5"],
+        ["1,-0.0", "1,0.0", "0,-0.0", "0,-0.0", "0,-0.5", "0,0.5", "0,0.5"],
+        ["1,-0.0", "1,-0.5", "0,-0.0", "0,0.5"],  # the only zeros are -0.0
+        ["1,0.5", "1,-0.0", "1,0.5", "0,0.0", "0,-0.5", "0,-0.0", "0,0.5", "1,0.0", "0,-0.5"],
+    ])
+    def test_any_line_order_writes_the_same_bytes(self, tmp_path, lines):
+        """Signed zeros, +-0.5 and ties: the file as written, reversed and
+        shuffled gives the same far_frr.csv, summary.csv and histogram.csv, whose
+        zero is written 0."""
+        rnd = random.Random(0)
+        orders = [lines, lines[::-1]] + [rnd.sample(lines, len(lines)) for _ in range(20)]
+        outputs = set()
+        for k, order in enumerate(orders):
+            scores = tmp_path / f"scores{k}.csv"
+            scores.write_text("".join(line + "\n" for line in order))
+            out = tmp_path / f"eval{k}"
+            assert _run_cli(["eval", "--scores", str(scores), "--out", str(out)]) == (0, "")
+            outputs.add(tuple((out / name).read_bytes()
+                              for name in ("far_frr.csv", "summary.csv", "histogram.csv")))
+        assert len(outputs) == 1
+        assert b"-0" not in b"".join(outputs.pop()).replace(b"\n", b",").split(b",")
 
     def test_bad_label_exits_3(self, tmp_path, capsys):
         scores = self._scores(tmp_path, ["1,0.9", "maybe,0.5"])
@@ -1269,6 +1293,19 @@ class TestMalformedInput:
             code, err = _run_cli(argv)
             assert code == 3 and err.startswith(f"error: {model}: ") and err.count("\n") == 1
         assert gallery.read_text() == text
+
+    def test_model_of_another_embedding_dim(self, tmp_path):
+        """A well-formed model whose embeddings are 1-d against a 32-d gallery:
+        auth exits 3 with one 'error:' line rather than matching a 1-element
+        probe broadcast over every column (which printed 'accepted')."""
+        face = _write_frame(tmp_path / "face.pgm", "face")
+        gallery = tmp_path / "g.txt"
+        assert _run_cli(["enroll", "--gallery", str(gallery), "--name", "a", face]) == (0, "")
+        model = tmp_path / "model.npz"
+        save_model(init_embedding_model(256, n_classes=2, hidden=(64,), embed_dim=1, seed=0), model)
+        assert _run_cli(["auth", "--gallery", str(gallery), "--model", str(model),
+                         "--sim-threshold", "0.45", face]) == (
+            3, "error: embedding dim 1 != gallery dim 32\n")
 
     def test_model_whose_output_overflows(self, tmp_path):
         """Finite weights whose forward pass overflows: auth and enroll both exit

@@ -296,10 +296,9 @@ class TestHistogram:
 
 class TestAnyOrderOfTheSets:
     """far_frr_sweep and auc sort a set only when it is not already ascending,
-    and histogram bins by np.histogram, so a ScoredPairs and any permutation of
-    its sets, sorted or shuffled, give the same bits.  eer's grid is np.unique of the two sets, which
-    keeps whichever of -0.0 and 0.0 its sort puts first: its threshold is the
-    same number, and the same bits unless it is a zero."""
+    histogram bins by np.histogram, and eer's grid holds one +0.0 for both
+    zeros, so a ScoredPairs and any permutation of its sets, sorted or
+    shuffled, give the same bits, eer's threshold included."""
 
     _SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 5e-324, 1e308, -1e308]),
                         st.floats(allow_nan=False, allow_infinity=False))
@@ -307,10 +306,9 @@ class TestAnyOrderOfTheSets:
     @staticmethod
     def _results(gen, imp, thresholds, bins, value_range):
         pairs = ScoredPairs(genuine=gen, impostor=imp)
-        value, threshold = eer(pairs)
-        return (far_frr_sweep(pairs, thresholds).tobytes(), np.float64(value).tobytes(),
+        return (far_frr_sweep(pairs, thresholds).tobytes(), np.array(eer(pairs)).tobytes(),
                 auc(pairs), *(b"".join(a.tobytes() for a in histogram(s, bins, value_range))
-                              for s in (gen, imp))), threshold
+                              for s in (gen, imp)))
 
     @given(gen=st.lists(_SCORES, min_size=1, max_size=25),
            imp=st.lists(_SCORES, min_size=1, max_size=25),
@@ -320,19 +318,15 @@ class TestAnyOrderOfTheSets:
     @example(gen=[0.0, -0.0, 0.5], imp=[-0.0, 0.0, 0.0], thresholds=[-0.0, 0.0, np.inf],
              bins=3, rnd=random.Random(0))
     @example(gen=[0.0, -0.0, -0.5, -0.5], imp=[-0.0, -0.0, -0.5, -0.5], thresholds=[],
-             bins=1, rnd=random.Random(0))  # eer's threshold is 0.0 in this order, sorted -0.0
+             bins=1, rnd=random.Random(0))  # np.unique keeps 0.0 in this order, -0.0 sorted
     @settings(max_examples=300, deadline=None)
     def test_sorted_or_shuffled_sets_give_the_same_bits(self, gen, imp, thresholds, bins, rnd):
         lo, hi = min(gen + imp), max(gen + imp)
         value_range = (lo, hi) if lo < hi and equal_edges(lo, hi, bins) is not None else (-1, 1)
-        want, want_threshold = self._results(gen, imp, thresholds, bins, value_range)
+        want = self._results(gen, imp, thresholds, bins, value_range)
         for g, i in [(sorted(gen), sorted(imp)), (sorted(gen, reverse=True), imp),
                      (rnd.sample(gen, len(gen)), rnd.sample(imp, len(imp)))]:
-            got, threshold = self._results(g, i, thresholds, bins, value_range)
-            assert got == want
-            assert threshold == want_threshold
-            if threshold != 0.0:
-                assert np.float64(threshold).tobytes() == np.float64(want_threshold).tobytes()
+            assert self._results(g, i, thresholds, bins, value_range) == want
 
 
 class TestPca2:

@@ -186,6 +186,14 @@ class TestMatch:
         name, sim = match(g, np.array(probe))
         assert name is None and np.isnan(sim)
 
+    @pytest.mark.parametrize("probe", [[3.0], [-1.0], [1.0, 0.0, 0.0]])
+    def test_probe_of_another_dim_rejected(self, probe):
+        # einsum would broadcast a 1-element probe over every column of the rows
+        g = Gallery()
+        enroll(g, "alice", _unit(0, dim=32))
+        with pytest.raises(ValueError, match=f"embedding dim {len(probe)} != gallery dim 32"):
+            match(g, np.array(probe), sim_threshold=-1.0)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # the probe's norm
     @pytest.mark.parametrize("probe", [[1e308, 1e308], [1e308, -1e308]])
     def test_overflowing_probe_rejected(self, probe):
