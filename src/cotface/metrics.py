@@ -70,7 +70,7 @@ def eer(pairs: ScoredPairs) -> tuple[float, float]:
 
 
 def _eer_grid(pairs: ScoredPairs) -> np.ndarray:
-    """eer's candidate grid: the sorted unique scores, one +0.0 for both zeros, and two sentinels."""
+    """eer's candidate grid: the sorted unique scores, zeros as one +0.0, and the two sentinels."""
     grid = np.unique(np.concatenate([pairs.genuine, pairs.impostor])) + 0.0  # -0.0 + 0.0 is 0.0
     # from 2**53 up, top + 1.0 == top; the next float up still rejects every score
     top = grid[-1]

@@ -1302,7 +1302,8 @@ class TestMalformedInput:
         gallery = tmp_path / "g.txt"
         assert _run_cli(["enroll", "--gallery", str(gallery), "--name", "a", face]) == (0, "")
         model = tmp_path / "model.npz"
-        save_model(init_embedding_model(256, n_classes=2, hidden=(64,), embed_dim=1, seed=0), model)
+        one_d = init_embedding_model(256, n_classes=2, hidden=(64,), embed_dim=1, seed=0)
+        save_model(one_d, model)
         assert _run_cli(["auth", "--gallery", str(gallery), "--model", str(model),
                          "--sim-threshold", "0.45", face]) == (
             3, "error: embedding dim 1 != gallery dim 32\n")
