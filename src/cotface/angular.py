@@ -129,25 +129,38 @@ class AngularBatch:
 
 def l2_normalize(v) -> np.ndarray:
     """Return v / ||v||: ZeroVectorError when ||v|| < eps, NormOverflowError when v is
-    finite and ||v||, its squares summed unscaled, overflows; a non-finite v passes."""
+    finite and ||v|| overflows float64; a non-finite v passes."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # squares that overflow take _scaled_unit's path
+        norm = float(np.linalg.norm(v))
     if norm < DEFAULT_EPS:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm!r}")
     if norm == math.inf and np.isfinite(v).all():
-        raise NormOverflowError("cannot normalize vector: its norm overflows float64")
+        return _scaled_unit(v)[0]
     return v / norm
+
+
+def _scaled_unit(v):
+    """(v / ||v||, ||v||) of a finite v, v divided by its largest |entry| first (Blue 1978)."""
+    big = float(np.abs(v).max())
+    norm = float(np.linalg.norm(v / big))
+    if norm * big == math.inf:
+        raise NormOverflowError("cannot normalize vector: its norm overflows float64")
+    return v / big / norm, norm * big
 
 
 def _unit_rows(m):
     """(m with unit rows, the (N, 1) row norms); l2_normalize's errors, row by row."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
     if (norms < DEFAULT_EPS).any():
         raise ZeroVectorError("matrix has a row with norm below eps")
-    if not (norms < math.inf).all() and np.isfinite(m[np.isinf(norms[:, 0])]).all(axis=1).any():
-        raise NormOverflowError("matrix has a finite row whose norm overflows float64")
-    return m / norms, norms
+    unit = m / norms
+    if not (norms < math.inf).all():
+        for i in np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(m).all(axis=1)):
+            unit[i], norms[i] = _scaled_unit(m[i])
+    return unit, norms
 
 
 def angles_from_features(features, weights) -> np.ndarray:

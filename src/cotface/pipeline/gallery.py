@@ -7,11 +7,14 @@ enroll and load_gallery fill it only through _register, which ranks a name,
 _append, which writes a row and grows the capacity by half when full, so E
 rows copy the matrix O(log E) times, and _claim, which gives rows already
 written (read from a row companion) to a name.  match scores all rows
-with one einsum and, among the rows equal to the best similarity, takes the
+with einsum and, among the rows equal to the best similarity, takes the
 smallest owner rank: ties go to the identity enrolled first, then to its
 earliest embedding.  Not BLAS gemv (`rows @ probe`): it sums blocks of rows
 in different orders, so identical rows at different positions can score
-different bits and break that rule; einsum sums every row alike.
+different bits and break that rule; einsum sums every row alike, also in a
+slice of 2 rows or more (a lone row of over 8,192 values is summed in another
+order), so a gallery of _SPLIT_VALUES values or more is scored one such slice
+per usable core, by the calling thread and a thread pool, with the same bits.
 
 The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
@@ -34,6 +37,7 @@ import itertools
 import os
 import shutil
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +51,8 @@ VERSION = 1
 MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
 _TEXT_CHUNK = 8  # identities rendered at once; more grow the heap and save no time
+_SPLIT_VALUES = 1 << 19  # fewer values are one einsum: a thread's hand-off costs more
+_pool = (0, None)  # (pid, ThreadPoolExecutor): a forked child, another pid, makes its own
 # companion: this header (a magic naming the format and the row dtype, so an
 # older companion or another byte order reads as stale; the text's sha256; n;
 # d; the identity count k; the byte size of the names), the identity table (the
@@ -142,6 +148,8 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     if count >= MAX_EMBEDDINGS_PER_IDENTITY:
         return EnrollResult(False, "capacity", count)
     embedding = np.asarray(embedding, dtype=np.float64)
+    if embedding.ndim != 1:  # checked before _append registers the name
+        raise ValueError(f"embedding must be 1-D, got shape {embedding.shape}")
     if not np.isfinite(embedding).all():
         raise ValueError("embedding contains non-finite values")
     unit = l2_normalize(embedding)
@@ -164,13 +172,37 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     n = gallery._size
     if not n:
         return None, -1.0
-    if probe.size != gallery.dim:  # einsum would broadcast a 1-element probe over every column
-        raise ValueError(f"embedding dim {probe.size} != gallery dim {gallery.dim}")
-    sims = np.einsum("ij,j->i", gallery._rows[:n], probe)  # row-consistent bits; see module doc
+    if probe.shape != (gallery.dim,):  # einsum would broadcast a (1,) probe, or score a (1, d)
+        shape = probe.size if probe.ndim == 1 else probe.shape
+        raise ValueError(f"embedding dim {shape} != gallery dim {gallery.dim}")
+    sims = _scores(gallery._rows[:n], probe)
     best_sim = float(sims.max())  # NaN when the probe is non-finite
     if not best_sim >= sim_threshold:  # a NaN similarity or threshold fails closed
         return None, best_sim
     return gallery._names[gallery._owner[:n][sims == best_sim].min()], best_sim
+
+
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _scores(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """rows . probe by einsum, one slice of 2 or more rows per core; see the module doc."""
+    global _pool
+    n = len(rows)
+    parts = max(1, min(_cores(), n // 2)) if rows.size >= _SPLIT_VALUES else 1
+    if parts > 1 and _pool[0] != os.getpid():
+        _pool = os.getpid(), ThreadPoolExecutor(_cores() - 1, "cotface-match")
+    sims, cuts = np.empty(n), [n * k // parts for k in range(parts + 1)]
+    jobs = [_pool[1].submit(np.einsum, "ij,j->i", rows[a:b], probe, out=sims[a:b])
+            for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        np.einsum("ij,j->i", rows[: cuts[1]], probe, out=sims[: cuts[1]])
+    finally:
+        wait(jobs)  # no slice is still being written once match returns or raises
+    for job in jobs:
+        job.result()
+    return sims
 
 
 def _text_lines(gallery: Gallery):

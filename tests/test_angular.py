@@ -1,5 +1,7 @@
 """Normalization, angle extraction and the cotangent kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,12 +131,35 @@ class TestL2Normalize:
         with pytest.raises(ZeroVectorError):
             _unit_rows([[1.0, 0.0], [1e-12, 0.0]])
 
-    def test_finite_vector_whose_norm_overflows_raises(self):
-        """The squares of 3e200 overflow: dividing by the inf norm would give a zero vector."""
-        with np.errstate(over="ignore"), pytest.raises(NormOverflowError, match="norm overflows"):
-            l2_normalize([3e200, 4e200])
-        with np.errstate(over="ignore"), pytest.raises(NormOverflowError, match="norm overflows"):
-            _unit_rows([[1.0, 0.0], [3e200, 4e200]])
+    @pytest.mark.parametrize("v", [[1.5e308, 1.5e308], [1e308, -1.5e308], [-1.7e308, 1e308]])
+    def test_finite_vector_whose_norm_overflows_raises(self, v):
+        """Norms above the largest float (1.797e308): dividing by inf would give zeros."""
+        with pytest.raises(NormOverflowError, match="norm overflows"):
+            l2_normalize(v)
+        with pytest.raises(NormOverflowError, match="norm overflows"):
+            _unit_rows([[1.0, 0.0], v])
+
+    @pytest.mark.parametrize("v,unit", [
+        ([3e200, 4e200], [0.6, 0.8]),
+        ([-4e200, 0.0, 3e200], [-0.8, 0.0, 0.6]),
+        ([1e308, 1e308], [1.0 / np.sqrt(2.0)] * 2),  # its norm 1.414e308 is a float
+    ])
+    def test_finite_vector_whose_squares_overflow_is_normalized(self, v, unit):
+        """The squares of 3e200 overflow, its norm 5e200 does not: v is divided by its
+        largest |entry| first, with no warning, and the norm kept for the backward pass."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(l2_normalize(v), unit)
+            rows, norms = _unit_rows([[2.0] + [0.0] * (len(v) - 1), v])
+        np.testing.assert_array_equal(rows, [[1.0] + [0.0] * (len(v) - 1), unit])
+        assert norms[0, 0] == 2.0 and norms[1, 0] == pytest.approx(np.hypot.reduce(v), rel=1e-15)
+
+    def test_unscaled_norms_keep_their_bits(self):
+        """Below the overflow every row is m / np.linalg.norm(m), as before the scaled path."""
+        m = np.random.default_rng(3).normal(size=(50, 17)) * 10.0 ** np.linspace(-6, 150, 50)[:, None]
+        for row in m:
+            np.testing.assert_array_equal(l2_normalize(row), row / np.linalg.norm(row))
+        np.testing.assert_array_equal(_unit_rows(m)[0], m / np.linalg.norm(m, axis=1, keepdims=True))
 
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0]])
     def test_non_finite_vector_passes_through(self, v):
@@ -194,8 +219,12 @@ class TestAnglesFromFeatures:
             angles_from_features([[np.inf, 1.0]], self.W)
 
     def test_features_whose_norm_overflows_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
-            angles_from_features([[1e200, 1e200]], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="norm overflows"):
+            angles_from_features([[1.5e308, 1.5e308]], [[1.0, 0.0]])
+
+    def test_features_whose_squares_overflow_are_scaled(self):
+        np.testing.assert_array_equal(angles_from_features([[1e200, 1e200]], self.W),
+                                      angles_from_features([[1.0, 1.0]], self.W))
 
 
 class TestCotViaTheta:

@@ -217,7 +217,7 @@ class TestNumericArguments:
         assert (code, err, caught) == (1, "diverged: non-finite loss inf at step 0\n", [])
 
     @pytest.mark.parametrize("extra,message", [
-        (["--spread", "1e156", "--s", "8", "--m", "0.1"], "model output is not finite"),
+        (["--spread", "1.5e307", "--s", "8", "--m", "0.1"], "model output is not finite"),
         (["--hidden", "1"], "matrix has a row with norm below eps"),
     ])
     def test_embedding_that_cannot_be_normalized_ends_in_one_diverged_line(

@@ -1,15 +1,23 @@
 """Gallery storage, matching, and the end-to-end authentication order."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import inspect
 import itertools
 import math
+import os
+import re
+import signal
 import struct
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +66,20 @@ def _unit(seed, dim=8):
     return l2_normalize(np.random.default_rng(seed).normal(size=dim))
 
 
+@contextlib.contextmanager
+def _split_over(cores):
+    """match slices every gallery of 2 or more rows as if the process had cores cores."""
+    with mock.patch.object(gallery_module, "_SPLIT_VALUES", 0), \
+            mock.patch.object(gallery_module, "_cores", lambda: cores):
+        yield
+
+
+def _one_row_gallery(dim):
+    g = Gallery()
+    enroll(g, "alice", _unit(0, dim))
+    return g
+
+
 class TestEnroll:
     def test_first_enrollment(self):
         g = Gallery()
@@ -94,12 +116,25 @@ class TestEnroll:
         with pytest.raises(ValueError, match="dim"):
             enroll(g, "bob", _unit(1, dim=9))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_norm_rejected(self):
         g = Gallery()
         with pytest.raises(ValueError, match="overflow"):
-            enroll(g, "big", np.array([1e200, 1e200]))
+            enroll(g, "big", np.array([1.5e308, 1.5e308]))
         assert g.identities == {}
+
+    def test_huge_embedding_whose_norm_is_a_float_is_enrolled(self):
+        g = Gallery()
+        assert enroll(g, "big", np.array([3e200, 4e200])).accepted
+        np.testing.assert_array_equal(g.identities["big"], [[0.6, 0.8]])
+        assert match(g, [4e200, -3e200], sim_threshold=-1.0) == ("big", 0.0)
+
+    @pytest.mark.parametrize("embedding", [np.ones((2, 2)), np.ones((1, 4)), np.float64(2.0)])
+    def test_embedding_that_is_not_1d_rejected_without_mutation(self, embedding):
+        for g in (Gallery(), _one_row_gallery(4)):
+            before = g.identities
+            with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {embedding.shape}")):
+                enroll(g, "a", embedding)
+            assert g.total_embeddings() == len(before) and g.identities.keys() == before.keys()
 
     def test_bad_name_rejected(self):
         g = Gallery()
@@ -194,10 +229,16 @@ class TestMatch:
         with pytest.raises(ValueError, match=f"embedding dim {len(probe)} != gallery dim 32"):
             match(g, np.array(probe), sim_threshold=-1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the probe's norm
-    @pytest.mark.parametrize("probe", [[1e308, 1e308], [1e308, -1e308]])
+    @pytest.mark.parametrize("probe", [np.ones((1, 32)), np.ones((2, 16)), np.ones((32, 1))])
+    def test_probe_that_is_not_1d_rejected(self, probe):
+        # einsum would score a (1, 32) probe as a (1,) row of sums
+        message = re.escape(f"embedding dim {probe.shape} != gallery dim 32")
+        with pytest.raises(ValueError, match=message):
+            match(_one_row_gallery(32), probe, sim_threshold=-1.0)
+
+    @pytest.mark.parametrize("probe", [[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
     def test_overflowing_probe_rejected(self, probe):
-        # l2_normalize divides such a probe by an infinite norm, to zeros
+        # l2_normalize would divide such a probe by an infinite norm, to zeros
         g = Gallery()
         enroll(g, "alice", np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="norm overflows"):
@@ -225,8 +266,11 @@ class TestGalleryMatrix:
                              min_size=1, max_size=64),
            probe_kind=st.sampled_from(["planted", "near", "random", "nan", "inf"]),
            threshold=st.sampled_from([-1.0, 0.5, 0.99]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_match_agrees_with_scalar_loop(self, dim, schedule, probe_kind, threshold, seed):
+           seed=st.integers(0, 2**32 - 1),
+           split=st.sampled_from([None, 2, 3, 5]))
+    def test_match_agrees_with_scalar_loop(self, dim, schedule, probe_kind, threshold, seed,
+                                           split):
+        """split: None leaves the gallery to its size rule; k forces slices over k cores."""
         rng = np.random.default_rng(seed)
         planted = rng.normal(size=dim)
         g = Gallery()
@@ -236,10 +280,96 @@ class TestGalleryMatrix:
                  "random": rng.normal(size=dim)}.get(probe_kind, rng.normal(size=dim))
         if probe_kind in ("nan", "inf"):
             probe[rng.integers(dim)] = np.nan if probe_kind == "nan" else np.inf
-        name, sim = match(g, probe, threshold)
+        with _split_over(split) if split else contextlib.nullcontext():
+            name, sim = match(g, probe, threshold)
         want_name, want_sim = match_loop(g.identities, probe, threshold)
         assert name == want_name
         assert (math.isnan(sim) and math.isnan(want_sim)) or abs(sim - want_sim) <= 1e-12
+
+    @pytest.mark.parametrize("n,dim,cores", [
+        (40, 3, 2), (40, 127, 3), (41, 129, 4), (25, 1, 5), (23, 8193, 5),
+        (1, 8193, 2), (2, 8193, 2), (3, 131073, 3),  # a lone row's sum is in another order
+    ])
+    def test_split_match_keeps_the_whole_einsums_bits_and_rule(self, n, dim, cores):
+        """The embedding on both sides of every cut, each row under a random owner:
+        the split's best similarity has the single einsum's bits, and its identity
+        the smallest owner rank among the rows that reach it."""
+        rng = np.random.default_rng(n * dim)
+        planted = rng.normal(size=dim)
+        parts = max(1, min(cores, n // 2))
+        edges = {c + side for c in (n * k // parts for k in range(1, parts)) for side in (-1, 0)}
+        g, owners = Gallery(), rng.permutation(np.arange(n) % -(-n // 5))
+        for row in range(n):
+            at_edge = n <= 3 or row in edges
+            enroll(g, f"id{owners[row]}", planted if at_edge else rng.normal(size=dim))
+        rows, ranks = g._rows[:n], g._owner[:n]
+        for probe in [planted] + [planted + 1e-3 * rng.normal(size=dim) for _ in range(4)]:
+            sims = np.einsum("ij,j->i", rows, l2_normalize(probe))
+            want = g._names[ranks[sims == sims.max()].min()], float(sims.max())
+            with _split_over(cores):
+                assert match(g, probe, sim_threshold=-1.0) == want
+
+    def test_a_gallery_below_the_split_size_starts_no_thread(self, monkeypatch):
+        """auth's 500 x 32 gallery is scored in the calling thread."""
+        monkeypatch.setattr(gallery_module, "_pool", None)
+        g, rng = Gallery(), np.random.default_rng(5)
+        for k in range(500):
+            enroll(g, f"id{k // 5}", rng.normal(size=32))
+        threads = threading.active_count()
+        match(g, rng.normal(size=32))
+        assert threading.active_count() == threads and gallery_module._pool is None
+
+    def test_concurrent_matches_agree(self, monkeypatch):
+        """Four threads match one split gallery at once, from the pool's first use on,
+        switching every microsecond: each answer is the one a lone call gives."""
+        g, rng = Gallery(), np.random.default_rng(7)
+        for k in range(400):
+            enroll(g, f"id{k // 5}", rng.normal(size=16))
+        probes = [g.identities[f"id{k}"][k % 5] + 1e-3 * rng.normal(size=16) for k in range(80)]
+        want = [match(g, p) for p in probes]
+        monkeypatch.setattr(gallery_module, "_pool", (0, None))
+        found, interval = [], sys.getswitchinterval()
+        threads = [threading.Thread(target=lambda: found.append([match(g, p) for p in probes]))
+                   for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            with _split_over(3):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and found == [want] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+    def test_a_forked_child_matches_with_its_own_pool(self):
+        """A child forked after the parent's pool ran has none of its threads;
+        matching there must neither hang nor differ."""
+        g, rng = Gallery(), np.random.default_rng(6)
+        for k in range(4096):  # 2**19 values: the smallest gallery that is split
+            enroll(g, f"id{k // 5}", rng.normal(size=128))
+        probe = g.identities["id7"][2] + 1e-3 * rng.normal(size=128)
+        with _split_over(2):
+            want = match(g, probe)
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: report and leave without running pytest's exit
+                try:
+                    os.write(write, repr(match(g, probe)).encode())
+                finally:
+                    os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's match did not finish")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read().decode() == repr(want) and want[0] == "id7"
 
     def test_enroll_grows_the_matrix_geometrically(self):
         g = Gallery()

@@ -6,9 +6,11 @@ From the seed (stdlib `random`), it writes the eval recipe's 300,000
 `label,score` lines (60,000 genuine N(0.55, 0.15^2) and 240,000 impostor
 N(0.25, 0.15^2), shuffled, 5 decimals), runs `cotface eval` on them, and
 builds a 2,000-identity gallery of 5 random 128-d embeddings each with
-`enroll`, saved with `save_gallery`.  It prints one `sha256  name` line for
-far_frr.csv, summary.csv, histogram.csv, the gallery text and its .rows
-companion.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
+`enroll`, saved with `save_gallery`, and matches 64 probes against it with
+`match`: 32 stored embeddings plus N(0, 0.03^2) noise per value and 32 random
+vectors.  It prints one `sha256  name` line for far_frr.csv, summary.csv,
+histogram.csv, the gallery text and its .rows companion, and the matches'
+(identity, repr(best similarity)) list.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
 the benchmark's train arguments (`perfbench/workloads.py`'s
 `Train.TRAIN_ARGS`), and `cotface train --task binary-live-spoof --loss
 margin-ce+double --steps 200`, each with `--seed` the given seed, and prints
@@ -39,11 +41,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 from cotface.cli import main  # noqa: E402
-from cotface.pipeline import Gallery, enroll, save_gallery  # noqa: E402
+from cotface.pipeline import Gallery, enroll, match, save_gallery  # noqa: E402
 from workloads import Auth, Train  # noqa: E402
 
 N_GENUINE, N_IMPOSTOR, DECIMALS = 60_000, 240_000, 5
 IDENTITIES, PER_IDENTITY, DIM = 2_000, 5, 128
+NEAR_PROBES, RANDOM_PROBES, PROBE_NOISE = 32, 32, 0.03
 
 
 def score_lines(rng: random.Random) -> str:
@@ -66,8 +69,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def match_digest(gallery: Gallery, rng: random.Random) -> str:
+    """The (identity, repr(best similarity)) of each probe's match, in probe order."""
+    stored = [gallery.identities[f"id{rng.randrange(IDENTITIES)}"][rng.randrange(PER_IDENTITY)]
+              for _ in range(NEAR_PROBES)]
+    probes = [[x + rng.gauss(0.0, PROBE_NOISE) for x in row] for row in stored]
+    probes += [[rng.gauss(0.0, 1.0) for _ in range(DIM)] for _ in range(RANDOM_PROBES)]
+    found = [(name, repr(sim)) for name, sim in (match(gallery, p) for p in probes)]
+    return hashlib.sha256(repr(found).encode()).hexdigest()
+
+
 def digests(seed: int, work: Path) -> dict[str, str]:
-    """far_frr.csv, summary.csv, histogram.csv, the gallery text and its companion."""
+    """far_frr.csv, summary.csv, histogram.csv, the gallery text and its companion, and
+    the digest of 64 matches against that gallery."""
     rng = random.Random(seed)
     scores, out = work / "scores.csv", work / "eval"
     scores.write_text(score_lines(rng))
@@ -78,7 +92,8 @@ def digests(seed: int, work: Path) -> dict[str, str]:
     save_gallery(gallery, work / "gallery.txt")
     files = [out / "far_frr.csv", out / "summary.csv", out / "histogram.csv",
              work / "gallery.txt", work / "gallery.txt.rows"]
-    return {path.name: _sha256(path) for path in files}
+    return {**{path.name: _sha256(path) for path in files},
+            "match(identity,sim)": match_digest(gallery, rng)}
 
 
 def train_digests(seed: int, work: Path) -> dict[str, str]:
