@@ -37,7 +37,6 @@ import itertools
 import os
 import shutil
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,7 +133,7 @@ def enroll(gallery: Gallery, name: str, embedding, sharpness_ok: bool = True) ->
     Rejected with reason "blurry" when the sharpness gate failed upstream and
     "capacity" when the identity already holds the maximum; the gallery is
     unchanged on rejection.  A non-finite embedding, one whose norm overflows,
-    or one whose dim differs from the gallery's raises ValueError, also leaving
+    or one not 1-D or of another dim than the gallery's raises ValueError, leaving
     the gallery unchanged; so does a name the file cannot hold as one UTF-8
     line: an empty one, one with a lone surrogate, or one with any line break
     str.splitlines knows (\r, \v, \f, \x1c-\x1e, U+0085, U+2028, ... as well
@@ -166,7 +165,7 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     best similarity is at least sim_threshold, which NaN never is.  Ties keep the
     earliest enrolled identity.  An empty gallery reports (None, -1.0).  A
     non-finite probe scores NaN; a finite one whose norm overflows, or whose
-    dim differs from the gallery's, raises ValueError, as enroll does.
+    shape is not the gallery's (dim,), raises ValueError, as enroll does.
     """
     probe = l2_normalize(probe)
     n = gallery._size
@@ -192,6 +191,7 @@ def _scores(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     n = len(rows)
     parts = max(1, min(_cores(), n // 2)) if rows.size >= _SPLIT_VALUES else 1
     if parts > 1 and _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
         _pool = os.getpid(), ThreadPoolExecutor(_cores() - 1, "cotface-match")
     sims, cuts = np.empty(n), [n * k // parts for k in range(parts + 1)]
     jobs = [_pool[1].submit(np.einsum, "ij,j->i", rows[a:b], probe, out=sims[a:b])
@@ -199,7 +199,8 @@ def _scores(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     try:
         np.einsum("ij,j->i", rows[: cuts[1]], probe, out=sims[: cuts[1]])
     finally:
-        wait(jobs)  # no slice is still being written once match returns or raises
+        for job in jobs:
+            job.exception()  # waits, raising nothing: no slice is written once match returns
     for job in jobs:
         job.result()
     return sims

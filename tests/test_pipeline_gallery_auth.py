@@ -11,6 +11,7 @@ import os
 import re
 import signal
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -318,6 +319,21 @@ class TestGalleryMatrix:
         threads = threading.active_count()
         match(g, rng.normal(size=32))
         assert threading.active_count() == threads and gallery_module._pool is None
+
+    def test_the_pool_module_loads_only_for_a_split(self):
+        """concurrent.futures (which loads logging, about 6 ms) is not imported by a cold
+        process that imports the CLI and matches a gallery below the split size."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import sys\n"
+                  "import cotface.cli\n"
+                  "from cotface.pipeline import Gallery, enroll, match\n"
+                  "g = Gallery()\n"
+                  "enroll(g, 'a', [1.0, 0.0])\n"
+                  "match(g, [1.0, 0.0])\n"
+                  "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert proc.stdout == "False False\n"
 
     def test_concurrent_matches_agree(self, monkeypatch):
         """Four threads match one split gallery at once, from the pool's first use on,
