@@ -156,10 +156,9 @@ def _unit_rows(m):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
     if (norms < DEFAULT_EPS).any():
         raise ZeroVectorError("matrix has a row with norm below eps")
-    unit = m / norms
-    if not (norms < math.inf).all():
-        for i in np.flatnonzero(np.isinf(norms[:, 0]) & np.isfinite(m).all(axis=1)):
-            unit[i], norms[i] = _scaled_unit(m[i])
+    unit, inf_rows = m / norms, np.flatnonzero(np.isinf(norms[:, 0]))
+    for i in inf_rows[np.isfinite(m[inf_rows]).all(axis=1)]:  # a non-finite row passes
+        unit[i], norms[i] = _scaled_unit(m[i])
     return unit, norms
 
 

@@ -11,10 +11,8 @@ with einsum and, among the rows equal to the best similarity, takes the
 smallest owner rank: ties go to the identity enrolled first, then to its
 earliest embedding.  Not BLAS gemv (`rows @ probe`): it sums blocks of rows
 in different orders, so identical rows at different positions can score
-different bits and break that rule; einsum sums every row alike, also in a
-slice of 2 rows or more (a lone row of over 8,192 values is summed in another
-order), so a gallery of _SPLIT_VALUES values or more is scored one such slice
-per usable core, by the calling thread and a thread pool, with the same bits.
+different bits and break that rule; einsum sums every row alike, in any slice
+of 2 or more rows, so _scores splits a large gallery across cores, same bits.
 
 The on-disk format is line-oriented text: a magic+version line, the identity
 count, then per identity its name, "dim count", and one embedding per line as
@@ -51,7 +49,7 @@ MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
 _TEXT_CHUNK = 8  # identities rendered at once; more grow the heap and save no time
 _SPLIT_VALUES = 1 << 19  # fewer values are one einsum: a thread's hand-off costs more
-_pool = (0, None)  # (pid, ThreadPoolExecutor): a forked child, another pid, makes its own
+_pools = {}  # pid -> ThreadPoolExecutor: a forked child, another pid, makes its own
 # companion: this header (a magic naming the format and the row dtype, so an
 # older companion or another byte order reads as stale; the text's sha256; n;
 # d; the identity count k; the byte size of the names), the identity table (the
@@ -181,28 +179,24 @@ def match(gallery: Gallery, probe, sim_threshold: float = 0.5):
     return gallery._names[gallery._owner[:n][sims == best_sim].min()], best_sim
 
 
-def _cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _scores(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """rows . probe by einsum, one slice of 2 or more rows per core; see the module doc."""
-    global _pool
+    """rows . probe by einsum, in one slice of 2 or more rows per usable core (numpy sums a
+    lone row of over 8,192 values in another order) once rows hold _SPLIT_VALUES values."""
     n = len(rows)
-    parts = max(1, min(_cores(), n // 2)) if rows.size >= _SPLIT_VALUES else 1
-    if parts > 1 and _pool[0] != os.getpid():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(cores or 1, n // 2)) if rows.size >= _SPLIT_VALUES else 1
+    if parts > 1 and os.getpid() not in _pools:
         from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
-        _pool = os.getpid(), ThreadPoolExecutor(_cores() - 1, "cotface-match")
+        _pools[os.getpid()] = ThreadPoolExecutor(cores - 1, "cotface-match")
     sims, cuts = np.empty(n), [n * k // parts for k in range(parts + 1)]
-    jobs = [_pool[1].submit(np.einsum, "ij,j->i", rows[a:b], probe, out=sims[a:b])
+    jobs = [_pools[os.getpid()].submit(np.einsum, "ij,j->i", rows[a:b], probe, out=sims[a:b])
             for a, b in zip(cuts[1:-1], cuts[2:])]
     try:
         np.einsum("ij,j->i", rows[: cuts[1]], probe, out=sims[: cuts[1]])
     finally:
-        for job in jobs:
-            job.exception()  # waits, raising nothing: no slice is written once match returns
-    for job in jobs:
-        job.result()
+        failed = [job for job in jobs if job.exception()]  # waits for every slice
+    if failed:
+        raise failed[0].exception()
     return sims
 
 

@@ -71,7 +71,7 @@ def _unit(seed, dim=8):
 def _split_over(cores):
     """match slices every gallery of 2 or more rows as if the process had cores cores."""
     with mock.patch.object(gallery_module, "_SPLIT_VALUES", 0), \
-            mock.patch.object(gallery_module, "_cores", lambda: cores):
+            mock.patch.object(os, "sched_getaffinity", lambda pid: range(cores), create=True):
         yield
 
 
@@ -312,13 +312,13 @@ class TestGalleryMatrix:
 
     def test_a_gallery_below_the_split_size_starts_no_thread(self, monkeypatch):
         """auth's 500 x 32 gallery is scored in the calling thread."""
-        monkeypatch.setattr(gallery_module, "_pool", None)
+        monkeypatch.setattr(gallery_module, "_pools", {})
         g, rng = Gallery(), np.random.default_rng(5)
         for k in range(500):
             enroll(g, f"id{k // 5}", rng.normal(size=32))
         threads = threading.active_count()
         match(g, rng.normal(size=32))
-        assert threading.active_count() == threads and gallery_module._pool is None
+        assert threading.active_count() == threads and gallery_module._pools == {}
 
     def test_the_pool_module_loads_only_for_a_split(self):
         """concurrent.futures (which loads logging, about 6 ms) is not imported by a cold
@@ -343,7 +343,7 @@ class TestGalleryMatrix:
             enroll(g, f"id{k // 5}", rng.normal(size=16))
         probes = [g.identities[f"id{k}"][k % 5] + 1e-3 * rng.normal(size=16) for k in range(80)]
         want = [match(g, p) for p in probes]
-        monkeypatch.setattr(gallery_module, "_pool", (0, None))
+        monkeypatch.setattr(gallery_module, "_pools", {})
         found, interval = [], sys.getswitchinterval()
         threads = [threading.Thread(target=lambda: found.append([match(g, p) for p in probes]))
                    for _ in range(4)]
