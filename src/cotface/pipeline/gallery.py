@@ -49,7 +49,7 @@ MAX_EMBEDDINGS_PER_IDENTITY = 5
 UNIT_NORM_TOLERANCE = 1e-6  # largest |norm - 1| a stored embedding may have
 _TEXT_CHUNK = 8  # identities rendered at once; more grow the heap and save no time
 _SPLIT_VALUES = 1 << 19  # fewer values are one einsum: a thread's hand-off costs more
-_pools = {}  # pid -> ThreadPoolExecutor: a forked child, another pid, makes its own
+_pools = {}  # pid -> ThreadPoolExecutor, one per pid (setdefault): a forked child makes its own
 # companion: this header (a magic naming the format and the row dtype, so an
 # older companion or another byte order reads as stale; the text's sha256; n;
 # d; the identity count k; the byte size of the names), the identity table (the
@@ -187,7 +187,7 @@ def _scores(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     parts = max(1, min(cores or 1, n // 2)) if rows.size >= _SPLIT_VALUES else 1
     if parts > 1 and os.getpid() not in _pools:
         from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
-        _pools[os.getpid()] = ThreadPoolExecutor(cores - 1, "cotface-match")
+        _pools.setdefault(os.getpid(), ThreadPoolExecutor(cores - 1, "cotface-match"))
     sims, cuts = np.empty(n), [n * k // parts for k in range(parts + 1)]
     jobs = [_pools[os.getpid()].submit(np.einsum, "ij,j->i", rows[a:b], probe, out=sims[a:b])
             for a, b in zip(cuts[1:-1], cuts[2:])]

@@ -156,10 +156,12 @@ class TestL2Normalize:
 
     def test_unscaled_norms_keep_their_bits(self):
         """Below the overflow every row is m / np.linalg.norm(m), as before the scaled path."""
-        m = np.random.default_rng(3).normal(size=(50, 17)) * 10.0 ** np.linspace(-6, 150, 50)[:, None]
+        scale = 10.0 ** np.linspace(-6, 150, 50)[:, None]
+        m = np.random.default_rng(3).normal(size=(50, 17)) * scale
         for row in m:
             np.testing.assert_array_equal(l2_normalize(row), row / np.linalg.norm(row))
-        np.testing.assert_array_equal(_unit_rows(m)[0], m / np.linalg.norm(m, axis=1, keepdims=True))
+        want = m / np.linalg.norm(m, axis=1, keepdims=True)
+        np.testing.assert_array_equal(_unit_rows(m)[0], want)
 
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0]])
     def test_non_finite_vector_passes_through(self, v):

@@ -8,13 +8,15 @@ N(0.25, 0.15^2), shuffled, 5 decimals), runs `cotface eval` on them, and
 builds a 2,000-identity gallery of 5 random 128-d embeddings each with
 `enroll`, saved with `save_gallery`, and matches 64 probes against it with
 `match`: 32 stored embeddings plus N(0, 0.03^2) noise per value and 32 random
-vectors.  It prints one `sha256  name` line for far_frr.csv, summary.csv,
-histogram.csv, the gallery text and its .rows companion, and the matches'
-(identity, repr(best similarity)) list.  Then it runs `cotface train --loss lmcot` and `--loss dual` at
-the benchmark's train arguments (`perfbench/workloads.py`'s
-`Train.TRAIN_ARGS`), and `cotface train --task binary-live-spoof --loss
-margin-ce+double --steps 200`, each with `--seed` the given seed, and prints
-the digests of each run's report.csv and metrics.csv.  Then it prints the
+vectors.  The gallery's 10,000 x 128 rows are above the size at which match
+scores row slices on several threads.  It prints one `sha256  name` line for
+far_frr.csv, summary.csv, histogram.csv, the gallery text and its .rows
+companion, and the matches' (identity, repr(best similarity)) list.  Then it
+runs `cotface train --loss lmcot` and `--loss dual` at the benchmark's train
+arguments (`perfbench/workloads.py`'s `Train.TRAIN_ARGS`), and `cotface train
+--task binary-live-spoof --loss margin-ce+double --steps 200`, each with
+`--seed` the given seed, and prints the digests of each run's report.csv and
+metrics.csv.  Then it prints the
 digest of the stdout of `cotface gradcheck --loss all` at that seed, and
 last the digest of the exit codes and output of the benchmark's auth op
 (`perfbench/workloads.py`'s `Auth` recipe built at the seed: `cotface auth`
